@@ -488,9 +488,12 @@ def execute(cfg):
         sys.stderr.write(canonical_json({"error": "usage", "detail": str(exc)}) + "\n")
         return 2
     except StatdiscError as exc:
-        sys.stderr.write(
-            canonical_json({"error": type(exc).__name__, "detail": str(exc)}) + "\n"
-        )
+        report = {"error": type(exc).__name__, "detail": str(exc)}
+        # diagnostics the exception carries; non-finite entries become null
+        for key in ("residual_history", "singular_values"):
+            if getattr(exc, key, None) is not None:
+                report[key] = [float(v) if np.isfinite(v) else None for v in getattr(exc, key)]
+        sys.stderr.write(canonical_json(report) + "\n")
         return 1
     out_path = cfg.options.get("output")
     if out_path:

@@ -13,6 +13,7 @@ d/dz = (d/dx - i d/dy) / 2, so grad r(z) = (1/2, -conj(z_a)^T A).
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -221,6 +222,30 @@ class PerturbedHypersurface:
         g = _kernels.poly_grad(x, self._powers, self._coeffs)
         # d/dz_j = (d/dx_j - i d/dy_j) / 2 applied to the real polynomial
         return base + self.epsilon * 0.5 * (g[:, 0::2] - 1j * g[:, 1::2])
+
+    def hess_s_many(self, z):
+        """Real Hessian of s (without eps) at each row of z: (P, 2n+2, 2n+2)."""
+        x = np.ascontiguousarray(z_to_real_coords(z))
+        d = x.shape[1]
+        out = np.zeros((x.shape[0], d, d))
+        for (i, j), (powers, coeffs) in self._second_derivatives.items():
+            out[:, i, j] = out[:, j, i] = _kernels.poly_eval(x, powers, coeffs)
+        return out
+
+    @cached_property
+    def _second_derivatives(self):
+        """(i, j) with i <= j -> d^2 s / dx_i dx_j in array form; zero ones omitted."""
+        d = 2 * (self.n + 1)
+        out = {}
+        for i in range(d):
+            for j in range(i, d):
+                beta = np.zeros(d, dtype=np.int64)
+                beta[i] += 1
+                beta[j] += 1
+                powers, coeffs = _derive_poly(self._powers, self._coeffs, beta)
+                if coeffs.size:
+                    out[i, j] = (powers, coeffs)
+        return out
 
     def point_eval(self, z):
         z = _as_complex_vector(z, self.n + 1)

@@ -9,6 +9,18 @@ Hilbert-transform construction.  The system is rank deficient by
 exactly the dimension of the disc family, so Newton steps use the
 minimum-norm least-squares solution; that keeps the tangent space
 observable for the family-dimension diagnostics.
+
+The Jacobian is the exact linearization of that residual.  Along a
+coefficient direction dh, rho moves by 2 Re(grad rho . dh); the gradient
+by the constant quadric block -conj(dz_a)^T A plus eps times the real
+Hessian of s mapped by d/dz = (d/dx - i d/dy) / 2; and log lambda by
+-T(Im(d phi / phi)) - Re(d phi / phi) with phi = zeta * d rho / d z_n.
+The lifted components then move by zeta lambda (d log lambda grad_j +
+d grad_j) and go through the same FFT as the residual.  Newton, the
+family dimension and the tangent basis all use this one linearization
+(Newton methods for nonlinear Riemann-Hilbert problems in the sense of
+E. Wegert, Nonlinear Boundary Value Problems for Holomorphic Functions
+and Singular Integral Equations, 1992).
 """
 
 from dataclasses import dataclass, field
@@ -41,7 +53,6 @@ class SolveConfig:
     tol: float = 1e-11
     max_iter: int = 30
     damping_min: float = 1.0 / 64.0
-    fd_step: float = 1e-6
     rcond: float = 1e-8  # keeps Newton steps clear of the family's null cluster
 
     def __post_init__(self):
@@ -50,6 +61,10 @@ class SolveConfig:
             raise InvalidInputError("need 0 < M < N/2")
         if self.tol <= 0 or self.max_iter < 1 or not 0 < self.damping_min <= 1:
             raise InvalidInputError("bad solver configuration")
+
+
+_BLOCK = 16  # modes per Jacobian column block; bounds the transient footprint
+_EXTRA_STEP = 1e-6  # central-difference step for the extra equations
 
 
 def _as_perturbed(m):
@@ -93,12 +108,18 @@ class _DiscSystem:
         spec[:, : self.cfg.M + 1] = coeffs
         return np.fft.ifft(spec * self.cfg.N, axis=1)
 
-    # -- residual -------------------------------------------------------
+    # -- residual and its exact linearization ----------------------------
 
-    def lift_factor(self, grad):
-        # per-iteration variant of construct_regular_lift: the continuous
-        # log only needs phi nonvanishing with zero winding, cheaper to
-        # check than the strict half-plane separation
+    def lifted(self, h):
+        """grad rho, lam, phi and the spectrum of zeta * lam * grad rho at h.
+
+        h holds boundary values (n+1, N).  lam is the per-iteration
+        variant of construct_regular_lift: the continuous log only needs
+        phi = zeta * (d rho / d z_n) o h nonvanishing with zero winding,
+        cheaper to check than the strict half-plane separation.  The
+        spectrum (n+1, N) is in numpy fft ordering.
+        """
+        grad = self.m.grad_rho_many(h.T)
         phi = self.zeta * grad[:, self.n]
         scale = np.abs(phi).max()
         if scale == 0.0 or np.abs(phi).min() < 1e-12 * scale:
@@ -106,19 +127,15 @@ class _DiscSystem:
         ang = np.unwrap(np.angle(phi))
         if abs(ang[-1] + np.angle(phi[0] / phi[-1]) - ang[0]) > 1e-6:
             raise LiftConstructionError("normalization component winds around 0")
-        U = -hilbert_transform(ang)
-        lam = np.exp(U - np.log(np.abs(phi)))
-        return lam, phi
+        lam = np.exp(-hilbert_transform(ang) - np.log(np.abs(phi)))
+        spec = np.fft.fft(self.zeta * lam * grad.T, axis=1) / self.cfg.N
+        return grad, lam, phi, spec
 
     def residual(self, x):
         coeffs = self.unpack(x)
         h = self.boundary(coeffs)
         rho = self.m.eval_rho_many(h.T)
-        grad = self.m.grad_rho_many(h.T)
-        lam, _ = self.lift_factor(grad)
-        lifted = self.zeta[None, :] * lam[None, :] * grad.T[: self.n]
-        spec = np.fft.fft(lifted, axis=1) / self.cfg.N
-        neg = spec[:, self.cfg.N // 2 :].reshape(-1)
+        neg = self.lifted(h)[3][: self.n, self.cfg.N // 2 :].reshape(-1)
         parts = [rho, neg.real, neg.imag]
         if self.extra_equations is not None:
             parts.append(np.asarray(self.extra_equations(coeffs), dtype=float))
@@ -127,17 +144,88 @@ class _DiscSystem:
     def sup_norm(self, r):
         return float(np.abs(r).max())
 
+    def grad_derivatives(self, h):
+        """d(grad rho)_i / d z_j and d(grad rho)_i / d conj(z_j) along h.
+
+        Two complex (n+1, n+1, N) arrays indexed [i, j, node]: the
+        quadric contributes the constant -A^T block of the second, eps * s
+        its real Hessian under d/dz = (d/dx - i d/dy) / 2.
+        """
+        ncomp, N = h.shape
+        P = np.zeros((ncomp, ncomp, N), dtype=complex)
+        Q = np.zeros((ncomp, ncomp, N), dtype=complex)
+        Q[1:, 1:] = -self.m.base.A.T[:, :, None]
+        if self.m.epsilon != 0.0:
+            H = self.m.hess_s_many(h.T).transpose(1, 2, 0)
+            xx, xy = H[0::2, 0::2], H[0::2, 1::2]
+            yx, yy = H[1::2, 0::2], H[1::2, 1::2]
+            P += 0.25 * self.m.epsilon * (xx - yy - 1j * (xy + yx))
+            Q += 0.25 * self.m.epsilon * (xx + yy + 1j * (xy - yx))
+        return P, Q
+
     def jacobian(self, x):
-        d = self.cfg.fd_step
-        r0 = self.residual(x)
-        J = np.empty((r0.size, x.size))
-        for i in range(x.size):
-            xp = x.copy()
-            xp[i] += d
-            xm = x.copy()
-            xm[i] -= d
-            J[:, i] = (self.residual(xp) - self.residual(xm)) / (2.0 * d)
+        """Exact derivative of residual at x, assembled in column blocks.
+
+        Along dh the residual moves by d rho = 2 Re(grad rho . dh),
+        d log lam = -T(Im(d phi / phi)) - Re(d phi / phi) and
+        d(zeta lam grad_j) = zeta lam (d log lam grad_j + d grad_j).  The
+        column of the coefficient of zeta^k in component j perturbs that
+        component alone, by zeta^k or i zeta^k; a block holds up to
+        _BLOCK modes of one component and one of the two parts.
+        """
+        N, n, half = self.cfg.N, self.n, self.cfg.N // 2
+        h = self.boundary(self.unpack(x))
+        grad, lam, phi, _spec = self.lifted(h)
+        grad = grad.T
+        P, Q = self.grad_derivatives(h)
+        zl = self.zeta * lam
+        # d phi / phi and zeta lam d grad_i (i < n) per unit of dh_j and of conj(dh_j)
+        ratio_p, ratio_q = self.zeta * P[n] / phi, self.zeta * Q[n] / phi
+        lift_p, lift_q = zl * P[:n], zl * Q[:n]
+        lift_g = zl * grad[:n]
+        extra = self.extra_jacobian(x)
+        J = np.empty((N + n * N + extra.shape[0], x.size))
+        J[N + n * N :] = extra
+        comp, mode = np.nonzero(self.free)
+        nodes = np.arange(N)
+        for j in range(n + 1):
+            idx = np.flatnonzero(comp == j)
+            for lo in range(0, idx.size, _BLOCK):
+                cols = idx[lo : lo + _BLOCK]
+                zk = self.zeta[(mode[cols, None] * nodes) % N]
+                for offset, unit in ((0, 1.0), (comp.size, 1j)):
+                    dh = unit * zk
+                    dhc = dh.conj()
+                    ratio = ratio_p[j] * dh + ratio_q[j] * dhc
+                    dlog = -hilbert_transform(ratio.imag) - ratio.real
+                    dlift = (
+                        dlog[:, None] * lift_g
+                        + lift_p[:, j] * dh[:, None]
+                        + lift_q[:, j] * dhc[:, None]
+                    )
+                    neg = (np.fft.fft(dlift, axis=-1)[..., half:] / N).reshape(cols.size, -1)
+                    # pack lists a component's modes contiguously
+                    c = slice(cols[0] + offset, cols[-1] + 1 + offset)
+                    J[:N, c] = 2.0 * (grad[j] * dh).real.T
+                    J[N : N + n * half, c] = neg.real.T
+                    J[N + n * half : N + n * N, c] = neg.imag.T
         return J
+
+    def extra_jacobian(self, x):
+        """Central differences of the extra equations alone: (E, x.size).
+
+        Exact up to rounding for affine equations (endpoint, velocity).
+        """
+        if self.extra_equations is None:
+            return np.empty((0, x.size))
+        cols = []
+        for i in range(x.size):
+            step = np.zeros(x.size)
+            step[i] = _EXTRA_STEP
+            up = self.extra_equations(self.unpack(x + step))
+            down = self.extra_equations(self.unpack(x - step))
+            cols.append((np.asarray(up, dtype=float) - down) / (2.0 * _EXTRA_STEP))
+        return np.array(cols).T
 
 
 @dataclass
@@ -189,11 +277,7 @@ class GluedDisc:
 
 
 def _defect_sup(system, coeffs):
-    h = system.boundary(coeffs)
-    grad = system.m.grad_rho_many(h.T)
-    lam, _ = system.lift_factor(grad)
-    lifted = system.zeta[None, :] * lam[None, :] * grad.T
-    spec = np.fft.fft(lifted, axis=1) / system.cfg.N
+    _grad, lam, _phi, spec = system.lifted(system.boundary(coeffs))
     neg = spec[:, system.cfg.N // 2 :]
     tot = np.linalg.norm(spec, axis=1)
     tot[tot == 0] = 1.0
@@ -302,6 +386,17 @@ def solve_with_homotopy(m, start, cfg=None, pin_center=None, extra_equations=Non
     raise last
 
 
+def _linearization(m, sol, cfg, vectors=False):
+    """System at sol, its exact Jacobian's singular values and, when
+    vectors is set, the right singular vectors V^T."""
+    system = _DiscSystem(m, cfg or sol.config, pin_center=sol.pin_center)
+    J = system.jacobian(system.pack(sol.h_coeffs))
+    if not vectors:
+        return system, np.linalg.svd(J, compute_uv=False), None
+    _u, sv, vt = np.linalg.svd(J, full_matrices=False)
+    return system, sv, vt
+
+
 def family_dimension(m, sol, cfg=None, sv_cut=1e-6, gap_min=1e3):
     """Numerical null-space dimension of the linearized system at sol.
 
@@ -309,12 +404,7 @@ def family_dimension(m, sol, cfg=None, sv_cut=1e-6, gap_min=1e3):
     a spectral gap of at least gap_min across the cut; without the gap
     a DimensionAmbiguousError carries the spectrum.
     """
-    m = _as_perturbed(m)
-    cfg = cfg or sol.config
-    system = _DiscSystem(m, cfg, pin_center=sol.pin_center)
-    x = system.pack(sol.h_coeffs)
-    J = system.jacobian(x)
-    sv = np.linalg.svd(J, compute_uv=False)
+    _system, sv, _vt = _linearization(m, sol, cfg)
     cut = sv_cut * sv[0]
     null = int(np.sum(sv < cut))
     if null == 0:
@@ -331,14 +421,8 @@ def family_dimension(m, sol, cfg=None, sv_cut=1e-6, gap_min=1e3):
 
 def family_tangent_basis(m, sol, cfg=None):
     """Orthonormal null-space basis of the linearization at sol."""
-    m = _as_perturbed(m)
-    cfg = cfg or sol.config
-    system = _DiscSystem(m, cfg, pin_center=sol.pin_center)
-    x = system.pack(sol.h_coeffs)
-    J = system.jacobian(x)
-    _u, sv, vt = np.linalg.svd(J)
-    cut = 1e-6 * sv[0]
-    null = int(np.sum(sv < cut))
+    system, sv, vt = _linearization(m, sol, cfg, vectors=True)
+    null = int(np.sum(sv < 1e-6 * sv[0]))
     if null == 0:
         raise InvalidBasisError("no tangent directions at the solution")
     return vt[-null:].T, system

@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+from statdisc import cli
 from statdisc.cli import canonical_json, parse_config
-from statdisc.errors import UsageError
+from statdisc.errors import DimensionAmbiguousError, UsageError
 
 
 def run_cli(*args):
@@ -77,6 +78,32 @@ class TestExecute:
         assert code == 1
         detail = json.loads(err)
         assert detail["error"] in ("NoConvergenceError", "LiftConstructionError")
+
+    def test_no_convergence_reports_residual_history(self):
+        # the truncation floor |a|^M of the default grid sits above tol
+        code, _, err = run_cli("solve", "--n", "1", "--a", "0.7", "--w", "1")
+        assert code == 1
+        detail = json.loads(err)
+        assert detail["error"] == "NoConvergenceError"
+        assert detail["detail"].startswith("damping stalled at residual")
+        hist = detail["residual_history"]
+        assert len(hist) >= 2 and hist[-1] > 1e-11
+        assert f"{hist[-1]:.3e}" in detail["detail"]
+
+    def test_dimension_error_reports_singular_values(self, monkeypatch, capsys):
+        def ambiguous(_cfg):
+            raise DimensionAmbiguousError(
+                "no clear spectral gap", singular_values=np.array([2.0, 1e-5])
+            )
+
+        monkeypatch.setattr(cli, "_run", ambiguous)
+        assert cli.execute(parse_config(["family-dim"])) == 1
+        detail = json.loads(capsys.readouterr().err)
+        assert detail == {
+            "error": "DimensionAmbiguousError",
+            "detail": "no clear spectral gap",
+            "singular_values": [2.0, 1e-5],
+        }
 
     def test_usage_exit_code(self):
         code, _, err = run_cli("indices-maslov", "--bogus")

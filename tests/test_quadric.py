@@ -102,6 +102,20 @@ class TestPerturbation:
         fd = fd_gradient(m.eval_rho, np.array([1, 1], dtype=complex))
         assert np.abs(g - fd).max() < 1e-6
 
+    def test_hessian_by_hand(self):
+        # s = x1^3 + x0 x1^2 y1 in the coordinates (x0, y0, x1, y1)
+        m = PerturbedHypersurface(
+            base=SPHERE, epsilon=0.01, terms={(0, 0, 3, 0): 1.0, (1, 0, 2, 1): 1.0}
+        )
+        x0, x1, y1 = 0.5, 2.0, -1.5
+        H = m.hess_s_many(np.array([[x0 + 0.3j, x1 + 1j * y1]]))[0]
+        ref = np.zeros((4, 4))
+        ref[2, 2] = 6 * x1 + 2 * x0 * y1
+        ref[0, 2] = ref[2, 0] = 2 * x1 * y1
+        ref[0, 3] = ref[3, 0] = x1**2
+        ref[2, 3] = ref[3, 2] = 2 * x0 * x1
+        assert np.allclose(H, ref, rtol=0, atol=1e-13)
+
     def test_affine_in_epsilon(self, rng):
         q = random_hermitian_quadric(rng, 1)
         terms = {(1, 0, 2, 1): 0.7, (0, 0, 0, 4): -0.3}

@@ -20,7 +20,13 @@ from statdisc.errors import (
     NoConvergenceError,
     TargetInversionError,
 )
-from statdisc.rh_solver import _center_disc_params, params_to_coeffs
+from statdisc.rh_solver import (
+    _center_disc_params,
+    _DiscSystem,
+    _endpoint_equations,
+    _velocity_equations,
+    params_to_coeffs,
+)
 
 SPHERE = Hyperquadric(n=1, A=np.array([[1.0]]))
 FLAT = PerturbedHypersurface(base=SPHERE)
@@ -66,6 +72,91 @@ class TestSolve:
         sol = solve_glued_disc(QUARTIC, p, CFG, pin_center=pin)
         assert np.abs(sol.center() - pin).max() == 0.0
         assert sol.residual_sup < 1e-11
+
+
+def fd_jacobian(system, x, step=1e-6):
+    """Central-difference Jacobian of system.residual: the test oracle."""
+    r0 = system.residual(x)
+    J = np.empty((r0.size, x.size))
+    for i in range(x.size):
+        xp = x.copy()
+        xp[i] += step
+        xm = x.copy()
+        xm[i] -= step
+        J[:, i] = (system.residual(xp) - system.residual(xm)) / (2.0 * step)
+    return J
+
+
+def _model(n, eps):
+    """Hermitian form with off-diagonal entries and a perturbation whose
+    Hessian couples z0 with the tangential coordinates."""
+    A = np.diag([1.0, 1.5, 2.0][:n]).astype(complex)
+    for i in range(n - 1):
+        A[i, i + 1] = 0.2 - 0.1j
+        A[i + 1, i] = 0.2 + 0.1j
+    d = 2 * n + 2
+
+    def mono(*pairs):
+        mi = [0] * d
+        for k, e in pairs:
+            mi[k] += e
+        return tuple(mi)
+
+    terms = {
+        mono((2, 4)): 1.0,
+        mono((1, 2), (3, 1)): -0.4,
+        mono((0, 1), (2, 1), (d - 1, 1)): 0.3,
+        mono((d - 2, 2), (d - 1, 2)): 0.5,
+    }
+    q = Hyperquadric(n=n, A=A)
+    return q, PerturbedHypersurface(base=q, epsilon=eps, terms=terms)
+
+
+class TestLinearization:
+    """The analytic Jacobian against the central-difference oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("eps", [0.0, 1e-4, 1e-3])
+    @pytest.mark.parametrize("setup", ["free", "pinned", "endpoint", "velocity"])
+    def test_matches_finite_differences(self, n, eps, setup):
+        q, m = _model(n, eps)
+        cfg = SolveConfig(N=32, M=8)
+        w = np.linspace(1.0, 0.5, n) + 0.2j
+        p = DiscParams(y0=0.1, v=0.3 * np.ones(n), w=w, a=0.3 + 0.1j)
+        c = params_to_coeffs(q, p, cfg.M)
+        extra = {
+            "endpoint": _endpoint_equations(c.sum(axis=1) + 0.01),
+            "velocity": _velocity_equations(1.01 * c[:, 1]),
+        }.get(setup)
+        pin = None if setup == "free" else c[:, 0]
+        system = _DiscSystem(m, cfg, pin_center=pin, extra_equations=extra)
+        x = system.pack(c)
+        J = system.jacobian(x)
+        ref = fd_jacobian(system, x)
+        assert J.shape == ref.shape
+        assert np.abs(J - ref).max() <= 1e-7 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_family_counts_and_gap(self, n):
+        # criterion 7's counts: 4n + 3 free, 2n + 1 with the center pinned
+        q, _ = _model(n, 0.0)
+        cfg = SolveConfig(N=128, M=24)
+        w = np.zeros(n, dtype=complex)
+        w[0] = 1.0
+        w[1:] = 0.3 - 0.1j
+        p = DiscParams(y0=0.0, v=np.zeros(n), w=w, a=0.2)
+        pin = np.zeros(n + 1, dtype=complex)
+        pin[0] = Disc(q, p).center()[0]
+        for eps in (0.0, 1e-4, 1e-3):
+            terms = {(0, 0, 4) + (0,) * (2 * n - 1): 1.0}
+            m = PerturbedHypersurface(base=q, epsilon=eps, terms=terms)
+            for center, expect in ((None, 4 * n + 3), (pin, 2 * n + 1)):
+                sol = solve_with_homotopy(m, p, cfg, pin_center=center)
+                fd = family_dimension(m, sol, cfg, gap_min=1e3)
+                assert fd["dim"] == expect, (eps, center, fd["dim"])
+                sv = fd["singular_values"]
+                cut = 1e-6 * sv[0]
+                assert sv[sv >= cut].min() / sv[sv < cut].max() >= 1e3
 
 
 class TestFamilyDimension:
