@@ -1,37 +1,18 @@
-"""Hot numeric kernels: real-polynomial evaluation and gradients on grids.
+"""Real polynomials in array form and their evaluation on grids.
 
-These sit in the innermost loop of the Newton solver (every residual
+A polynomial in D real variables is held as ``(powers, coeffs)``: powers
+(T, D) int64 exponents and coeffs (T,) float64, one row per term.  These
+kernels sit in the innermost loop of the Newton solver (every residual
 evaluation sweeps the perturbation polynomial and its gradient over the
-whole circle grid). Each kernel ships in two equivalent versions:
-
-* a numba ``@njit`` version, used when numba imports cleanly and the
-  environment variable ``STATDISC_NO_NUMBA`` is unset or "0";
-* a pure-numpy broadcast version, used otherwise.
-
-``benchmarks/bench_kernels.py`` compares the two paths.
+whole circle grid).  ``derive_poly`` is the one differentiation rule for
+the array form; the gradient and the Hessian of the perturbation are
+built from it and evaluated with ``poly_eval``.
 """
-
-import os
 
 import numpy as np
 
 
-def _numba_wanted():
-    flag = os.environ.get("STATDISC_NO_NUMBA", "0").strip().lower()
-    return flag in ("", "0", "false", "no")
-
-
-_HAVE_NUMBA = False
-if _numba_wanted():
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        _HAVE_NUMBA = False
-
-
-def _poly_eval_np(x, powers, coeffs):
+def poly_eval(x, powers, coeffs):
     """Evaluate sum_t c_t * prod_d x_d^p_td at each row of x.
 
     x: (P, D) float64, powers: (T, D) int64, coeffs: (T,) float64.
@@ -40,87 +21,28 @@ def _poly_eval_np(x, powers, coeffs):
     return mono @ coeffs
 
 
-def _poly_grad_np(x, powers, coeffs):
+def poly_grad(x, powers, coeffs):
     """All partial derivatives of the polynomial at each row of x: (P, D)."""
     P, D = x.shape
     out = np.zeros((P, D))
-    for d in range(D):
-        pd = powers[:, d]
-        active = pd > 0
-        if not active.any():
-            continue
-        shifted = powers[active].copy()
-        shifted[:, d] -= 1
-        mono = np.prod(x[:, None, :] ** shifted[None, :, :], axis=2)
-        out[:, d] = mono @ (coeffs[active] * pd[active])
+    for d, unit in enumerate(np.eye(D, dtype=np.int64)):
+        p, c = derive_poly(powers, coeffs, unit)
+        if c.size:
+            out[:, d] = poly_eval(x, p, c)
     return out
 
 
-if _HAVE_NUMBA:
+def derive_poly(powers, coeffs, beta):
+    """Coefficient-wise multi-derivative d^beta of a polynomial in array form.
 
-    @njit(cache=True)
-    def _poly_eval_nb(x, powers, coeffs):
-        P = x.shape[0]
-        D = x.shape[1]
-        T = powers.shape[0]
-        out = np.zeros(P)
-        for p in range(P):
-            acc = 0.0
-            for t in range(T):
-                m = coeffs[t]
-                for d in range(D):
-                    e = powers[t, d]
-                    xv = x[p, d]
-                    for _ in range(e):
-                        m *= xv
-                acc += m
-            out[p] = acc
-        return out
-
-    @njit(cache=True)
-    def _poly_grad_nb(x, powers, coeffs):
-        P = x.shape[0]
-        D = x.shape[1]
-        T = powers.shape[0]
-        out = np.zeros((P, D))
-        for p in range(P):
-            for t in range(T):
-                for d in range(D):
-                    e = powers[t, d]
-                    if e == 0:
-                        continue
-                    m = coeffs[t] * e
-                    for dd in range(D):
-                        ee = powers[t, dd]
-                        if dd == d:
-                            ee -= 1
-                        xv = x[p, dd]
-                        for _ in range(ee):
-                            m *= xv
-                    out[p, d] += m
-        return out
-
-    poly_eval = _poly_eval_nb
-    poly_grad = _poly_grad_nb
-else:
-    poly_eval = _poly_eval_np
-    poly_grad = _poly_grad_np
-
-# Fallbacks are kept importable under both backends so the benchmark and
-# the equivalence tests can always reach them.
-poly_eval_numpy = _poly_eval_np
-poly_grad_numpy = _poly_grad_np
-
-
-def backend():
-    """Name of the active kernel backend: "numba" or "numpy"."""
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-def warmup():
-    """Trigger JIT compilation once so timed sections stay honest."""
-    x = np.zeros((2, 4))
-    powers = np.array([[1, 0, 2, 0], [0, 3, 0, 1]], dtype=np.int64)
-    coeffs = np.array([1.0, -0.5])
-    poly_eval(x, powers, coeffs)
-    poly_grad(x, powers, coeffs)
+    Terms that the derivative kills are dropped, so a zero result has T = 0.
+    """
+    keep = np.all(powers >= beta[None, :], axis=1)
+    if not keep.any():
+        return powers[:0], coeffs[:0]
+    p, c = powers[keep], coeffs[keep]  # boolean indexing copies
+    for j, bj in enumerate(beta):
+        for _ in range(int(bj)):
+            c *= p[:, j]
+            p[:, j] -= 1
+    return p, c

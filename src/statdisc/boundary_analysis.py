@@ -88,11 +88,6 @@ class BoundaryFunction:
     def nodes(self):
         return circle_nodes(self.N)
 
-    @classmethod
-    def from_callable(cls, fn, N=None):
-        N = validate_grid(N or default_grid())
-        return cls(np.asarray(fn(circle_nodes(N)), dtype=complex))
-
 
 def fourier(bf):
     """Forward transform of a BoundaryFunction (or raw samples)."""
@@ -211,6 +206,17 @@ def _halfplane_margin(vals, directions=1024):
     return float(best)
 
 
+def lift_factor(phi):
+    """Continuous grid branch of arg phi and lam = exp(-T(arg phi) - log|phi|).
+
+    lam > 0 and lam * phi = exp(-T(arg phi) + i arg phi) is the boundary
+    value of a nonvanishing holomorphic function.  Whether phi admits a
+    continuous logarithm at all is the caller's check.
+    """
+    ang = np.unwrap(np.angle(phi))
+    return ang, np.exp(-hilbert_transform(ang) - np.log(np.abs(phi)))
+
+
 @dataclass(frozen=True)
 class RegularLift:
     """Output of construct_regular_lift."""
@@ -243,9 +249,7 @@ def construct_regular_lift(m, h_samples, pad_tol=1e-8):
             "phi values do not avoid 0 in an open half-plane; "
             "the samples are too far from a stationary disc"
         )
-    psi = np.log(np.abs(phi)) + 1j * np.unwrap(np.angle(phi))
-    U = -hilbert_transform(psi.imag)
-    lam = np.exp(U - psi.real)
+    lam = lift_factor(phi)[1]
     h_star = lam[None, :] * grad.T  # (n+1, N)
     defects = holomorphic_defect(BoundaryFunction(zeta[None, :] * h_star))
     return RegularLift(lam=lam, h_star=h_star, phi=phi, defects=np.atleast_1d(defects))

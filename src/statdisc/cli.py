@@ -9,14 +9,13 @@ configurations produce byte-identical output.  Exit codes: 0 success,
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import boundary_analysis
-from .boundary_analysis import circle_nodes, default_grid
+from .boundary_analysis import BoundaryFunction, circle_nodes, default_grid, holomorphic_defect
 from .disc import (
     DiscParams,
     LiftParams,
@@ -38,23 +37,6 @@ from .rh_solver import (
     solve_with_homotopy,
     transport_jet,
 )
-
-SUBCOMMANDS = (
-    "disc-make",
-    "disc-invert",
-    "disc-through",
-    "lift",
-    "verify",
-    "indices-maslov",
-    "indices-partial",
-    "indices-replay",
-    "solve",
-    "family-dim",
-    "jacobians",
-    "indicatrix",
-    "transport",
-)
-
 
 # ---------------------------------------------------------------------------
 # canonical output
@@ -187,7 +169,7 @@ def _build_parser():
                        help="rotation angle for the transport differential")
         return p
 
-    for name in SUBCOMMANDS:
+    for name in HANDLERS:
         add(name)
     return ap
 
@@ -281,182 +263,192 @@ def _solve_config(opt):
 # ---------------------------------------------------------------------------
 
 
+def _required(opt, key, sub):
+    """The value of an option that subcommand `sub` cannot run without."""
+    if not opt.get(key):
+        what = "--input CSV of boundary samples" if key == "input" else f"--{key}"
+        raise UsageError(f"{sub} needs {what}")
+    return opt[key]
+
+
+def _homotopy_solve(opt, m):
+    """Newton continuation from the closed-form disc; --pin-center fixes (p0, 0, ...)."""
+    params, scfg = _disc_params(opt, m.n), _solve_config(opt)
+    pin = None
+    if opt.get("pin_center"):
+        pin = np.zeros(m.n + 1, dtype=complex)
+        pin[0] = _parse_complex(opt["p0"])
+    return solve_with_homotopy(m, params, scfg, pin_center=pin), scfg
+
+
+def _disc_make(opt, m, N):
+    params = _disc_params(opt, m.n)
+    d = make_disc(m.base, params)
+    if opt["format"] == "csv":
+        return boundary_csv(d.boundary(N))
+    rep = verify_gluing(m if m.epsilon else m.base, d.boundary(N))
+    return canonical_json(
+        {
+            "params": params.to_json(),
+            "center": vector_pairs(d.center()),
+            "endpoint": vector_pairs(d.at(np.array(1.0 + 0.0j))),
+            "velocity": vector_pairs(d.velocity()),
+            "max_residual": rep.max_residual,
+        }
+    ) + "\n"
+
+
+def _disc_invert(opt, m, N):
+    samples = _read_boundary_csv(_required(opt, "input", "disc-invert"), m.n + 1)
+    return canonical_json({"params": invert_disc(m.base, samples).to_json()}) + "\n"
+
+
+def _disc_through(opt, m, N):
+    z = _parse_point(_required(opt, "z", "disc-through"))
+    params = disc_through(m.base, _parse_complex(opt["p0"]), z)
+    d = make_disc(m.base, params)
+    return canonical_json(
+        {
+            "a": pair(params.a),
+            "w": vector_pairs(params.w),
+            "y0": params.y0,
+            "endpoint": vector_pairs(d.at(np.array(1.0 + 0.0j))),
+        }
+    ) + "\n"
+
+
+def _lift(opt, m, N):
+    q = m.base
+    lp = LiftParams(disc=_disc_params(opt, q.n), b=float(opt["b"]))
+    lift = closed_form_lift(q, lp)
+    if opt["format"] == "csv":
+        return boundary_csv(lift.boundary(N))
+    proj = projectivize_lift(q, lp, N=N)
+    hs = circle_nodes(N)[None, :] * lift.boundary(N)
+    return canonical_json(
+        {
+            "b": float(opt["b"]),
+            "lift_defect": float(np.max(holomorphic_defect(BoundaryFunction(hs)))),
+            "c_at_1": float(lift.c_factor(np.array(1.0 + 0.0j)).real),
+            "projectivized_components": 2 * q.n + 1,
+            "permutation": list(proj.permutation) if proj.permutation else None,
+        }
+    ) + "\n"
+
+
+def _verify(opt, m, N):
+    samples = _read_boundary_csv(_required(opt, "input", "verify"), m.n + 1)
+    rep = verify_gluing(m, samples)
+    return canonical_json({"max_residual": rep.max_residual, "lift_defect": rep.lift_defect}) + "\n"
+
+
+def _indices_maslov(opt, m, N):
+    B = build_B(m.base, _disc_params(opt, m.n), source=opt["source"], N=N)
+    return canonical_json({"kappa_total": maslov_index(B), "n": m.n, "expected": 2 * m.n + 2}) + "\n"
+
+
+def _indices_partial(opt, m, N):
+    B = build_B(m.base, _disc_params(opt, m.n), source=opt["source"], N=N)
+    out = partial_indices(B).to_json()
+    out["det_winding"] = maslov_index(B)
+    return canonical_json(out) + "\n"
+
+
+def _indices_replay(opt, m, N):
+    rep = verify_reduction_chain(m.base, _disc_params(opt, m.n), N=N)
+    return canonical_json(rep.to_json()) + "\n"
+
+
+def _solve(opt, m, N):
+    return canonical_json(_homotopy_solve(opt, m)[0].to_json()) + "\n"
+
+
+def _family_dim(opt, m, N):
+    sol, scfg = _homotopy_solve(opt, m)
+    fd = family_dimension(m, sol, scfg)
+    return canonical_json(
+        {
+            "dim": fd["dim"],
+            "pinned": bool(opt.get("pin_center")),
+            "singular_values": [float(v) for v in fd["singular_values"][-12:]],
+        }
+    ) + "\n"
+
+
+def _jacobians(opt, m, N):
+    cm = center_map_jacobians(m, _parse_complex(opt["p0"]), _solve_config(opt))
+    return canonical_json(
+        {
+            "endpoint_invertible": cm.endpoint_invertible,
+            "velocity_injective": cm.velocity_injective,
+            "sv_endpoint_min": float(cm.sv_endpoint[-1]),
+            "sv_velocity_min": float(cm.sv_velocity[-1]),
+        }
+    ) + "\n"
+
+
+def _indicatrix(opt, m, N):
+    scfg = _solve_config(opt)
+    pts = indicatrix_sample(
+        m, _parse_complex(opt["p0"]), int(opt["count"]), scfg, seed=int(opt["seed"])
+    )
+    nn = m.n
+    fields = ["index", "ok", "y0", "a_re", "a_im"]
+    for j in range(nn):
+        fields += [f"w{j}_re", f"w{j}_im"]
+    for j in range(nn + 1):
+        fields += [f"velocity{j}_re", f"velocity{j}_im"]
+    fields.append("residual")
+    rows = []
+    for i, pt in enumerate(pts):
+        ok = int(pt.velocity is not None)
+        par = pt.params
+        row = [i, ok]
+        row += [par.y0, par.a.real, par.a.imag] if par else [0.0, 0.0, 0.0]
+        for j in range(nn):
+            row += [par.w[j].real, par.w[j].imag] if par else [0.0, 0.0]
+        for j in range(nn + 1):
+            row += [pt.velocity[j].real, pt.velocity[j].imag] if ok else [0.0, 0.0]
+        row.append(0.0 if not np.isfinite(pt.residual) else pt.residual)
+        rows.append(row)
+    return samples_csv(fields, rows, "indicatrix-cloud/1")
+
+
+def _transport(opt, m, N):
+    z = _parse_point(_required(opt, "z", "transport"))
+    scfg = _solve_config(opt)
+    th = float(opt["theta"])
+    dF = np.eye(m.n + 1, dtype=complex)
+    dF[1:, 1:] *= np.exp(1j * th)
+    out = transport_jet(m, m, _parse_complex(opt["p0"]), dF, z, cfg=scfg)
+    return canonical_json({"image": vector_pairs(out), "theta": th}) + "\n"
+
+
+# subcommand -> handler(options, model, grid size) returning the artifact text;
+# the order is the order of the command-line help
+HANDLERS = {
+    "disc-make": _disc_make,
+    "disc-invert": _disc_invert,
+    "disc-through": _disc_through,
+    "lift": _lift,
+    "verify": _verify,
+    "indices-maslov": _indices_maslov,
+    "indices-partial": _indices_partial,
+    "indices-replay": _indices_replay,
+    "solve": _solve,
+    "family-dim": _family_dim,
+    "jacobians": _jacobians,
+    "indicatrix": _indicatrix,
+    "transport": _transport,
+}
+
+
 def _run(cfg):
     opt = cfg.options
-    m = _load_model(opt)
-    q = m.base
-    N = _grid(opt)
-
-    if cfg.subcommand == "disc-make":
-        params = _disc_params(opt, q.n)
-        d = make_disc(q, params)
-        if opt["format"] == "csv":
-            return boundary_csv(d.boundary(N))
-        rep = verify_gluing(m if m.epsilon else q, d.boundary(N))
-        return canonical_json(
-            {
-                "params": params.to_json(),
-                "center": vector_pairs(d.center()),
-                "endpoint": vector_pairs(d.at(np.array(1.0 + 0.0j))),
-                "velocity": vector_pairs(d.velocity()),
-                "max_residual": rep.max_residual,
-            }
-        ) + "\n"
-
-    if cfg.subcommand == "disc-invert":
-        if not opt.get("input"):
-            raise UsageError("disc-invert needs --input CSV of boundary samples")
-        samples = _read_boundary_csv(opt["input"], q.n + 1)
-        params = invert_disc(q, samples)
-        return canonical_json({"params": params.to_json()}) + "\n"
-
-    if cfg.subcommand == "disc-through":
-        if not opt.get("z"):
-            raise UsageError("disc-through needs --z")
-        z = _parse_point(opt["z"])
-        params = disc_through(q, _parse_complex(opt["p0"]), z)
-        d = make_disc(q, params)
-        return canonical_json(
-            {
-                "a": pair(params.a),
-                "w": vector_pairs(params.w),
-                "y0": params.y0,
-                "endpoint": vector_pairs(d.at(np.array(1.0 + 0.0j))),
-            }
-        ) + "\n"
-
-    if cfg.subcommand == "lift":
-        params = _disc_params(opt, q.n)
-        lift = closed_form_lift(q, LiftParams(disc=params, b=float(opt["b"])))
-        if opt["format"] == "csv":
-            return boundary_csv(lift.boundary(N))
-        proj = projectivize_lift(q, LiftParams(disc=params, b=float(opt["b"])), N=N)
-        zeta = circle_nodes(N)
-        from .boundary_analysis import BoundaryFunction, holomorphic_defect
-
-        hs = lift.boundary(N)
-        defect = float(
-            np.max(holomorphic_defect(BoundaryFunction(zeta[None, :] * hs)))
-        )
-        return canonical_json(
-            {
-                "b": float(opt["b"]),
-                "lift_defect": defect,
-                "c_at_1": float(lift.c_factor(np.array(1.0 + 0.0j)).real),
-                "projectivized_components": 2 * q.n + 1,
-                "permutation": list(proj.permutation) if proj.permutation else None,
-            }
-        ) + "\n"
-
-    if cfg.subcommand == "verify":
-        if not opt.get("input"):
-            raise UsageError("verify needs --input CSV of boundary samples")
-        samples = _read_boundary_csv(opt["input"], q.n + 1)
-        rep = verify_gluing(m, samples)
-        return canonical_json(
-            {"max_residual": rep.max_residual, "lift_defect": rep.lift_defect}
-        ) + "\n"
-
-    if cfg.subcommand == "indices-maslov":
-        params = _disc_params(opt, q.n)
-        B = build_B(q, params, source=opt["source"], N=N)
-        kappa = maslov_index(B)
-        return canonical_json({"kappa_total": kappa, "n": q.n, "expected": 2 * q.n + 2}) + "\n"
-
-    if cfg.subcommand == "indices-partial":
-        params = _disc_params(opt, q.n)
-        B = build_B(q, params, source=opt["source"], N=N)
-        pi = partial_indices(B)
-        out = pi.to_json()
-        out["det_winding"] = maslov_index(B)
-        return canonical_json(out) + "\n"
-
-    if cfg.subcommand == "indices-replay":
-        params = _disc_params(opt, q.n)
-        rep = verify_reduction_chain(q, params, N=N)
-        return canonical_json(rep.to_json()) + "\n"
-
-    if cfg.subcommand == "solve":
-        params = _disc_params(opt, q.n)
-        scfg = _solve_config(opt)
-        pin = None
-        if opt.get("pin_center"):
-            pin = np.zeros(q.n + 1, dtype=complex)
-            pin[0] = _parse_complex(opt["p0"])
-        sol = solve_with_homotopy(m, params, scfg, pin_center=pin)
-        return canonical_json(sol.to_json()) + "\n"
-
-    if cfg.subcommand == "family-dim":
-        params = _disc_params(opt, q.n)
-        scfg = _solve_config(opt)
-        pin = None
-        if opt.get("pin_center"):
-            pin = np.zeros(q.n + 1, dtype=complex)
-            pin[0] = _parse_complex(opt["p0"])
-        sol = solve_with_homotopy(m, params, scfg, pin_center=pin)
-        fd = family_dimension(m, sol, scfg)
-        return canonical_json(
-            {
-                "dim": fd["dim"],
-                "pinned": bool(opt.get("pin_center")),
-                "singular_values": [float(v) for v in fd["singular_values"][-12:]],
-            }
-        ) + "\n"
-
-    if cfg.subcommand == "jacobians":
-        scfg = _solve_config(opt)
-        cm = center_map_jacobians(m, _parse_complex(opt["p0"]), scfg)
-        return canonical_json(
-            {
-                "endpoint_invertible": cm.endpoint_invertible,
-                "velocity_injective": cm.velocity_injective,
-                "sv_endpoint_min": float(cm.sv_endpoint[-1]),
-                "sv_velocity_min": float(cm.sv_velocity[-1]),
-            }
-        ) + "\n"
-
-    if cfg.subcommand == "indicatrix":
-        scfg = _solve_config(opt)
-        pts = indicatrix_sample(
-            m, _parse_complex(opt["p0"]), int(opt["count"]), scfg, seed=int(opt["seed"])
-        )
-        fields = ["index", "ok", "y0", "a_re", "a_im"]
-        nn = q.n
-        for j in range(nn):
-            fields += [f"w{j}_re", f"w{j}_im"]
-        for j in range(nn + 1):
-            fields += [f"velocity{j}_re", f"velocity{j}_im"]
-        fields.append("residual")
-        rows = []
-        for i, pt in enumerate(pts):
-            ok = int(pt.velocity is not None)
-            par = pt.params
-            row = [i, ok]
-            row += [par.y0, par.a.real, par.a.imag] if par else [0.0, 0.0, 0.0]
-            for j in range(nn):
-                row += [par.w[j].real, par.w[j].imag] if par else [0.0, 0.0]
-            for j in range(nn + 1):
-                row += (
-                    [pt.velocity[j].real, pt.velocity[j].imag]
-                    if pt.velocity is not None
-                    else [0.0, 0.0]
-                )
-            row.append(0.0 if not np.isfinite(pt.residual) else pt.residual)
-            rows.append(row)
-        return samples_csv(fields, rows, "indicatrix-cloud/1")
-
-    if cfg.subcommand == "transport":
-        if not opt.get("z"):
-            raise UsageError("transport needs --z")
-        scfg = _solve_config(opt)
-        z = _parse_point(opt["z"])
-        th = float(opt["theta"])
-        dF = np.eye(q.n + 1, dtype=complex)
-        dF[1:, 1:] *= np.exp(1j * th)
-        out = transport_jet(m, m, _parse_complex(opt["p0"]), dF, z, cfg=scfg)
-        return canonical_json({"image": vector_pairs(out), "theta": th}) + "\n"
-
-    raise UsageError(f"unknown subcommand {cfg.subcommand!r}")
+    m, N = _load_model(opt), _grid(opt)
+    if cfg.subcommand not in HANDLERS:
+        raise UsageError(f"unknown subcommand {cfg.subcommand!r}")
+    return HANDLERS[cfg.subcommand](opt, m, N)
 
 
 def _read_boundary_csv(path, ncomp):

@@ -125,14 +125,6 @@ class Hyperquadric:
         return cls(n=n, A=flat.reshape(n, n))
 
 
-def eval_r(q, z):
-    return q.eval_r(z)
-
-
-def grad_r(q, z):
-    return q.grad_r(z)
-
-
 @dataclass(frozen=True)
 class PointEval:
     """Defining function and gradient at one ambient point."""
@@ -206,7 +198,7 @@ class PerturbedHypersurface:
         base = self.base.eval_r_many(z)
         if self._is_pure_quadric():
             return base
-        x = np.ascontiguousarray(z_to_real_coords(z))
+        x = z_to_real_coords(z)
         s = _kernels.poly_eval(x, self._powers, self._coeffs)
         return base + self.epsilon * s
 
@@ -218,14 +210,14 @@ class PerturbedHypersurface:
         base = self.base.grad_r_many(z)
         if self._is_pure_quadric():
             return base
-        x = np.ascontiguousarray(z_to_real_coords(z))
+        x = z_to_real_coords(z)
         g = _kernels.poly_grad(x, self._powers, self._coeffs)
         # d/dz_j = (d/dx_j - i d/dy_j) / 2 applied to the real polynomial
         return base + self.epsilon * 0.5 * (g[:, 0::2] - 1j * g[:, 1::2])
 
     def hess_s_many(self, z):
         """Real Hessian of s (without eps) at each row of z: (P, 2n+2, 2n+2)."""
-        x = np.ascontiguousarray(z_to_real_coords(z))
+        x = z_to_real_coords(z)
         d = x.shape[1]
         out = np.zeros((x.shape[0], d, d))
         for (i, j), (powers, coeffs) in self._second_derivatives.items():
@@ -242,7 +234,7 @@ class PerturbedHypersurface:
                 beta = np.zeros(d, dtype=np.int64)
                 beta[i] += 1
                 beta[j] += 1
-                powers, coeffs = _derive_poly(self._powers, self._coeffs, beta)
+                powers, coeffs = _kernels.derive_poly(self._powers, self._coeffs, beta)
                 if coeffs.size:
                     out[i, j] = (powers, coeffs)
         return out
@@ -266,10 +258,10 @@ class PerturbedHypersurface:
         pts = np.vstack([np.zeros(d), pts])
         best = 0.0
         for beta in _multi_indices_upto(d, 3):
-            powers, coeffs = _derive_poly(self._powers, self._coeffs, beta)
+            powers, coeffs = _kernels.derive_poly(self._powers, self._coeffs, beta)
             if coeffs.size == 0:
                 continue
-            vals = _kernels.poly_eval(np.ascontiguousarray(pts), powers, coeffs)
+            vals = _kernels.poly_eval(pts, powers, coeffs)
             best = max(best, float(np.abs(vals).max()))
         return abs(self.epsilon) * best
 
@@ -308,20 +300,6 @@ def _multi_indices_upto(d, order):
         out.extend(nxt)
         frontier = nxt
     return out
-
-
-def _derive_poly(powers, coeffs, beta):
-    """Coefficient-wise multi-derivative of a polynomial in array form."""
-    keep = np.all(powers >= beta[None, :], axis=1)
-    if not keep.any():
-        return powers[:0], coeffs[:0]
-    p = powers[keep].copy()
-    c = coeffs[keep].copy()
-    for j, bj in enumerate(beta):
-        for _ in range(int(bj)):
-            c *= p[:, j]
-            p[:, j] -= 1
-    return np.ascontiguousarray(p), np.ascontiguousarray(c)
 
 
 def satisfies_condition_star(q, p0):

@@ -30,6 +30,7 @@ import numpy as np
 from .boundary_analysis import (
     circle_nodes,
     hilbert_transform,
+    lift_factor,
     validate_grid,
 )
 from .disc import Disc, DiscParams, disc_through
@@ -124,10 +125,9 @@ class _DiscSystem:
         scale = np.abs(phi).max()
         if scale == 0.0 or np.abs(phi).min() < 1e-12 * scale:
             raise LiftConstructionError("lift normalization component vanishes")
-        ang = np.unwrap(np.angle(phi))
+        ang, lam = lift_factor(phi)
         if abs(ang[-1] + np.angle(phi[0] / phi[-1]) - ang[0]) > 1e-6:
             raise LiftConstructionError("normalization component winds around 0")
-        lam = np.exp(-hilbert_transform(ang) - np.log(np.abs(phi)))
         spec = np.fft.fft(self.zeta * lam * grad.T, axis=1) / self.cfg.N
         return grad, lam, phi, spec
 

@@ -1,14 +1,6 @@
 import numpy as np
 import pytest
 
-from statdisc import _kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # compile the jitted kernels once so timed tests stay honest
-    _kernels.warmup()
-
 
 def random_hermitian_quadric(rng, n, definite=None):
     """Non-degenerate Hermitian model with eigenvalues in +-[0.5, 2]."""

@@ -140,6 +140,7 @@ class TestExecute:
         code2, out2, _ = run_cli("disc-invert", "--n", "1", "--input", str(csv_path))
         assert code2 == 0
         rec = json.loads(out2)["params"]
+        assert set(rec) == {"a", "v", "w", "y0"}
         assert abs(rec["a"][0] - 0.4) < 1e-8 and abs(rec["a"][1]) < 1e-8
         assert abs(rec["y0"] - 0.3) < 1e-8
 
@@ -165,6 +166,76 @@ class TestExecute:
         )
         assert code == 0
         assert json.loads(out)["dim"] == 7
+
+
+def run_main(capsys, *args):
+    code = cli.main(list(args))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+SOLVE_GRID = ("--grid", "128", "--modes", "24")
+BOUNDARY_HEADER = "k,theta,component_0_re,component_0_im,component_1_re,component_1_im"
+
+
+class TestSubcommands:
+    def test_lift_json(self, capsys):
+        code, out, _ = run_main(capsys, "lift", "--n", "1", "--a", "0.3", "--w", "1")
+        assert code == 0
+        data = json.loads(out)
+        assert set(data) == {
+            "b", "c_at_1", "lift_defect", "permutation", "projectivized_components"
+        }
+        assert data["lift_defect"] < 1e-12 and data["projectivized_components"] == 3
+
+    def test_lift_and_disc_make_csv(self, capsys):
+        for sub in ("lift", "disc-make"):
+            code, out, _ = run_main(
+                capsys, sub, "--n", "1", "--a", "0.3", "--w", "1", "--format", "csv",
+                "--grid", "32",
+            )
+            assert code == 0
+            lines = out.splitlines()
+            assert lines[:2] == ["# schema=boundary-samples/1", BOUNDARY_HEADER]
+            assert len(lines) == 2 + 32
+
+    @pytest.mark.parametrize("sub,flag", [
+        ("disc-invert", "--input CSV of boundary samples"),
+        ("verify", "--input CSV of boundary samples"),
+        ("disc-through", "--z"),
+        ("transport", "--z"),
+    ])
+    def test_missing_required_option(self, capsys, sub, flag):
+        code, _, err = run_main(capsys, sub, "--n", "1")
+        assert code == 2
+        assert json.loads(err) == {"error": "usage", "detail": f"{sub} needs {flag}"}
+
+    def test_jacobians(self, capsys):
+        code, out, _ = run_main(capsys, "jacobians", "--n", "1", *SOLVE_GRID)
+        assert code == 0
+        data = json.loads(out)
+        assert set(data) == {
+            "endpoint_invertible", "sv_endpoint_min", "sv_velocity_min", "velocity_injective"
+        }
+        assert data["endpoint_invertible"] and data["velocity_injective"]
+
+    def test_indicatrix(self, capsys):
+        code, out, _ = run_main(capsys, "indicatrix", "--n", "1", "--count", "2", *SOLVE_GRID)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1] == (
+            "index,ok,y0,a_re,a_im,w0_re,w0_im,"
+            "velocity0_re,velocity0_im,velocity1_re,velocity1_im,residual"
+        )
+        assert len(lines) == 2 + 2
+
+    def test_transport_identity(self, capsys):
+        # theta = 0 gives dF = identity on the unperturbed sphere: z maps to itself
+        code, out, _ = run_main(capsys, "transport", "--n", "1", "--z", "1+0.5j,1", *SOLVE_GRID)
+        assert code == 0
+        data = json.loads(out)
+        assert data["theta"] == 0
+        assert np.allclose(data["image"], [[1, 0.5], [1, 0]], atol=1e-8)
 
 
 class TestCanonicalJson:

@@ -1,49 +1,78 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
+import pytest
 
 from statdisc import _kernels
 
 
-def test_backends_agree(rng):
-    x = rng.normal(size=(64, 6))
-    powers = rng.integers(0, 4, size=(12, 6)).astype(np.int64)
-    coeffs = rng.normal(size=12)
-    accel = _kernels.poly_eval(np.ascontiguousarray(x), powers, coeffs)
-    plain = _kernels.poly_eval_numpy(x, powers, coeffs)
-    assert np.abs(accel - plain).max() < 1e-12 * (1 + np.abs(plain).max())
-    ga = _kernels.poly_grad(np.ascontiguousarray(x), powers, coeffs)
-    gp = _kernels.poly_grad_numpy(x, powers, coeffs)
-    assert np.abs(ga - gp).max() < 1e-12 * (1 + np.abs(gp).max())
+def naive_eval(x, powers, coeffs):
+    """sum_t c_t prod_d x_d^p_td, one point and one term at a time."""
+    out = np.zeros(x.shape[0])
+    for p in range(x.shape[0]):
+        for t in range(powers.shape[0]):
+            m = coeffs[t]
+            for d in range(x.shape[1]):
+                for _ in range(powers[t, d]):
+                    m *= x[p, d]
+            out[p] += m
+    return out
+
+
+def naive_grad(x, powers, coeffs):
+    """Term by term: d/dx_d (c x^p) = c p_d x^(p - e_d)."""
+    P, D = x.shape
+    out = np.zeros((P, D))
+    for p in range(P):
+        for t in range(powers.shape[0]):
+            for d in range(D):
+                if powers[t, d] == 0:
+                    continue
+                m = coeffs[t] * powers[t, d]
+                for dd in range(D):
+                    for _ in range(powers[t, dd] - (dd == d)):
+                        m *= x[p, dd]
+                out[p, d] += m
+    return out
+
+
+def random_poly(rng, terms, nvars, max_degree=6):
+    """`terms` random multi-indices of total degree <= max_degree."""
+    powers = np.zeros((terms, nvars), dtype=np.int64)
+    for t in range(terms):
+        for _ in range(rng.integers(0, max_degree + 1)):
+            powers[t, rng.integers(nvars)] += 1
+    return powers, rng.normal(size=terms)
+
+
+@pytest.mark.parametrize("terms,nvars", [(0, 4), (1, 4), (12, 6), (40, 8)])
+def test_matches_naive_reference(rng, terms, nvars):
+    # normal samples put negative bases under every odd power
+    x = rng.normal(size=(32, nvars))
+    powers, coeffs = random_poly(rng, terms, nvars)
+    # the same sums over |x| and |c| bound the rounding error of each entry
+    ax, ac = np.abs(x), np.abs(coeffs)
+    scale = 1.0 + naive_eval(ax, powers, ac)
+    got = _kernels.poly_eval(x, powers, coeffs)
+    assert np.all(np.abs(got - naive_eval(x, powers, coeffs)) <= 1e-12 * scale)
+    scale = 1.0 + naive_grad(ax, powers, ac)
+    got = _kernels.poly_grad(x, powers, coeffs)
+    assert np.all(np.abs(got - naive_grad(x, powers, coeffs)) <= 1e-12 * scale)
 
 
 def test_gradient_matches_finite_differences(rng):
     x = rng.normal(size=(8, 4))
     powers = np.array([[2, 1, 0, 0], [0, 0, 3, 1], [1, 1, 1, 1]], dtype=np.int64)
     coeffs = np.array([0.7, -1.2, 0.4])
-    g = _kernels.poly_grad(np.ascontiguousarray(x), powers, coeffs)
+    g = _kernels.poly_grad(x, powers, coeffs)
     h = 1e-6
     for d in range(4):
         xp = x.copy()
         xp[:, d] += h
         xm = x.copy()
         xm[:, d] -= h
-        fd = (
-            _kernels.poly_eval(np.ascontiguousarray(xp), powers, coeffs)
-            - _kernels.poly_eval(np.ascontiguousarray(xm), powers, coeffs)
-        ) / (2 * h)
+        fd = (_kernels.poly_eval(xp, powers, coeffs) - _kernels.poly_eval(xm, powers, coeffs)) / (
+            2 * h
+        )
         assert np.abs(g[:, d] - fd).max() < 1e-7
-
-
-def test_env_flag_selects_numpy_backend():
-    code = "from statdisc import _kernels; print(_kernels.backend())"
-    env = dict(os.environ, STATDISC_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.stdout.strip() == "numpy"
 
 
 def test_empty_polynomial():
