@@ -125,20 +125,18 @@ def hilbert_transform(g):
     the unpaired Nyquist mode) killed. With this convention, U = -T(g)
     makes U + i g the boundary value of a holomorphic function.
     """
-    if isinstance(g, BoundaryFunction):
-        vals = g.values
-    else:
-        vals = np.asarray(g, dtype=complex)
-    if np.abs(vals.imag).max(initial=0.0) > 1e-13 * (1.0 + np.abs(vals).max(initial=0.0)):
-        raise InvalidInputError("Hilbert transform input must be real valued")
-    vals = vals.real
+    vals = g.values if isinstance(g, BoundaryFunction) else np.asarray(g)
+    if np.iscomplexobj(vals):
+        if np.abs(vals.imag).max(initial=0.0) > 1e-13 * (1.0 + np.abs(vals).max(initial=0.0)):
+            raise InvalidInputError("Hilbert transform input must be real valued")
+        vals = vals.real
     N = validate_grid(vals.shape[-1])
-    c = np.fft.fft(vals, axis=-1)
-    m = modes(N)
-    mult = -1j * np.sign(m)
-    mult[0] = 0.0
-    mult[N // 2] = 0.0
-    out = np.fft.ifft(c * mult, axis=-1).real
+    # real input: the multiplier is -i on the stored modes 1..N/2-1
+    c = np.fft.rfft(vals, axis=-1)
+    c *= -1j
+    c[..., 0] = 0.0
+    c[..., N // 2] = 0.0
+    out = np.fft.irfft(c, n=N, axis=-1)
     if isinstance(g, BoundaryFunction):
         return BoundaryFunction(out.astype(complex))
     return out

@@ -14,6 +14,7 @@ d/dz = (d/dx - i d/dy) / 2, so grad r(z) = (1/2, -conj(z_a)^T A).
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -211,7 +212,7 @@ class PerturbedHypersurface:
         if self._is_pure_quadric():
             return base
         x = z_to_real_coords(z)
-        g = _kernels.poly_grad(x, self._powers, self._coeffs)
+        g = _kernels.poly_eval(x, *self._gradient_stack)
         # d/dz_j = (d/dx_j - i d/dy_j) / 2 applied to the real polynomial
         return base + self.epsilon * 0.5 * (g[:, 0::2] - 1j * g[:, 1::2])
 
@@ -219,25 +220,32 @@ class PerturbedHypersurface:
         """Real Hessian of s (without eps) at each row of z: (P, 2n+2, 2n+2)."""
         x = z_to_real_coords(z)
         d = x.shape[1]
-        out = np.zeros((x.shape[0], d, d))
-        for (i, j), (powers, coeffs) in self._second_derivatives.items():
-            out[:, i, j] = out[:, j, i] = _kernels.poly_eval(x, powers, coeffs)
+        i, j = np.triu_indices(d)
+        upper = _kernels.poly_eval(x, *self._hessian_stack)
+        out = np.empty((x.shape[0], d, d))
+        out[:, i, j] = out[:, j, i] = upper
         return out
 
     @cached_property
-    def _second_derivatives(self):
-        """(i, j) with i <= j -> d^2 s / dx_i dx_j in array form; zero ones omitted."""
+    def _gradient_stack(self):
+        """The D first derivatives of s, stacked in array form (K = D)."""
+        return self._derivative_stack(1)
+
+    @cached_property
+    def _hessian_stack(self):
+        """d^2 s / dx_i dx_j for i <= j in np.triu_indices order, stacked."""
+        return self._derivative_stack(2)
+
+    def _derivative_stack(self, order):
+        """All derivatives of s of one order, one column per multi-index.
+
+        Columns follow itertools.combinations_with_replacement over the
+        real coordinates, which for order 2 is np.triu_indices order.
+        """
         d = 2 * (self.n + 1)
-        out = {}
-        for i in range(d):
-            for j in range(i, d):
-                beta = np.zeros(d, dtype=np.int64)
-                beta[i] += 1
-                beta[j] += 1
-                powers, coeffs = _kernels.derive_poly(self._powers, self._coeffs, beta)
-                if coeffs.size:
-                    out[i, j] = (powers, coeffs)
-        return out
+        combos = combinations_with_replacement(range(d), order)
+        betas = [np.bincount(c, minlength=d) for c in combos]
+        return _kernels.stack_derivatives(self._powers, self._coeffs, betas)
 
     def point_eval(self, z):
         z = _as_complex_vector(z, self.n + 1)
@@ -257,12 +265,9 @@ class PerturbedHypersurface:
         pts *= (radius * rng.random(samples) ** (1.0 / d) / np.linalg.norm(pts, axis=1))[:, None]
         pts = np.vstack([np.zeros(d), pts])
         best = 0.0
-        for beta in _multi_indices_upto(d, 3):
-            powers, coeffs = _kernels.derive_poly(self._powers, self._coeffs, beta)
-            if coeffs.size == 0:
-                continue
-            vals = _kernels.poly_eval(pts, powers, coeffs)
-            best = max(best, float(np.abs(vals).max()))
+        for order in range(4):
+            vals = _kernels.poly_eval(pts, *self._derivative_stack(order))
+            best = max(best, float(np.abs(vals).max(initial=0.0)))
         return abs(self.epsilon) * best
 
     def to_json(self):
@@ -280,26 +285,6 @@ class PerturbedHypersurface:
         for t in obj.get("terms", []):
             terms[tuple(int(m) for m in t["multi_index"])] = float(t["coeff"])
         return cls(base=base, epsilon=float(obj.get("epsilon", 0.0)), terms=terms)
-
-
-def _multi_indices_upto(d, order):
-    """All multi-indices beta over d variables with 0 <= |beta| <= order."""
-    out = [np.zeros(d, dtype=np.int64)]
-    frontier = [np.zeros(d, dtype=np.int64)]
-    for _ in range(order):
-        nxt = []
-        seen = set()
-        for b in frontier:
-            for j in range(d):
-                bb = b.copy()
-                bb[j] += 1
-                key = tuple(bb)
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(bb)
-        out.extend(nxt)
-        frontier = nxt
-    return out
 
 
 def satisfies_condition_star(q, p0):

@@ -75,6 +75,35 @@ class TestHilbert:
         assert np.abs(U - np.cos(THETA)).max() < 1e-13
         assert holomorphic_defect(U + 1j * g) < 1e-13
 
+    @staticmethod
+    def reference(g):
+        """T by its definition: complex FFT, multiplier -i sign(m), mean and Nyquist killed."""
+        N = g.shape[-1]
+        m = np.fft.fftfreq(N, 1.0 / N)
+        mult = -1j * np.sign(m)
+        mult[0] = mult[N // 2] = 0.0
+        return np.fft.ifft(np.fft.fft(g, axis=-1) * mult, axis=-1).real
+
+    @pytest.mark.parametrize("n", [8, 128, 256, 1024])
+    @pytest.mark.parametrize("shape", [(), (16,)])
+    def test_matches_multiplier_definition(self, rng, n, shape):
+        g = rng.normal(size=shape + (n,))
+        got = hilbert_transform(g)
+        assert got.shape == g.shape and got.dtype == float
+        assert np.abs(got - self.reference(g)).max() <= 1e-14 * np.abs(g).max()
+
+    def test_boundary_function_input(self, rng):
+        g = rng.normal(size=(2, N))
+        got = hilbert_transform(BoundaryFunction(g))
+        assert isinstance(got, BoundaryFunction)
+        assert np.all(got.values.imag == 0.0)
+        assert np.abs(got.values.real - self.reference(g)).max() <= 1e-14 * np.abs(g).max()
+
+    def test_accepts_numerically_real_complex(self, rng):
+        g = rng.normal(size=N)
+        got = hilbert_transform(g + 1e-15j * rng.normal(size=N))
+        assert np.abs(got - self.reference(g)).max() <= 1e-14 * np.abs(g).max()
+
     def test_rejects_complex(self):
         with pytest.raises(InvalidInputError):
             hilbert_transform(ZETA)

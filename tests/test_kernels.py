@@ -56,6 +56,16 @@ def test_matches_naive_reference(rng, terms, nvars):
     scale = 1.0 + naive_grad(ax, powers, ac)
     got = _kernels.poly_grad(x, powers, coeffs)
     assert np.all(np.abs(got - naive_grad(x, powers, coeffs)) <= 1e-12 * scale)
+    # every first and second derivative, stacked into one evaluation
+    eye = np.eye(nvars, dtype=np.int64)
+    betas = [eye[i] for i in range(nvars)]
+    betas += [eye[i] + eye[j] for i in range(nvars) for j in range(i, nvars)]
+    got = _kernels.poly_eval(x, *_kernels.stack_derivatives(powers, coeffs, betas))
+    assert got.shape == (32, len(betas))
+    for k, beta in enumerate(betas):
+        ref = naive_eval(x, *_kernels.derive_poly(powers, coeffs, beta))
+        scale = 1.0 + naive_eval(ax, *_kernels.derive_poly(powers, ac, beta))
+        assert np.all(np.abs(got[:, k] - ref) <= 1e-12 * scale)
 
 
 def test_gradient_matches_finite_differences(rng):
@@ -81,3 +91,15 @@ def test_empty_polynomial():
     coeffs = np.zeros(0)
     assert np.all(_kernels.poly_eval(x, powers, coeffs) == 0.0)
     assert np.all(_kernels.poly_grad(x, powers, coeffs) == 0.0)
+    got = _kernels.poly_eval(x, powers, np.zeros((0, 5)))
+    assert got.shape == (3, 5) and np.all(got == 0.0)
+    p, c = _kernels.stack_derivatives(powers, coeffs, np.eye(4, dtype=np.int64))
+    assert p.shape == (0, 4) and c.shape == (0, 4)
+
+
+def test_constant_polynomial():
+    x = -np.ones((3, 4))
+    powers = np.zeros((1, 4), dtype=np.int64)
+    assert np.all(_kernels.poly_eval(x, powers, np.array([2.5])) == 2.5)
+    assert np.all(_kernels.poly_eval(x, powers, np.array([[2.5, -1.0]])) == [2.5, -1.0])
+    assert np.all(_kernels.poly_grad(x, powers, np.array([2.5])) == 0.0)

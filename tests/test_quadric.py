@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from statdisc import (
     exists_disc_centered,
     satisfies_condition_star,
 )
+from statdisc._kernels import derive_poly, poly_eval
 from statdisc.errors import InvalidInputError
 from statdisc.quadric import z_to_real_coords
 
@@ -27,6 +30,33 @@ def fd_gradient(fn, z, h=1e-6):
         dy = (fn(z + dz) - fn(z - dz)) / (2 * h)
         out[j] = 0.5 * (dx - 1j * dy)
     return out
+
+
+def random_sextic(rng, q, terms=12):
+    """eps = 1 perturbation of q by `terms` random monomials of degree <= 6."""
+    d = 2 * (q.n + 1)
+    poly = {}
+    for _ in range(terms):
+        mi = np.zeros(d, dtype=np.int64)
+        for _ in range(rng.integers(0, 7)):
+            mi[rng.integers(d)] += 1
+        poly[tuple(mi)] = rng.normal()
+    return PerturbedHypersurface(base=q, epsilon=1.0, terms=poly)
+
+
+def c3_size_reference(m, radius=1.0, samples=512, seed=0):
+    """c3_size with one derive_poly + poly_eval pair per multi-index."""
+    d = 2 * (m.n + 1)
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(samples, d))
+    pts *= (radius * rng.random(samples) ** (1.0 / d) / np.linalg.norm(pts, axis=1))[:, None]
+    pts = np.vstack([np.zeros(d), pts])
+    best = 0.0
+    for beta in product(range(4), repeat=d):
+        if sum(beta) <= 3:
+            powers, coeffs = derive_poly(m._powers, m._coeffs, np.array(beta))
+            best = max(best, float(np.abs(poly_eval(pts, powers, coeffs)).max()))
+    return abs(m.epsilon) * best
 
 
 class TestEvalR:
@@ -132,6 +162,33 @@ class TestPerturbation:
         s1, s2 = m1.c3_size(), m2.c3_size()
         assert np.isfinite(s1) and s1 > 0
         assert s2 == pytest.approx(2 * s1)
+
+    def test_c3_size_matches_per_multi_index_loop(self, rng):
+        m = random_sextic(rng, random_hermitian_quadric(rng, 2))
+        ref = c3_size_reference(m, radius=1.5)
+        assert ref > 0
+        assert abs(m.c3_size(radius=1.5) - ref) <= 1e-12 * ref
+
+    def test_hessian_matches_gradient_differences(self, rng):
+        q = random_hermitian_quadric(rng, 2)
+        m = random_sextic(rng, q)
+        # negative real and imaginary parts: odd powers of negative bases
+        z = -rng.uniform(0.3, 1.2, size=(5, 3)) - 1j * rng.uniform(0.3, 1.2, size=(5, 3))
+
+        def real_grad(z):
+            g = m.grad_rho_many(z) - q.grad_r_many(z)  # (d/dx - i d/dy) s / 2
+            out = np.empty((z.shape[0], 6))
+            out[:, 0::2], out[:, 1::2] = 2.0 * g.real, -2.0 * g.imag
+            return out
+
+        H = m.hess_s_many(z)
+        assert np.array_equal(H, H.transpose(0, 2, 1))
+        h = 1e-5
+        for k in range(6):
+            dz = np.zeros(3, dtype=complex)
+            dz[k // 2] = h if k % 2 == 0 else 1j * h
+            fd = (real_grad(z + dz) - real_grad(z - dz)) / (2 * h)
+            assert np.abs(H[:, :, k] - fd).max() <= 1e-7 * (1.0 + np.abs(H).max())
 
     def test_real_coordinate_layout(self):
         z = np.array([1 + 2j, 3 - 4j])
