@@ -374,7 +374,7 @@ def _gradient_reduced(q, params):
             lm = laurent_from_fft_samples(V, lo=-(m + 3), hi=m + 3, tol=1e-12)
             return IndexEquivalentForm(laurent=lm, offset=0, candidate_roots=cands)
         except ApproximationError as err:
-            last_err = err
+            last_err = str(err)  # the exception's traceback would hold this frame
         V = clear[:, None, None] * V
     raise ApproximationError(f"could not clear the gradient symbol poles: {last_err}")
 

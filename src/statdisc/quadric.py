@@ -12,6 +12,7 @@ Holomorphic derivative convention throughout the package:
 d/dz = (d/dx - i d/dy) / 2, so grad r(z) = (1/2, -conj(z_a)^T A).
 """
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations_with_replacement
@@ -187,6 +188,18 @@ class PerturbedHypersurface:
     @property
     def n(self):
         return self.base.n
+
+    def with_epsilon(self, epsilon):
+        """The same terms at another eps; self when eps is unchanged.
+
+        The derivative stacks depend on the terms alone, so the copy
+        carries the ones self has already built.
+        """
+        if epsilon == self.epsilon:
+            return self
+        out = copy.copy(self)
+        object.__setattr__(out, "epsilon", epsilon)
+        return out
 
     def _is_pure_quadric(self):
         return self.epsilon == 0.0 or self._coeffs.size == 0

@@ -21,6 +21,16 @@ family dimension and the tangent basis all use this one linearization
 (Newton methods for nonlinear Riemann-Hilbert problems in the sense of
 E. Wegert, Nonlinear Boundary Value Problems for Holomorphic Functions
 and Singular Integral Equations, 1992).
+
+Each linearization is factored once (QR of [J | -r], then the SVD of
+the triangle) and reused for chord steps: after an undamped Newton step
+the solver tries the same truncated pseudo-inverse on the new residual
+and keeps the step while the residual's sup norm at least halves;
+otherwise it re-linearizes at the same point, so the fall-back is the
+damped Newton step (the chord or Shamanskii method, C. T. Kelley,
+Solving Nonlinear Equations with Newton's Method, SIAM 2003, 5.4).
+max_iter caps the linearizations; accepted chord steps at least halve
+the residual, so there are at most log2(r0 / tol) of them.
 """
 
 from dataclasses import dataclass, field
@@ -52,7 +62,7 @@ class SolveConfig:
     N: int = 256
     M: int = 48
     tol: float = 1e-11
-    max_iter: int = 30
+    max_iter: int = 30  # linearizations; chord steps reuse one and are not counted
     damping_min: float = 1.0 / 64.0
     rcond: float = 1e-8  # keeps Newton steps clear of the family's null cluster
 
@@ -60,12 +70,20 @@ class SolveConfig:
         validate_grid(self.N)
         if not 0 < self.M < self.N // 2:
             raise InvalidInputError("need 0 < M < N/2")
-        if self.tol <= 0 or self.max_iter < 1 or not 0 < self.damping_min <= 1:
+        if (
+            self.tol <= 0
+            or self.max_iter < 1
+            or not 0 < self.damping_min <= 1
+            or not 0 < self.rcond < 1
+        ):
             raise InvalidInputError("bad solver configuration")
 
 
 _BLOCK = 16  # modes per Jacobian column block; bounds the transient footprint
 _EXTRA_STEP = 1e-6  # central-difference step for the extra equations
+# a chord step is kept only if it shrinks the residual's sup norm by this
+# factor (Kelley 2003, 5.4; see the module docstring)
+_CHORD_CONTRACTION = 0.5
 
 
 def _as_perturbed(m):
@@ -244,6 +262,7 @@ class GluedDisc:
     residual_sup: float
     lift_defects: np.ndarray
     iterations: int
+    linearizations: int
     residual_history: list = field(default_factory=list)
 
     @property
@@ -273,6 +292,7 @@ class GluedDisc:
             "residual_sup": self.residual_sup,
             "lift_defects": [float(v) for v in self.lift_defects],
             "iterations": self.iterations,
+            "linearizations": self.linearizations,
         }
 
 
@@ -282,6 +302,28 @@ def _defect_sup(system, coeffs):
     tot = np.linalg.norm(spec, axis=1)
     tot[tot == 0] = 1.0
     return np.linalg.norm(neg, axis=1) / tot, lam
+
+
+def _min_norm_factor(J, b, rcond):
+    """Minimum-norm least-squares solution of J s = b, and a solver for J s = c.
+
+    R of the QR factorization of [J | b] carries Q^T b in its last column,
+    so Q is never formed.  The SVD U S V^T of its leading K x K block
+    holds the singular values of J, cut below rcond * S[0] as lstsq cuts
+    them; the step is V S^-1 U^T (Q^T b).  A later right-hand side c goes
+    through the same truncated pseudo-inverse as V S^-2 V^T (J^T c).
+    """
+    K = J.shape[1]
+    R = np.linalg.qr(np.column_stack([J, b]), mode="r")
+    U, S, Vt = np.linalg.svd(R[:K, :K])
+    keep = S > rcond * S[0]
+    U, S, Vt = U[:, keep], S[keep], Vt[keep]
+    step = Vt.T @ ((U.T @ R[:K, K]) / S)
+
+    def solve(c):
+        return Vt.T @ ((Vt @ (J.T @ c)) / S**2)
+
+    return step, solve
 
 
 def params_to_coeffs(q, params, M):
@@ -313,15 +355,31 @@ def solve_glued_disc(m, start, cfg=None, pin_center=None, extra_equations=None):
     x = system.pack(coeffs)
     r = system.residual(x)
     history = [system.sup_norm(r)]
-    iters = 0
+    iters = linearizations = 0
+    chord = None  # solver of the last undamped linearization, reused while it contracts
     while history[-1] >= cfg.tol:
-        if iters >= cfg.max_iter:
+        if chord is not None:
+            x_try = x + chord(-r)
+            try:
+                r_try = system.residual(x_try)
+                sup = system.sup_norm(r_try)
+            except LiftConstructionError:
+                sup = np.inf
+            if sup <= _CHORD_CONTRACTION * history[-1] or sup < cfg.tol:
+                x, r = x_try, r_try
+                iters += 1
+                history.append(sup)
+                continue
+            chord = None
+        if linearizations >= cfg.max_iter:
             raise NoConvergenceError(
-                f"no convergence after {iters} iterations (residual {history[-1]:.3e})",
+                f"no convergence after {linearizations} linearizations and {iters} steps"
+                f" (residual {history[-1]:.3e})",
                 residual_history=history,
             )
         J = system.jacobian(x)
-        step = np.linalg.lstsq(J, -r, rcond=cfg.rcond)[0]
+        linearizations += 1
+        step, chord = _min_norm_factor(J, -r, cfg.rcond)
         t = 1.0
         cur = np.linalg.norm(r)
         while True:
@@ -345,6 +403,8 @@ def solve_glued_disc(m, start, cfg=None, pin_center=None, extra_equations=None):
                     f"damping stalled at residual {history[-1]:.3e}",
                     residual_history=history,
                 )
+        if t < 1.0:
+            chord = None
         x = x + t * step
         r = r_new
         iters += 1
@@ -364,6 +424,7 @@ def solve_glued_disc(m, start, cfg=None, pin_center=None, extra_equations=None):
         residual_sup=history[-1],
         lift_defects=defects,
         iterations=iters,
+        linearizations=linearizations,
         residual_history=history,
     )
 
@@ -375,15 +436,22 @@ def solve_with_homotopy(m, start, cfg=None, pin_center=None, extra_equations=Non
         cur = start
         try:
             for t in schedule:
-                mt = PerturbedHypersurface(base=m.base, epsilon=t * m.epsilon, terms=m.terms)
                 sol = solve_glued_disc(
-                    mt, cur, cfg, pin_center=pin_center, extra_equations=extra_equations
+                    m.with_epsilon(t * m.epsilon),
+                    cur,
+                    cfg,
+                    pin_center=pin_center,
+                    extra_equations=extra_equations,
                 )
                 cur = sol.h_coeffs
             return sol
         except NoConvergenceError as err:
-            last = err
-    raise last
+            # without its traceback, which holds this frame and would close a cycle
+            last = err.with_traceback(None)
+    try:
+        raise last
+    finally:
+        last = None
 
 
 def _linearization(m, sol, cfg, vectors=False):

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,18 @@ class TestBuildB:
         G = build_G(SPHERE, proj)
         expected = -np.linalg.solve(np.conj(G.samples), G.samples)
         assert np.abs(Bg.samples - expected).max() < 1e-12
+
+    def test_gradient_pole_clearing_leaves_no_reference_cycles(self):
+        # a != 0: the adaptive clearing fails at low orders before it succeeds
+        p = DiscParams(y0=0.0, v=[0], w=[1], a=0.5 + 0.2j)
+        build_B(SPHERE, p, source="gradient")  # first-call caches
+        gc.collect()
+        gc.disable()
+        try:
+            build_B(SPHERE, p, source="gradient")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_requires_centered(self):
         with pytest.raises(InvalidParamsError):

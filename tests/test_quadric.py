@@ -190,6 +190,19 @@ class TestPerturbation:
             fd = (real_grad(z + dz) - real_grad(z - dz)) / (2 * h)
             assert np.abs(H[:, :, k] - fd).max() <= 1e-7 * (1.0 + np.abs(H).max())
 
+    def test_with_epsilon_matches_fresh_hypersurface(self, rng):
+        m = random_sextic(rng, random_hermitian_quadric(rng, 2))
+        z = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
+        m.hess_s_many(z)  # builds the derivative stacks the stages carry
+        assert m.with_epsilon(m.epsilon) is m
+        for t in (0.25, 0.5, 0.75):
+            stage = m.with_epsilon(t * m.epsilon)
+            fresh = PerturbedHypersurface(base=m.base, epsilon=t * m.epsilon, terms=m.terms)
+            assert stage == fresh
+            assert stage._hessian_stack is m._hessian_stack
+            for name in ("eval_rho_many", "grad_rho_many", "hess_s_many"):
+                assert np.array_equal(getattr(stage, name)(z), getattr(fresh, name)(z))
+
     def test_real_coordinate_layout(self):
         z = np.array([1 + 2j, 3 - 4j])
         assert np.allclose(z_to_real_coords(z), [1, 2, 3, -4])

@@ -1,3 +1,4 @@
+import gc
 import sys
 from collections import Counter
 
@@ -18,7 +19,9 @@ from statdisc import (
     transport_jet,
     verify_gluing,
 )
+from statdisc import _kernels
 from statdisc.errors import (
+    InvalidInputError,
     LiftConstructionError,
     NoConvergenceError,
     TargetInversionError,
@@ -27,6 +30,7 @@ from statdisc.rh_solver import (
     _center_disc_params,
     _DiscSystem,
     _endpoint_equations,
+    _min_norm_factor,
     _velocity_equations,
     params_to_coeffs,
 )
@@ -36,6 +40,27 @@ FLAT = PerturbedHypersurface(base=SPHERE)
 QUARTIC = PerturbedHypersurface(base=SPHERE, epsilon=1e-3, terms={(0, 0, 4, 0): 1.0})
 CFG = SolveConfig(N=128, M=32)
 START = DiscParams(y0=0.1, v=[0.0], w=[1.0], a=0.25 + 0.1j)
+# at M = 32 this pole sits above the truncation floor: every schedule stalls
+STALLING = DiscParams(y0=0.1, v=[0.0], w=[1.0], a=0.6)
+
+
+def counting(calls, key, original):
+    """original, counting its calls in calls[key]."""
+
+    def counted(*args, **kwargs):
+        calls[key] += 1
+        return original(*args, **kwargs)
+
+    return counted
+
+
+def _stalled_homotopy(m):
+    """Message of the NoConvergenceError that solve_with_homotopy raises."""
+    try:
+        solve_with_homotopy(m, STALLING, CFG)
+    except NoConvergenceError as err:
+        return str(err)
+    raise AssertionError("expected the homotopy to stall")
 
 
 class TestSolve:
@@ -78,25 +103,61 @@ class TestSolve:
 
     def test_layers_run_through_their_entry_points(self, monkeypatch):
         # A profiler attributes time to the kernel and the Hilbert transform
-        # by replacing these two names wherever a statdisc module holds them;
-        # a perturbed solve must reach both through those names.
-        from statdisc import _kernels, boundary_analysis
+        # by replacing these two names wherever a statdisc module holds them,
+        # and to the factorization by replacing np.linalg.svd; a perturbed
+        # solve must reach all three through those names.
+        from statdisc import boundary_analysis
 
         calls = Counter()
         for owner, attr in ((_kernels, "poly_eval"), (boundary_analysis, "hilbert_transform")):
             original = getattr(owner, attr)
-
-            def counted(*args, _fn=original, _key=attr, **kwargs):
-                calls[_key] += 1
-                return _fn(*args, **kwargs)
-
+            counted = counting(calls, attr, original)
             for name, mod in list(sys.modules.items()):
                 if name == "statdisc" or name.startswith("statdisc."):
                     for key, val in list(vars(mod).items()):
                         if val is original:
                             monkeypatch.setattr(mod, key, counted)
+        monkeypatch.setattr(np.linalg, "svd", counting(calls, "svd", np.linalg.svd))
         solve_glued_disc(QUARTIC, START, CFG)
-        assert calls["poly_eval"] > 0 and calls["hilbert_transform"] > 0
+        assert calls["poly_eval"] > 0 and calls["hilbert_transform"] > 0 and calls["svd"] > 0
+
+    def test_one_linearization_serves_chord_steps(self):
+        sol = solve_glued_disc(QUARTIC, START, SolveConfig(N=128, M=32, max_iter=1))
+        assert sol.linearizations == 1 < sol.iterations
+        assert sol.residual_sup < 1e-11
+        assert sol.to_json()["linearizations"] == 1
+
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_matches_plain_newton(self, pinned):
+        pin = params_to_coeffs(SPHERE, START, CFG.M)[:, 0] if pinned else None
+        sol = solve_glued_disc(QUARTIC, START, CFG, pin_center=pin)
+        system = _DiscSystem(QUARTIC, CFG, pin_center=pin)
+        x = newton_oracle(system, system.pack(params_to_coeffs(SPHERE, START, CFG.M)), CFG)
+        assert np.abs(sol.h_coeffs - system.unpack(x)).max() < 1e-6
+
+    def test_failed_homotopy_leaves_no_reference_cycles(self):
+        _stalled_homotopy(QUARTIC)  # first-call caches
+        gc.collect()
+        gc.disable()
+        try:
+            _stalled_homotopy(QUARTIC)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_homotopy_stages_share_derivative_stacks(self, monkeypatch):
+        # all three schedules, the four-stage one included, run and stall
+        m = PerturbedHypersurface(base=SPHERE, epsilon=1e-3, terms={(0, 0, 4, 0): 1.0})
+        calls = Counter()
+        original = _kernels.stack_derivatives
+        monkeypatch.setattr(_kernels, "stack_derivatives", counting(calls, "stack", original))
+        _stalled_homotopy(m)
+        assert calls["stack"] <= 2
+
+    @pytest.mark.parametrize("rcond", [0.0, -1e-8, 1.0])
+    def test_rcond_outside_unit_interval_rejected(self, rcond):
+        with pytest.raises(InvalidInputError, match="bad solver configuration"):
+            SolveConfig(rcond=rcond)
 
 
 def fd_jacobian(system, x, step=1e-6):
@@ -110,6 +171,18 @@ def fd_jacobian(system, x, step=1e-6):
         xm[i] -= step
         J[:, i] = (system.residual(xp) - system.residual(xm)) / (2.0 * step)
     return J
+
+
+def newton_oracle(system, x, cfg):
+    """Undamped Newton with a fresh lstsq step per iteration: the test
+    oracle for the solver's chord iteration."""
+    r = system.residual(x)
+    for _ in range(cfg.max_iter):
+        if system.sup_norm(r) < cfg.tol:
+            return x
+        x = x + np.linalg.lstsq(system.jacobian(x), -r, rcond=cfg.rcond)[0]
+        r = system.residual(x)
+    raise AssertionError("Newton oracle did not converge")
 
 
 def _model(n, eps):
@@ -137,29 +210,49 @@ def _model(n, eps):
     return q, PerturbedHypersurface(base=q, epsilon=eps, terms=terms)
 
 
+def _linearization_setup(n, eps, setup):
+    """System and closed-form start for one TestLinearization case."""
+    q, m = _model(n, eps)
+    cfg = SolveConfig(N=32, M=8)
+    w = np.linspace(1.0, 0.5, n) + 0.2j
+    p = DiscParams(y0=0.1, v=0.3 * np.ones(n), w=w, a=0.3 + 0.1j)
+    c = params_to_coeffs(q, p, cfg.M)
+    extra = {
+        "endpoint": _endpoint_equations(c.sum(axis=1) + 0.01),
+        "velocity": _velocity_equations(1.01 * c[:, 1]),
+    }.get(setup)
+    pin = None if setup == "free" else c[:, 0]
+    system = _DiscSystem(m, cfg, pin_center=pin, extra_equations=extra)
+    return system, system.pack(c)
+
+
 class TestLinearization:
-    """The analytic Jacobian against the central-difference oracle."""
+    """The analytic Jacobian against the central-difference oracle, and
+    the Newton factorization against lstsq."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("eps", [0.0, 1e-4, 1e-3])
     @pytest.mark.parametrize("setup", ["free", "pinned", "endpoint", "velocity"])
     def test_matches_finite_differences(self, n, eps, setup):
-        q, m = _model(n, eps)
-        cfg = SolveConfig(N=32, M=8)
-        w = np.linspace(1.0, 0.5, n) + 0.2j
-        p = DiscParams(y0=0.1, v=0.3 * np.ones(n), w=w, a=0.3 + 0.1j)
-        c = params_to_coeffs(q, p, cfg.M)
-        extra = {
-            "endpoint": _endpoint_equations(c.sum(axis=1) + 0.01),
-            "velocity": _velocity_equations(1.01 * c[:, 1]),
-        }.get(setup)
-        pin = None if setup == "free" else c[:, 0]
-        system = _DiscSystem(m, cfg, pin_center=pin, extra_equations=extra)
-        x = system.pack(c)
+        system, x = _linearization_setup(n, eps, setup)
         J = system.jacobian(x)
         ref = fd_jacobian(system, x)
         assert J.shape == ref.shape
         assert np.abs(J - ref).max() <= 1e-7 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("eps", [0.0, 1e-4, 1e-3])
+    @pytest.mark.parametrize("setup", ["free", "pinned", "endpoint", "velocity"])
+    def test_factorization_matches_lstsq(self, n, eps, setup):
+        system, x = _linearization_setup(n, eps, setup)
+        rcond = system.cfg.rcond
+        J, b = system.jacobian(x), -system.residual(x)
+        step, solve = _min_norm_factor(J, b, rcond)
+        ref = np.linalg.lstsq(J, b, rcond=rcond)[0]
+        assert np.linalg.norm(step - ref) <= 1e-8 * np.linalg.norm(ref)
+        c = np.random.default_rng(n).normal(size=b.size)
+        ref = np.linalg.lstsq(J, c, rcond=rcond)[0]
+        assert np.linalg.norm(solve(c) - ref) <= 1e-5 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_family_counts_and_gap(self, n):
