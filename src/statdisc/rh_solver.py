@@ -429,9 +429,42 @@ def solve_glued_disc(m, start, cfg=None, pin_center=None, extra_equations=None):
     )
 
 
+def _futile_retry(m, start, cfg):
+    """Why smaller epsilon steps cannot rescue a failed first schedule, or None.
+
+    Every schedule restarts from start, which continuation assumes solves
+    the eps = 0 problem (E. L. Allgower and K. Georg, Introduction to
+    Numerical Continuation Methods, 1990).  At eps = 0 all stages are
+    that one solve; a closed-form start whose truncated coefficients
+    leave a residual of at least tol on the base quadric stalls at that
+    floor at every eps.
+    """
+    if isinstance(start, DiscParams):
+        system = _DiscSystem(m.with_epsilon(0.0), cfg)
+        floor = system.sup_norm(
+            system.residual(system.pack(params_to_coeffs(m.base, start, cfg.M)))
+        )
+        if floor >= cfg.tol:
+            return (
+                f"the closed-form start leaves residual {floor:.3e} at eps = 0 on the"
+                f" N={cfg.N}, M={cfg.M} grid, so smaller eps steps cannot help:"
+                " raise M (and N) or lower |a|"
+            )
+    if m.epsilon == 0.0:
+        return "at eps = 0 every homotopy stage repeats this solve"
+    return None
+
+
 def solve_with_homotopy(m, start, cfg=None, pin_center=None, extra_equations=None):
-    """solve_glued_disc with up to 4 homotopy steps in epsilon."""
+    """solve_glued_disc continued in epsilon over up to three schedules.
+
+    The schedules are [1], [1/2, 1] and [1/4, 1/2, 3/4, 1] times eps (up
+    to 7 stages), each started afresh from start.  After the first fails,
+    the others run only if they can help: when _futile_retry names a
+    cause, its NoConvergenceError is re-raised with the cause appended.
+    """
     m = _as_perturbed(m)
+    cfg = cfg or SolveConfig()
     for schedule in ([1.0], [0.5, 1.0], [0.25, 0.5, 0.75, 1.0]):
         cur = start
         try:
@@ -448,6 +481,13 @@ def solve_with_homotopy(m, start, cfg=None, pin_center=None, extra_equations=Non
         except NoConvergenceError as err:
             # without its traceback, which holds this frame and would close a cycle
             last = err.with_traceback(None)
+        if len(schedule) == 1:  # the first schedule failed; checked once per homotopy
+            cause = _futile_retry(m, start, cfg)
+            if cause is not None:
+                last = NoConvergenceError(
+                    f"{last}; {cause}", residual_history=last.residual_history
+                )
+                break
     try:
         raise last
     finally:

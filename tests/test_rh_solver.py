@@ -19,7 +19,7 @@ from statdisc import (
     transport_jet,
     verify_gluing,
 )
-from statdisc import _kernels
+from statdisc import _kernels, rh_solver
 from statdisc.errors import (
     InvalidInputError,
     LiftConstructionError,
@@ -42,6 +42,9 @@ CFG = SolveConfig(N=128, M=32)
 START = DiscParams(y0=0.1, v=[0.0], w=[1.0], a=0.25 + 0.1j)
 # at M = 32 this pole sits above the truncation floor: every schedule stalls
 STALLING = DiscParams(y0=0.1, v=[0.0], w=[1.0], a=0.6)
+# START is resolved at CFG, yet stalls at every eps of this quartic: the
+# homotopy runs all three schedules, the last one for three stages
+RETRYING = PerturbedHypersurface(base=SPHERE, epsilon=0.05, terms={(0, 0, 4, 0): 1.0})
 
 
 def counting(calls, key, original):
@@ -54,13 +57,28 @@ def counting(calls, key, original):
     return counted
 
 
-def _stalled_homotopy(m):
-    """Message of the NoConvergenceError that solve_with_homotopy raises."""
+def _stalled_homotopy(m, start=STALLING):
+    """Message and residual history of the NoConvergenceError that
+    solve_with_homotopy raises (not the error, whose traceback holds frames)."""
     try:
-        solve_with_homotopy(m, STALLING, CFG)
+        solve_with_homotopy(m, start, CFG)
     except NoConvergenceError as err:
-        return str(err)
+        return str(err), err.residual_history
     raise AssertionError("expected the homotopy to stall")
+
+
+def _stage_epsilons(monkeypatch, m, start):
+    """eps of each solve_glued_disc stage of a stalling homotopy, and its
+    message and residual history."""
+    stages = []
+    original = rh_solver.solve_glued_disc
+
+    def staged(stage, *args, **kwargs):
+        stages.append(stage.epsilon)
+        return original(stage, *args, **kwargs)
+
+    monkeypatch.setattr(rh_solver, "solve_glued_disc", staged)
+    return stages, *_stalled_homotopy(m, start)
 
 
 class TestSolve:
@@ -135,24 +153,64 @@ class TestSolve:
         x = newton_oracle(system, system.pack(params_to_coeffs(SPHERE, START, CFG.M)), CFG)
         assert np.abs(sol.h_coeffs - system.unpack(x)).max() < 1e-6
 
-    def test_failed_homotopy_leaves_no_reference_cycles(self):
-        _stalled_homotopy(QUARTIC)  # first-call caches
+    @staticmethod
+    def _assert_no_reference_cycles(m, start):
+        _stalled_homotopy(m, start)  # first-call caches
         gc.collect()
         gc.disable()
         try:
-            _stalled_homotopy(QUARTIC)
+            _stalled_homotopy(m, start)
             assert gc.collect() == 0
         finally:
             gc.enable()
 
+    def test_failed_homotopy_leaves_no_reference_cycles(self):
+        self._assert_no_reference_cycles(QUARTIC, STALLING)  # refused after one stage
+
+    def test_retried_homotopy_leaves_no_reference_cycles(self):
+        self._assert_no_reference_cycles(RETRYING, START)  # all three schedules
+
     def test_homotopy_stages_share_derivative_stacks(self, monkeypatch):
-        # all three schedules, the four-stage one included, run and stall
-        m = PerturbedHypersurface(base=SPHERE, epsilon=1e-3, terms={(0, 0, 4, 0): 1.0})
+        # all three schedules, the four-stage one included, run and stall;
+        # a fresh RETRYING, so that no stacks are cached yet
+        m = PerturbedHypersurface(base=SPHERE, epsilon=0.05, terms={(0, 0, 4, 0): 1.0})
         calls = Counter()
         original = _kernels.stack_derivatives
         monkeypatch.setattr(_kernels, "stack_derivatives", counting(calls, "stack", original))
-        _stalled_homotopy(m)
+        stages, _msg, _hist = _stage_epsilons(monkeypatch, m, START)
+        assert stages == [t * m.epsilon for t in (1.0, 0.5, 1.0, 0.25, 0.5, 0.75)]
         assert calls["stack"] <= 2
+
+    def test_unresolved_start_refused_after_one_stage(self, monkeypatch):
+        with pytest.raises(NoConvergenceError) as first:
+            solve_glued_disc(QUARTIC, STALLING, CFG)  # schedule 1 alone
+        stages, msg, hist = _stage_epsilons(monkeypatch, QUARTIC, STALLING)
+        assert stages == [QUARTIC.epsilon]
+        assert msg.startswith(f"{first.value}; ")
+        assert msg.startswith(("damping stalled", "no convergence"))
+        assert hist == first.value.residual_history
+        system = _DiscSystem(SPHERE, CFG)
+        x = system.pack(params_to_coeffs(SPHERE, STALLING, CFG.M))
+        floor = system.sup_norm(system.residual(x))
+        assert floor >= CFG.tol
+        assert f"residual {floor:.3e} at eps = 0" in msg
+        assert "M=32" in msg and "raise M (and N) or lower |a|" in msg
+
+    @pytest.mark.parametrize("as_coeffs", [False, True], ids=["params", "coefficients"])
+    def test_zero_epsilon_runs_one_stage(self, monkeypatch, as_coeffs):
+        start = params_to_coeffs(SPHERE, STALLING, CFG.M) if as_coeffs else STALLING
+        stages, msg, _hist = _stage_epsilons(monkeypatch, QUARTIC.with_epsilon(0.0), start)
+        assert stages == [0.0]
+        assert "eps = 0" in msg
+
+    def test_resolved_pole_passes_the_gate(self, monkeypatch):
+        fine = SolveConfig(N=256, M=64)
+        assert rh_solver._futile_retry(QUARTIC, STALLING, fine) is None
+        calls = Counter()
+        original = rh_solver.solve_glued_disc
+        monkeypatch.setattr(rh_solver, "solve_glued_disc", counting(calls, "stage", original))
+        sol = solve_with_homotopy(QUARTIC, STALLING, fine)
+        assert sol.residual_sup < fine.tol and calls["stage"] == 1
 
     @pytest.mark.parametrize("rcond", [0.0, -1e-8, 1.0])
     def test_rcond_outside_unit_interval_rejected(self, rcond):
