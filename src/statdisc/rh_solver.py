@@ -429,39 +429,40 @@ def solve_glued_disc(m, start, cfg=None, pin_center=None, extra_equations=None):
     )
 
 
-def _futile_retry(m, start, cfg):
-    """Why smaller epsilon steps cannot rescue a failed first schedule, or None.
+def _futile_retry(m, start, cfg, history):
+    """Why the retry schedules cannot rescue a first schedule that failed
+    with residual history, or None.
 
     Every schedule restarts from start, which continuation assumes solves
     the eps = 0 problem (E. L. Allgower and K. Georg, Introduction to
-    Numerical Continuation Methods, 1990).  At eps = 0 all stages are
-    that one solve; a closed-form start whose truncated coefficients
-    leave a residual of at least tol on the base quadric stalls at that
-    floor at every eps.
+    Numerical Continuation Methods, 1990).  One unpinned solve at eps = 0
+    from start tests that: a resolved start returns without a Newton
+    step, and only a start that Newton cannot correct there refuses the
+    retries.  At eps = 0 the first schedule was that solve, and every
+    stage would repeat it.
     """
-    if isinstance(start, DiscParams):
-        system = _DiscSystem(m.with_epsilon(0.0), cfg)
-        floor = system.sup_norm(
-            system.residual(system.pack(params_to_coeffs(m.base, start, cfg.M)))
-        )
-        if floor >= cfg.tol:
-            return (
-                f"the closed-form start leaves residual {floor:.3e} at eps = 0 on the"
-                f" N={cfg.N}, M={cfg.M} grid, so smaller eps steps cannot help:"
-                " raise M (and N) or lower |a|"
-            )
-    if m.epsilon == 0.0:
-        return "at eps = 0 every homotopy stage repeats this solve"
-    return None
+    if m.epsilon != 0.0:
+        try:
+            solve_glued_disc(m.with_epsilon(0.0), start, cfg)
+            return None
+        except NoConvergenceError as err:
+            history = err.residual_history
+    return (
+        f"the start does not solve eps = 0 on the N={cfg.N}, M={cfg.M} grid"
+        f" (Newton takes its residual from {history[0]:.3e} to {history[-1]:.3e}):"
+        " raise M (and N) or lower |a|"
+    )
 
 
 def solve_with_homotopy(m, start, cfg=None, pin_center=None, extra_equations=None):
     """solve_glued_disc continued in epsilon over up to three schedules.
 
     The schedules are [1], [1/2, 1] and [1/4, 1/2, 3/4, 1] times eps (up
-    to 7 stages), each started afresh from start.  After the first fails,
-    the others run only if they can help: when _futile_retry names a
-    cause, its NoConvergenceError is re-raised with the cause appended.
+    to 7 stages), each started afresh from start.  Smaller steps rescue
+    some solves whose discretization floor at eps sits near tol.  After
+    the first schedule fails, the others run only if start solves the
+    eps = 0 problem; otherwise (see _futile_retry) the first schedule's
+    NoConvergenceError is re-raised with the cause appended.
     """
     m = _as_perturbed(m)
     cfg = cfg or SolveConfig()
@@ -482,7 +483,7 @@ def solve_with_homotopy(m, start, cfg=None, pin_center=None, extra_equations=Non
             # without its traceback, which holds this frame and would close a cycle
             last = err.with_traceback(None)
         if len(schedule) == 1:  # the first schedule failed; checked once per homotopy
-            cause = _futile_retry(m, start, cfg)
+            cause = _futile_retry(m, start, cfg, last.residual_history)
             if cause is not None:
                 last = NoConvergenceError(
                     f"{last}; {cause}", residual_history=last.residual_history

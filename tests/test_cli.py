@@ -89,8 +89,10 @@ class TestExecute:
         hist = detail["residual_history"]
         assert len(hist) >= 2 and hist[-1] > 1e-11
         assert f"{hist[-1]:.3e}" in detail["detail"]
-        # it names the cause, the unresolved closed-form start, and the knob
-        assert "the closed-form start leaves residual 4.798e-07 at eps = 0" in detail["detail"]
+        # it names the cause, a start that Newton cannot correct at eps = 0,
+        # its residual before Newton, and the knob
+        assert "the start does not solve eps = 0 on the N=256, M=48 grid" in detail["detail"]
+        assert "from 4.798e-07 to" in detail["detail"]
         assert detail["detail"].endswith("raise M (and N) or lower |a|")
 
     def test_dimension_error_reports_singular_values(self, monkeypatch, capsys):

@@ -40,10 +40,11 @@ FLAT = PerturbedHypersurface(base=SPHERE)
 QUARTIC = PerturbedHypersurface(base=SPHERE, epsilon=1e-3, terms={(0, 0, 4, 0): 1.0})
 CFG = SolveConfig(N=128, M=32)
 START = DiscParams(y0=0.1, v=[0.0], w=[1.0], a=0.25 + 0.1j)
-# at M = 32 this pole sits above the truncation floor: every schedule stalls
+# at M = 32 this pole sits above the truncation floor: Newton cannot
+# correct the start even at eps = 0, so the homotopy refuses its retries
 STALLING = DiscParams(y0=0.1, v=[0.0], w=[1.0], a=0.6)
-# START is resolved at CFG, yet stalls at every eps of this quartic: the
-# homotopy runs all three schedules, the last one for three stages
+# START solves eps = 0 at CFG, yet stalls at every eps of this quartic:
+# the homotopy runs all three schedules, the last one for three stages
 RETRYING = PerturbedHypersurface(base=SPHERE, epsilon=0.05, terms={(0, 0, 4, 0): 1.0})
 
 
@@ -67,9 +68,9 @@ def _stalled_homotopy(m, start=STALLING):
     raise AssertionError("expected the homotopy to stall")
 
 
-def _stage_epsilons(monkeypatch, m, start):
-    """eps of each solve_glued_disc stage of a stalling homotopy, and its
-    message and residual history."""
+def _record_stages(monkeypatch):
+    """The eps of every solve_glued_disc call that solve_with_homotopy
+    makes from now on, the eps = 0 check of its retry gate included."""
     stages = []
     original = rh_solver.solve_glued_disc
 
@@ -78,7 +79,7 @@ def _stage_epsilons(monkeypatch, m, start):
         return original(stage, *args, **kwargs)
 
     monkeypatch.setattr(rh_solver, "solve_glued_disc", staged)
-    return stages, *_stalled_homotopy(m, start)
+    return stages
 
 
 class TestSolve:
@@ -165,52 +166,76 @@ class TestSolve:
             gc.enable()
 
     def test_failed_homotopy_leaves_no_reference_cycles(self):
-        self._assert_no_reference_cycles(QUARTIC, STALLING)  # refused after one stage
+        self._assert_no_reference_cycles(QUARTIC, STALLING)  # retries refused
 
     def test_retried_homotopy_leaves_no_reference_cycles(self):
         self._assert_no_reference_cycles(RETRYING, START)  # all three schedules
 
     def test_homotopy_stages_share_derivative_stacks(self, monkeypatch):
-        # all three schedules, the four-stage one included, run and stall;
-        # a fresh RETRYING, so that no stacks are cached yet
+        # all three schedules, the four-stage one included, run and stall
+        # after the gate's eps = 0 check passes; a fresh RETRYING, so that
+        # no stacks are cached yet
         m = PerturbedHypersurface(base=SPHERE, epsilon=0.05, terms={(0, 0, 4, 0): 1.0})
         calls = Counter()
         original = _kernels.stack_derivatives
         monkeypatch.setattr(_kernels, "stack_derivatives", counting(calls, "stack", original))
-        stages, _msg, _hist = _stage_epsilons(monkeypatch, m, START)
-        assert stages == [t * m.epsilon for t in (1.0, 0.5, 1.0, 0.25, 0.5, 0.75)]
+        stages = _record_stages(monkeypatch)
+        _stalled_homotopy(m, START)
+        assert stages == [t * m.epsilon for t in (1.0, 0.0, 0.5, 1.0, 0.25, 0.5, 0.75)]
         assert calls["stack"] <= 2
 
-    def test_unresolved_start_refused_after_one_stage(self, monkeypatch):
+    def test_retry_schedule_rescues_a_stalled_first_schedule(self, monkeypatch):
+        # the discretization floor at this eps sits near tol: one full step
+        # stalls above it, two half steps land below
+        cfg = SolveConfig(N=128, M=40)
+        m = PerturbedHypersurface(base=SPHERE, epsilon=0.28, terms={(2, 0, 0, 1): 1.25})
+        with pytest.raises(NoConvergenceError):
+            solve_glued_disc(m, START, cfg)  # schedule 1 alone
+        stages = _record_stages(monkeypatch)
+        sol = solve_with_homotopy(m, START, cfg)
+        assert stages == [t * m.epsilon for t in (1.0, 0.0, 0.5, 1.0)]
+        assert sol.residual_sup < cfg.tol and np.max(sol.lift_defects) <= 10 * cfg.tol
+
+    def test_unresolved_start_refuses_the_retries(self, monkeypatch):
         with pytest.raises(NoConvergenceError) as first:
             solve_glued_disc(QUARTIC, STALLING, CFG)  # schedule 1 alone
-        stages, msg, hist = _stage_epsilons(monkeypatch, QUARTIC, STALLING)
-        assert stages == [QUARTIC.epsilon]
+        stages = _record_stages(monkeypatch)
+        msg, hist = _stalled_homotopy(QUARTIC, STALLING)
+        assert stages == [QUARTIC.epsilon, 0.0]
         assert msg.startswith(f"{first.value}; ")
         assert msg.startswith(("damping stalled", "no convergence"))
         assert hist == first.value.residual_history
         system = _DiscSystem(SPHERE, CFG)
         x = system.pack(params_to_coeffs(SPHERE, STALLING, CFG.M))
         floor = system.sup_norm(system.residual(x))
-        assert floor >= CFG.tol
-        assert f"residual {floor:.3e} at eps = 0" in msg
-        assert "M=32" in msg and "raise M (and N) or lower |a|" in msg
+        assert "does not solve eps = 0 on the N=128, M=32 grid" in msg
+        assert f"from {floor:.3e} to " in msg and msg.endswith("raise M (and N) or lower |a|")
+
+    def test_start_newton_corrects_at_zero_keeps_the_retries(self, monkeypatch):
+        # this pole's truncated start misses tol at eps = 0, yet one Newton
+        # step there brings it below: the start residual alone is no floor
+        start = DiscParams(y0=0.1, v=[0.0], w=[1.0], a=0.46)
+        system = _DiscSystem(SPHERE, CFG)
+        x = system.pack(params_to_coeffs(SPHERE, start, CFG.M))
+        assert system.sup_norm(system.residual(x)) >= CFG.tol
+        assert solve_glued_disc(FLAT, start, CFG).residual_sup < CFG.tol
+        stages = _record_stages(monkeypatch)
+        _stalled_homotopy(RETRYING, start)
+        assert stages == [t * RETRYING.epsilon for t in (1.0, 0.0, 0.5, 0.25)]
 
     @pytest.mark.parametrize("as_coeffs", [False, True], ids=["params", "coefficients"])
     def test_zero_epsilon_runs_one_stage(self, monkeypatch, as_coeffs):
         start = params_to_coeffs(SPHERE, STALLING, CFG.M) if as_coeffs else STALLING
-        stages, msg, _hist = _stage_epsilons(monkeypatch, QUARTIC.with_epsilon(0.0), start)
+        stages = _record_stages(monkeypatch)
+        msg, _hist = _stalled_homotopy(QUARTIC.with_epsilon(0.0), start)
         assert stages == [0.0]
-        assert "eps = 0" in msg
+        assert "does not solve eps = 0" in msg and "eps steps" not in msg
 
     def test_resolved_pole_passes_the_gate(self, monkeypatch):
         fine = SolveConfig(N=256, M=64)
-        assert rh_solver._futile_retry(QUARTIC, STALLING, fine) is None
-        calls = Counter()
-        original = rh_solver.solve_glued_disc
-        monkeypatch.setattr(rh_solver, "solve_glued_disc", counting(calls, "stage", original))
+        stages = _record_stages(monkeypatch)
         sol = solve_with_homotopy(QUARTIC, STALLING, fine)
-        assert sol.residual_sup < fine.tol and calls["stage"] == 1
+        assert sol.residual_sup < fine.tol and stages == [QUARTIC.epsilon]
 
     @pytest.mark.parametrize("rcond", [0.0, -1e-8, 1.0])
     def test_rcond_outside_unit_interval_rejected(self, rcond):
