@@ -84,9 +84,5 @@ class TargetInversionError(StatdiscError):
     """The velocity map on the target family could not be inverted."""
 
 
-class InvalidBasisError(StatdiscError):
-    """Supplied family basis is rank deficient."""
-
-
 class UsageError(StatdiscError):
     """Malformed command line or configuration file."""

@@ -46,7 +46,6 @@ from .boundary_analysis import (
 from .disc import Disc, DiscParams, disc_through
 from .errors import (
     DimensionAmbiguousError,
-    InvalidBasisError,
     InvalidInputError,
     LiftConstructionError,
     NoConvergenceError,
@@ -80,7 +79,6 @@ class SolveConfig:
 
 
 _BLOCK = 16  # modes per Jacobian column block; bounds the transient footprint
-_EXTRA_STEP = 1e-6  # central-difference step for the extra equations
 # a chord step is kept only if it shrinks the residual's sup norm by this
 # factor (Kelley 2003, 5.4; see the module docstring)
 _CHORD_CONTRACTION = 0.5
@@ -93,19 +91,28 @@ def _as_perturbed(m):
 
 
 class _DiscSystem:
-    """Residual assembly over the truncated coefficient space."""
+    """Residual assembly over the truncated coefficient space.
 
-    def __init__(self, m, cfg, pin_center=None, extra_equations=None):
+    pin_center removes the mode-0 coefficients from the unknowns.
+    constraint = (read, target) appends the real equations
+    read(coeffs) = target; read is real-linear in the coefficients, so
+    its Jacobian rows are read of the packed unit directions, built once.
+    """
+
+    def __init__(self, m, cfg, pin_center=None, constraint=None):
         self.m = _as_perturbed(m)
         self.cfg = cfg
         self.n = self.m.n
         self.zeta = circle_nodes(cfg.N)
         self.pin_center = None if pin_center is None else np.asarray(pin_center, dtype=complex)
-        self.extra_equations = extra_equations
+        self.constraint = constraint
         ncomp = self.n + 1
         self.free = np.ones((ncomp, cfg.M + 1), dtype=bool)
         if self.pin_center is not None:
             self.free[:, 0] = False
+        self.constraint_rows = np.empty((0, 2 * int(self.free.sum())))
+        if constraint is not None:
+            self.constraint_rows = self.rows(constraint[0])
 
     # -- coefficient packing -------------------------------------------
 
@@ -113,14 +120,22 @@ class _DiscSystem:
         c = coeffs[self.free]
         return np.concatenate([c.real, c.imag])
 
-    def unpack(self, x):
-        ncomp = self.n + 1
-        c = np.zeros((ncomp, self.cfg.M + 1), dtype=complex)
+    def embed(self, x):
+        """Coefficients of the packed x, with the pinned entries at 0."""
+        c = np.zeros((self.n + 1, self.cfg.M + 1), dtype=complex)
         k = x.size // 2
         c[self.free] = x[:k] + 1j * x[k:]
+        return c
+
+    def unpack(self, x):
+        c = self.embed(x)
         if self.pin_center is not None:
             c[:, 0] = self.pin_center
         return c
+
+    def rows(self, read):
+        """Jacobian (rows, packed size) of a real-linear read of the coefficients."""
+        return np.array([read(self.embed(e)) for e in np.eye(2 * int(self.free.sum()))]).T
 
     def boundary(self, coeffs):
         spec = np.zeros((self.n + 1, self.cfg.N), dtype=complex)
@@ -155,8 +170,9 @@ class _DiscSystem:
         rho = self.m.eval_rho_many(h.T)
         neg = self.lifted(h)[3][: self.n, self.cfg.N // 2 :].reshape(-1)
         parts = [rho, neg.real, neg.imag]
-        if self.extra_equations is not None:
-            parts.append(np.asarray(self.extra_equations(coeffs), dtype=float))
+        if self.constraint is not None:
+            read, target = self.constraint
+            parts.append(read(coeffs) - target)
         return np.concatenate(parts)
 
     def sup_norm(self, r):
@@ -201,9 +217,8 @@ class _DiscSystem:
         ratio_p, ratio_q = self.zeta * P[n] / phi, self.zeta * Q[n] / phi
         lift_p, lift_q = zl * P[:n], zl * Q[:n]
         lift_g = zl * grad[:n]
-        extra = self.extra_jacobian(x)
-        J = np.empty((N + n * N + extra.shape[0], x.size))
-        J[N + n * N :] = extra
+        J = np.empty((N + n * N + self.constraint_rows.shape[0], x.size))
+        J[N + n * N :] = self.constraint_rows
         comp, mode = np.nonzero(self.free)
         nodes = np.arange(N)
         for j in range(n + 1):
@@ -228,22 +243,6 @@ class _DiscSystem:
                     J[N : N + n * half, c] = neg.real.T
                     J[N + n * half : N + n * N, c] = neg.imag.T
         return J
-
-    def extra_jacobian(self, x):
-        """Central differences of the extra equations alone: (E, x.size).
-
-        Exact up to rounding for affine equations (endpoint, velocity).
-        """
-        if self.extra_equations is None:
-            return np.empty((0, x.size))
-        cols = []
-        for i in range(x.size):
-            step = np.zeros(x.size)
-            step[i] = _EXTRA_STEP
-            up = self.extra_equations(self.unpack(x + step))
-            down = self.extra_equations(self.unpack(x - step))
-            cols.append((np.asarray(up, dtype=float) - down) / (2.0 * _EXTRA_STEP))
-        return np.array(cols).T
 
 
 @dataclass
@@ -331,18 +330,19 @@ def params_to_coeffs(q, params, M):
     return Disc(q, params, check=False).coefficients(M)
 
 
-def solve_glued_disc(m, start, cfg=None, pin_center=None, extra_equations=None):
+def solve_glued_disc(m, start, cfg=None, pin_center=None, constraint=None):
     """Newton-continue a stationary disc onto the perturbed hypersurface.
 
     start is a DiscParams of the base quadric (or a coefficient array).
     pin_center, when given, holds h(0) fixed at that point (hard
-    constraints on the mode-0 coefficients).  extra_equations may append
-    real equations evaluated on the coefficient matrix.  At epsilon = 0
-    an exact disc returns unchanged with zero iterations.
+    constraints on the mode-0 coefficients).  constraint = (read, target)
+    appends the real equations read(coeffs) = target, read real-linear
+    in the coefficient matrix.  At epsilon = 0 an exact disc returns
+    unchanged with zero iterations.
     """
     m = _as_perturbed(m)
     cfg = cfg or SolveConfig()
-    system = _DiscSystem(m, cfg, pin_center=pin_center, extra_equations=extra_equations)
+    system = _DiscSystem(m, cfg, pin_center=pin_center, constraint=constraint)
     if isinstance(start, DiscParams):
         coeffs = params_to_coeffs(m.base, start, cfg.M)
     else:
@@ -454,7 +454,7 @@ def _futile_retry(m, start, cfg, history):
     )
 
 
-def solve_with_homotopy(m, start, cfg=None, pin_center=None, extra_equations=None):
+def solve_with_homotopy(m, start, cfg=None, pin_center=None, constraint=None):
     """solve_glued_disc continued in epsilon over up to three schedules.
 
     The schedules are [1], [1/2, 1] and [1/4, 1/2, 3/4, 1] times eps (up
@@ -462,7 +462,8 @@ def solve_with_homotopy(m, start, cfg=None, pin_center=None, extra_equations=Non
     some solves whose discretization floor at eps sits near tol.  After
     the first schedule fails, the others run only if start solves the
     eps = 0 problem; otherwise (see _futile_retry) the first schedule's
-    NoConvergenceError is re-raised with the cause appended.
+    NoConvergenceError is re-raised with the cause appended.  When every
+    schedule fails, the last one's error is re-raised with the knobs.
     """
     m = _as_perturbed(m)
     cfg = cfg or SolveConfig()
@@ -475,7 +476,7 @@ def solve_with_homotopy(m, start, cfg=None, pin_center=None, extra_equations=Non
                     cur,
                     cfg,
                     pin_center=pin_center,
-                    extra_equations=extra_equations,
+                    constraint=constraint,
                 )
                 cur = sol.h_coeffs
             return sol
@@ -485,10 +486,13 @@ def solve_with_homotopy(m, start, cfg=None, pin_center=None, extra_equations=Non
         if len(schedule) == 1:  # the first schedule failed; checked once per homotopy
             cause = _futile_retry(m, start, cfg, last.residual_history)
             if cause is not None:
-                last = NoConvergenceError(
-                    f"{last}; {cause}", residual_history=last.residual_history
-                )
                 break
+    else:
+        cause = (
+            f"every schedule stalls above tol at eps = {m.epsilon:.3g} on the"
+            f" N={cfg.N}, M={cfg.M} grid: raise M (and N), or lower eps"
+        )
+    last = NoConvergenceError(f"{last}; {cause}", residual_history=last.residual_history)
     try:
         raise last
     finally:
@@ -506,14 +510,10 @@ def _linearization(m, sol, cfg, vectors=False):
     return system, sv, vt
 
 
-def family_dimension(m, sol, cfg=None, sv_cut=1e-6, gap_min=1e3):
-    """Numerical null-space dimension of the linearized system at sol.
-
-    Counts singular values below sv_cut times the largest and requires
-    a spectral gap of at least gap_min across the cut; without the gap
-    a DimensionAmbiguousError carries the spectrum.
-    """
-    _system, sv, _vt = _linearization(m, sol, cfg)
+def _null_count(sv, sv_cut=1e-6, gap_min=1e3):
+    """Number of singular values below sv_cut times the largest, with a
+    spectral gap of at least gap_min across the cut; without the gap a
+    DimensionAmbiguousError carries the spectrum."""
     cut = sv_cut * sv[0]
     null = int(np.sum(sv < cut))
     if null == 0:
@@ -525,16 +525,21 @@ def family_dimension(m, sol, cfg=None, sv_cut=1e-6, gap_min=1e3):
             f"no clear spectral gap ({kept_min:.3e} over {dropped_max:.3e})",
             singular_values=sv,
         )
-    return {"dim": null, "singular_values": sv}
+    return null
+
+
+def family_dimension(m, sol, cfg=None, sv_cut=1e-6, gap_min=1e3):
+    """Numerical null-space dimension of the linearized system at sol,
+    counted by _null_count."""
+    _system, sv, _vt = _linearization(m, sol, cfg)
+    return {"dim": _null_count(sv, sv_cut, gap_min), "singular_values": sv}
 
 
 def family_tangent_basis(m, sol, cfg=None):
-    """Orthonormal null-space basis of the linearization at sol."""
+    """Orthonormal null-space basis of the linearization at sol, of the
+    dimension that family_dimension counts."""
     system, sv, vt = _linearization(m, sol, cfg, vectors=True)
-    null = int(np.sum(sv < 1e-6 * sv[0]))
-    if null == 0:
-        raise InvalidBasisError("no tangent directions at the solution")
-    return vt[-null:].T, system
+    return vt[-_null_count(sv) :].T, system
 
 
 # ---------------------------------------------------------------------------
@@ -552,49 +557,23 @@ def _center_disc_params(q, p0, a, direction):
     return DiscParams(y0=p0.imag, v=np.zeros(q.n, dtype=complex), w=w, a=a)
 
 
-def _pinned_family_charts(q, p0, base_w, base_a):
-    """Orthonormal tangent basis of the constraint surface at (w, a).
+def _center_pin(n, p0):
+    """h(0) = (p0, 0), the center of the fixed-center family."""
+    pin = np.zeros(n + 1, dtype=complex)
+    pin[0] = p0
+    return pin
 
-    Real coordinates (Re w, Im w, Re a, Im a); the constraint is
-    conj(w)^T A w = Re p0 (1 - |a|^2).
-    """
-    n = q.n
-    x0 = p0.real
 
-    def to_real(w, a):
-        return np.concatenate([w.real, w.imag, [a.real, a.imag]])
+def _endpoint(coeffs):
+    """Im z0, Re z_a and Im z_a of h(1): the real-linear endpoint read."""
+    end = coeffs.sum(axis=1)
+    return np.concatenate([[end[0].imag], end[1:].real, end[1:].imag])
 
-    def from_real(y):
-        return y[:n] + 1j * y[n : 2 * n], complex(y[2 * n], y[2 * n + 1])
 
-    def retract(y):
-        w, a = from_real(y)
-        if abs(a) > 0.95:
-            a = 0.95 * a / abs(a)
-        quad = float(np.real(w.conj() @ q.A @ w))
-        target = x0 * (1.0 - abs(a) ** 2)
-        if quad * target <= 0:
-            raise InvalidInputError("retraction left the admissible cone")
-        return w * np.sqrt(target / quad), a
-
-    y = to_real(base_w, base_a)
-    # gradient of g = conj(w)^T A w - x0 (1-|a|^2) in the real coordinates
-    gw = 2.0 * (q.A @ base_w)
-    grad = np.concatenate(
-        [gw.real, gw.imag, [2.0 * x0 * base_a.real, 2.0 * x0 * base_a.imag]]
-    )
-    grad /= np.linalg.norm(grad)
-    basis = []
-    for e in np.eye(2 * n + 2):
-        v = e - (e @ grad) * grad
-        for b in basis:
-            v -= (v @ b) * b
-        nv = np.linalg.norm(v)
-        if nv > 1e-8:
-            basis.append(v / nv)
-    if len(basis) != 2 * n + 1:
-        raise InvalidBasisError("pinned family tangent basis is rank deficient")
-    return y, np.array(basis), retract, from_real
+def _velocity(coeffs):
+    """Re and Im of h'(0): the real-linear velocity read."""
+    vel = coeffs[:, 1]
+    return np.concatenate([vel.real, vel.imag])
 
 
 @dataclass(frozen=True)
@@ -613,14 +592,13 @@ class CenterMapJacobians:
         return bool(self.sv_velocity[-1] > 1e-10 * max(1.0, self.sv_velocity[0]))
 
 
-def center_map_jacobians(m, p0, cfg=None, base_a=0.0, direction=None, delta=1e-6):
+def center_map_jacobians(m, p0, cfg=None, base_a=0.0, direction=None):
     """Jacobians of h -> (Im h0(1), h_a(1)) and h -> h'(0) on the pinned family.
 
-    On the unperturbed quadric the family is charted analytically by
-    (w, a) under the centering constraint and differentiated by central
-    differences; on a perturbed hypersurface the numerical tangent basis
-    of the pinned solve is mapped through the (linear) endpoint and
-    velocity reads of the coefficient space.
+    Both maps are real-linear reads of the coefficients, so each Jacobian
+    is its read's rows times the tangent basis of the pinned solve's
+    linearization; at epsilon = 0 that solve returns the closed-form disc
+    with no Newton step.
     """
     m = _as_perturbed(m)
     q = m.base
@@ -630,51 +608,17 @@ def center_map_jacobians(m, p0, cfg=None, base_a=0.0, direction=None, delta=1e-6
     if direction is None:
         from .quadric import exists_disc_centered
 
-        probe = np.zeros(q.n + 1, dtype=complex)
-        probe[0] = p0
-        res = exists_disc_centered(q, probe)
+        res = exists_disc_centered(q, _center_pin(q.n, p0))
         if not res.exists:
             raise InvalidInputError("no centered disc exists at p0")
         direction = res.witness
     direction = np.asarray(direction, dtype=complex)
-    base_a = complex(base_a)
-
-    if m.epsilon == 0.0:
-        params0 = _center_disc_params(q, p0, base_a, direction)
-        y, basis, retract, from_real = _pinned_family_charts(q, p0, params0.w, params0.a)
-
-        def maps(yy):
-            w, a = retract(yy)
-            d = Disc(q, DiscParams(y0=p0.imag, v=np.zeros(q.n), w=w, a=a), check=False)
-            end = d.at(np.array(1.0 + 0.0j))
-            vel = d.velocity()
-            e = np.concatenate([[end[0].imag], end[1:].real, end[1:].imag])
-            v = np.concatenate([vel.real, vel.imag])
-            return e, v
-
-        Je = np.empty((2 * q.n + 1, 2 * q.n + 1))
-        Jv = np.empty((2 * q.n + 2, 2 * q.n + 1))
-        for k, t in enumerate(basis):
-            ep, vp = maps(y + delta * t)
-            em, vm = maps(y - delta * t)
-            Je[:, k] = (ep - em) / (2.0 * delta)
-            Jv[:, k] = (vp - vm) / (2.0 * delta)
-    else:
-        cfg = cfg or SolveConfig()
-        params0 = _center_disc_params(q, p0, base_a, direction)
-        pin = np.zeros(q.n + 1, dtype=complex)
-        pin[0] = p0
-        sol = solve_with_homotopy(m, params0, cfg, pin_center=pin)
-        basis, system = family_tangent_basis(m, sol, cfg)
-        nb = basis.shape[1]
-        Je = np.empty((2 * q.n + 1, nb))
-        Jv = np.empty((2 * q.n + 2, nb))
-        for k in range(nb):
-            dc = system.unpack(basis[:, k]) - system.unpack(np.zeros(basis.shape[0]))
-            de = dc.sum(axis=1)
-            dv = dc[:, 1]
-            Je[:, k] = np.concatenate([[de[0].imag], de[1:].real, de[1:].imag])
-            Jv[:, k] = np.concatenate([dv.real, dv.imag])
+    cfg = cfg or SolveConfig()
+    params0 = _center_disc_params(q, p0, complex(base_a), direction)
+    sol = solve_with_homotopy(m, params0, cfg, pin_center=_center_pin(q.n, p0))
+    basis, system = family_tangent_basis(m, sol, cfg)
+    Je = system.rows(_endpoint) @ basis
+    Jv = system.rows(_velocity) @ basis
     sv_e = np.linalg.svd(Je, compute_uv=False)
     sv_v = np.linalg.svd(Jv, compute_uv=False)
     return CenterMapJacobians(J_endpoint=Je, J_velocity=Jv, sv_endpoint=sv_e, sv_velocity=sv_v)
@@ -708,8 +652,7 @@ def indicatrix_sample(m, p0, count, cfg=None, seed=0, a_max=0.5):
     rng = np.random.default_rng(seed)
     cfg = cfg or SolveConfig()
     out = []
-    pin = np.zeros(q.n + 1, dtype=complex)
-    pin[0] = p0
+    pin = _center_pin(q.n, p0)
     for _ in range(count):
         u = rng.normal(size=q.n) + 1j * rng.normal(size=q.n)
         u /= np.linalg.norm(u)
@@ -731,39 +674,17 @@ def indicatrix_sample(m, p0, count, cfg=None, seed=0, a_max=0.5):
     return out
 
 
-def _endpoint_equations(z):
-    zt = np.asarray(z, dtype=complex)
-
-    def eqs(coeffs):
-        end = coeffs.sum(axis=1)
-        return np.concatenate(
-            [[end[0].imag - zt[0].imag], (end[1:] - zt[1:]).real, (end[1:] - zt[1:]).imag]
-        )
-
-    return eqs
-
-
-def _velocity_equations(u):
-    ut = np.asarray(u, dtype=complex)
-
-    def eqs(coeffs):
-        vel = coeffs[:, 1]
-        return np.concatenate([(vel - ut).real, (vel - ut).imag])
-
-    return eqs
-
-
 def _disc_through_solution(m, p0, z, cfg):
     """Pinned disc whose endpoint matches z (exactly at epsilon = 0)."""
     m = _as_perturbed(m)
     q = m.base
-    params = disc_through(q, p0, np.asarray(z, dtype=complex))
+    z = np.asarray(z, dtype=complex)
+    params = disc_through(q, p0, z)
     if m.epsilon == 0.0:
         return params, Disc(q, params, check=False).velocity()
-    pin = np.zeros(q.n + 1, dtype=complex)
-    pin[0] = p0
+    target = _endpoint(z[:, None])  # the constant disc z ends at z
     sol = solve_with_homotopy(
-        m, params, cfg, pin_center=pin, extra_equations=_endpoint_equations(z)
+        m, params, cfg, pin_center=_center_pin(q.n, p0), constraint=(_endpoint, target)
     )
     return sol, sol.velocity()
 
@@ -791,11 +712,10 @@ def _invert_velocity(m, p0, u, cfg, tol_scale):
         return params, Disc(q, params, check=False).at(np.array(1.0 + 0.0j))
     seed_w = w * np.sqrt(abs(x0 * (1.0 - abs(a) ** 2) / quad))
     seed = DiscParams(y0=p0.imag, v=np.zeros(q.n), w=seed_w, a=a)
-    pin = np.zeros(q.n + 1, dtype=complex)
-    pin[0] = p0
+    target = np.concatenate([u.real, u.imag])
     try:
         sol = solve_with_homotopy(
-            m, seed, cfg, pin_center=pin, extra_equations=_velocity_equations(u)
+            m, seed, cfg, pin_center=_center_pin(q.n, p0), constraint=(_velocity, target)
         )
     except (NoConvergenceError, LiftConstructionError) as err:
         raise TargetInversionError(f"velocity inversion failed: {err}")

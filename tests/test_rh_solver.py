@@ -29,9 +29,9 @@ from statdisc.errors import (
 from statdisc.rh_solver import (
     _center_disc_params,
     _DiscSystem,
-    _endpoint_equations,
+    _endpoint,
     _min_norm_factor,
-    _velocity_equations,
+    _velocity,
     params_to_coeffs,
 )
 
@@ -211,6 +211,20 @@ class TestSolve:
         assert "does not solve eps = 0 on the N=128, M=32 grid" in msg
         assert f"from {floor:.3e} to " in msg and msg.endswith("raise M (and N) or lower |a|")
 
+    def test_exhausted_schedules_name_the_knobs(self):
+        # START solves eps = 0 at CFG, so all three schedules run and stall
+        msg, hist = _stalled_homotopy(RETRYING, START)
+        assert msg.startswith(("damping stalled", "no convergence"))
+        assert msg.endswith(
+            "; every schedule stalls above tol at eps = 0.05 on the N=128, M=32 grid:"
+            " raise M (and N), or lower eps"
+        )
+        assert hist[-1] >= CFG.tol
+        # and each knob alone rescues it
+        fine = SolveConfig(N=256, M=48)
+        assert solve_with_homotopy(RETRYING, START, fine).residual_sup < fine.tol
+        assert solve_with_homotopy(RETRYING.with_epsilon(0.02), START, CFG).residual_sup < CFG.tol
+
     def test_start_newton_corrects_at_zero_keeps_the_retries(self, monkeypatch):
         # this pole's truncated start misses tol at eps = 0, yet one Newton
         # step there brings it below: the start residual alone is no floor
@@ -300,12 +314,12 @@ def _linearization_setup(n, eps, setup):
     w = np.linspace(1.0, 0.5, n) + 0.2j
     p = DiscParams(y0=0.1, v=0.3 * np.ones(n), w=w, a=0.3 + 0.1j)
     c = params_to_coeffs(q, p, cfg.M)
-    extra = {
-        "endpoint": _endpoint_equations(c.sum(axis=1) + 0.01),
-        "velocity": _velocity_equations(1.01 * c[:, 1]),
+    constraint = {
+        "endpoint": (_endpoint, _endpoint(c) + 0.01),
+        "velocity": (_velocity, 1.01 * _velocity(c)),
     }.get(setup)
     pin = None if setup == "free" else c[:, 0]
-    system = _DiscSystem(m, cfg, pin_center=pin, extra_equations=extra)
+    system = _DiscSystem(m, cfg, pin_center=pin, constraint=constraint)
     return system, system.pack(c)
 
 
@@ -400,20 +414,17 @@ class TestCenterMaps:
         svs = [center_map_jacobians(FLAT, x0).sv_endpoint[-1] for x0 in (1.0, 0.1, 0.01)]
         assert svs[0] > svs[1] > svs[2]
 
-    def test_velocity_jacobian_pattern_at_origin_pole(self):
-        # at (w, a) = (1, 0) the map d(h'(0)) = (2 x0 a', w') decouples:
-        # the a'-directions drive the first component with slope 2 x0 and
-        # the tangential w'-direction drives the second with slope 1
-        # (the radial w'-direction is normal to the centering constraint)
-        cm = center_map_jacobians(FLAT, 1.0, base_a=0.0, direction=np.array([1.0 + 0j]))
-        images = [np.round(c, 6) for c in cm.J_velocity.T]
-        # velocity rows: (Re v0, Re v1, Im v0, Im v1)
-        def matches(col, target):
-            return np.abs(np.abs(col) - target).max() < 1e-6
-
-        assert any(matches(c, [2, 0, 0, 0]) for c in images)
-        assert any(matches(c, [0, 0, 2, 0]) for c in images)
-        assert any(matches(c, [0, 0, 0, 1]) for c in images)
+    def test_differential_at_origin_pole(self):
+        # the differential D = J_endpoint pinv(J_velocity) of the circular
+        # representation does not depend on the basis of the family; at
+        # (w, a) = (1, 0) it maps the velocity (Re v0, Re v1, Im v0, Im v1)
+        # to the endpoint (Im z0, Re z1, Im z1) as below, c = 1 / (2 sqrt(x0))
+        for x0 in (1.0, 0.5, 0.1):
+            cm = center_map_jacobians(FLAT, x0, base_a=0.0, direction=np.array([1.0 + 0j]))
+            D = cm.J_endpoint @ np.linalg.pinv(cm.J_velocity)
+            c = 1.0 / (2.0 * np.sqrt(x0))
+            expect = [[0, 0, 1, 0], [c, 0, 0, 0], [0, 0, c, 1]]
+            assert np.abs(D - expect).max() < 1e-8, x0
 
     def test_perturbed_jacobians(self):
         cfg = SolveConfig(N=128, M=32)
@@ -458,6 +469,13 @@ class TestIndicatrix:
             assert np.linalg.norm(v1 - v0) < 10 * QUARTIC.epsilon * max(1.0, scale)
 
 
+def _assert_point_over(m, out, z, tol=1e-9):
+    """out is the point of m over z: the same Im z0 and z_a, and rho(out) = 0."""
+    assert abs(out[0].imag - z[0].imag) < tol
+    assert np.abs(out[1:] - z[1:]).max() < tol
+    assert abs(m.eval_rho(out)) < tol
+
+
 class TestTransport:
     def test_identity(self):
         z = np.array([2.0, np.sqrt(2.0)], dtype=complex)
@@ -476,6 +494,33 @@ class TestTransport:
         z = np.array([2.0, np.sqrt(2.0)], dtype=complex)
         out = transport_jet(QUARTIC, QUARTIC, 1.0, np.eye(2), z, cfg=cfg)
         assert np.abs(out - z).max() < 10 * QUARTIC.epsilon
+        # z lies on the quadric; the transported disc ends on M, at the
+        # point with the same Im z0 and z_a
+        _assert_point_over(QUARTIC, out, z)
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-3])
+    def test_invariant_rotation(self, eps):
+        # s = |z1|^4 is invariant under z1 -> e^{i th} z1, so the rotation
+        # is an automorphism of M and transport is exact
+        m = PerturbedHypersurface(
+            base=SPHERE, epsilon=eps, terms={(0, 0, 4, 0): 1.0, (0, 0, 2, 2): 2.0, (0, 0, 0, 4): 1.0}
+        )
+        dF = np.diag([1.0, np.exp(0.8j)])
+        z = np.array([2.0, np.sqrt(2.0)], dtype=complex)
+        out = transport_jet(m, m, 1.0, dF, z, cfg=SolveConfig(N=128, M=40))
+        _assert_point_over(m, out, dF @ z)
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-3])
+    def test_dilation_between_perturbations(self, eps):
+        # F = (t^2 z0, t z1) takes the quartic at eps to the quartic at
+        # eps / t^2 (rho o F = t^2 rho) and the center (1, 0) to (t^2, 0)
+        t = 1.3
+        src = QUARTIC.with_epsilon(eps)
+        tgt = QUARTIC.with_epsilon(eps / t**2)
+        dF = np.diag([t**2, t])
+        z = np.array([2.0, np.sqrt(2.0)], dtype=complex)
+        out = transport_jet(src, tgt, 1.0, dF, z, p0_target=t**2, cfg=SolveConfig(N=128, M=40))
+        _assert_point_over(tgt, out, dF @ z)
 
     def test_off_indicatrix_velocity_rejected(self):
         with pytest.raises(TargetInversionError):
