@@ -330,6 +330,17 @@ def params_to_coeffs(q, params, M):
     return Disc(q, params, check=False).coefficients(M)
 
 
+def _start_coeffs(m, start, M):
+    """Coefficients (n+1, M+1) of start, a DiscParams of the base quadric
+    or a coefficient array."""
+    if isinstance(start, DiscParams):
+        return params_to_coeffs(m.base, start, M)
+    coeffs = np.asarray(start, dtype=complex)
+    if coeffs.shape != (m.n + 1, M + 1):
+        raise InvalidInputError(f"bad coefficient shape {coeffs.shape}")
+    return coeffs
+
+
 def solve_glued_disc(m, start, cfg=None, pin_center=None, constraint=None):
     """Newton-continue a stationary disc onto the perturbed hypersurface.
 
@@ -343,12 +354,7 @@ def solve_glued_disc(m, start, cfg=None, pin_center=None, constraint=None):
     m = _as_perturbed(m)
     cfg = cfg or SolveConfig()
     system = _DiscSystem(m, cfg, pin_center=pin_center, constraint=constraint)
-    if isinstance(start, DiscParams):
-        coeffs = params_to_coeffs(m.base, start, cfg.M)
-    else:
-        coeffs = np.asarray(start, dtype=complex)
-        if coeffs.shape != (m.n + 1, cfg.M + 1):
-            raise InvalidInputError(f"bad coefficient shape {coeffs.shape}")
+    coeffs = _start_coeffs(m, start, cfg.M)
     if pin_center is not None:
         coeffs = coeffs.copy()
         coeffs[:, 0] = system.pin_center
@@ -429,65 +435,57 @@ def solve_glued_disc(m, start, cfg=None, pin_center=None, constraint=None):
     )
 
 
-def _futile_retry(m, start, cfg, history):
-    """Why the retry schedules cannot rescue a first schedule that failed
-    with residual history, or None.
-
-    Every schedule restarts from start, which continuation assumes solves
-    the eps = 0 problem (E. L. Allgower and K. Georg, Introduction to
-    Numerical Continuation Methods, 1990).  One unpinned solve at eps = 0
-    from start tests that: a resolved start returns without a Newton
-    step, and only a start that Newton cannot correct there refuses the
-    retries.  At eps = 0 the first schedule was that solve, and every
-    stage would repeat it.
-    """
-    if m.epsilon != 0.0:
-        try:
-            solve_glued_disc(m.with_epsilon(0.0), start, cfg)
-            return None
-        except NoConvergenceError as err:
-            history = err.residual_history
-    return (
-        f"the start does not solve eps = 0 on the N={cfg.N}, M={cfg.M} grid"
-        f" (Newton takes its residual from {history[0]:.3e} to {history[-1]:.3e}):"
-        " raise M (and N) or lower |a|"
-    )
-
-
 def solve_with_homotopy(m, start, cfg=None, pin_center=None, constraint=None):
     """solve_glued_disc continued in epsilon over up to three schedules.
 
-    The schedules are [1], [1/2, 1] and [1/4, 1/2, 3/4, 1] times eps (up
-    to 7 stages), each started afresh from start.  Smaller steps rescue
-    some solves whose discretization floor at eps sits near tol.  After
-    the first schedule fails, the others run only if start solves the
-    eps = 0 problem; otherwise (see _futile_retry) the first schedule's
-    NoConvergenceError is re-raised with the cause appended.  When every
-    schedule fails, the last one's error is re-raised with the knobs.
+    Continuation assumes that start solves the eps = 0 problem (E. L.
+    Allgower and K. Georg, Introduction to Numerical Continuation Methods,
+    1990), so that is decided once, before any eps stage: when the start's
+    unpinned eps = 0 residual on the grid misses tol, one unpinned
+    solve_glued_disc at eps = 0 must correct it, and a start that Newton
+    cannot correct there is refused before any stage, with that solve's
+    NoConvergenceError and the cause and knob appended.  At eps = 0 the one
+    stage is that solve.  The schedules are [1], [1/2, 1] and
+    [1/4, 1/2, 3/4, 1] times eps (up to 7 stages), each started afresh from
+    the start's coefficients.  Smaller steps rescue some solves whose
+    discretization floor at eps sits near tol.  When every schedule fails,
+    the last one's error is re-raised with the knobs.
     """
     m = _as_perturbed(m)
     cfg = cfg or SolveConfig()
-    for schedule in ([1.0], [0.5, 1.0], [0.25, 0.5, 0.75, 1.0]):
-        cur = start
-        try:
-            for t in schedule:
-                sol = solve_glued_disc(
-                    m.with_epsilon(t * m.epsilon),
-                    cur,
-                    cfg,
-                    pin_center=pin_center,
-                    constraint=constraint,
-                )
-                cur = sol.h_coeffs
-            return sol
-        except NoConvergenceError as err:
-            # without its traceback, which holds this frame and would close a cycle
-            last = err.with_traceback(None)
-        if len(schedule) == 1:  # the first schedule failed; checked once per homotopy
-            cause = _futile_retry(m, start, cfg, last.residual_history)
-            if cause is not None:
-                break
+    coeffs = _start_coeffs(m, start, cfg.M)
+    try:
+        if m.epsilon == 0.0:
+            return solve_glued_disc(m, coeffs, cfg, pin_center=pin_center, constraint=constraint)
+        zero = m.with_epsilon(0.0)
+        system = _DiscSystem(zero, cfg)
+        if system.sup_norm(system.residual(system.pack(coeffs))) >= cfg.tol:
+            solve_glued_disc(zero, coeffs, cfg)
+    except NoConvergenceError as err:
+        # without its traceback, which holds this frame and would close a cycle
+        last = err.with_traceback(None)
+        history = last.residual_history
+        cause = (
+            f"the start does not solve eps = 0 on the N={cfg.N}, M={cfg.M} grid"
+            f" (Newton takes its residual from {history[0]:.3e} to {history[-1]:.3e}):"
+            " raise M (and N) or lower |a|"
+        )
     else:
+        for schedule in ([1.0], [0.5, 1.0], [0.25, 0.5, 0.75, 1.0]):
+            cur = coeffs
+            try:
+                for t in schedule:
+                    sol = solve_glued_disc(
+                        m.with_epsilon(t * m.epsilon),
+                        cur,
+                        cfg,
+                        pin_center=pin_center,
+                        constraint=constraint,
+                    )
+                    cur = sol.h_coeffs
+                return sol
+            except NoConvergenceError as err:
+                last = err.with_traceback(None)
         cause = (
             f"every schedule stalls above tol at eps = {m.epsilon:.3g} on the"
             f" N={cfg.N}, M={cfg.M} grid: raise M (and N), or lower eps"

@@ -95,6 +95,26 @@ class TestExecute:
         assert "from 4.798e-07 to" in detail["detail"]
         assert detail["detail"].endswith("raise M (and N) or lower |a|")
 
+    def test_no_convergence_at_positive_eps_reports_the_start_check(self):
+        # the same start is refused before any eps stage, so the message,
+        # its residual and the history all come from the eps = 0 check
+        code, _, err = run_cli(
+            "solve", "--n", "1", "--a", "0.7", "--w", "1", "--epsilon", "1e-3",
+            "--term", "0,0,4,0:1",
+        )
+        assert code == 1
+        detail = json.loads(err)
+        assert detail["error"] == "NoConvergenceError"
+        hist = detail["residual_history"]
+        assert [f"{v:.3e}" for v in hist] == ["4.798e-07", "1.704e-09"]
+        prefix, cause = detail["detail"].split("; ")
+        assert prefix.endswith(f"{hist[-1]:.3e}")
+        assert cause.startswith(
+            "the start does not solve eps = 0 on the N=256, M=48 grid"
+            " (Newton takes its residual from 4.798e-07 to 1.704e-09)"
+        )
+        assert cause.endswith("raise M (and N) or lower |a|")
+
     def test_dimension_error_reports_singular_values(self, monkeypatch, capsys):
         def ambiguous(_cfg):
             raise DimensionAmbiguousError(

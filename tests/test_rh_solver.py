@@ -41,7 +41,7 @@ QUARTIC = PerturbedHypersurface(base=SPHERE, epsilon=1e-3, terms={(0, 0, 4, 0): 
 CFG = SolveConfig(N=128, M=32)
 START = DiscParams(y0=0.1, v=[0.0], w=[1.0], a=0.25 + 0.1j)
 # at M = 32 this pole sits above the truncation floor: Newton cannot
-# correct the start even at eps = 0, so the homotopy refuses its retries
+# correct the start even at eps = 0, so the homotopy refuses it before any stage
 STALLING = DiscParams(y0=0.1, v=[0.0], w=[1.0], a=0.6)
 # START solves eps = 0 at CFG, yet stalls at every eps of this quartic:
 # the homotopy runs all three schedules, the last one for three stages
@@ -70,7 +70,7 @@ def _stalled_homotopy(m, start=STALLING):
 
 def _record_stages(monkeypatch):
     """The eps of every solve_glued_disc call that solve_with_homotopy
-    makes from now on, the eps = 0 check of its retry gate included."""
+    makes from now on, the eps = 0 check of its start included."""
     stages = []
     original = rh_solver.solve_glued_disc
 
@@ -166,22 +166,22 @@ class TestSolve:
             gc.enable()
 
     def test_failed_homotopy_leaves_no_reference_cycles(self):
-        self._assert_no_reference_cycles(QUARTIC, STALLING)  # retries refused
+        self._assert_no_reference_cycles(QUARTIC, STALLING)  # refused before any stage
 
     def test_retried_homotopy_leaves_no_reference_cycles(self):
         self._assert_no_reference_cycles(RETRYING, START)  # all three schedules
 
     def test_homotopy_stages_share_derivative_stacks(self, monkeypatch):
-        # all three schedules, the four-stage one included, run and stall
-        # after the gate's eps = 0 check passes; a fresh RETRYING, so that
-        # no stacks are cached yet
+        # all three schedules, the four-stage one included, run and stall;
+        # START solves eps = 0, so no eps = 0 solve precedes them; a fresh
+        # RETRYING, so that no stacks are cached yet
         m = PerturbedHypersurface(base=SPHERE, epsilon=0.05, terms={(0, 0, 4, 0): 1.0})
         calls = Counter()
         original = _kernels.stack_derivatives
         monkeypatch.setattr(_kernels, "stack_derivatives", counting(calls, "stack", original))
         stages = _record_stages(monkeypatch)
         _stalled_homotopy(m, START)
-        assert stages == [t * m.epsilon for t in (1.0, 0.0, 0.5, 1.0, 0.25, 0.5, 0.75)]
+        assert stages == [t * m.epsilon for t in (1.0, 0.5, 1.0, 0.25, 0.5, 0.75)]
         assert calls["stack"] <= 2
 
     def test_retry_schedule_rescues_a_stalled_first_schedule(self, monkeypatch):
@@ -193,23 +193,50 @@ class TestSolve:
             solve_glued_disc(m, START, cfg)  # schedule 1 alone
         stages = _record_stages(monkeypatch)
         sol = solve_with_homotopy(m, START, cfg)
-        assert stages == [t * m.epsilon for t in (1.0, 0.0, 0.5, 1.0)]
+        assert stages == [t * m.epsilon for t in (1.0, 0.5, 1.0)]
         assert sol.residual_sup < cfg.tol and np.max(sol.lift_defects) <= 10 * cfg.tol
 
     def test_unresolved_start_refuses_the_retries(self, monkeypatch):
-        with pytest.raises(NoConvergenceError) as first:
-            solve_glued_disc(QUARTIC, STALLING, CFG)  # schedule 1 alone
+        with pytest.raises(NoConvergenceError):
+            solve_glued_disc(QUARTIC, STALLING, CFG)  # schedule 1 alone fails too
+        with pytest.raises(NoConvergenceError) as check:
+            solve_glued_disc(FLAT, STALLING, CFG)  # the eps = 0 check
         stages = _record_stages(monkeypatch)
         msg, hist = _stalled_homotopy(QUARTIC, STALLING)
-        assert stages == [QUARTIC.epsilon, 0.0]
-        assert msg.startswith(f"{first.value}; ")
+        assert stages == [0.0]  # refused before any eps stage
+        assert msg.startswith(f"{check.value}; ")
         assert msg.startswith(("damping stalled", "no convergence"))
-        assert hist == first.value.residual_history
+        assert hist == check.value.residual_history
+        assert msg.split("; ")[0].endswith(f"{hist[-1]:.3e}")
         system = _DiscSystem(SPHERE, CFG)
         x = system.pack(params_to_coeffs(SPHERE, STALLING, CFG.M))
         floor = system.sup_norm(system.residual(x))
+        assert hist[0] == floor
         assert "does not solve eps = 0 on the N=128, M=32 grid" in msg
-        assert f"from {floor:.3e} to " in msg and msg.endswith("raise M (and N) or lower |a|")
+        assert f"from {floor:.3e} to {hist[-1]:.3e})" in msg
+        assert msg.endswith("raise M (and N) or lower |a|")
+
+    def test_pinned_unresolved_start_is_refused_before_any_stage(self, monkeypatch):
+        pin = params_to_coeffs(SPHERE, STALLING, CFG.M)[:, 0]
+        stages = _record_stages(monkeypatch)
+        with pytest.raises(NoConvergenceError, match="does not solve eps = 0") as refused:
+            solve_with_homotopy(QUARTIC, STALLING, CFG, pin_center=pin)
+        assert stages == [0.0]
+        with pytest.raises(NoConvergenceError) as check:
+            solve_glued_disc(FLAT, STALLING, CFG)  # unpinned, like the check
+        assert refused.value.residual_history == check.value.residual_history
+
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_resolved_start_linearizes_like_a_bare_solve(self, monkeypatch, pinned):
+        pin = params_to_coeffs(SPHERE, START, CFG.M)[:, 0] if pinned else None
+        calls = Counter()
+        original = _DiscSystem.jacobian
+        monkeypatch.setattr(_DiscSystem, "jacobian", counting(calls, "bare", original))
+        bare = solve_glued_disc(QUARTIC, START, CFG, pin_center=pin)
+        monkeypatch.setattr(_DiscSystem, "jacobian", counting(calls, "homotopy", original))
+        sol = solve_with_homotopy(QUARTIC, START, CFG, pin_center=pin)
+        assert calls["homotopy"] == calls["bare"] > 0
+        assert np.array_equal(sol.h_coeffs, bare.h_coeffs)
 
     def test_exhausted_schedules_name_the_knobs(self):
         # START solves eps = 0 at CFG, so all three schedules run and stall
@@ -227,7 +254,8 @@ class TestSolve:
 
     def test_start_newton_corrects_at_zero_keeps_the_retries(self, monkeypatch):
         # this pole's truncated start misses tol at eps = 0, yet one Newton
-        # step there brings it below: the start residual alone is no floor
+        # step there brings it below: the start residual alone is no floor;
+        # that eps = 0 solve runs first, then all three schedules
         start = DiscParams(y0=0.1, v=[0.0], w=[1.0], a=0.46)
         system = _DiscSystem(SPHERE, CFG)
         x = system.pack(params_to_coeffs(SPHERE, start, CFG.M))
@@ -235,7 +263,7 @@ class TestSolve:
         assert solve_glued_disc(FLAT, start, CFG).residual_sup < CFG.tol
         stages = _record_stages(monkeypatch)
         _stalled_homotopy(RETRYING, start)
-        assert stages == [t * RETRYING.epsilon for t in (1.0, 0.0, 0.5, 0.25)]
+        assert stages == [t * RETRYING.epsilon for t in (0.0, 1.0, 0.5, 0.25)]
 
     @pytest.mark.parametrize("as_coeffs", [False, True], ids=["params", "coefficients"])
     def test_zero_epsilon_runs_one_stage(self, monkeypatch, as_coeffs):

@@ -4,18 +4,25 @@ must fail here rather than in a benchmark run."""
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from statdisc import DiscParams, Hyperquadric, PerturbedHypersurface, SolveConfig, rh_solver
+from statdisc.errors import NoConvergenceError
 
 
-def test_tracer_hooks_resolve(monkeypatch):
+@pytest.fixture
+def tracing(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
-    from perfbench.tracing import Tracer
+    from perfbench import tracing
 
+    return tracing
+
+
+def test_tracer_hooks_resolve(tracing):
     q = Hyperquadric(n=1, A=np.array([[1.0]]))
     m = PerturbedHypersurface(base=q, epsilon=1e-4, terms={(0, 0, 4, 0): 1.0})
     cfg = SolveConfig(N=64, M=16)
-    tracer = Tracer()
+    tracer = tracing.Tracer()
     try:
         tracer.install()
         sol = rh_solver.solve_with_homotopy(m, DiscParams(y0=0.0, v=[0.0], w=[1.0], a=0.0), cfg)
@@ -27,3 +34,24 @@ def test_tracer_hooks_resolve(monkeypatch):
                  "rh_solver.family_dimension", "quadric.kernel"):
         assert name in names, name
     assert not hasattr(rh_solver.solve_with_homotopy, "__wrapped__")
+
+
+def test_refused_homotopy_records_one_failed_solve(tracing):
+    # a start above its truncation floor at eps > 0 is refused by the eps = 0
+    # check alone, so schedules_tried reads one schedule for it
+    q = Hyperquadric(n=1, A=np.array([[1.0]]))
+    m = PerturbedHypersurface(base=q, epsilon=1e-3, terms={(0, 0, 4, 0): 1.0})
+    start = DiscParams(y0=0.1, v=[0.0], w=[1.0], a=0.6)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        with pytest.raises(NoConvergenceError, match="does not solve eps = 0"):
+            rh_solver.solve_with_homotopy(m, start, SolveConfig(N=128, M=32))
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+    solves = [sp for sp in spans if sp[tracing.NAME] == "rh_solver.solve_glued_disc"]
+    assert len(solves) == 1 and solves[0][tracing.ERROR] == "NoConvergenceError"
+    assert spans[solves[0][tracing.PARENT]][tracing.NAME] == "rh_solver.solve_with_homotopy"
+    counts = tracing.solver_counts(spans)
+    assert counts["schedules_tried"] == 1 and counts["homotopy_ok"] == 0
