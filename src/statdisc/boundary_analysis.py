@@ -182,72 +182,55 @@ def winding_number(bf, min_modulus=1e-8, max_step=0.9 * np.pi):
     return wind
 
 
-def _halfplane_margin(vals, directions=1024):
-    """max over unit directions of min_k Re(conj(dir) * vals_k).
-
-    Positive exactly when the convex hull of the samples stays in an
-    open half-plane not containing 0.
-    """
-    th = np.exp(-1j * np.linspace(0.0, 2.0 * np.pi, directions, endpoint=False))
-    proj = (vals[None, :] * th[:, None]).real.min(axis=1)
-    k = int(np.argmax(proj))
-    # local refinement around the best direction
-    best = proj[k]
-    ang = np.angle(th[k].conj())
-    for width in (np.pi / directions, np.pi / directions / 8):
-        loc = np.exp(-1j * (ang + np.linspace(-width, width, 17)))
-        p = (vals[None, :] * loc[:, None]).real.min(axis=1)
-        j = int(np.argmax(p))
-        if p[j] > best:
-            best = p[j]
-            ang = np.angle(loc[j].conj())
-    return float(best)
-
-
-def lift_factor(phi):
-    """Continuous grid branch of arg phi and lam = exp(-T(arg phi) - log|phi|).
-
-    lam > 0 and lam * phi = exp(-T(arg phi) + i arg phi) is the boundary
-    value of a nonvanishing holomorphic function.  Whether phi admits a
-    continuous logarithm at all is the caller's check.
-    """
-    ang = np.unwrap(np.angle(phi))
-    return ang, np.exp(-hilbert_transform(ang) - np.log(np.abs(phi)))
-
-
 @dataclass(frozen=True)
 class RegularLift:
-    """Output of construct_regular_lift."""
+    """Output of construct_regular_lift.
 
+    grad holds (d rho / d z) o h as (N, n+1), lam the positive factor,
+    phi = zeta * (d rho / d z_n) o h, and spec the Fourier coefficients
+    (n+1, N) of zeta * h* in numpy fft ordering.
+    """
+
+    grad: np.ndarray
     lam: np.ndarray
-    h_star: np.ndarray
     phi: np.ndarray
-    defects: np.ndarray
+    spec: np.ndarray
+
+    @property
+    def h_star(self):
+        """The regular lift lam * (d rho / d z) o h, shape (n+1, N)."""
+        return self.lam[None, :] * self.grad.T
+
+    @property
+    def defects(self):
+        """Relative l2 mass of the negative modes of zeta * h*, per component."""
+        tot = np.linalg.norm(self.spec, axis=1)
+        tot[tot == 0] = 1.0
+        return np.linalg.norm(self.spec[:, self.spec.shape[1] // 2 :], axis=1) / tot
 
 
-def construct_regular_lift(m, h_samples, pad_tol=1e-8):
+def construct_regular_lift(m, h_samples):
     """Positive boundary factor lam with lam * (d rho / d z) o h a lift.
 
-    h_samples has shape (n+1, N). phi(zeta) = zeta * (d rho/d z_n)(h)
-    must stay in an open half-plane avoiding 0 (checked on the padded
-    convex hull); then psi = log phi along the continuous grid branch,
-    U = -T(Im psi) and lam = exp(U - Re psi) > 0 make zeta * lam * phi_j
-    extend holomorphically for every component j.
+    h_samples has shape (n+1, N).  phi(zeta) = zeta * (d rho/d z_n)(h)
+    must not vanish on the grid and must have winding number zero, which
+    is exactly when it has a continuous logarithm psi (Lempert 1981;
+    Wegert 1992).  Then U = -T(Im psi) and lam = exp(U - Re psi) > 0 make
+    zeta * lam * phi_j extend holomorphically for every component j.
     """
     h = np.asarray(h_samples, dtype=complex)
     if h.ndim != 2 or h.shape[0] != m.n + 1:
         raise InvalidInputError(f"expected (n+1, N) samples, got {h.shape}")
     N = validate_grid(h.shape[1])
     zeta = circle_nodes(N)
-    grad = m.grad_rho_many(h.T)  # (N, n+1)
+    grad = m.grad_rho_many(h.T)
     phi = zeta * grad[:, m.n]
     scale = np.abs(phi).max()
-    if scale == 0.0 or _halfplane_margin(phi) <= pad_tol * scale:
-        raise LiftConstructionError(
-            "phi values do not avoid 0 in an open half-plane; "
-            "the samples are too far from a stationary disc"
-        )
-    lam = lift_factor(phi)[1]
-    h_star = lam[None, :] * grad.T  # (n+1, N)
-    defects = holomorphic_defect(BoundaryFunction(zeta[None, :] * h_star))
-    return RegularLift(lam=lam, h_star=h_star, phi=phi, defects=np.atleast_1d(defects))
+    if scale == 0.0 or np.abs(phi).min() < 1e-12 * scale:
+        raise LiftConstructionError("lift normalization component vanishes")
+    ang = np.unwrap(np.angle(phi))
+    if abs(ang[-1] + np.angle(phi[0] / phi[-1]) - ang[0]) > 1e-6:
+        raise LiftConstructionError("normalization component winds around 0")
+    lam = np.exp(-hilbert_transform(ang) - np.log(np.abs(phi)))
+    spec = np.fft.fft(zeta * lam * grad.T, axis=1) / N
+    return RegularLift(grad=grad, lam=lam, phi=phi, spec=spec)

@@ -22,11 +22,9 @@ import numpy as np
 
 from .boundary_analysis import (
     GRID_MAX,
-    BoundaryFunction,
     circle_nodes,
     construct_regular_lift,
     default_grid,
-    holomorphic_defect,
     validate_grid,
 )
 from .errors import (
@@ -374,11 +372,7 @@ def verify_gluing(m, h, defect_tol=1e-9):
         if samples.ndim != 2 or samples.shape[0] != m.n + 1:
             raise InvalidInputError(f"expected (n+1, N) samples, got {samples.shape}")
         residual = float(np.abs(m.eval_rho_many(samples.T)).max())
-        lift = construct_regular_lift(m, samples)
-        zeta = circle_nodes(samples.shape[1])
-        defect = float(
-            np.max(holomorphic_defect(BoundaryFunction(zeta[None, :] * lift.h_star)))
-        )
+        defect = float(np.max(construct_regular_lift(m, samples).defects))
         return GluingReport(max_residual=residual, lift_defect=defect)
 
     if resample is None:

@@ -34,7 +34,8 @@ class PoleError(StatdiscError):
 
 
 class LiftConstructionError(StatdiscError):
-    """Half-plane condition fails; no continuous logarithm is available."""
+    """zeta * (d rho / d z_n) o h vanishes or winds around 0, so it has no
+    continuous logarithm and the disc no regular lift."""
 
 
 class WindingUndefinedError(StatdiscError):

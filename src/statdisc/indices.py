@@ -154,8 +154,7 @@ def _poly_trim(coeffs, lo, rel=SNAP_REL):
 
 @dataclass(frozen=True)
 class IndexEquivalentForm:
-    """Laurent matrix with the same partial indices as a sampled symbol,
-    up to a uniform integer shift of every index.
+    """Laurent matrix with the same partial indices as a sampled symbol.
 
     candidate_roots lists the only places (besides the origin) where
     the determinant can vanish, when that is known analytically; the
@@ -164,7 +163,6 @@ class IndexEquivalentForm:
     """
 
     laurent: LaurentMatrix
-    offset: int = 0
     candidate_roots: tuple = ()
 
 
@@ -335,9 +333,7 @@ def _closed_form_B_reduced(q, params):
         C[:, 2 * j + 1, 2 * j + 2] = [-ab, 1.0, 0.0]
         C[:, 2 * j + 2, 2 * j + 1] = [-ab, 1.0, 0.0]
     cands = (np.conj(a), 1.0 / a) if a != 0 else ()
-    return IndexEquivalentForm(
-        laurent=LaurentMatrix(C, 0).trimmed(), offset=0, candidate_roots=cands
-    )
+    return IndexEquivalentForm(laurent=LaurentMatrix(C, 0).trimmed(), candidate_roots=cands)
 
 
 def _gradient_reduced(q, params):
@@ -372,7 +368,7 @@ def _gradient_reduced(q, params):
             # a pole tail that is merely small cannot pass this gate before
             # the true pole order is reached
             lm = laurent_from_fft_samples(V, lo=-(m + 3), hi=m + 3, tol=1e-12)
-            return IndexEquivalentForm(laurent=lm, offset=0, candidate_roots=cands)
+            return IndexEquivalentForm(laurent=lm, candidate_roots=cands)
         except ApproximationError as err:
             last_err = str(err)  # the exception's traceback would hold this frame
         V = clear[:, None, None] * V
@@ -391,10 +387,10 @@ def build_B(q, params, source="closed_form", N=None):
     if np.linalg.norm(params.v) != 0.0:
         raise InvalidParamsError("conjugation symbols assume a centered disc (v = 0)")
     zeta = circle_nodes(N)
-    if source in ("closed_form", "closed-form"):
+    if source == "closed_form":
         samples = _closed_form_B_samples(q, params, zeta)
         return MatrixSymbol(samples=samples, reduced=_closed_form_B_reduced(q, params))
-    if source in ("gradient", "G", "g_based", "G-based"):
+    if source == "gradient":
         lift = projectivize_lift(q, LiftParams(disc=params, b=1.0), N=N)
         G = build_G(lift.quadric, lift)
         conjG = np.conj(G.samples)
@@ -477,9 +473,6 @@ def _unitary_with_first_column(u):
         if j != k:
             cols.append(np.eye(s, dtype=complex)[:, j])
     Qm, _ = np.linalg.qr(np.column_stack(cols))
-    # QR may flip the first column by a phase; undo it.
-    phase = (u / np.linalg.norm(u)) @ np.conj(Qm[:, 0])
-    Qm[:, 0] *= np.conj(phase) / abs(phase) if abs(phase) else 1.0
     Qm[:, 0] = u / np.linalg.norm(u)
     return Qm
 
@@ -693,13 +686,13 @@ def partial_indices(symbol, defect_tol=1e-10, envelope=None):
     """
     candidates = ()
     if symbol.reduced is not None:
-        lm, offset = symbol.reduced.laurent, symbol.reduced.offset
+        lm = symbol.reduced.laurent
         candidates = symbol.reduced.candidate_roots
     elif symbol.laurent is not None:
-        lm, offset = symbol.laurent, 0
+        lm = symbol.laurent
     else:
-        lm, offset = _truncate_symbol(symbol, defect_tol, envelope), 0
-    kappa = birkhoff_partial_indices(lm, candidates) + offset
+        lm = _truncate_symbol(symbol, defect_tol, envelope)
+    kappa = birkhoff_partial_indices(lm, candidates)
     wind = winding_number(symbol.det_samples())
     if int(kappa.sum()) != wind:
         raise FactorizationError(

@@ -4,8 +4,8 @@ The unknowns are the truncated holomorphic Fourier coefficients of the
 disc h (modes 0..M per component); the equations are the boundary
 gluing rho(h) = 0 on the circle grid together with the negative Fourier
 modes of zeta * lambda * (d rho / d z_j) o h for j < n, where the
-positive factor lambda is rebuilt from h at every evaluation by the
-Hilbert-transform construction.  The system is rank deficient by
+positive factor lambda is rebuilt from h at every evaluation by
+construct_regular_lift.  The system is rank deficient by
 exactly the dimension of the disc family, so Newton steps use the
 minimum-norm least-squares solution; that keeps the tangent space
 observable for the family-dimension diagnostics.
@@ -39,8 +39,8 @@ import numpy as np
 
 from .boundary_analysis import (
     circle_nodes,
+    construct_regular_lift,
     hilbert_transform,
-    lift_factor,
     validate_grid,
 )
 from .disc import Disc, DiscParams, disc_through
@@ -144,31 +144,11 @@ class _DiscSystem:
 
     # -- residual and its exact linearization ----------------------------
 
-    def lifted(self, h):
-        """grad rho, lam, phi and the spectrum of zeta * lam * grad rho at h.
-
-        h holds boundary values (n+1, N).  lam is the per-iteration
-        variant of construct_regular_lift: the continuous log only needs
-        phi = zeta * (d rho / d z_n) o h nonvanishing with zero winding,
-        cheaper to check than the strict half-plane separation.  The
-        spectrum (n+1, N) is in numpy fft ordering.
-        """
-        grad = self.m.grad_rho_many(h.T)
-        phi = self.zeta * grad[:, self.n]
-        scale = np.abs(phi).max()
-        if scale == 0.0 or np.abs(phi).min() < 1e-12 * scale:
-            raise LiftConstructionError("lift normalization component vanishes")
-        ang, lam = lift_factor(phi)
-        if abs(ang[-1] + np.angle(phi[0] / phi[-1]) - ang[0]) > 1e-6:
-            raise LiftConstructionError("normalization component winds around 0")
-        spec = np.fft.fft(self.zeta * lam * grad.T, axis=1) / self.cfg.N
-        return grad, lam, phi, spec
-
     def residual(self, x):
         coeffs = self.unpack(x)
         h = self.boundary(coeffs)
         rho = self.m.eval_rho_many(h.T)
-        neg = self.lifted(h)[3][: self.n, self.cfg.N // 2 :].reshape(-1)
+        neg = construct_regular_lift(self.m, h).spec[: self.n, self.cfg.N // 2 :].reshape(-1)
         parts = [rho, neg.real, neg.imag]
         if self.constraint is not None:
             read, target = self.constraint
@@ -209,8 +189,8 @@ class _DiscSystem:
         """
         N, n, half = self.cfg.N, self.n, self.cfg.N // 2
         h = self.boundary(self.unpack(x))
-        grad, lam, phi, _spec = self.lifted(h)
-        grad = grad.T
+        lift = construct_regular_lift(self.m, h)
+        grad, lam, phi = lift.grad.T, lift.lam, lift.phi
         P, Q = self.grad_derivatives(h)
         zl = self.zeta * lam
         # d phi / phi and zeta lam d grad_i (i < n) per unit of dh_j and of conj(dh_j)
@@ -293,14 +273,6 @@ class GluedDisc:
             "iterations": self.iterations,
             "linearizations": self.linearizations,
         }
-
-
-def _defect_sup(system, coeffs):
-    _grad, lam, _phi, spec = system.lifted(system.boundary(coeffs))
-    neg = spec[:, system.cfg.N // 2 :]
-    tot = np.linalg.norm(spec, axis=1)
-    tot[tot == 0] = 1.0
-    return np.linalg.norm(neg, axis=1) / tot, lam
 
 
 def _min_norm_factor(J, b, rcond):
@@ -403,7 +375,8 @@ def solve_glued_disc(m, start, cfg=None, pin_center=None, constraint=None):
             if t < cfg.damping_min:
                 if r_new is None:
                     raise LiftConstructionError(
-                        "half-plane condition failed along the Newton path"
+                        "no regular lift along the Newton path: phi = zeta * (d rho / d z_n) o h"
+                        " vanished or wound around 0"
                     )
                 raise NoConvergenceError(
                     f"damping stalled at residual {history[-1]:.3e}",
@@ -416,7 +389,8 @@ def solve_glued_disc(m, start, cfg=None, pin_center=None, constraint=None):
         iters += 1
         history.append(system.sup_norm(r))
     coeffs = system.unpack(x)
-    defects, lam = _defect_sup(system, coeffs)
+    lift = construct_regular_lift(m, system.boundary(coeffs))
+    defects = lift.defects
     if np.max(defects) > 10.0 * cfg.tol:
         raise NoConvergenceError(
             f"stationarity defect {np.max(defects):.3e} above tolerance",
@@ -424,7 +398,7 @@ def solve_glued_disc(m, start, cfg=None, pin_center=None, constraint=None):
         )
     return GluedDisc(
         h_coeffs=coeffs,
-        lam=lam,
+        lam=lift.lam,
         config=cfg,
         pin_center=system.pin_center,
         residual_sup=history[-1],

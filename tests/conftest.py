@@ -32,6 +32,20 @@ def random_disc_params(rng, n, a_max=0.6, centered=False):
     return DiscParams(y0=float(rng.normal()), v=v, w=w, a=a)
 
 
+def lift_zero_modulus(q, params):
+    """|zeta*| where zeta * h*_n of the closed-form lift vanishes.
+
+    zeta h*_n = -b (1 - a zeta) ((zeta - conj(a)) (conj(v) A)_n
+    + (conj(w) A)_n) / (1 + |a|^2), and 1/a lies outside the disc, so
+    the regular lift exists exactly when |zeta*| > 1 with
+    zeta* = conj(a) - (conj(w) A)_n / (conj(v) A)_n (infinite for a
+    centered disc).
+    """
+    vA = (params.v.conj() @ q.A)[-1]
+    wA = (params.w.conj() @ q.A)[-1]
+    return abs(np.conj(params.a) - wA / vA) if vA != 0 else np.inf
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

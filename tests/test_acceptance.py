@@ -35,7 +35,7 @@ from statdisc import (
 from statdisc.boundary_analysis import BoundaryFunction
 from statdisc.errors import LiftConstructionError, NotReachableError
 
-from conftest import random_disc_params, random_hermitian_quadric
+from conftest import lift_zero_modulus, random_disc_params, random_hermitian_quadric
 
 SPHERE = Hyperquadric(n=1, A=np.array([[1.0]]))
 
@@ -108,7 +108,9 @@ def test_criterion_3_lift_validity():
             try:
                 built = construct_regular_lift(PerturbedHypersurface(base=q), h)
             except LiftConstructionError:
-                continue  # off-center sample outside the half-plane contract
+                # off-center disc whose lift's last component vanishes inside
+                assert lift_zero_modulus(q, p) < 1.0
+                continue
             mask = np.abs(hs) > 1e-6 * np.abs(hs).max()
             rr = built.h_star[mask] / hs[mask]
             assert np.abs(rr.imag).max() < 1e-9 * np.abs(rr).max()

@@ -221,7 +221,7 @@ class TestRegularLift:
     def test_reproduces_closed_form_up_to_positive_factor(self, rng):
         from statdisc import LiftParams, closed_form_lift
 
-        from conftest import random_disc_params, random_hermitian_quadric
+        from conftest import lift_zero_modulus, random_disc_params, random_hermitian_quadric
 
         done = 0
         while done < 5:
@@ -233,8 +233,9 @@ class TestRegularLift:
             try:
                 built = construct_regular_lift(PerturbedHypersurface(base=q), h)
             except LiftConstructionError:
-                # the half-plane precondition can genuinely fail for large
-                # off-center components; those discs are out of contract
+                # off-center discs whose lift's last component vanishes
+                # inside the disc have no regular lift
+                assert lift_zero_modulus(q, params) < 1.0
                 continue
             closed = closed_form_lift(q, LiftParams(disc=params, b=1.0)).boundary(N)
             mask = np.abs(closed) > 1e-6 * np.abs(closed).max()
@@ -242,3 +243,27 @@ class TestRegularLift:
             assert np.abs(ratio.imag).max() < 1e-9 * np.abs(ratio).max()
             assert ratio.real.min() > 0
             done += 1
+
+    def test_refused_exactly_when_the_lift_vanishes_inside(self):
+        # zeta * h*_n has winding 1 when its zero zeta* lies inside the
+        # disc and 0 otherwise; draws too near the circle are skipped
+        from conftest import lift_zero_modulus, random_disc_params, random_hermitian_quadric
+
+        rng = np.random.default_rng(7)
+        outcomes = []
+        for k in range(300):
+            n = int(rng.integers(1, 4))
+            q = random_hermitian_quadric(rng, n)
+            params = random_disc_params(rng, n, a_max=0.9, centered=k % 10 == 0)
+            zero = lift_zero_modulus(q, params)
+            if abs(zero - 1.0) < 0.05:
+                continue
+            h = make_disc(q, params).boundary(N)
+            try:
+                construct_regular_lift(PerturbedHypersurface(base=q), h)
+                refused = False
+            except LiftConstructionError:
+                refused = True
+            assert refused == (zero < 1.0), (k, zero)
+            outcomes.append(refused)
+        assert 0 < sum(outcomes) < len(outcomes)

@@ -287,3 +287,12 @@ class TestVerifyGluing:
         assert residual == pytest.approx((1.01**2 - 1) * 4.0, rel=1e-10)
         rep = verify_gluing(SPHERE, h)
         assert rep.max_residual == pytest.approx(residual, rel=1e-12)
+
+    def test_off_center_disc_with_a_winding_free_lift(self):
+        # phi = zeta * d r / d z_1 o h has winding 0 (its zero conj(a) -
+        # conj(w) / conj(v) has modulus 1.75) but its samples surround 0,
+        # so no half-plane separates them from 0
+        d = make_disc(SPHERE, DiscParams(y0=0, v=[-1 - 0.6j], w=[-0.9 + 0.6j], a=-0.6 + 0.6j))
+        rep = verify_gluing(SPHERE, d)
+        assert rep.max_residual < 1e-12
+        assert rep.lift_defect <= 1e-9

@@ -22,6 +22,7 @@ from statdisc import (
 from statdisc.errors import (
     ApproximationError,
     FactorizationError,
+    InvalidInputError,
     InvalidParamsError,
     SymbolSingularError,
 )
@@ -49,8 +50,6 @@ class TestMatrixSymbol:
         smp[:, 0, 0] = ZETA
         C = np.zeros((2, 1, 1), dtype=complex)
         C[1, 0, 0] = 1.0 + 1e-6
-        from statdisc.errors import InvalidInputError
-
         with pytest.raises(InvalidInputError):
             MatrixSymbol(samples=smp, laurent=LaurentMatrix(C, 0))
 
@@ -151,6 +150,11 @@ class TestBuildB:
     def test_requires_centered(self):
         with pytest.raises(InvalidParamsError):
             build_B(SPHERE, DiscParams(y0=0.0, v=[0.5], w=[1], a=0.1))
+
+    @pytest.mark.parametrize("source", ["closed-form", "G", "g_based", "G-based"])
+    def test_only_the_two_source_names(self, source):
+        with pytest.raises(InvalidInputError):
+            build_B(SPHERE, DiscParams(y0=0.0, v=[0], w=[1], a=0.3), source=source)
 
 
 class TestMaslov:

@@ -12,6 +12,7 @@ from statdisc import (
     PerturbedHypersurface,
     SolveConfig,
     center_map_jacobians,
+    construct_regular_lift,
     family_dimension,
     indicatrix_sample,
     solve_glued_disc,
@@ -99,6 +100,12 @@ class TestSolve:
         assert rep.lift_defect < 1e-10
         assert np.max(sol.lift_defects) < 1e-10
         assert np.all(sol.lam > 0)
+
+    def test_solution_lift_is_the_public_construction(self):
+        sol = solve_glued_disc(QUARTIC, START, CFG)
+        lift = construct_regular_lift(QUARTIC, sol.boundary_values())
+        assert np.array_equal(sol.lam, lift.lam)
+        assert np.array_equal(sol.lift_defects, lift.defects)
 
     def test_far_perturbation_fails(self):
         far = PerturbedHypersurface(base=SPHERE, epsilon=10.0, terms={(0, 0, 4, 0): 1.0})
