@@ -10,7 +10,6 @@ from .boundary_analysis import (
     BoundaryFunction,
     circle_nodes,
     construct_regular_lift,
-    default_grid,
     fourier,
     hilbert_transform,
     holomorphic_defect,
@@ -88,7 +87,6 @@ __all__ = [
     "circle_nodes",
     "closed_form_lift",
     "construct_regular_lift",
-    "default_grid",
     "disc_through",
     "exists_disc_centered",
     "family_dimension",

@@ -6,7 +6,6 @@ analyst's normalization c_m = (1/N) sum_k f(zeta_k) zeta_k^{-m}, so the
 function zeta -> zeta has c_1 = 1.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,17 +19,6 @@ from .errors import (
 
 GRID_DEFAULT = 256
 GRID_MAX = 4096
-
-
-def default_grid():
-    """Default circle grid size; honors the STATDISC_GRID env override."""
-    raw = os.environ.get("STATDISC_GRID", "")
-    if raw.strip():
-        try:
-            return validate_grid(int(raw))
-        except (ValueError, InvalidInputError):
-            raise InvalidInputError(f"bad STATDISC_GRID value {raw!r}")
-    return GRID_DEFAULT
 
 
 def validate_grid(N):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import boundary_analysis
-from .boundary_analysis import BoundaryFunction, circle_nodes, default_grid, holomorphic_defect
+from .boundary_analysis import GRID_DEFAULT, BoundaryFunction, circle_nodes, holomorphic_defect
 from .disc import (
     DiscParams,
     LiftParams,
@@ -246,7 +246,7 @@ def _disc_params(opt, n):
 
 
 def _grid(opt):
-    return boundary_analysis.validate_grid(opt["grid"]) if opt.get("grid") else default_grid()
+    return boundary_analysis.validate_grid(opt["grid"]) if opt.get("grid") else GRID_DEFAULT
 
 
 def _solve_config(opt):
@@ -457,15 +457,17 @@ def _read_boundary_csv(path, ncomp):
             lines = [ln.strip() for ln in fh if ln.strip()]
     except OSError as exc:
         raise UsageError(f"cannot read samples: {exc}")
-    data = [ln for ln in lines if not ln.startswith("#")]
-    header = data[0].split(",")
-    body = [ln.split(",") for ln in data[1:]]
+    body = [ln.split(",") for ln in lines if not ln.startswith("#")][1:]  # after the header
+    if not body:
+        raise UsageError("boundary CSV has no samples")
     try:
         arr = np.array([[float(c) for c in row] for row in body])
     except ValueError:
         raise UsageError("malformed boundary CSV")
     if arr.shape[1] != 2 + 2 * ncomp:
         raise UsageError(f"expected {2 + 2 * ncomp} columns, got {arr.shape[1]}")
+    if not np.all(np.isfinite(arr)):
+        raise UsageError("boundary CSV has a non-finite value")
     samples = np.empty((ncomp, arr.shape[0]), dtype=complex)
     for j in range(ncomp):
         samples[j] = arr[:, 2 + 2 * j] + 1j * arr[:, 3 + 2 * j]

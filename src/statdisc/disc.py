@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary_analysis import (
+    GRID_DEFAULT,
     GRID_MAX,
     circle_nodes,
     construct_regular_lift,
-    default_grid,
     validate_grid,
 )
 from .errors import (
@@ -161,7 +161,7 @@ class Disc:
 
     def boundary(self, N=None):
         """Samples on the circle grid, shape (n+1, N)."""
-        N = validate_grid(N or default_grid())
+        N = validate_grid(N or GRID_DEFAULT)
         return self.at(circle_nodes(N)).T
 
     def center(self):
@@ -260,7 +260,7 @@ class ClosedFormLift:
         return out
 
     def boundary(self, N=None):
-        N = validate_grid(N or default_grid())
+        N = validate_grid(N or GRID_DEFAULT)
         return self.at(circle_nodes(N)).T
 
     def c_factor(self, zeta):
@@ -292,7 +292,7 @@ class ProjectivizedLift:
 
 def projectivize_lift(q, l, N=None):
     """Boundary of the projectivized lift; independent of the scale b."""
-    N = validate_grid(N or default_grid())
+    N = validate_grid(N or GRID_DEFAULT)
     d = l.disc
     wA = d.w.conj() @ q.A
     perm = None
@@ -377,7 +377,7 @@ def verify_gluing(m, h, defect_tol=1e-9):
 
     if resample is None:
         return measure(h)
-    N = default_grid()
+    N = GRID_DEFAULT
     report = measure(resample(N))
     while report.lift_defect > defect_tol and N < GRID_MAX:
         N *= 2

@@ -477,15 +477,6 @@ def _unitary_with_first_column(u):
     return Qm
 
 
-def _poly_matrix_eval(coeffs, z):
-    """Evaluate the polynomial part sum_k C_k z^k (Horner), one point."""
-    out = np.zeros(coeffs.shape[1:], dtype=complex)
-    for k in range(coeffs.shape[0] - 1, -1, -1):
-        out *= z
-        out += coeffs[k]
-    return out
-
-
 def _divide_column_by_root(colv, mu, rel_tol=1e-7):
     """Divide a polynomial column (K, s) by (zeta - mu); check remainders.
 
@@ -522,7 +513,7 @@ def _extract_one_root(coeffs, root):
     column by (zeta - root) and re-insert one zeta; the net change is a
     minus-side Blaschke-type factor, so no partial index moves.
     """
-    Pmu = _poly_matrix_eval(coeffs, root)
+    Pmu = LaurentMatrix(coeffs, 0).eval(root)[0]
     _, _, vh = np.linalg.svd(Pmu)
     u = np.conj(vh[-1])
     mixed = np.einsum("kij,jl->kil", coeffs, _unitary_with_first_column(u))
@@ -711,12 +702,7 @@ def _truncate_symbol(symbol, defect_tol, envelope=None):
         if tail <= defect_tol * total:
             if d * symbol.size > 400:
                 raise ApproximationError("adequate truncation degree is too large")
-            K = 2 * d + 1
-            out = np.zeros((K, symbol.size, symbol.size), dtype=complex)
-            for k in range(symbol.N):
-                if abs(m[k]) <= d:
-                    out[m[k] + d] = c[k]
-            return LaurentMatrix(out, -d).trimmed()
+            return laurent_from_fft_samples(symbol.samples, -d, d, tol=defect_tol)
     raise ApproximationError(f"no Laurent truncation reaches defect {defect_tol}")
 
 

@@ -93,10 +93,11 @@ def _as_perturbed(m):
 class _DiscSystem:
     """Residual assembly over the truncated coefficient space.
 
-    pin_center removes the mode-0 coefficients from the unknowns.
-    constraint = (read, target) appends the real equations
-    read(coeffs) = target; read is real-linear in the coefficients, so
-    its Jacobian rows are read of the packed unit directions, built once.
+    The unknowns are the real and imaginary parts of all (n+1, M+1)
+    coefficients.  constraint = (read, target) appends the real equations
+    read(coeffs) = target, and pin_center = p appends h(0) = p the same
+    way (the read _center); each read is real-linear in the coefficients,
+    so its Jacobian rows are read of the unpacked identity, built once.
     """
 
     def __init__(self, m, cfg, pin_center=None, constraint=None):
@@ -105,37 +106,27 @@ class _DiscSystem:
         self.n = self.m.n
         self.zeta = circle_nodes(cfg.N)
         self.pin_center = None if pin_center is None else np.asarray(pin_center, dtype=complex)
-        self.constraint = constraint
-        ncomp = self.n + 1
-        self.free = np.ones((ncomp, cfg.M + 1), dtype=bool)
+        self.constraints = [] if constraint is None else [constraint]
         if self.pin_center is not None:
-            self.free[:, 0] = False
-        self.constraint_rows = np.empty((0, 2 * int(self.free.sum())))
-        if constraint is not None:
-            self.constraint_rows = self.rows(constraint[0])
+            self.constraints.insert(0, (_center, _center(self.pin_center[:, None])))
+        self.size = 2 * (self.n + 1) * (cfg.M + 1)  # packed unknowns
+        rows = [self.rows(read) for read, _target in self.constraints]
+        self.constraint_rows = np.vstack([np.empty((0, self.size)), *rows])
 
     # -- coefficient packing -------------------------------------------
 
     def pack(self, coeffs):
-        c = coeffs[self.free]
-        return np.concatenate([c.real, c.imag])
-
-    def embed(self, x):
-        """Coefficients of the packed x, with the pinned entries at 0."""
-        c = np.zeros((self.n + 1, self.cfg.M + 1), dtype=complex)
-        k = x.size // 2
-        c[self.free] = x[:k] + 1j * x[k:]
-        return c
+        return np.concatenate([coeffs.real.ravel(), coeffs.imag.ravel()])
 
     def unpack(self, x):
-        c = self.embed(x)
-        if self.pin_center is not None:
-            c[:, 0] = self.pin_center
-        return c
+        """Coefficients of x, or of each packed vector along x's last axis."""
+        k = x.shape[-1] // 2
+        return (x[..., :k] + 1j * x[..., k:]).reshape(x.shape[:-1] + (self.n + 1, -1))
 
     def rows(self, read):
-        """Jacobian (rows, packed size) of a real-linear read of the coefficients."""
-        return np.array([read(self.embed(e)) for e in np.eye(2 * int(self.free.sum()))]).T
+        """Jacobian (rows, packed size) of a real-linear read of the
+        coefficients; reads take coefficient arrays stacked on leading axes."""
+        return read(self.unpack(np.eye(self.size))).T
 
     def boundary(self, coeffs):
         spec = np.zeros((self.n + 1, self.cfg.N), dtype=complex)
@@ -150,9 +141,7 @@ class _DiscSystem:
         rho = self.m.eval_rho_many(h.T)
         neg = construct_regular_lift(self.m, h).spec[: self.n, self.cfg.N // 2 :].reshape(-1)
         parts = [rho, neg.real, neg.imag]
-        if self.constraint is not None:
-            read, target = self.constraint
-            parts.append(read(coeffs) - target)
+        parts += [read(coeffs) - target for read, target in self.constraints]
         return np.concatenate(parts)
 
     def sup_norm(self, r):
@@ -185,7 +174,8 @@ class _DiscSystem:
         d(zeta lam grad_j) = zeta lam (d log lam grad_j + d grad_j).  The
         column of the coefficient of zeta^k in component j perturbs that
         component alone, by zeta^k or i zeta^k; a block holds up to
-        _BLOCK modes of one component and one of the two parts.
+        _BLOCK modes of one component and one of the two parts.  The
+        constraint rows, the pin's included, are the constant constraint_rows.
         """
         N, n, half = self.cfg.N, self.n, self.cfg.N // 2
         h = self.boundary(self.unpack(x))
@@ -199,14 +189,13 @@ class _DiscSystem:
         lift_g = zl * grad[:n]
         J = np.empty((N + n * N + self.constraint_rows.shape[0], x.size))
         J[N + n * N :] = self.constraint_rows
-        comp, mode = np.nonzero(self.free)
+        modes = self.cfg.M + 1
         nodes = np.arange(N)
         for j in range(n + 1):
-            idx = np.flatnonzero(comp == j)
-            for lo in range(0, idx.size, _BLOCK):
-                cols = idx[lo : lo + _BLOCK]
-                zk = self.zeta[(mode[cols, None] * nodes) % N]
-                for offset, unit in ((0, 1.0), (comp.size, 1j)):
+            for lo in range(0, modes, _BLOCK):
+                mode = np.arange(lo, min(lo + _BLOCK, modes))
+                zk = self.zeta[(mode[:, None] * nodes) % N]
+                for offset, unit in ((j * modes, 1.0), ((n + 1 + j) * modes, 1j)):
                     dh = unit * zk
                     dhc = dh.conj()
                     ratio = ratio_p[j] * dh + ratio_q[j] * dhc
@@ -216,9 +205,9 @@ class _DiscSystem:
                         + lift_p[:, j] * dh[:, None]
                         + lift_q[:, j] * dhc[:, None]
                     )
-                    neg = (np.fft.fft(dlift, axis=-1)[..., half:] / N).reshape(cols.size, -1)
+                    neg = (np.fft.fft(dlift, axis=-1)[..., half:] / N).reshape(mode.size, -1)
                     # pack lists a component's modes contiguously
-                    c = slice(cols[0] + offset, cols[-1] + 1 + offset)
+                    c = slice(offset + lo, offset + lo + mode.size)
                     J[:N, c] = 2.0 * (grad[j] * dh).real.T
                     J[N : N + n * half, c] = neg.real.T
                     J[N + n * half : N + n * N, c] = neg.imag.T
@@ -317,11 +306,11 @@ def solve_glued_disc(m, start, cfg=None, pin_center=None, constraint=None):
     """Newton-continue a stationary disc onto the perturbed hypersurface.
 
     start is a DiscParams of the base quadric (or a coefficient array).
-    pin_center, when given, holds h(0) fixed at that point (hard
-    constraints on the mode-0 coefficients).  constraint = (read, target)
-    appends the real equations read(coeffs) = target, read real-linear
-    in the coefficient matrix.  At epsilon = 0 an exact disc returns
-    unchanged with zero iterations.
+    pin_center, when given, holds h(0) at that point: it is written into
+    mode 0 of the start and appended as the equations h(0) = pin_center.
+    constraint = (read, target) appends the real equations
+    read(coeffs) = target, read real-linear in the coefficient matrix.
+    At epsilon = 0 an exact disc returns unchanged with zero iterations.
     """
     m = _as_perturbed(m)
     cfg = cfg or SolveConfig()
@@ -389,6 +378,11 @@ def solve_glued_disc(m, start, cfg=None, pin_center=None, constraint=None):
         iters += 1
         history.append(system.sup_norm(r))
     coeffs = system.unpack(x)
+    sup = history[-1]
+    if pin_center is not None and not np.array_equal(coeffs[:, 0], system.pin_center):
+        # Newton holds the pin rows to rounding; the returned disc holds the pin
+        coeffs[:, 0] = system.pin_center
+        sup = system.sup_norm(system.residual(system.pack(coeffs)))
     lift = construct_regular_lift(m, system.boundary(coeffs))
     defects = lift.defects
     if np.max(defects) > 10.0 * cfg.tol:
@@ -401,7 +395,7 @@ def solve_glued_disc(m, start, cfg=None, pin_center=None, constraint=None):
         lam=lift.lam,
         config=cfg,
         pin_center=system.pin_center,
-        residual_sup=history[-1],
+        residual_sup=sup,
         lift_defects=defects,
         iterations=iters,
         linearizations=linearizations,
@@ -473,7 +467,8 @@ def solve_with_homotopy(m, start, cfg=None, pin_center=None, constraint=None):
 
 def _linearization(m, sol, cfg, vectors=False):
     """System at sol, its exact Jacobian's singular values and, when
-    vectors is set, the right singular vectors V^T."""
+    vectors is set, the right singular vectors V^T.  A pinned sol's
+    Jacobian stacks the pin rows under the residual's."""
     system = _DiscSystem(m, cfg or sol.config, pin_center=sol.pin_center)
     J = system.jacobian(system.pack(sol.h_coeffs))
     if not vectors:
@@ -537,15 +532,24 @@ def _center_pin(n, p0):
 
 
 def _endpoint(coeffs):
-    """Im z0, Re z_a and Im z_a of h(1): the real-linear endpoint read."""
-    end = coeffs.sum(axis=1)
-    return np.concatenate([[end[0].imag], end[1:].real, end[1:].imag])
+    """Im z0, Re z_a and Im z_a of h(1): the endpoint read."""
+    end = coeffs.sum(axis=-1)
+    return np.concatenate([end[..., :1].imag, end[..., 1:].real, end[..., 1:].imag], axis=-1)
+
+
+def _mode(coeffs, k):
+    c = coeffs[..., k]
+    return np.concatenate([c.real, c.imag], axis=-1)
+
+
+def _center(coeffs):
+    """Re and Im of h(0): the pin read."""
+    return _mode(coeffs, 0)
 
 
 def _velocity(coeffs):
-    """Re and Im of h'(0): the real-linear velocity read."""
-    vel = coeffs[:, 1]
-    return np.concatenate([vel.real, vel.imag])
+    """Re and Im of h'(0): the velocity read."""
+    return _mode(coeffs, 1)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -144,15 +143,12 @@ class TestExecute:
         assert out1 == out2
         assert out1.startswith("# schema=indicatrix-cloud/1")
 
-    def test_grid_env_override(self):
-        env = dict(os.environ, STATDISC_GRID="512")
-        out = subprocess.run(
-            [sys.executable, "-m", "statdisc.cli", "disc-make", "--n", "1",
-             "--a", "0.2", "--w", "1", "--format", "csv"],
-            capture_output=True, text=True, env=env,
+    def test_grid_option_sets_the_sample_count(self):
+        code, out, _ = run_cli(
+            "disc-make", "--n", "1", "--a", "0.2", "--w", "1", "--format", "csv", "--grid", "512"
         )
-        assert out.returncode == 0
-        rows = [ln for ln in out.stdout.splitlines() if ln and not ln.startswith(("#", "k,"))]
+        assert code == 0
+        rows = [ln for ln in out.splitlines() if ln and not ln.startswith(("#", "k,"))]
         assert len(rows) == 512
 
     def test_boundary_csv_roundtrip(self, tmp_path):
@@ -177,6 +173,24 @@ class TestExecute:
         assert code == 0
         rep = json.loads(out)
         assert rep["max_residual"] < 1e-10 and rep["lift_defect"] < 1e-9
+
+    @pytest.mark.parametrize(
+        "text, detail",
+        [
+            ("", "boundary CSV has no samples"),
+            ("# schema=boundary-samples/1\nk,theta,component_0_re,component_0_im,"
+             "component_1_re,component_1_im\n", "boundary CSV has no samples"),
+            ("k,theta,c0re,c0im,c1re,c1im\n0,0,1,0,nan,0\n",
+             "boundary CSV has a non-finite value"),
+        ],
+        ids=["empty", "header-only", "nan"],
+    )
+    def test_verify_rejects_a_sampleless_or_nan_csv(self, tmp_path, text, detail):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(text)
+        code, out, err = run_cli("verify", "--n", "1", "--input", str(csv_path))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "usage", "detail": detail}
 
     def test_replay_subcommand(self):
         code, out, _ = run_cli("indices-replay", "--n", "1", "--a", "0.4", "--w", "1")

@@ -29,8 +29,11 @@ from statdisc.errors import (
 )
 from statdisc.rh_solver import (
     _center_disc_params,
+    _center_pin,
+    _disc_through_solution,
     _DiscSystem,
     _endpoint,
+    _invert_velocity,
     _min_norm_factor,
     _velocity,
     params_to_coeffs,
@@ -126,6 +129,11 @@ class TestSolve:
         sol = solve_glued_disc(QUARTIC, p, CFG, pin_center=pin)
         assert np.abs(sol.center() - pin).max() == 0.0
         assert sol.residual_sup < 1e-11
+        # Newton holds the pin rows to rounding; residual and lift are
+        # reported for the returned coefficients, which hold the pin exactly
+        system = _DiscSystem(QUARTIC, CFG, pin_center=pin)
+        assert sol.residual_sup == system.sup_norm(system.residual(system.pack(sol.h_coeffs)))
+        assert np.array_equal(sol.lam, construct_regular_lift(QUARTIC, sol.boundary_values()).lam)
 
     def test_layers_run_through_their_entry_points(self, monkeypatch):
         # A profiler attributes time to the kernel and the Hilbert transform
@@ -557,8 +565,21 @@ class TestTransport:
         out = transport_jet(src, tgt, 1.0, dF, z, p0_target=t**2, cfg=SolveConfig(N=128, M=40))
         _assert_point_over(tgt, out, dF @ z)
 
+    @pytest.mark.parametrize("eps", [1e-4, 1e-3])
+    def test_pin_and_transport_rows_in_one_system(self, eps):
+        # each solve holds two constraint pairs, the pin and a transport
+        # read; the returned disc holds the pin exactly and meets the read
+        m = QUARTIC.with_epsilon(eps)
+        cfg = SolveConfig(N=128, M=40)
+        pin = _center_pin(1, 1.0)
+        z = np.array([2.0, np.sqrt(2.0)], dtype=complex)
+        src, u = _disc_through_solution(m, 1.0 + 0j, z, cfg)
+        assert np.array_equal(src.center(), pin)
+        assert np.abs(_endpoint(src.h_coeffs) - _endpoint(z[:, None])).max() < 1e-10
+        tgt, _end = _invert_velocity(m, 1.0 + 0j, u, cfg, 10.0 * eps)
+        assert np.array_equal(tgt.center(), pin)
+        assert np.abs(tgt.velocity() - u).max() < 1e-10
+
     def test_off_indicatrix_velocity_rejected(self):
         with pytest.raises(TargetInversionError):
-            from statdisc.rh_solver import _invert_velocity
-
             _invert_velocity(FLAT, 1.0 + 0j, np.array([0.5, 2.0 + 0j]), CFG, 1e-8)
