@@ -26,7 +26,7 @@ from .disc import (
     projectivize_lift,
     verify_gluing,
 )
-from .errors import StatdiscError, UsageError
+from .errors import InvalidInputError, StatdiscError, UsageError
 from .indices import build_B, maslov_index, partial_indices, verify_reduction_chain
 from .quadric import Hyperquadric, PerturbedHypersurface
 from .rh_solver import (
@@ -245,15 +245,36 @@ def _disc_params(opt, n):
     return DiscParams(y0=float(opt["y0"]), v=v, w=w, a=_parse_complex(opt["a"]))
 
 
+def _check_options(opt):
+    """Usage errors for out-of-range numeric flags, before any array is built."""
+    try:  # config-file values arrive unconverted
+        counts = {k: int(opt[k]) for k in ("n", "modes", "count") if opt.get(k) is not None}
+        theta = float(opt["theta"])
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad numeric option: {exc}")
+    if opt.get("A"):
+        counts.pop("n", None)
+    for key, value in counts.items():
+        if value < 1:
+            raise UsageError(f"--{key} must be at least 1, got {value}")
+    if not np.isfinite(theta):
+        raise UsageError(f"--theta must be finite, got {theta}")
+
+
 def _grid(opt):
-    return boundary_analysis.validate_grid(opt["grid"]) if opt.get("grid") else GRID_DEFAULT
+    if opt.get("grid") is None:
+        return GRID_DEFAULT
+    try:
+        return boundary_analysis.validate_grid(opt["grid"])
+    except InvalidInputError as exc:
+        raise UsageError(f"--grid {opt['grid']}: {exc}")
 
 
 def _solve_config(opt):
     kw = {}
-    if opt.get("grid"):
+    if opt.get("grid") is not None:
         kw["N"] = int(opt["grid"])
-    if opt.get("modes"):
+    if opt.get("modes") is not None:
         kw["M"] = int(opt["modes"])
     return SolveConfig(**kw)
 
@@ -445,6 +466,7 @@ HANDLERS = {
 
 def _run(cfg):
     opt = cfg.options
+    _check_options(opt)
     m, N = _load_model(opt), _grid(opt)
     if cfg.subcommand not in HANDLERS:
         raise UsageError(f"unknown subcommand {cfg.subcommand!r}")

@@ -6,14 +6,25 @@ matrix G(zeta) induces the symbol -conj(G)^{-1} G whose Birkhoff
 factorization exponents (partial indices) and determinant winding
 (Maslov index) control the deformation theory of the disc.
 
-Partial indices are computed exactly: the symbol is turned into a
-matrix Laurent polynomial (closed-form clearing of the known
-denominators, or a defect-checked Fourier truncation), interior
-determinant zeros are pushed to the origin, and a lowest-degree column
-reduction over the Laurent ring finishes once the per-column bottom
-degrees sum to the determinant's order at the origin.  A truncated
-block Toeplitz kernel count serves as an independent test oracle,
-never as the primary path.
+Partial indices are computed exactly, from a matrix Laurent polynomial
+with the symbol's indices, by a lowest-degree column reduction that
+finishes once the per-column bottom degrees sum to the determinant's
+order at the origin.  A disc-model symbol (`build_B`, either source)
+carries an index-equivalent form: the same symbol along the centered
+disc with pole 0 and direction w/|w|, which a disc automorphism, a
+Heisenberg translation and a dilation of Q relate to the disc with
+pole a (see IndexEquivalentForm).  Its determinant is a monomial, so no
+root is extracted.  Any other symbol is taken through its exact
+Laurent form or a defect-checked Fourier truncation, and its interior
+determinant zeros are pushed to the origin first (root extraction).
+The index sum is always checked against the determinant winding of
+the samples.  That check is the limit near the circle.  The closed
+form passes it up to |a| = 1 - 1e-10.  For the gradient source the
+256-point winding misses the pole from about |a| = 0.95 (n >= 2; 0.9 at
+n = 6), and a larger grid resolves it (4096 points at 0.99, n = 3);
+from |a| = 0.999 the gluing check of the disc refuses the lift first.
+A truncated block Toeplitz kernel count serves as an independent test
+oracle, never as the primary path.
 """
 
 from dataclasses import dataclass
@@ -21,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary_analysis import circle_nodes, validate_grid, winding_number
-from .disc import LiftParams, ProjectivizedLift, projectivize_lift
+from .disc import DiscParams, LiftParams, ProjectivizedLift, projectivize_lift
 from .errors import (
     ApproximationError,
     FactorizationError,
@@ -156,14 +167,41 @@ def _poly_trim(coeffs, lo, rel=SNAP_REL):
 class IndexEquivalentForm:
     """Laurent matrix with the same partial indices as a sampled symbol.
 
-    candidate_roots lists the only places (besides the origin) where
-    the determinant can vanish, when that is known analytically; the
-    factorization then extracts multiple zeros at their exact
-    positions instead of trusting a scattered eigenvalue cloud.
+    For the centered disc h with pole a and direction w, `build_B` takes
+    it from the centered disc with pole 0 and direction w/|w|.  Three
+    maps of the disc lead there, none of which moves a partial index:
+
+    * Reparametrization.  With psi(zeta) = (zeta + conj(a))/(1 + a zeta),
+      g = h o psi has g_a = (conj(a) w + w zeta)/(1 - |a|^2) = v' + w' zeta,
+      where w' = w/(1 - |a|^2) and v' = conj(a) w', and
+      g_0 = i y0 + wAw (1 + |a|^2 + 2 a zeta)/(1 - |a|^2)^2.  The symbol
+      is a pointwise function of the projectivized lift and
+      f_g = f_h o psi, so V_g = V_h o psi.  If V_h = V+ Lambda V-, then
+      V_g = (V+ o psi)(Lambda o psi)(V- o psi), and
+      psi^k = zeta^k (1 + conj(a)/zeta)^k (1 + a zeta)^(-k) is a minus
+      factor times zeta^k times a plus factor (Clancey-Gohberg 1981).
+    * Re-centering.  The Heisenberg translation
+      F(z0, z) = (z0 - 2 v'Az + v'Av', z - v') keeps r (r o F = r) and
+      maps g to the disc (w'Aw' + i y0, w' zeta): centered, pole 0.  Its
+      differential is constant, so conormals move by a constant matrix;
+      on the projective coordinates t that is a fractional-linear map
+      whose differential D(zeta) along f_g is holomorphic and
+      invertible on the closed disc.  The defining equations pull back
+      to real combinations of themselves, so the symbol becomes
+      D V_g conj(D)^{-1}: a plus factor on the left and a minus factor
+      on the right.
+    * Scaling.  The dilation (z0, z) -> (c^2 z0, c z), c = 1/|w'|, keeps
+      Q and multiplies conormals by a constant diagonal matrix.  It
+      takes w' to w/|w|.  Without it the entries of the pole-0 form
+      span 1 to |w'|^2, about 1e20 at |a| = 1 - 1e-10, and the column
+      reduction fails for |a| >= 1 - 1e-6.
+
+    At pole 0 both symbols are polynomials of degree <= 2 whose
+    determinant is a monomial, so the factorization finds no interior
+    determinant zero to extract.
     """
 
     laurent: LaurentMatrix
-    candidate_roots: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -172,7 +210,8 @@ class MatrixSymbol:
 
     samples has shape (N, s, s).  laurent, when present, is an exact
     representation of the samples; reduced, when present, is an
-    index-equivalent Laurent form used by the factorization.
+    index-equivalent Laurent form used by the factorization.  The
+    samples are read-only, so their determinants are computed once.
     """
 
     samples: np.ndarray
@@ -189,7 +228,9 @@ class MatrixSymbol:
             raise SymbolSingularError("symbol determinant vanishes on the grid")
         smp = smp.copy()
         smp.flags.writeable = False
+        det.flags.writeable = False
         object.__setattr__(self, "samples", smp)
+        object.__setattr__(self, "_det", det)
         if self.laurent is not None:
             vals = self.laurent.eval(circle_nodes(smp.shape[0]))
             err = np.abs(vals - smp).max()
@@ -205,7 +246,7 @@ class MatrixSymbol:
         return self.samples.shape[0]
 
     def det_samples(self):
-        return np.linalg.det(self.samples)
+        return self._det
 
 
 @dataclass(frozen=True)
@@ -279,7 +320,7 @@ def build_G(q, f):
     return MatrixSymbol(samples=_gradient_rows(q, z, t))
 
 
-def _closed_form_B_samples(q, params, zeta):
+def _closed_form_B_samples(q, params, N):
     """The displayed conjugation symbol of the projectivized conormal
     bundle along a centered disc: entries 1, zeta^2, zeta and first-row
     rationals in (a, w, A)."""
@@ -287,7 +328,7 @@ def _closed_form_B_samples(q, params, zeta):
     a = params.a
     w = params.w
     alpha = float(np.real(w.conj() @ A @ w))
-    N = zeta.shape[0]
+    zeta = circle_nodes(N)
     s = 2 * n + 1
     sig = 1.0 - a * zeta
     tau = 1.0 - np.conj(a) / zeta
@@ -306,98 +347,45 @@ def _closed_form_B_samples(q, params, zeta):
     return B
 
 
-def _closed_form_B_reduced(q, params):
-    """Index-equivalent Laurent polynomial for the closed-form symbol.
-
-    Left factor diag((1-a z)^2, 1, ..., 1) is invertible on the closed
-    disc, right factor diag(1, tau^2, tau, ..., tau) with
-    tau = 1 - conj(a)/z is invertible outside; both clear the
-    |1-a zeta|^2 denominators without moving any partial index, and
-    both have determinant winding zero.
-    """
-    n, A = q.n, q.A
-    a = params.a
-    ab = np.conj(a)
-    w = params.w
-    alpha = float(np.real(w.conj() @ A @ w))
-    s = 2 * n + 1
-    C = np.zeros((3, s, s), dtype=complex)
-    C[:, 0, 0] = [1.0, -2.0 * a, a**2]
-    C[:, 0, 1] = [0.0, 2.0 * alpha, -2.0 * alpha * a]
-    C[:, 0, 2] = [0.0, -2.0 * alpha, 0.0]
-    C[:, 1, 2] = [0.0, -ab, 1.0]
-    C[:, 2, 1] = [ab**2, -2.0 * ab, 1.0]
-    for j in range(1, n):
-        C[:, 0, 2 * j + 1] = [0.0, w[j - 1], -a * w[j - 1]]
-        C[:, 0, 2 * j + 2] = [-np.conj(w[j - 1]), a * np.conj(w[j - 1]), 0.0]
-        C[:, 2 * j + 1, 2 * j + 2] = [-ab, 1.0, 0.0]
-        C[:, 2 * j + 2, 2 * j + 1] = [-ab, 1.0, 0.0]
-    cands = (np.conj(a), 1.0 / a) if a != 0 else ()
-    return IndexEquivalentForm(laurent=LaurentMatrix(C, 0).trimmed(), candidate_roots=cands)
+def _gradient_B_samples(q, params, N):
+    """-conj(G)^{-1} G pointwise along the projectivized lift."""
+    lift = projectivize_lift(q, LiftParams(disc=params, b=1.0), N=N)
+    G = build_G(lift.quadric, lift).samples
+    return -np.linalg.solve(np.conj(G), G)
 
 
-def _gradient_reduced(q, params):
-    """Index-equivalent Laurent form for -conj(G)^{-1} G.
-
-    Scaling G by the disc factor (1 - a zeta) multiplies the symbol by
-    an index-zero scalar and makes the pair exactly rational with poles
-    only at conj(a) (inside) and 1/a (outside).  Multiplying by
-    [(1 - a zeta)(1 - conj(a)/zeta)]^m, itself an index-zero scalar,
-    clears those poles for a small m found adaptively; the interpolation
-    envelope certifies the clearing.
-    """
-    n = q.n
-    s = 2 * n + 1
-    a = params.a
-    Ns = 128
-    zeta = circle_nodes(Ns)
-    lift = projectivize_lift(q, LiftParams(disc=params, b=1.0), N=Ns)
-    fv = lift.values
-    G = _gradient_rows(q, fv[: n + 1].T, fv[n + 1 :].T)
-    Gs = (1.0 - a * zeta)[:, None, None] * G
-    conjGs = np.conj(Gs)
-    if np.abs(np.linalg.det(conjGs)).min() < DET_MIN:
-        raise SymbolSingularError("gradient matrix is singular on the circle")
-    V = -np.linalg.solve(conjGs, Gs)
-    clear = (1.0 - a * zeta) * (1.0 - np.conj(a) / zeta)
-    cands = (np.conj(a), 1.0 / a) if a != 0 else ()
-    last_err = None
-    for m in range(0, 2 * s + 3):
-        try:
-            # exact clearing leaves machine-level mass outside the envelope;
-            # a pole tail that is merely small cannot pass this gate before
-            # the true pole order is reached
-            lm = laurent_from_fft_samples(V, lo=-(m + 3), hi=m + 3, tol=1e-12)
-            return IndexEquivalentForm(laurent=lm, candidate_roots=cands)
-        except ApproximationError as err:
-            last_err = str(err)  # the exception's traceback would hold this frame
-        V = clear[:, None, None] * V
-    raise ApproximationError(f"could not clear the gradient symbol poles: {last_err}")
+SYMBOL_SOURCES = {"closed_form": _closed_form_B_samples, "gradient": _gradient_B_samples}
+# at pole 0 both symbols have degree <= 2; the other 13 modes certify it
+REDUCED_GRID = 16
 
 
 def build_B(q, params, source="closed_form", N=None):
     """Conjugation symbol along the centered disc with parameters params.
 
-    source "closed_form" emits the displayed matrix with its exact
-    cleared Laurent form; source "gradient" computes -conj(G)^{-1} G
-    pointwise from the defining equations, with an exact adjugate-based
-    index-equivalent form.
+    source "closed_form" emits the displayed matrix; source "gradient"
+    computes -conj(G)^{-1} G pointwise from the defining equations.  The
+    samples are those of the disc with pole a, so the Maslov index and
+    the index-sum check read the symbol itself.  The reduced form, for
+    either source, is the same symbol along the centered disc with pole
+    0 and direction w/|w|, which has the same partial indices: h o psi,
+    psi(zeta) = (zeta + conj(a))/(1 + a zeta), has z_a = v' + w' zeta
+    with w' = w/(1 - |a|^2) and v' = conj(a) w'; the Heisenberg
+    translation z -> z - v' of Q re-centers it, and a dilation of Q
+    scales w' to w/|w| (derivation at IndexEquivalentForm).  Its
+    Laurent form is interpolated from REDUCED_GRID samples, and the
+    envelope [0, 2] certifies it.
     """
     N = validate_grid(N or 256)
     if np.linalg.norm(params.v) != 0.0:
         raise InvalidParamsError("conjugation symbols assume a centered disc (v = 0)")
-    zeta = circle_nodes(N)
-    if source == "closed_form":
-        samples = _closed_form_B_samples(q, params, zeta)
-        return MatrixSymbol(samples=samples, reduced=_closed_form_B_reduced(q, params))
-    if source == "gradient":
-        lift = projectivize_lift(q, LiftParams(disc=params, b=1.0), N=N)
-        G = build_G(lift.quadric, lift)
-        conjG = np.conj(G.samples)
-        samples = -np.linalg.solve(conjG, G.samples)
-        reduced = _gradient_reduced(lift.quadric, lift.params)
-        return MatrixSymbol(samples=samples, reduced=reduced)
-    raise InvalidInputError(f"unknown source {source!r}")
+    sampled = SYMBOL_SOURCES.get(source)
+    if sampled is None:
+        raise InvalidInputError(f"unknown source {source!r}")
+    samples = sampled(q, params, N)
+    unit = params.w / np.linalg.norm(params.w)
+    at_zero = sampled(q, DiscParams(y0=params.y0, v=params.v, w=unit, a=0.0), REDUCED_GRID)
+    reduced = laurent_from_fft_samples(at_zero, lo=0, hi=2, tol=1e-12)
+    return MatrixSymbol(samples=samples, reduced=IndexEquivalentForm(reduced))
 
 
 # ---------------------------------------------------------------------------
@@ -525,39 +513,29 @@ def _extract_one_root(coeffs, root):
     return grown
 
 
-def _inside_det_roots(lm, candidate_roots):
-    """Interior determinant zeros (off the origin) with assignments.
+def _inside_det_roots(lm):
+    """Interior determinant zeros (off the origin), with multiplicity.
 
-    Zeros in the ambiguity band around the circle raise; far zeros and
-    zeros outside are irrelevant to the reduction (their polynomial
-    factor stays invertible on the closed disc and folds into the plus
-    factor).  Zeros matching a candidate are reported at the exact
-    candidate position: a high-multiplicity zero scatters its
-    eigenvalue cloud too widely for centroids.
+    Zeros in the ambiguity band around the circle raise; zeros outside
+    are irrelevant to the reduction (their polynomial factor stays
+    invertible on the closed disc and folds into the plus factor).
     """
     inner_cut, outer_cut = 0.999, 1.001
     dcoef, _dlo = _poly_trim(*laurent_det(lm))
     roots = _poly_roots(dcoef)
-    queue = []
     loose = []
     for r in roots:
-        host = None
-        for cand in candidate_roots:
-            if abs(cand) < 1.0 and abs(r - cand) <= 0.2 * max(1.0, abs(cand)):
-                host = cand
-                break
-        if host is not None:
-            queue.append(host)
-        elif abs(r) < inner_cut:
+        if abs(r) < inner_cut:
             loose.append(r)
         elif abs(r) <= outer_cut:
             raise FactorizationError("determinant root too close to the unit circle")
+    queue = []
     for center, mult in _cluster_roots(np.array(loose, dtype=complex), dcoef):
         queue.extend([center] * mult)
     return queue
 
 
-def _extract_det_roots(coeffs, lo, candidate_roots=()):
+def _extract_det_roots(coeffs, lo):
     """Push every interior determinant zero to the origin.
 
     The zeros are located and polished once per pass from the current
@@ -567,16 +545,15 @@ def _extract_det_roots(coeffs, lo, candidate_roots=()):
     for _pass in range(5):
         lm = LaurentMatrix(coeffs, lo).trimmed()
         coeffs, lo = lm.coeffs, lm.lo
-        queue = _inside_det_roots(lm, candidate_roots)
+        queue = _inside_det_roots(lm)
         if not queue:
             return coeffs, lo
         for center in queue:
             coeffs = _snap_columns(np.ascontiguousarray(coeffs))
             coeffs = _extract_one_root(coeffs, center)
         coeffs = _snap_columns(np.ascontiguousarray(coeffs))
-        candidate_roots = ()
     lm = LaurentMatrix(coeffs, lo).trimmed()
-    if _inside_det_roots(lm, ()):
+    if _inside_det_roots(lm):
         raise FactorizationError("interior determinant zeros survived extraction")
     return lm.coeffs, lm.lo
 
@@ -597,7 +574,7 @@ def _bottom_degrees(coeffs, lo, rel=SNAP_REL):
     return bots, betas
 
 
-def birkhoff_partial_indices(lm, candidate_roots=(), max_rounds=None):
+def birkhoff_partial_indices(lm, max_rounds=None):
     """Partial indices of a Laurent matrix polynomial, exactly.
 
     After interior-root extraction the determinant is c zeta^K times a
@@ -611,7 +588,7 @@ def birkhoff_partial_indices(lm, candidate_roots=(), max_rounds=None):
     remaining factor has unit-invertible values on the closed disc.
     """
     lm = lm.trimmed()
-    coeffs, lo = _extract_det_roots(lm.coeffs, lm.lo, candidate_roots)
+    coeffs, lo = _extract_det_roots(lm.coeffs, lm.lo)
     _dcoef, K = _poly_trim(*laurent_det(LaurentMatrix(coeffs, lo)), rel=1e-8)
     s = coeffs.shape[1]
     if max_rounds is None:
@@ -673,21 +650,21 @@ def partial_indices(symbol, defect_tol=1e-10, envelope=None):
     Uses, in order of preference: the index-equivalent reduced form,
     the exact Laurent form, or a defect-checked Fourier truncation of
     the samples.  The result always satisfies sum(kappa) = winding of
-    det(samples); a mismatch is an internal failure.
+    det(samples); a mismatch raises, and names the grid size, which a
+    symbol with a pole near the circle needs raised.
     """
-    candidates = ()
     if symbol.reduced is not None:
         lm = symbol.reduced.laurent
-        candidates = symbol.reduced.candidate_roots
     elif symbol.laurent is not None:
         lm = symbol.laurent
     else:
         lm = _truncate_symbol(symbol, defect_tol, envelope)
-    kappa = birkhoff_partial_indices(lm, candidates)
+    kappa = birkhoff_partial_indices(lm)
     wind = winding_number(symbol.det_samples())
     if int(kappa.sum()) != wind:
         raise FactorizationError(
-            f"partial index sum {int(kappa.sum())} != det winding {wind}"
+            f"partial index sum {int(kappa.sum())} != det winding {wind} on N={symbol.N} "
+            "samples; a pole near the circle needs a larger grid"
         )
     return PartialIndices.from_values(kappa)
 
@@ -823,7 +800,9 @@ def verify_reduction_chain(q, params, N=None, pointwise_tol=1e-8):
     constant or a minus-side diagonal factor (or permutes rows), none
     of which moves a partial index or the determinant winding; the
     chain must land exactly on the displayed closed-form symbol, and
-    the gradient-based and closed-form partial indices must agree.
+    the gradient-based and closed-form partial indices must agree.  The
+    chain runs at the pole a; the two index computations go through the
+    pole-0 forms of `build_B`.
     """
     N = validate_grid(N or 256)
     if np.linalg.norm(params.v) != 0.0:
@@ -910,7 +889,7 @@ def verify_reduction_chain(q, params, N=None, pointwise_tol=1e-8):
         raise ReductionMismatchError(
             f"index mismatch: gradient {kappa_grad} vs closed {kappa_closed}"
         )
-    bwind = winding_number(np.linalg.det(closed.samples))
+    bwind = winding_number(closed.det_samples())
     return ReductionReport(
         steps=steps,
         det_winding=int(bwind),

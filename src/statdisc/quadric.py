@@ -160,6 +160,8 @@ class PerturbedHypersurface:
     max_degree: int = 6
 
     def __post_init__(self):
+        if not np.isfinite(self.epsilon):
+            raise InvalidInputError(f"epsilon must be finite, got {self.epsilon}")
         d = 2 * (self.base.n + 1)
         powers = []
         coeffs = []

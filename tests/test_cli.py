@@ -198,6 +198,50 @@ class TestExecute:
         rep = json.loads(out)
         assert rep["total"] == 4 and len(rep["steps"]) == 6
 
+    def test_replay_n3_off_center_pole(self, capsys):
+        code, out, _ = run_main(capsys, "indices-replay", "--n", "3", "--a", "0.6",
+                                "--w", "1,0.5,0.2")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["kappa"] == [2, 1, 1, 1, 1, 1, 1] and rep["det_winding"] == 8
+
+    @pytest.mark.parametrize(
+        "args,detail",
+        [
+            (("disc-make", "--n", "-1"), "--n must be at least 1, got -1"),
+            (("solve", "--n", "1", "--modes", "0"), "--modes must be at least 1, got 0"),
+            (("solve", "--n", "1", "--grid", "0"),
+             "--grid 0: grid size must be a power of two, multiple of 4, >= 8"),
+            (("indicatrix", "--n", "1", "--count", "0"), "--count must be at least 1, got 0"),
+            (("indicatrix", "--n", "1", "--count", "-1"), "--count must be at least 1, got -1"),
+            (("transport", "--n", "1", "--z", "1+0.5j,1", "--theta", "nan"),
+             "--theta must be finite, got nan"),
+        ],
+        ids=["n-negative", "modes-0", "grid-0", "count-0", "count-negative", "theta-nan"],
+    )
+    def test_out_of_range_flag_is_a_usage_error(self, capsys, args, detail):
+        code, out, err = run_main(capsys, *args)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "usage", "detail": detail}
+
+    def test_config_file_numbers_are_checked(self, capsys, tmp_path):
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({"n": "x"}))
+        code, out, err = run_main(capsys, "disc-make", "--config", str(cfgfile))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "usage",
+            "detail": "bad numeric option: invalid literal for int() with base 10: 'x'",
+        }
+
+    def test_non_finite_epsilon_refused(self, capsys):
+        code, out, err = run_main(capsys, "solve", "--n", "1", "--a", "0.3", "--w", "1",
+                                  "--epsilon", "nan")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "InvalidInputError", "detail": "epsilon must be finite, got nan"
+        }
+
     def test_family_dim_subcommand(self):
         code, out, _ = run_cli(
             "family-dim", "--n", "1", "--a", "0.2", "--w", "1",

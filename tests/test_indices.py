@@ -136,7 +136,7 @@ class TestBuildB:
         assert np.abs(Bg.samples - expected).max() < 1e-12
 
     def test_gradient_pole_clearing_leaves_no_reference_cycles(self):
-        # a != 0: the adaptive clearing fails at low orders before it succeeds
+        # a != 0: samples at the pole a, the reduced form from pole 0
         p = DiscParams(y0=0.0, v=[0], w=[1], a=0.5 + 0.2j)
         build_B(SPHERE, p, source="gradient")  # first-call caches
         gc.collect()
@@ -191,6 +191,42 @@ class TestPartialIndices:
         pi = partial_indices(B)
         assert pi == oracle
         assert all(k >= 0 for k in pi.kappa) and pi.total == 4
+
+    @pytest.mark.parametrize("source", ["closed_form", "gradient"])
+    @pytest.mark.parametrize("r", [0.6, 0.75])
+    def test_pole_a_against_toeplitz_oracle(self, r, source):
+        # the reduced form comes from pole 0; the oracle reads the samples at
+        # pole a.  Fixed models, A of both signs: the brute-force oracle
+        # abstains ("no clear singular gap") on some random models at these
+        # |a|, and a test that skips its abstentions could check nothing
+        for n in (1, 2, 3):
+            q = Hyperquadric(n=n, A=np.diag([(-1.0) ** j for j in range(n)]))
+            p = DiscParams(y0=0.0, v=np.zeros(n), w=[1.0, 0.5, 0.2][:n], a=r * np.exp(1j))
+            B = build_B(q, p, source=source)
+            assert partial_indices(B) == toeplitz_kernel_indices(B, order=64)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_sources_agree_near_the_circle(self, n, rng):
+        # at |a| = 0.9 the order-64 oracle has no singular gap; the index sum
+        # is checked against the det winding of the samples at pole a
+        for _ in range(3):
+            q = random_hermitian_quadric(rng, n)
+            w = rng.normal(size=n) + 1j * rng.normal(size=n)
+            p = DiscParams(y0=0.0, v=np.zeros(n), w=w, a=0.9 * np.exp(2j * np.pi * rng.random()))
+            closed = build_B(q, p, source="closed_form")
+            kappa = partial_indices(closed)
+            assert kappa.total == maslov_index(closed) == 2 * n + 2
+            assert partial_indices(build_B(q, p, source="gradient")) == kappa
+
+    @pytest.mark.parametrize("r", [0.999, 1.0 - 1e-10])
+    def test_closed_form_up_to_the_domain_edge(self, r):
+        # the pole-0 form uses w/|w|: with w/(1 - |a|^2) its entries span
+        # 1e20 at the edge and the column reduction fails
+        for n in (1, 2, 3):
+            q = Hyperquadric(n=n, A=np.diag([(-1.0) ** j for j in range(n)]))
+            p = DiscParams(y0=0.0, v=np.zeros(n), w=[1.0, 0.5, 0.2][:n], a=r * np.exp(1j))
+            B = build_B(q, p, source="closed_form")
+            assert partial_indices(B).total == maslov_index(B) == 2 * n + 2
 
     def test_random_instances_nonnegative_sum(self, rng):
         for _ in range(10):

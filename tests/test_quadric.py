@@ -203,6 +203,11 @@ class TestPerturbation:
             for name in ("eval_rho_many", "grad_rho_many", "hess_s_many"):
                 assert np.array_equal(getattr(stage, name)(z), getattr(fresh, name)(z))
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_epsilon(self, eps):
+        with pytest.raises(InvalidInputError, match="epsilon must be finite"):
+            PerturbedHypersurface(base=SPHERE, epsilon=eps, terms={(0, 0, 4, 0): 1.0})
+
     def test_real_coordinate_layout(self):
         z = np.array([1 + 2j, 3 - 4j])
         assert np.allclose(z_to_real_coords(z), [1, 2, 3, -4])

@@ -6,7 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from statdisc import DiscParams, Hyperquadric, PerturbedHypersurface, SolveConfig, rh_solver
+from statdisc import (
+    DiscParams,
+    Hyperquadric,
+    PerturbedHypersurface,
+    SolveConfig,
+    indices,
+    rh_solver,
+)
 from statdisc.errors import NoConvergenceError
 
 
@@ -34,6 +41,26 @@ def test_tracer_hooks_resolve(tracing):
                  "rh_solver.family_dimension", "quadric.kernel"):
         assert name in names, name
     assert not hasattr(rh_solver.solve_with_homotopy, "__wrapped__")
+
+
+def test_indices_hooks_resolve(tracing):
+    q = Hyperquadric(n=2, A=np.diag([1.0, -1.0]))
+    p = DiscParams(y0=0.0, v=[0.0, 0.0], w=[1.0, 0.5], a=0.4 + 0.2j)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for source in ("closed_form", "gradient"):  # by position: the tracer reads args[2]
+            indices.partial_indices(indices.build_B(q, p, source))
+        indices.verify_reduction_chain(q, p)
+    finally:
+        tracer.uninstall()
+    names = {span[tracing.NAME] for span in tracer.spans}
+    for name in ("indices.build_B.closed_form", "indices.build_B.gradient",
+                 "indices.partial_indices", "indices.birkhoff", "indices.root_extraction",
+                 "indices.verify_reduction_chain"):
+        assert name in names, name
+    assert not any(span[tracing.ERROR] for span in tracer.spans)
+    assert not hasattr(indices.build_B, "__wrapped__")
 
 
 def test_refused_homotopy_records_one_failed_solve(tracing):
