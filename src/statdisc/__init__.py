@@ -4,61 +4,80 @@ Construction and inversion of the closed-form disc family, regular
 lifts and their Hilbert-transform realization, boundary matrix symbols
 with exact Birkhoff partial indices and the Maslov index, and Newton
 continuation of the family onto perturbed hypersurfaces.
+
+`import statdisc` loads none of the submodules: reading a public name
+looks it up in `_EXPORTS` (PEP 562 `__getattr__`) and imports only its
+submodule.  The result is not stored here, so `statdisc.X` is always the
+submodule's current `X`, also while a test or the benchmark's tracer
+has replaced it.
 """
 
-from .boundary_analysis import (
-    BoundaryFunction,
-    circle_nodes,
-    construct_regular_lift,
-    fourier,
-    hilbert_transform,
-    holomorphic_defect,
-    synth,
-    winding_number,
-)
-from .disc import (
-    Disc,
-    DiscParams,
-    GluingReport,
-    LiftParams,
-    closed_form_lift,
-    disc_through,
-    invert_disc,
-    make_disc,
-    projectivize_lift,
-    verify_gluing,
-)
-from .indices import (
-    LaurentMatrix,
-    MatrixSymbol,
-    PartialIndices,
-    birkhoff_partial_indices,
-    build_B,
-    build_G,
-    maslov_index,
-    partial_indices,
-    toeplitz_kernel_indices,
-    verify_reduction_chain,
-)
-from .quadric import (
-    Hyperquadric,
-    PerturbedHypersurface,
-    PointEval,
-    exists_disc_centered,
-    satisfies_condition_star,
-)
-from .rh_solver import (
-    GluedDisc,
-    SolveConfig,
-    center_map_jacobians,
-    family_dimension,
-    indicatrix_sample,
-    solve_glued_disc,
-    solve_with_homotopy,
-    transport_jet,
-)
+import importlib
+
+# every submodule needs numpy, and the benchmark reads numpy's share of
+# `import statdisc` from the `-X importtime` tree of this import
+import numpy  # noqa: F401
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "boundary_analysis": (
+            "BoundaryFunction",
+            "circle_nodes",
+            "construct_regular_lift",
+            "fourier",
+            "hilbert_transform",
+            "holomorphic_defect",
+            "synth",
+            "winding_number",
+        ),
+        "disc": (
+            "Disc",
+            "DiscParams",
+            "GluingReport",
+            "LiftParams",
+            "closed_form_lift",
+            "disc_through",
+            "invert_disc",
+            "make_disc",
+            "projectivize_lift",
+            "verify_gluing",
+        ),
+        "indices": (
+            "LaurentMatrix",
+            "MatrixSymbol",
+            "PartialIndices",
+            "birkhoff_partial_indices",
+            "build_B",
+            "build_G",
+            "maslov_index",
+            "partial_indices",
+            "toeplitz_kernel_indices",
+            "verify_reduction_chain",
+        ),
+        "quadric": (
+            "Hyperquadric",
+            "PerturbedHypersurface",
+            "exists_disc_centered",
+            "satisfies_condition_star",
+        ),
+        "rh_solver": (
+            "GluedDisc",
+            "SolveConfig",
+            "center_map_jacobians",
+            "family_dimension",
+            "indicatrix_sample",
+            "solve_glued_disc",
+            "solve_with_homotopy",
+            "transport_jet",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted([*_EXPORTS, "kernel_backend"])
 
 
 def kernel_backend():
@@ -66,47 +85,13 @@ def kernel_backend():
     return "numpy"
 
 
-__all__ = [
-    "BoundaryFunction",
-    "Disc",
-    "DiscParams",
-    "GluedDisc",
-    "GluingReport",
-    "Hyperquadric",
-    "LaurentMatrix",
-    "LiftParams",
-    "MatrixSymbol",
-    "PartialIndices",
-    "PerturbedHypersurface",
-    "PointEval",
-    "SolveConfig",
-    "birkhoff_partial_indices",
-    "build_B",
-    "build_G",
-    "center_map_jacobians",
-    "circle_nodes",
-    "closed_form_lift",
-    "construct_regular_lift",
-    "disc_through",
-    "exists_disc_centered",
-    "family_dimension",
-    "fourier",
-    "hilbert_transform",
-    "holomorphic_defect",
-    "indicatrix_sample",
-    "invert_disc",
-    "kernel_backend",
-    "make_disc",
-    "maslov_index",
-    "partial_indices",
-    "projectivize_lift",
-    "satisfies_condition_star",
-    "solve_glued_disc",
-    "solve_with_homotopy",
-    "synth",
-    "toeplitz_kernel_indices",
-    "transport_jet",
-    "verify_gluing",
-    "verify_reduction_chain",
-    "winding_number",
-]
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        # also the fall-through of `from statdisc import <submodule>`
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return __all__

@@ -27,16 +27,11 @@ from .disc import (
     verify_gluing,
 )
 from .errors import InvalidInputError, StatdiscError, UsageError
-from .indices import build_B, maslov_index, partial_indices, verify_reduction_chain
 from .quadric import Hyperquadric, PerturbedHypersurface
-from .rh_solver import (
-    SolveConfig,
-    center_map_jacobians,
-    family_dimension,
-    indicatrix_sample,
-    solve_with_homotopy,
-    transport_jet,
-)
+
+# Module level holds only what every subcommand runs.  A handler that
+# needs `indices` or `rh_solver` imports it in its own body, so a process
+# compiles and loads only the modules of the subcommand it runs.
 
 # ---------------------------------------------------------------------------
 # canonical output
@@ -132,51 +127,75 @@ def _parse_point(text):
 
 
 def _build_parser():
+    """The parser, and dest -> argparse action of each option of a subcommand."""
     ap = argparse.ArgumentParser(
         prog="statdisc",
         description="Stationary discs on hyperquadrics: construction, lifts, "
         "boundary-symbol indices, and Newton continuation.",
     )
+    # every subcommand takes the same options
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file with option defaults")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    common.add_argument("--grid", type=int, help="circle grid size override")
-    common.add_argument("--modes", type=int, help="Fourier truncation for solves")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--output", help="write the artifact to a path instead of stdout")
+    actions = {}
+
+    def opt(*flags, **kw):
+        action = common.add_argument(*flags, **kw)
+        actions[action.dest] = action
+
+    opt("--config", help="JSON file with option defaults")
+    opt("--seed", type=int, default=0, help="seed for randomized suites")
+    opt("--grid", type=int, help="circle grid size override")
+    opt("--modes", type=int, help="Fourier truncation for solves")
+    opt("--format", choices=("json", "csv"), default="json")
+    opt("--output", help="write the artifact to a path instead of stdout")
+    opt("--n", type=int, default=1)
+    opt("--A", help="JSON file with the model {n, A} (or full input)")
+    opt("--a", default="0", help="pole parameter, complex literal")
+    opt("--w", default="1", help="comma-separated complex vector")
+    opt("--v", help="comma-separated complex vector (default 0)")
+    opt("--y0", type=float, default=0.0)
+    opt("--b", type=float, default=1.0)
+    opt("--p0", default="1", help="center first coordinate")
+    opt("--z", help="comma-separated target point")
+    opt("--epsilon", type=float, default=0.0)
+    opt("--term", action="append", default=[],
+        help="perturbation monomial as 'i0,i1,...:coeff'")
+    opt("--input", help="input file (JSON or CSV, per subcommand)")
+    opt("--count", type=int, default=16)
+    opt("--pin-center", action="store_true")
+    opt("--source", default="closed_form", choices=("closed_form", "gradient"))
+    opt("--theta", type=float, default=0.0,
+        help="rotation angle for the transport differential")
     sub = ap.add_subparsers(dest="subcommand")
-
-    def add(name, **kw):
-        p = sub.add_parser(name, parents=[common], **kw)
-        p.add_argument("--n", type=int, default=1)
-        p.add_argument("--A", help="JSON file with the model {n, A} (or full input)")
-        p.add_argument("--a", default="0", help="pole parameter, complex literal")
-        p.add_argument("--w", default="1", help="comma-separated complex vector")
-        p.add_argument("--v", help="comma-separated complex vector (default 0)")
-        p.add_argument("--y0", type=float, default=0.0)
-        p.add_argument("--b", type=float, default=1.0)
-        p.add_argument("--p0", default="1", help="center first coordinate")
-        p.add_argument("--z", help="comma-separated target point")
-        p.add_argument("--epsilon", type=float, default=0.0)
-        p.add_argument("--term", action="append", default=[],
-                       help="perturbation monomial as 'i0,i1,...:coeff'")
-        p.add_argument("--input", help="input file (JSON or CSV, per subcommand)")
-        p.add_argument("--count", type=int, default=16)
-        p.add_argument("--pin-center", action="store_true")
-        p.add_argument("--source", default="closed_form",
-                       choices=("closed_form", "gradient"))
-        p.add_argument("--theta", type=float, default=0.0,
-                       help="rotation angle for the transport differential")
-        return p
-
     for name in HANDLERS:
-        add(name)
-    return ap
+        sub.add_parser(name, parents=[common])
+    return ap, actions
+
+
+def _config_value(action, key, value):
+    """A config-file value, converted as its flag's command-line text would be."""
+    if action.nargs == 0:  # --pin-center
+        if not isinstance(value, bool):
+            raise UsageError(f"config key {key!r} must be true or false, got {value!r}")
+        return value
+    if isinstance(action.default, list):  # --term, one string per flag
+        if not (isinstance(value, list) and all(isinstance(t, str) for t in value)):
+            raise UsageError(f"config key {key!r} must be a list of strings, got {value!r}")
+        return value
+    if action.type is not None:
+        try:
+            return action.type(str(value))
+        except ValueError as exc:
+            raise UsageError(f"bad numeric option: {exc}")
+    if not isinstance(value, str):
+        raise UsageError(f"config key {key!r} must be a string, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise UsageError(f"config key {key!r} must be one of {list(action.choices)}, got {value!r}")
+    return value
 
 
 def parse_config(argv):
     """argv -> RunConfig; flags override config-file values."""
-    ap = _build_parser()
+    ap, actions = _build_parser()
     try:
         ns = ap.parse_args(argv)
     except SystemExit as exc:
@@ -193,13 +212,13 @@ def parse_config(argv):
             raise UsageError(f"cannot read config file: {exc}")
         if not isinstance(defaults, dict):
             raise UsageError("config file must hold a JSON object")
-        unknown = set(defaults) - set(options)
+        unknown = set(defaults) - (set(actions) - {"config"})
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        # command line wins: only fill values the user left at defaults
-        sentinel = vars(ap.parse_args([ns.subcommand]))
         for k, v in defaults.items():
-            if k in options and options[k] == sentinel.get(k):
+            v = _config_value(actions[k], k, v)
+            # command line wins: only fill values the user left at defaults
+            if options[k] == actions[k].default:
                 options[k] = v
     sub = options.pop("subcommand")
     return RunConfig(subcommand=sub, options=options)
@@ -247,18 +266,14 @@ def _disc_params(opt, n):
 
 def _check_options(opt):
     """Usage errors for out-of-range numeric flags, before any array is built."""
-    try:  # config-file values arrive unconverted
-        counts = {k: int(opt[k]) for k in ("n", "modes", "count") if opt.get(k) is not None}
-        theta = float(opt["theta"])
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad numeric option: {exc}")
+    counts = {k: opt[k] for k in ("n", "modes", "count") if opt.get(k) is not None}
     if opt.get("A"):
         counts.pop("n", None)
     for key, value in counts.items():
         if value < 1:
             raise UsageError(f"--{key} must be at least 1, got {value}")
-    if not np.isfinite(theta):
-        raise UsageError(f"--theta must be finite, got {theta}")
+    if not np.isfinite(opt["theta"]):
+        raise UsageError(f"--theta must be finite, got {opt['theta']}")
 
 
 def _grid(opt):
@@ -271,6 +286,8 @@ def _grid(opt):
 
 
 def _solve_config(opt):
+    from .rh_solver import SolveConfig
+
     kw = {}
     if opt.get("grid") is not None:
         kw["N"] = int(opt["grid"])
@@ -294,6 +311,8 @@ def _required(opt, key, sub):
 
 def _homotopy_solve(opt, m):
     """Newton continuation from the closed-form disc; --pin-center fixes (p0, 0, ...)."""
+    from .rh_solver import solve_with_homotopy
+
     params, scfg = _disc_params(opt, m.n), _solve_config(opt)
     pin = None
     if opt.get("pin_center"):
@@ -364,11 +383,15 @@ def _verify(opt, m, N):
 
 
 def _indices_maslov(opt, m, N):
+    from .indices import build_B, maslov_index
+
     B = build_B(m.base, _disc_params(opt, m.n), source=opt["source"], N=N)
     return canonical_json({"kappa_total": maslov_index(B), "n": m.n, "expected": 2 * m.n + 2}) + "\n"
 
 
 def _indices_partial(opt, m, N):
+    from .indices import build_B, maslov_index, partial_indices
+
     B = build_B(m.base, _disc_params(opt, m.n), source=opt["source"], N=N)
     out = partial_indices(B).to_json()
     out["det_winding"] = maslov_index(B)
@@ -376,6 +399,8 @@ def _indices_partial(opt, m, N):
 
 
 def _indices_replay(opt, m, N):
+    from .indices import verify_reduction_chain
+
     rep = verify_reduction_chain(m.base, _disc_params(opt, m.n), N=N)
     return canonical_json(rep.to_json()) + "\n"
 
@@ -385,6 +410,8 @@ def _solve(opt, m, N):
 
 
 def _family_dim(opt, m, N):
+    from .rh_solver import family_dimension
+
     sol, scfg = _homotopy_solve(opt, m)
     fd = family_dimension(m, sol, scfg)
     return canonical_json(
@@ -397,6 +424,8 @@ def _family_dim(opt, m, N):
 
 
 def _jacobians(opt, m, N):
+    from .rh_solver import center_map_jacobians
+
     cm = center_map_jacobians(m, _parse_complex(opt["p0"]), _solve_config(opt))
     return canonical_json(
         {
@@ -409,6 +438,8 @@ def _jacobians(opt, m, N):
 
 
 def _indicatrix(opt, m, N):
+    from .rh_solver import indicatrix_sample
+
     scfg = _solve_config(opt)
     pts = indicatrix_sample(
         m, _parse_complex(opt["p0"]), int(opt["count"]), scfg, seed=int(opt["seed"])
@@ -436,6 +467,8 @@ def _indicatrix(opt, m, N):
 
 
 def _transport(opt, m, N):
+    from .rh_solver import transport_jet
+
     z = _parse_point(_required(opt, "z", "transport"))
     scfg = _solve_config(opt)
     th = float(opt["theta"])

@@ -39,6 +39,9 @@ from .quadric import Hyperquadric, PerturbedHypersurface, satisfies_condition_st
 
 A_INTERIOR_MARGIN = 1e-10
 GLUING_TOL = 1e-10
+# multiple of the closed form's rounding floor that the gluing check admits
+# (exact discs measured up to 3.2 times it, n <= 6, |a| <= 1 - 1e-10)
+GLUING_ROUNDING = 8.0
 
 
 def _pair(z):
@@ -135,10 +138,28 @@ class Disc:
         self._wAw = float(np.real(w.conj() @ A @ w))
         self._x = self._wAw / (1.0 - abs(a) ** 2)
         if check:
-            res = float(np.abs(quadric.eval_r_many(self.boundary(256).T)).max())
+            nodes = circle_nodes(256)
+            h = self.at(nodes)
+            res = float(np.abs(quadric.eval_r_many(h)).max())
             bound = GLUING_TOL * (1.0 + params.norm() ** 2)
-            if res > bound:
-                raise InvalidParamsError(f"gluing residual {res} exceeds {bound}")
+            if res > bound:  # near the circle the rounding floor is the larger term
+                bound += GLUING_ROUNDING * self._rounding_floor(nodes, h)
+                if res > bound:
+                    raise InvalidParamsError(f"gluing residual {res} exceeds {bound}")
+
+    def _rounding_floor(self, nodes, h):
+        """Rounding error of r on the samples h = self.at(nodes).
+
+        Re h0 is the real part of x (1 + a zeta)/(1 - a zeta), that is
+        x (1 - |a|^2)/|1 - a zeta|^2, so it carries an error of about
+        u |x|/|1 - a zeta|^2, a relative u/(1 - |a|^2); z_a^* A z_a adds
+        u |A| |z_a|^2.
+        """
+        u = np.finfo(float).eps / 2
+        return u * (
+            abs(self._x) / float(np.min(np.abs(1.0 - self.params.a * nodes))) ** 2
+            + np.linalg.norm(self.quadric.A) * float(np.max(np.sum(np.abs(h[:, 1:]) ** 2, axis=1)))
+        )
 
     def at(self, zeta):
         """h(zeta) on the closed disc; shape (..., n+1)."""

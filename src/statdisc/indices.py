@@ -21,8 +21,8 @@ The index sum is always checked against the determinant winding of
 the samples.  That check is the limit near the circle.  The closed
 form passes it up to |a| = 1 - 1e-10.  For the gradient source the
 256-point winding misses the pole from about |a| = 0.95 (n >= 2; 0.9 at
-n = 6), and a larger grid resolves it (4096 points at 0.99, n = 3);
-from |a| = 0.999 the gluing check of the disc refuses the lift first.
+n = 6) and from 0.999 at every n; a larger grid resolves it (4096
+points at 0.99, n = 3).
 A truncated block Toeplitz kernel count serves as an independent test
 oracle, never as the primary path.
 """

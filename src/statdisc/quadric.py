@@ -127,15 +127,6 @@ class Hyperquadric:
         return cls(n=n, A=flat.reshape(n, n))
 
 
-@dataclass(frozen=True)
-class PointEval:
-    """Defining function and gradient at one ambient point."""
-
-    z: np.ndarray
-    value: float
-    gradient: np.ndarray
-
-
 def z_to_real_coords(z):
     """(...,n+1) complex -> (...,2n+2) real: (Re z0, Im z0, Re z1, ...)."""
     z = np.asarray(z, dtype=complex)
@@ -261,29 +252,6 @@ class PerturbedHypersurface:
         combos = combinations_with_replacement(range(d), order)
         betas = [np.bincount(c, minlength=d) for c in combos]
         return _kernels.stack_derivatives(self._powers, self._coeffs, betas)
-
-    def point_eval(self, z):
-        z = _as_complex_vector(z, self.n + 1)
-        return PointEval(z=z, value=self.eval_rho(z), gradient=self.grad_rho(z))
-
-    def c3_size(self, radius=1.0, samples=512, seed=0):
-        """Sampled C^3 size of eps*s on the real ball of given radius.
-
-        Maximum of |d^beta (eps s)| over all |beta| <= 3 and a seeded
-        sample of the ball (plus its center). Finite by construction.
-        """
-        if self._is_pure_quadric():
-            return 0.0
-        d = 2 * (self.n + 1)
-        rng = np.random.default_rng(seed)
-        pts = rng.normal(size=(samples, d))
-        pts *= (radius * rng.random(samples) ** (1.0 / d) / np.linalg.norm(pts, axis=1))[:, None]
-        pts = np.vstack([np.zeros(d), pts])
-        best = 0.0
-        for order in range(4):
-            vals = _kernels.poly_eval(pts, *self._derivative_stack(order))
-            best = max(best, float(np.abs(vals).max(initial=0.0)))
-        return abs(self.epsilon) * best
 
     def to_json(self):
         obj = self.base.to_json()

@@ -32,6 +32,14 @@ def random_disc_params(rng, n, a_max=0.6, centered=False):
     return DiscParams(y0=float(rng.normal()), v=v, w=w, a=a)
 
 
+def edge_pole(r, phase):
+    """a = r e^{i phase}, rounded inward so that |a| <= 1 - 1e-10 holds in floating point."""
+    a = complex(r * np.exp(1j * phase))
+    while abs(a) > 1.0 - 1e-10:
+        a = complex(np.nextafter(a.real, 0.0), np.nextafter(a.imag, 0.0))
+    return a
+
+
 def lift_zero_modulus(q, params):
     """|zeta*| where zeta * h*_n of the closed-form lift vanishes.
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from statdisc import cli
 from statdisc.cli import canonical_json, parse_config
 from statdisc.errors import DimensionAmbiguousError, UsageError
+
+from conftest import edge_pole
 
 
 def run_cli(*args):
@@ -44,6 +47,14 @@ class TestParse:
         cfgfile = tmp_path / "run.json"
         cfgfile.write_text(json.dumps({"nonsense": 1}))
         with pytest.raises(UsageError):
+            parse_config(["indices-maslov", "--config", str(cfgfile)])
+
+
+    def test_config_cannot_name_the_subcommand(self, tmp_path):
+        # a config file fills options; it does not choose what runs
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({"subcommand": "solve"}))
+        with pytest.raises(UsageError, match="unknown config keys"):
             parse_config(["indices-maslov", "--config", str(cfgfile)])
 
 
@@ -234,6 +245,36 @@ class TestExecute:
             "detail": "bad numeric option: invalid literal for int() with base 10: 'x'",
         }
 
+    @pytest.mark.parametrize(
+        "config,detail",
+        [
+            ({"epsilon": "x"}, "bad numeric option: could not convert string to float: 'x'"),
+            ({"grid": "x"}, "bad numeric option: invalid literal for int() with base 10: 'x'"),
+            ({"a": 0.3}, "config key 'a' must be a string, got 0.3"),
+            ({"w": 1}, "config key 'w' must be a string, got 1"),
+            ({"term": "0,0,4,0:1"}, "config key 'term' must be a list of strings, got '0,0,4,0:1'"),
+            ({"pin_center": 1}, "config key 'pin_center' must be true or false, got 1"),
+        ],
+        ids=["epsilon", "grid", "a", "w", "term", "pin_center"],
+    )
+    def test_config_file_values_take_their_flag_types(self, capsys, tmp_path, config, detail):
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps(config))
+        code, out, err = run_main(capsys, "disc-make", "--config", str(cfgfile))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "usage", "detail": detail}
+
+    def test_typed_config_file_matches_the_flags(self, capsys, tmp_path):
+        config = {"n": 1, "a": "0.3", "w": "1", "epsilon": 1e-3, "term": ["0,0,4,0:1.0"],
+                  "pin_center": True, "p0": "1.5", "grid": 128, "modes": 32}
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps(config))
+        from_file = run_main(capsys, "solve", "--config", str(cfgfile))
+        from_flags = run_main(capsys, "solve", "--n", "1", "--a", "0.3", "--w", "1",
+                              "--epsilon", "1e-3", "--term", "0,0,4,0:1.0", "--pin-center",
+                              "--p0", "1.5", "--grid", "128", "--modes", "32")
+        assert from_file[0] == 0 and from_file == from_flags
+
     def test_non_finite_epsilon_refused(self, capsys):
         code, out, err = run_main(capsys, "solve", "--n", "1", "--a", "0.3", "--w", "1",
                                   "--epsilon", "nan")
@@ -262,6 +303,16 @@ BOUNDARY_HEADER = "k,theta,component_0_re,component_0_im,component_1_re,componen
 
 
 class TestSubcommands:
+    @pytest.mark.parametrize("r", [0.999, 1 - 1e-10])
+    @pytest.mark.parametrize("sub", ["disc-make", "lift"])
+    def test_closed_form_answers_near_the_circle(self, capsys, sub, r):
+        for n, phase in product((1, 2, 3), (0.0, 1.0)):
+            a = edge_pole(r, phase)
+            w = ",".join(["1", "0.5", "0.2"][:n])
+            code, out, err = run_main(capsys, sub, "--n", str(n), "--w", w, f"--a={a!r}")
+            assert (code, err) == (0, "")
+            assert json.loads(out)
+
     def test_lift_json(self, capsys):
         code, out, _ = run_main(capsys, "lift", "--n", "1", "--a", "0.3", "--w", "1")
         assert code == 0

@@ -1,7 +1,10 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from statdisc import (
+    Disc,
     DiscParams,
     Hyperquadric,
     LiftParams,
@@ -20,7 +23,7 @@ from statdisc.errors import (
     PoleError,
 )
 
-from conftest import random_disc_params, random_hermitian_quadric
+from conftest import edge_pole, random_disc_params, random_hermitian_quadric
 
 SPHERE = Hyperquadric(n=1, A=np.array([[1.0]]))
 ONE = np.array(1.0 + 0.0j)
@@ -42,6 +45,24 @@ class TestParams:
             and np.array_equal(p2.w, p.w)
             and p2.a == p.a
         )
+
+
+EDGE_W = np.array([1.0, 0.5, 0.2])
+EDGE_MODELS = [
+    np.diag(s) for s in ([1.0], [1.0, 1.0], [1.0, -1.0], [1.0, 1.0, 1.0], [-1.0, 1.0, 1.0])
+]
+
+
+def _scaled_w_disc(q, p, delta):
+    """The closed form of p with w scaled by 1 + delta in z_a only: not glued to q."""
+
+    class ScaledW(Disc):
+        def at(self, zeta):
+            out = super().at(zeta)
+            out[..., 1:] += delta * (out[..., 1:] - self.params.v)
+            return out
+
+    return ScaledW(q, p)
 
 
 class TestMakeDisc:
@@ -72,6 +93,30 @@ class TestMakeDisc:
             d = make_disc(q, p)
             res = np.abs(q.eval_r_many(d.boundary(256).T)).max()
             assert res < 1e-10 * (1 + p.norm() ** 2)
+
+    @pytest.mark.parametrize("r", [0.0, 0.6, 0.9, 0.99, 0.999, 1 - 1e-6, 1 - 1e-8, 1 - 1e-9])
+    def test_gluing_check_refuses_a_scaled_w(self, r):
+        # the rounding floor of the check admits the exact disc near the
+        # circle but not one whose z_a is (1 + 1e-6) times too long
+        for A, phase in product(EDGE_MODELS, (0.0, 1.0)):
+            n = A.shape[0]
+            q = Hyperquadric(n=n, A=A)
+            p = DiscParams(y0=0.1, v=np.zeros(n), w=EDGE_W[:n], a=edge_pole(r, phase))
+            Disc(q, p)
+            with pytest.raises(InvalidParamsError, match="gluing residual"):
+                _scaled_w_disc(q, p, 1e-6)
+
+    def test_gluing_check_resolution_at_the_domain_edge(self):
+        # at |a| = 1 - 1e-10, Re h0 carries a relative rounding error of
+        # about u/(1 - |a|^2) ~ 6e-7, as large as the change that a 1e-6
+        # scaling of w makes: the check resolves errors of w from about 1e-5
+        for A, phase in product(EDGE_MODELS, (0.0, 1.0)):
+            n = A.shape[0]
+            q = Hyperquadric(n=n, A=A)
+            p = DiscParams(y0=0.1, v=np.zeros(n), w=EDGE_W[:n], a=edge_pole(1 - 1e-10, phase))
+            Disc(q, p)
+            with pytest.raises(InvalidParamsError, match="gluing residual"):
+                _scaled_w_disc(q, p, 1e-5)
 
     def test_center_criterion(self, rng):
         # h(0) on the quadric exactly when the w-form vanishes

@@ -1,4 +1,3 @@
-from itertools import product
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from statdisc import (
     exists_disc_centered,
     satisfies_condition_star,
 )
-from statdisc._kernels import derive_poly, poly_eval
 from statdisc.errors import InvalidInputError
 from statdisc.quadric import z_to_real_coords
 
@@ -42,21 +40,6 @@ def random_sextic(rng, q, terms=12):
             mi[rng.integers(d)] += 1
         poly[tuple(mi)] = rng.normal()
     return PerturbedHypersurface(base=q, epsilon=1.0, terms=poly)
-
-
-def c3_size_reference(m, radius=1.0, samples=512, seed=0):
-    """c3_size with one derive_poly + poly_eval pair per multi-index."""
-    d = 2 * (m.n + 1)
-    rng = np.random.default_rng(seed)
-    pts = rng.normal(size=(samples, d))
-    pts *= (radius * rng.random(samples) ** (1.0 / d) / np.linalg.norm(pts, axis=1))[:, None]
-    pts = np.vstack([np.zeros(d), pts])
-    best = 0.0
-    for beta in product(range(4), repeat=d):
-        if sum(beta) <= 3:
-            powers, coeffs = derive_poly(m._powers, m._coeffs, np.array(beta))
-            best = max(best, float(np.abs(poly_eval(pts, powers, coeffs)).max()))
-    return abs(m.epsilon) * best
 
 
 class TestEvalR:
@@ -156,19 +139,6 @@ class TestPerturbation:
         vab = PerturbedHypersurface(base=q, epsilon=0.7, terms=terms).eval_rho(z)
         assert abs((va - r0) + (vb - r0) - (vab - r0)) < 1e-14 * (1 + abs(vab))
 
-    def test_c3_size_finite_and_scales(self):
-        m1 = PerturbedHypersurface(base=SPHERE, epsilon=1e-3, terms={(0, 0, 4, 0): 1.0})
-        m2 = PerturbedHypersurface(base=SPHERE, epsilon=2e-3, terms={(0, 0, 4, 0): 1.0})
-        s1, s2 = m1.c3_size(), m2.c3_size()
-        assert np.isfinite(s1) and s1 > 0
-        assert s2 == pytest.approx(2 * s1)
-
-    def test_c3_size_matches_per_multi_index_loop(self, rng):
-        m = random_sextic(rng, random_hermitian_quadric(rng, 2))
-        ref = c3_size_reference(m, radius=1.5)
-        assert ref > 0
-        assert abs(m.c3_size(radius=1.5) - ref) <= 1e-12 * ref
-
     def test_hessian_matches_gradient_differences(self, rng):
         q = random_hermitian_quadric(rng, 2)
         m = random_sextic(rng, q)
@@ -222,12 +192,6 @@ class TestPerturbation:
         assert np.allclose(m2.base.A, m.base.A)
         assert m2.epsilon == m.epsilon
         assert m2.terms == m.terms
-
-    def test_point_eval_matches_closed_form_on_quadric(self):
-        m = PerturbedHypersurface(base=SPHERE)
-        pe = m.point_eval([1.0, 1.0])
-        assert pe.value == 0.0
-        assert np.array_equal(pe.gradient, SPHERE.grad_r([1.0, 1.0]))
 
 
 def brute_force_exists(q, x0, rng, samples=10_000):

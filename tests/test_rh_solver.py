@@ -580,6 +580,28 @@ class TestTransport:
         assert np.array_equal(tgt.center(), pin)
         assert np.abs(tgt.velocity() - u).max() < 1e-10
 
+    @pytest.mark.parametrize("eps", [1e-4, 1e-3])
+    def test_circular_representation(self, eps):
+        # the paper's circular representation Phi takes the endpoint h(1) of
+        # the pinned disc h to h'(0); the pinned disc through h(e^{i th}) is
+        # h(e^{i th} zeta), so Phi(h(e^{i th})) = e^{i th} h'(0) at every eps
+        m = QUARTIC.with_epsilon(eps)
+        cfg = SolveConfig(N=128, M=40)
+        z = np.array([2.0, np.sqrt(2.0)], dtype=complex)
+        h, u = _disc_through_solution(m, 1.0 + 0j, z, cfg)
+        modes = np.arange(h.h_coeffs.shape[1])
+        for th in (0.8, 2.0):
+            rotated = h.h_coeffs * np.exp(1j * th * modes)
+            p = rotated.sum(axis=1)  # h(e^{i th}), on M
+            # the solve reads Im z0 and z_a, and starts from the point of Q over p
+            over = np.array([np.real(p[1:].conj() @ SPHERE.A @ p[1:]) + 1j * p[0].imag, *p[1:]])
+            g, v = _disc_through_solution(m, 1.0 + 0j, over, cfg)
+            assert np.abs(g.h_coeffs - rotated).max() < 1e-9
+            assert np.abs(v - np.exp(1j * th) * u).max() < 1e-9
+        # round trip: the velocity chart inverts Phi
+        _g, end = _invert_velocity(m, 1.0 + 0j, u, cfg, 10.0 * eps)
+        assert np.abs(end - h.endpoint()).max() < 1e-9
+
     def test_off_indicatrix_velocity_rejected(self):
         with pytest.raises(TargetInversionError):
             _invert_velocity(FLAT, 1.0 + 0j, np.array([0.5, 2.0 + 0j]), CFG, 1e-8)

@@ -82,3 +82,20 @@ def test_refused_homotopy_records_one_failed_solve(tracing):
     assert spans[solves[0][tracing.PARENT]][tracing.NAME] == "rh_solver.solve_with_homotopy"
     counts = tracing.solver_counts(spans)
     assert counts["schedules_tried"] == 1 and counts["homotopy_ok"] == 0
+
+
+def test_package_names_follow_the_tracer(tracing):
+    # statdisc looks a public name up in its submodule on every read and
+    # keeps no copy, so it never hands out a wrapper after uninstall
+    import statdisc
+
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        traced = statdisc.solve_with_homotopy
+        assert traced is rh_solver.solve_with_homotopy
+        assert hasattr(traced, "__wrapped__")
+    finally:
+        tracer.uninstall()
+    assert statdisc.solve_with_homotopy is rh_solver.solve_with_homotopy
+    assert not hasattr(statdisc.solve_with_homotopy, "__wrapped__")
