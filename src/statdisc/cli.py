@@ -127,18 +127,18 @@ def _parse_point(text):
 
 
 def _build_parser():
-    """The parser, and dest -> argparse action of each option of a subcommand."""
+    """The parser, and dest -> argparse action of each option; every
+    subcommand takes the same options."""
     ap = argparse.ArgumentParser(
         prog="statdisc",
         description="Stationary discs on hyperquadrics: construction, lifts, "
         "boundary-symbol indices, and Newton continuation.",
     )
-    # every subcommand takes the same options
-    common = argparse.ArgumentParser(add_help=False)
+    ap.add_argument("subcommand", choices=tuple(HANDLERS))
     actions = {}
 
     def opt(*flags, **kw):
-        action = common.add_argument(*flags, **kw)
+        action = ap.add_argument(*flags, **kw)
         actions[action.dest] = action
 
     opt("--config", help="JSON file with option defaults")
@@ -165,9 +165,6 @@ def _build_parser():
     opt("--source", default="closed_form", choices=("closed_form", "gradient"))
     opt("--theta", type=float, default=0.0,
         help="rotation angle for the transport differential")
-    sub = ap.add_subparsers(dest="subcommand")
-    for name in HANDLERS:
-        sub.add_parser(name, parents=[common])
     return ap, actions
 
 
@@ -200,8 +197,6 @@ def parse_config(argv):
         ns = ap.parse_args(argv)
     except SystemExit as exc:
         raise UsageError(f"bad command line (argparse exit {exc.code})")
-    if ns.subcommand is None:
-        raise UsageError("a subcommand is required")
     options = vars(ns).copy()
     cfg_path = options.pop("config", None)
     if cfg_path:

@@ -880,7 +880,10 @@ def verify_reduction_chain(q, params, N=None, pointwise_tol=1e-8):
 
     winds = {st["det_winding"] for st in steps}
     if len(winds) != 1:
-        raise ReductionMismatchError(f"determinant winding changed along the chain: {steps}")
+        raise ReductionMismatchError(
+            f"determinant winding changed along the chain: {steps} on N={N} samples;"
+            " a pole near the circle needs a larger grid"
+        )
 
     grad_sym = build_B(q, params, source="gradient", N=N)
     kappa_grad = partial_indices(grad_sym)

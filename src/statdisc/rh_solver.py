@@ -22,18 +22,22 @@ family dimension and the tangent basis all use this one linearization
 E. Wegert, Nonlinear Boundary Value Problems for Holomorphic Functions
 and Singular Integral Equations, 1992).
 
-Each linearization is factored once (QR of [J | -r], then the SVD of
-the triangle) and reused for chord steps: after an undamped Newton step
-the solver tries the same truncated pseudo-inverse on the new residual
-and keeps the step while the residual's sup norm at least halves;
-otherwise it re-linearizes at the same point, so the fall-back is the
-damped Newton step (the chord or Shamanskii method, C. T. Kelley,
-Solving Nonlinear Equations with Newton's Method, SIAM 2003, 5.4).
-max_iter caps the linearizations; accepted chord steps at least halve
-the residual, so there are at most log2(r0 / tol) of them.
+One path factors it, _factor: the QR of [J | b] with Q never formed,
+then the SVD of R's K x K block.  Newton's step (b = -r), its chord
+solver and the tangent basis (no b) all read it, and each linearization
+is factored once: after an undamped Newton step the solver tries the
+same truncated pseudo-inverse on the new residual and keeps the step
+while the residual's sup norm at least halves; otherwise it
+re-linearizes at the same point, so the fall-back is the damped Newton
+step (the chord or Shamanskii method, C. T. Kelley, Solving Nonlinear
+Equations with Newton's Method, SIAM 2003, 5.4).  max_iter caps the
+linearizations; accepted chord steps at least halve the residual, so
+there are at most log2(r0 / tol) of them.  tol, the step cut _RCOND and
+the damping floor _DAMPING_MIN are constants.
 """
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -56,32 +60,28 @@ from .quadric import Hyperquadric, PerturbedHypersurface, satisfies_condition_st
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Discretization and Newton parameters."""
+    """Circle grid N, truncation M and the Newton linearization cap; tol is fixed."""
 
     N: int = 256
     M: int = 48
-    tol: float = 1e-11
     max_iter: int = 30  # linearizations; chord steps reuse one and are not counted
-    damping_min: float = 1.0 / 64.0
-    rcond: float = 1e-8  # keeps Newton steps clear of the family's null cluster
+    tol: ClassVar[float] = 1e-11
 
     def __post_init__(self):
         validate_grid(self.N)
         if not 0 < self.M < self.N // 2:
             raise InvalidInputError("need 0 < M < N/2")
-        if (
-            self.tol <= 0
-            or self.max_iter < 1
-            or not 0 < self.damping_min <= 1
-            or not 0 < self.rcond < 1
-        ):
-            raise InvalidInputError("bad solver configuration")
+        if self.max_iter < 1:
+            raise InvalidInputError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 _BLOCK = 16  # modes per Jacobian column block; bounds the transient footprint
 # a chord step is kept only if it shrinks the residual's sup norm by this
 # factor (Kelley 2003, 5.4; see the module docstring)
 _CHORD_CONTRACTION = 0.5
+_RCOND = 1e-8  # pseudo-inverse cut; keeps Newton steps clear of the family's null cluster
+_DAMPING_MIN = 1.0 / 64.0  # the line search gives up below this step fraction
+_SV_CUT, _GAP_MIN = 1e-6, 1e3  # _null_count: the null cut over the largest, the least gap
 
 
 def _as_perturbed(m):
@@ -264,26 +264,18 @@ class GluedDisc:
         }
 
 
-def _min_norm_factor(J, b, rcond):
-    """Minimum-norm least-squares solution of J s = b, and a solver for J s = c.
+def _factor(J, b=None):
+    """U, S, V^T of J and Q^T b (None without b), Q never formed.
 
-    R of the QR factorization of [J | b] carries Q^T b in its last column,
-    so Q is never formed.  The SVD U S V^T of its leading K x K block
-    holds the singular values of J, cut below rcond * S[0] as lstsq cuts
-    them; the step is V S^-1 U^T (Q^T b).  A later right-hand side c goes
-    through the same truncated pseudo-inverse as V S^-2 V^T (J^T c).
+    R of the QR factorization of [J | b] carries Q^T b in its last
+    column; the SVD of its leading K x K block is that of J.  Over the
+    values above _RCOND * S[0] (lstsq's cut), the minimum-norm solution
+    of J s = b is V S^-1 U^T (Q^T b) and that of J s = c V S^-2 V^T J^T c.
     """
     K = J.shape[1]
-    R = np.linalg.qr(np.column_stack([J, b]), mode="r")
+    R = np.linalg.qr(J if b is None else np.column_stack([J, b]), mode="r")
     U, S, Vt = np.linalg.svd(R[:K, :K])
-    keep = S > rcond * S[0]
-    U, S, Vt = U[:, keep], S[keep], Vt[keep]
-    step = Vt.T @ ((U.T @ R[:K, K]) / S)
-
-    def solve(c):
-        return Vt.T @ ((Vt @ (J.T @ c)) / S**2)
-
-    return step, solve
+    return U, S, Vt, None if b is None else R[:K, K]
 
 
 def params_to_coeffs(q, params, M):
@@ -323,10 +315,10 @@ def solve_glued_disc(m, start, cfg=None, pin_center=None, constraint=None):
     r = system.residual(x)
     history = [system.sup_norm(r)]
     iters = linearizations = 0
-    chord = None  # solver of the last undamped linearization, reused while it contracts
+    chord = False  # the last linearization was undamped; reused while it contracts
     while history[-1] >= cfg.tol:
-        if chord is not None:
-            x_try = x + chord(-r)
+        if chord:
+            x_try = x + Vt.T @ ((Vt @ (J.T @ -r)) / S**2)
             try:
                 r_try = system.residual(x_try)
                 sup = system.sup_norm(r_try)
@@ -337,7 +329,7 @@ def solve_glued_disc(m, start, cfg=None, pin_center=None, constraint=None):
                 iters += 1
                 history.append(sup)
                 continue
-            chord = None
+            chord = False
         if linearizations >= cfg.max_iter:
             raise NoConvergenceError(
                 f"no convergence after {linearizations} linearizations and {iters} steps"
@@ -346,7 +338,10 @@ def solve_glued_disc(m, start, cfg=None, pin_center=None, constraint=None):
             )
         J = system.jacobian(x)
         linearizations += 1
-        step, chord = _min_norm_factor(J, -r, cfg.rcond)
+        U, S, Vt, qtb = _factor(J, -r)
+        keep = S > _RCOND * S[0]  # the minimum-norm step over the kept values
+        U, S, Vt = U[:, keep], S[keep], Vt[keep]
+        step = Vt.T @ ((U.T @ qtb) / S)
         t = 1.0
         cur = np.linalg.norm(r)
         while True:
@@ -361,7 +356,7 @@ def solve_glued_disc(m, start, cfg=None, pin_center=None, constraint=None):
             if ok:
                 break
             t *= 0.5
-            if t < cfg.damping_min:
+            if t < _DAMPING_MIN:
                 if r_new is None:
                     raise LiftConstructionError(
                         "no regular lift along the Newton path: phi = zeta * (d rho / d z_n) o h"
@@ -371,8 +366,7 @@ def solve_glued_disc(m, start, cfg=None, pin_center=None, constraint=None):
                     f"damping stalled at residual {history[-1]:.3e}",
                     residual_history=history,
                 )
-        if t < 1.0:
-            chord = None
+        chord = t == 1.0
         x = x + t * step
         r = r_new
         iters += 1
@@ -465,29 +459,27 @@ def solve_with_homotopy(m, start, cfg=None, pin_center=None, constraint=None):
         last = None
 
 
-def _linearization(m, sol, cfg, vectors=False):
-    """System at sol, its exact Jacobian's singular values and, when
-    vectors is set, the right singular vectors V^T.  A pinned sol's
-    Jacobian stacks the pin rows under the residual's."""
-    system = _DiscSystem(m, cfg or sol.config, pin_center=sol.pin_center)
-    J = system.jacobian(system.pack(sol.h_coeffs))
-    if not vectors:
-        return system, np.linalg.svd(J, compute_uv=False), None
-    _u, sv, vt = np.linalg.svd(J, full_matrices=False)
-    return system, sv, vt
+def _system_at(m, sol, cfg):
+    """System at sol and its exact Jacobian, stacking a pinned sol's pin
+    rows under the residual's; cfg may change N (off the solve grid), not M."""
+    cfg = cfg or sol.config
+    if cfg.M != sol.config.M:
+        raise InvalidInputError(f"solution has M={sol.config.M}, configuration M={cfg.M}")
+    system = _DiscSystem(m, cfg, pin_center=sol.pin_center)
+    return system, system.jacobian(system.pack(sol.h_coeffs))
 
 
-def _null_count(sv, sv_cut=1e-6, gap_min=1e3):
-    """Number of singular values below sv_cut times the largest, with a
-    spectral gap of at least gap_min across the cut; without the gap a
+def _null_count(sv):
+    """Number of singular values below _SV_CUT times the largest, with a
+    spectral gap of at least _GAP_MIN across the cut; without the gap a
     DimensionAmbiguousError carries the spectrum."""
-    cut = sv_cut * sv[0]
+    cut = _SV_CUT * sv[0]
     null = int(np.sum(sv < cut))
     if null == 0:
         raise DimensionAmbiguousError("no null directions found", singular_values=sv)
     kept_min = sv[sv >= cut].min()
     dropped_max = sv[sv < cut].max()
-    if dropped_max > 0 and kept_min / dropped_max < gap_min:
+    if dropped_max > 0 and kept_min / dropped_max < _GAP_MIN:
         raise DimensionAmbiguousError(
             f"no clear spectral gap ({kept_min:.3e} over {dropped_max:.3e})",
             singular_values=sv,
@@ -495,18 +487,20 @@ def _null_count(sv, sv_cut=1e-6, gap_min=1e3):
     return null
 
 
-def family_dimension(m, sol, cfg=None, sv_cut=1e-6, gap_min=1e3):
-    """Numerical null-space dimension of the linearized system at sol,
-    counted by _null_count."""
-    _system, sv, _vt = _linearization(m, sol, cfg)
-    return {"dim": _null_count(sv, sv_cut, gap_min), "singular_values": sv}
+def family_dimension(m, sol, cfg=None):
+    """Numerical null-space dimension of the linearized system at sol: one
+    values-only SVD of J, counted by _null_count."""
+    _system, J = _system_at(m, sol, cfg)
+    sv = np.linalg.svd(J, compute_uv=False)
+    return {"dim": _null_count(sv), "singular_values": sv}
 
 
 def family_tangent_basis(m, sol, cfg=None):
     """Orthonormal null-space basis of the linearization at sol, of the
-    dimension that family_dimension counts."""
-    system, sv, vt = _linearization(m, sol, cfg, vectors=True)
-    return vt[-_null_count(sv) :].T, system
+    dimension that family_dimension counts, and the system at sol."""
+    system, J = _system_at(m, sol, cfg)
+    _U, S, Vt, _qtb = _factor(J)
+    return Vt[-_null_count(S) :].T, system
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,18 @@ class TestExecute:
         rep = json.loads(out)
         assert rep["kappa"] == [2, 1, 1, 1, 1, 1, 1] and rep["det_winding"] == 8
 
+    def test_replay_near_the_circle_names_the_grid(self, capsys):
+        # |a| = 0.999: the default grid cannot resolve the chain's windings
+        code, out, err = run_main(capsys, "indices-replay", "--n", "2", "--w", "1,0.5",
+                                  "--a=0.5397620035622717+0.8406295138230886j")
+        assert (code, out) == (1, "")
+        detail = json.loads(err)
+        assert detail["error"] == "ReductionMismatchError"
+        assert detail["detail"].startswith("determinant winding changed along the chain")
+        assert detail["detail"].endswith(
+            " on N=256 samples; a pole near the circle needs a larger grid"
+        )
+
     @pytest.mark.parametrize(
         "args,detail",
         [

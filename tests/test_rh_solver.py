@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import sys
 from collections import Counter
@@ -28,14 +29,16 @@ from statdisc.errors import (
     TargetInversionError,
 )
 from statdisc.rh_solver import (
+    _RCOND,
     _center_disc_params,
     _center_pin,
     _disc_through_solution,
     _DiscSystem,
     _endpoint,
+    _factor,
     _invert_velocity,
-    _min_norm_factor,
     _velocity,
+    family_tangent_basis,
     params_to_coeffs,
 )
 
@@ -294,10 +297,22 @@ class TestSolve:
         sol = solve_with_homotopy(QUARTIC, STALLING, fine)
         assert sol.residual_sup < fine.tol and stages == [QUARTIC.epsilon]
 
-    @pytest.mark.parametrize("rcond", [0.0, -1e-8, 1.0])
-    def test_rcond_outside_unit_interval_rejected(self, rcond):
-        with pytest.raises(InvalidInputError, match="bad solver configuration"):
-            SolveConfig(rcond=rcond)
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"max_iter": 0}, "max_iter must be at least 1, got 0"),
+            ({"max_iter": -1}, "max_iter must be at least 1, got -1"),
+            ({"N": 128, "M": 64}, "need 0 < M < N/2"),
+        ],
+        ids=["max_iter=0", "max_iter=-1", "M=N/2"],
+    )
+    def test_bad_solver_configuration_rejected(self, kwargs, message):
+        with pytest.raises(InvalidInputError, match=message):
+            SolveConfig(**kwargs)
+
+    def test_settings_are_grid_truncation_and_cap(self):
+        assert [f.name for f in dataclasses.fields(SolveConfig)] == ["N", "M", "max_iter"]
+        assert SolveConfig().tol == SolveConfig.tol == 1e-11
 
 
 def fd_jacobian(system, x, step=1e-6):
@@ -320,7 +335,7 @@ def newton_oracle(system, x, cfg):
     for _ in range(cfg.max_iter):
         if system.sup_norm(r) < cfg.tol:
             return x
-        x = x + np.linalg.lstsq(system.jacobian(x), -r, rcond=cfg.rcond)[0]
+        x = x + np.linalg.lstsq(system.jacobian(x), -r, rcond=_RCOND)[0]
         r = system.residual(x)
     raise AssertionError("Newton oracle did not converge")
 
@@ -384,15 +399,19 @@ class TestLinearization:
     @pytest.mark.parametrize("eps", [0.0, 1e-4, 1e-3])
     @pytest.mark.parametrize("setup", ["free", "pinned", "endpoint", "velocity"])
     def test_factorization_matches_lstsq(self, n, eps, setup):
+        # the Newton step V S^-1 U^T (Q^T b) and the chord solve
+        # V S^-2 V^T (J^T c) over the values that _RCOND keeps
         system, x = _linearization_setup(n, eps, setup)
-        rcond = system.cfg.rcond
         J, b = system.jacobian(x), -system.residual(x)
-        step, solve = _min_norm_factor(J, b, rcond)
-        ref = np.linalg.lstsq(J, b, rcond=rcond)[0]
+        U, S, Vt, qtb = _factor(J, b)
+        keep = S > _RCOND * S[0]
+        U, S, Vt = U[:, keep], S[keep], Vt[keep]
+        step = Vt.T @ ((U.T @ qtb) / S)
+        ref = np.linalg.lstsq(J, b, rcond=_RCOND)[0]
         assert np.linalg.norm(step - ref) <= 1e-8 * np.linalg.norm(ref)
         c = np.random.default_rng(n).normal(size=b.size)
-        ref = np.linalg.lstsq(J, c, rcond=rcond)[0]
-        assert np.linalg.norm(solve(c) - ref) <= 1e-5 * np.linalg.norm(ref)
+        ref = np.linalg.lstsq(J, c, rcond=_RCOND)[0]
+        assert np.linalg.norm(Vt.T @ ((Vt @ (J.T @ c)) / S**2) - ref) <= 1e-5 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_family_counts_and_gap(self, n):
@@ -410,7 +429,7 @@ class TestLinearization:
             m = PerturbedHypersurface(base=q, epsilon=eps, terms=terms)
             for center, expect in ((None, 4 * n + 3), (pin, 2 * n + 1)):
                 sol = solve_with_homotopy(m, p, cfg, pin_center=center)
-                fd = family_dimension(m, sol, cfg, gap_min=1e3)
+                fd = family_dimension(m, sol, cfg)
                 assert fd["dim"] == expect, (eps, center, fd["dim"])
                 sv = fd["singular_values"]
                 cut = 1e-6 * sv[0]
@@ -444,6 +463,34 @@ class TestFamilyDimension:
         cfg = SolveConfig(N=128, M=24)
         sol = solve_glued_disc(m2, p2, cfg)
         assert family_dimension(m2, sol, cfg)["dim"] == 11
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+    def test_tangent_basis_spans_the_null_space(self, n, eps, pinned):
+        q, m = _model(n, eps)
+        cfg = SolveConfig(N=128, M=24)
+        w = np.zeros(n, dtype=complex)
+        w[0] = 1.0
+        w[1:] = 0.3 - 0.1j
+        p = DiscParams(y0=0.0, v=np.zeros(n), w=w, a=0.2)
+        pin = _center_pin(n, Disc(q, p).center()[0]) if pinned else None
+        sol = solve_with_homotopy(m, p, cfg, pin_center=pin)
+        T, system = family_tangent_basis(m, sol, cfg)
+        assert T.shape[1] == family_dimension(m, sol, cfg)["dim"]
+        assert np.abs(T.T @ T - np.eye(T.shape[1])).max() <= 1e-12
+        J = system.jacobian(system.pack(sol.h_coeffs))
+        assert np.linalg.norm(J @ T, 2) <= 1e-9 * np.linalg.norm(J, 2)
+
+    def test_configuration_must_keep_the_truncation(self):
+        sol = solve_glued_disc(FLAT, START, CFG)  # M = 32
+        for linearize in (family_dimension, family_tangent_basis):
+            with pytest.raises(InvalidInputError, match="M=32, configuration M=24"):
+                linearize(FLAT, sol, SolveConfig(N=128, M=24))
+        # another N linearizes the same coefficients off the solve grid
+        fine = SolveConfig(N=256, M=32)
+        assert family_dimension(FLAT, sol, fine)["dim"] == 7
+        assert family_tangent_basis(FLAT, sol, fine)[0].shape == (4 * 33, 7)
 
 
 class TestCenterMaps:
