@@ -24,13 +24,10 @@ _EXPORTS = {
     name: module
     for module, names in {
         "boundary_analysis": (
-            "BoundaryFunction",
             "circle_nodes",
             "construct_regular_lift",
-            "fourier",
             "hilbert_transform",
             "holomorphic_defect",
-            "synth",
             "winding_number",
         ),
         "disc": (

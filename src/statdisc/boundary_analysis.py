@@ -18,7 +18,10 @@ from .errors import (
 )
 
 GRID_DEFAULT = 256
-GRID_MAX = 4096
+# a grid value at most this far from 0 leaves the winding undefined
+WINDING_MIN_MODULUS = 1e-8
+# a phase step this close to pi cannot be told from its opposite
+WINDING_MAX_STEP = 0.9 * np.pi
 
 
 def validate_grid(N):
@@ -33,78 +36,6 @@ def circle_nodes(N):
     return np.exp(2j * np.pi * np.arange(N) / N)
 
 
-@dataclass
-class BoundaryFunction:
-    """Sampled function on the circle grid with a lazy spectral view.
-
-    values has shape (..., N); leading axes hold components. Instances
-    are immutable: arrays are frozen at construction and coefficients
-    are cached on first use.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        validate_grid(v.shape[-1])
-        if not (np.all(np.isfinite(v.real)) and np.all(np.isfinite(v.imag))):
-            raise InvalidInputError("non-finite boundary samples")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "_coeffs", None)
-
-    @property
-    def N(self):
-        return self.values.shape[-1]
-
-    @property
-    def coeffs(self):
-        """Fourier coefficients in numpy fft ordering (m = 0..N/2-1, -N/2..-1)."""
-        if self._coeffs is None:
-            c = np.fft.fft(self.values, axis=-1) / self.N
-            c.flags.writeable = False
-            object.__setattr__(self, "_coeffs", c)
-        return self._coeffs
-
-    def coeff(self, m):
-        """Coefficient c_m, |m| <= N/2."""
-        if not -self.N // 2 <= m < self.N // 2:
-            raise InvalidInputError(f"mode {m} outside [-N/2, N/2)")
-        return self.coeffs[..., m % self.N]
-
-    def nodes(self):
-        return circle_nodes(self.N)
-
-
-def fourier(bf):
-    """Forward transform of a BoundaryFunction (or raw samples)."""
-    if not isinstance(bf, BoundaryFunction):
-        bf = BoundaryFunction(np.asarray(bf, dtype=complex))
-    return np.array(bf.coeffs)
-
-
-def synth(coeffs, N=None):
-    """Inverse of :func:`fourier`; resamples onto an N grid if larger."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    M = coeffs.shape[-1]
-    validate_grid(M)
-    if N is None or N == M:
-        return BoundaryFunction(np.fft.ifft(coeffs * M, axis=-1))
-    N = validate_grid(N)
-    if N < M:
-        raise InvalidInputError("cannot shrink a spectrum in synth")
-    padded = np.zeros(coeffs.shape[:-1] + (N,), dtype=complex)
-    padded[..., : M // 2] = coeffs[..., : M // 2]
-    padded[..., -M // 2 :] = coeffs[..., -M // 2 :]
-    return BoundaryFunction(np.fft.ifft(padded * N, axis=-1))
-
-
-def modes(N):
-    """Signed mode numbers in numpy fft ordering."""
-    return np.fft.fftfreq(N, 1.0 / N).astype(np.int64)
-
-
 def hilbert_transform(g):
     """Harmonic-conjugate operator T on real grid functions.
 
@@ -113,7 +44,7 @@ def hilbert_transform(g):
     the unpaired Nyquist mode) killed. With this convention, U = -T(g)
     makes U + i g the boundary value of a holomorphic function.
     """
-    vals = g.values if isinstance(g, BoundaryFunction) else np.asarray(g)
+    vals = np.asarray(g)
     if np.iscomplexobj(vals):
         if np.abs(vals.imag).max(initial=0.0) > 1e-13 * (1.0 + np.abs(vals).max(initial=0.0)):
             raise InvalidInputError("Hilbert transform input must be real valued")
@@ -124,22 +55,21 @@ def hilbert_transform(g):
     c *= -1j
     c[..., 0] = 0.0
     c[..., N // 2] = 0.0
-    out = np.fft.irfft(c, n=N, axis=-1)
-    if isinstance(g, BoundaryFunction):
-        return BoundaryFunction(out.astype(complex))
-    return out
+    return np.fft.irfft(c, n=N, axis=-1)
 
 
-def holomorphic_defect(bf):
-    """Relative l2 mass of the negative Fourier modes.
+def holomorphic_defect(h):
+    """Relative l2 mass of the negative Fourier modes of samples (..., N).
 
     Zero (to truncation) exactly when the samples are boundary values of
-    a function holomorphic on the disc.
+    a function holomorphic on the disc; one value per leading index.
     """
-    if not isinstance(bf, BoundaryFunction):
-        bf = BoundaryFunction(np.asarray(bf, dtype=complex))
-    c = bf.coeffs
-    m = modes(bf.N)
+    h = np.ascontiguousarray(h, dtype=complex)  # the FFT's rounding depends on the layout
+    N = validate_grid(h.shape[-1])
+    if not np.all(np.isfinite(h)):
+        raise InvalidInputError("non-finite boundary samples")
+    c = np.fft.fft(h, axis=-1) / N
+    m = np.fft.fftfreq(N, 1.0 / N)
     total = np.linalg.norm(c, axis=-1)
     neg = np.linalg.norm(np.where(m < 0, c, 0.0), axis=-1)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -147,21 +77,21 @@ def holomorphic_defect(bf):
     return float(out) if out.ndim == 0 else out
 
 
-def winding_number(bf, min_modulus=1e-8, max_step=0.9 * np.pi):
+def winding_number(vals):
     """Winding of a nonvanishing scalar grid function around 0.
 
     Sums phase increments along the grid, each taken in (-pi, pi]. A
     grid value too close to 0 raises WindingUndefinedError; a phase step
     near pi raises ResolutionError (the grid cannot certify the count).
     """
-    vals = bf.values if isinstance(bf, BoundaryFunction) else np.asarray(bf, dtype=complex)
+    vals = np.asarray(vals, dtype=complex)
     if vals.ndim != 1:
         raise InvalidInputError("winding_number expects a scalar function")
-    if np.abs(vals).min() <= min_modulus:
+    if np.abs(vals).min() <= WINDING_MIN_MODULUS:
         raise WindingUndefinedError("function vanishes (numerically) on the grid")
     ratios = np.roll(vals, -1) / vals
     steps = np.angle(ratios)
-    if np.abs(steps).max() >= max_step:
+    if np.abs(steps).max() >= WINDING_MAX_STEP:
         raise ResolutionError("phase step close to pi; increase the grid size")
     total = steps.sum() / (2.0 * np.pi)
     wind = int(np.rint(total))

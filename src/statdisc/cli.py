@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import boundary_analysis
-from .boundary_analysis import GRID_DEFAULT, BoundaryFunction, circle_nodes, holomorphic_defect
+from .boundary_analysis import GRID_DEFAULT, circle_nodes, holomorphic_defect
 from .disc import (
     DiscParams,
     LiftParams,
@@ -232,9 +232,7 @@ def _load_model(opt):
                 obj = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read model file: {exc}")
-        if "terms" in obj or "epsilon" in obj:
-            return PerturbedHypersurface.from_json(obj)
-        return PerturbedHypersurface(base=Hyperquadric.from_json(obj))
+        return PerturbedHypersurface.from_json(obj)
     n = int(opt["n"])
     terms = {}
     for spec in opt.get("term", []):
@@ -363,7 +361,7 @@ def _lift(opt, m, N):
     return canonical_json(
         {
             "b": float(opt["b"]),
-            "lift_defect": float(np.max(holomorphic_defect(BoundaryFunction(hs)))),
+            "lift_defect": float(np.max(holomorphic_defect(hs))),
             "c_at_1": float(lift.c_factor(np.array(1.0 + 0.0j)).real),
             "projectivized_components": 2 * q.n + 1,
             "permutation": list(proj.permutation) if proj.permutation else None,

@@ -22,7 +22,6 @@ import numpy as np
 
 from .boundary_analysis import (
     GRID_DEFAULT,
-    GRID_MAX,
     circle_nodes,
     construct_regular_lift,
     validate_grid,
@@ -99,15 +98,6 @@ class DiscParams:
             "w": [_pair(z) for z in self.w],
             "a": _pair(complex(self.a)),
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(
-            y0=float(obj["y0"]),
-            v=np.array([complex(re, im) for re, im in obj["v"]]),
-            w=np.array([complex(re, im) for re, im in obj["w"]]),
-            a=complex(obj["a"][0], obj["a"][1]),
-        )
 
 
 @dataclass(frozen=True)
@@ -370,37 +360,17 @@ class GluingReport:
     lift_defect: float
 
 
-def verify_gluing(m, h, defect_tol=1e-9):
-    """Boundary residual and lift defect of a candidate disc.
+def verify_gluing(m, h):
+    """Boundary residual and lift defect of (n+1, N) boundary samples h.
 
     Both near zero characterize (numerically) a stationary disc of m.
-    h may be raw (n+1, N) samples, or any object with a boundary
-    evaluator (a Disc, or a solver solution); with an evaluator the
-    grid doubles, up to 4096, while the defect exceeds defect_tol.
     Lift-construction failures propagate.
     """
     if isinstance(m, Hyperquadric):
         m = PerturbedHypersurface(base=m)
-
-    resample = None
-    if hasattr(h, "boundary_values"):
-        resample = h.boundary_values
-    elif hasattr(h, "boundary"):
-        resample = h.boundary
-
-    def measure(samples):
-        samples = np.asarray(samples, dtype=complex)
-        if samples.ndim != 2 or samples.shape[0] != m.n + 1:
-            raise InvalidInputError(f"expected (n+1, N) samples, got {samples.shape}")
-        residual = float(np.abs(m.eval_rho_many(samples.T)).max())
-        defect = float(np.max(construct_regular_lift(m, samples).defects))
-        return GluingReport(max_residual=residual, lift_defect=defect)
-
-    if resample is None:
-        return measure(h)
-    N = GRID_DEFAULT
-    report = measure(resample(N))
-    while report.lift_defect > defect_tol and N < GRID_MAX:
-        N *= 2
-        report = measure(resample(N))
-    return report
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 2 or h.shape[0] != m.n + 1:
+        raise InvalidInputError(f"expected (n+1, N) samples, got {h.shape}")
+    residual = float(np.abs(m.eval_rho_many(h.T)).max())
+    defect = float(np.max(construct_regular_lift(m, h).defects))
+    return GluingReport(max_residual=residual, lift_defect=defect)

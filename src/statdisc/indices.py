@@ -14,9 +14,9 @@ carries an index-equivalent form: the same symbol along the centered
 disc with pole 0 and direction w/|w|, which a disc automorphism, a
 Heisenberg translation and a dilation of Q relate to the disc with
 pole a (see IndexEquivalentForm).  Its determinant is a monomial, so no
-root is extracted.  Any other symbol is taken through its exact
-Laurent form or a defect-checked Fourier truncation, and its interior
-determinant zeros are pushed to the origin first (root extraction).
+root is extracted.  Any other symbol is taken through a defect-checked
+Fourier truncation of its samples, and its interior determinant zeros
+are pushed to the origin first (root extraction).
 The index sum is always checked against the determinant winding of
 the samples.  That check is the limit near the circle.  The closed
 form passes it up to |a| = 1 - 1e-10.  For the gradient source the
@@ -43,8 +43,15 @@ from .errors import (
 )
 
 DET_MIN = 1e-10
-LAURENT_MATCH_TOL = 1e-12
 SNAP_REL = 1e-11
+COLUMN_SNAP_REL = 1e-10  # per column, in the reduction steps
+TRUNCATION_DEFECT = 1e-10  # relative Fourier tail a truncated symbol may drop
+ROOT_REMAINDER_REL = 1e-7  # relative remainder of a division by (zeta - root)
+# a root within ROOT_CLUSTER_REL * modulus + ROOT_CLUSTER_ABS of a cluster joins it
+ROOT_CLUSTER_REL, ROOT_CLUSTER_ABS = 0.15, 1e-9
+ORACLE_SV_TOL = 1e-6
+ORACLE_MAX_SCAN = 64  # index levels the Toeplitz oracle scans each way
+CHAIN_POINTWISE_TOL = 1e-8  # replayed chain against the closed-form symbol
 
 
 # ---------------------------------------------------------------------------
@@ -85,27 +92,27 @@ class LaurentMatrix:
             out += self.coeffs[k]
         return out * (zeta[..., None, None] ** self.lo)
 
-    def trimmed(self, rel=SNAP_REL):
-        return LaurentMatrix(*_trim(self.coeffs, self.lo, rel))
+    def trimmed(self):
+        return LaurentMatrix(*_trim(self.coeffs, self.lo))
 
 
-def _trim(coeffs, lo, rel=SNAP_REL):
+def _trim(coeffs, lo):
     mags = np.abs(coeffs).max(axis=(1, 2))
     scale = mags.max(initial=0.0)
     if scale == 0.0:
         return np.zeros((1,) + coeffs.shape[1:], dtype=complex), 0
-    keep = np.nonzero(mags > rel * scale)[0]
+    keep = np.nonzero(mags > SNAP_REL * scale)[0]
     return np.ascontiguousarray(coeffs[keep[0] : keep[-1] + 1]), lo + int(keep[0])
 
 
-def _snap_columns(coeffs, rel=1e-10):
+def _snap_columns(coeffs):
     """Zero out sub-threshold entries, per column, in place.
 
     The reduction's degree bookkeeping reads lowest nonzero coefficients;
     roundoff spread by the constant mixes must not masquerade as one.
     """
     scale = np.abs(coeffs).max(axis=(0, 1))  # per column j
-    mask = np.abs(coeffs) < rel * scale[None, None, :]
+    mask = np.abs(coeffs) < COLUMN_SNAP_REL * scale[None, None, :]
     coeffs[mask] = 0.0
     return coeffs
 
@@ -208,14 +215,12 @@ class IndexEquivalentForm:
 class MatrixSymbol:
     """Matrix-valued function on the circle grid.
 
-    samples has shape (N, s, s).  laurent, when present, is an exact
-    representation of the samples; reduced, when present, is an
+    samples has shape (N, s, s).  reduced, when present, is an
     index-equivalent Laurent form used by the factorization.  The
     samples are read-only, so their determinants are computed once.
     """
 
     samples: np.ndarray
-    laurent: LaurentMatrix | None = None
     reduced: IndexEquivalentForm | None = None
 
     def __post_init__(self):
@@ -231,11 +236,6 @@ class MatrixSymbol:
         det.flags.writeable = False
         object.__setattr__(self, "samples", smp)
         object.__setattr__(self, "_det", det)
-        if self.laurent is not None:
-            vals = self.laurent.eval(circle_nodes(smp.shape[0]))
-            err = np.abs(vals - smp).max()
-            if err > LAURENT_MATCH_TOL * max(1.0, np.abs(smp).max()):
-                raise InvalidInputError(f"laurent form deviates from samples by {err}")
 
     @property
     def size(self):
@@ -401,8 +401,9 @@ def _poly_roots(coeffs):
     return np.roots(c[::-1])
 
 
-def _cluster_roots(roots, coeffs=None, rel_radius=0.15, abs_radius=1e-9):
-    """Greedy clustering of a root cloud into (centroid, multiplicity).
+def _cluster_roots(roots, coeffs):
+    """Greedy clustering of a root cloud of the polynomial with ascending
+    coefficients coeffs into (centroid, multiplicity).
 
     A root of multiplicity m comes out of the companion eigensolve as a
     cloud of radius about eps^(1/m).  The centroid is polished by
@@ -422,7 +423,8 @@ def _cluster_roots(roots, coeffs=None, rel_radius=0.15, abs_radius=1e-9):
             center = np.mean(members)
             rest = []
             for r in left:
-                if abs(r - center) <= rel_radius * max(abs(r), abs(center)) + abs_radius:
+                bound = ROOT_CLUSTER_REL * max(abs(r), abs(center)) + ROOT_CLUSTER_ABS
+                if abs(r - center) <= bound:
                     members.append(r)
                     changed = True
                 else:
@@ -430,7 +432,7 @@ def _cluster_roots(roots, coeffs=None, rel_radius=0.15, abs_radius=1e-9):
             left = rest
         center = np.mean(members)
         m = len(members)
-        if coeffs is not None and m >= 2:
+        if m >= 2:
             d = np.asarray(coeffs, dtype=complex)
             pall = d
             for _ in range(m - 1):
@@ -465,7 +467,7 @@ def _unitary_with_first_column(u):
     return Qm
 
 
-def _divide_column_by_root(colv, mu, rel_tol=1e-7):
+def _divide_column_by_root(colv, mu):
     """Divide a polynomial column (K, s) by (zeta - mu); check remainders.
 
     Runs the synthetic division top-down for |mu| < 1 and bottom-up for
@@ -489,7 +491,7 @@ def _divide_column_by_root(colv, mu, rel_tol=1e-7):
                 out[k, i] = carry
             rem[i] = colv[K - 1, i] - carry
     scale = np.abs(colv).max()
-    if scale > 0 and np.abs(rem).max() > rel_tol * scale:
+    if scale > 0 and np.abs(rem).max() > ROOT_REMAINDER_REL * scale:
         raise FactorizationError("root extraction left a large remainder")
     return out
 
@@ -558,7 +560,7 @@ def _extract_det_roots(coeffs, lo):
     return lm.coeffs, lm.lo
 
 
-def _bottom_degrees(coeffs, lo, rel=SNAP_REL):
+def _bottom_degrees(coeffs, lo):
     K, s, _ = coeffs.shape
     bots = np.full(s, -1, dtype=int)
     betas = np.zeros((s, s), dtype=complex)
@@ -568,13 +570,13 @@ def _bottom_degrees(coeffs, lo, rel=SNAP_REL):
         if scale == 0.0:
             raise FactorizationError("zero column in reduction")
         mags = np.abs(col).max(axis=1)
-        k0 = int(np.nonzero(mags > rel * scale)[0][0])
+        k0 = int(np.nonzero(mags > SNAP_REL * scale)[0][0])
         bots[j] = lo + k0
         betas[:, j] = col[k0]
     return bots, betas
 
 
-def birkhoff_partial_indices(lm, max_rounds=None):
+def birkhoff_partial_indices(lm):
     """Partial indices of a Laurent matrix polynomial, exactly.
 
     After interior-root extraction the determinant is c zeta^K times a
@@ -591,9 +593,7 @@ def birkhoff_partial_indices(lm, max_rounds=None):
     coeffs, lo = _extract_det_roots(lm.coeffs, lm.lo)
     _dcoef, K = _poly_trim(*laurent_det(LaurentMatrix(coeffs, lo)), rel=1e-8)
     s = coeffs.shape[1]
-    if max_rounds is None:
-        max_rounds = 4 * (abs(K) + s * coeffs.shape[0] + 4)
-    for _ in range(max_rounds):
+    for _ in range(4 * (abs(K) + s * coeffs.shape[0] + 4)):
         coeffs = _snap_columns(np.ascontiguousarray(coeffs))
         lmt = LaurentMatrix(coeffs, lo).trimmed()
         coeffs, lo = lmt.coeffs, lmt.lo
@@ -644,21 +644,20 @@ def birkhoff_partial_indices(lm, max_rounds=None):
     raise FactorizationError("column reduction exceeded its round budget")
 
 
-def partial_indices(symbol, defect_tol=1e-10, envelope=None):
+def partial_indices(symbol):
     """Partial indices of a sampled symbol via exact Birkhoff reduction.
 
-    Uses, in order of preference: the index-equivalent reduced form,
-    the exact Laurent form, or a defect-checked Fourier truncation of
-    the samples.  The result always satisfies sum(kappa) = winding of
-    det(samples); a mismatch raises, and names the grid size, which a
-    symbol with a pole near the circle needs raised.
+    Uses the index-equivalent reduced form when the symbol has one, and
+    otherwise a Fourier truncation of the samples that drops at most
+    TRUNCATION_DEFECT of their mass.  The result always satisfies
+    sum(kappa) = winding of det(samples); a mismatch raises, and names
+    the grid size, which a symbol with a pole near the circle needs
+    raised.
     """
     if symbol.reduced is not None:
         lm = symbol.reduced.laurent
-    elif symbol.laurent is not None:
-        lm = symbol.laurent
     else:
-        lm = _truncate_symbol(symbol, defect_tol, envelope)
+        lm = _truncate_symbol(symbol)
     kappa = birkhoff_partial_indices(lm)
     wind = winding_number(symbol.det_samples())
     if int(kappa.sum()) != wind:
@@ -669,18 +668,17 @@ def partial_indices(symbol, defect_tol=1e-10, envelope=None):
     return PartialIndices.from_values(kappa)
 
 
-def _truncate_symbol(symbol, defect_tol, envelope=None):
+def _truncate_symbol(symbol):
     c = np.fft.fft(symbol.samples, axis=0) / symbol.N
     m = np.fft.fftfreq(symbol.N, 1.0 / symbol.N).astype(int)
     total = np.linalg.norm(c)
-    dmax = envelope if envelope is not None else symbol.N // 2 - 1
-    for d in range(1, dmax + 1):
+    for d in range(1, symbol.N // 2):
         tail = np.linalg.norm(c[np.abs(m) > d])
-        if tail <= defect_tol * total:
+        if tail <= TRUNCATION_DEFECT * total:
             if d * symbol.size > 400:
                 raise ApproximationError("adequate truncation degree is too large")
-            return laurent_from_fft_samples(symbol.samples, -d, d, tol=defect_tol)
-    raise ApproximationError(f"no Laurent truncation reaches defect {defect_tol}")
+            return laurent_from_fft_samples(symbol.samples, -d, d, tol=TRUNCATION_DEFECT)
+    raise ApproximationError(f"no Laurent truncation reaches defect {TRUNCATION_DEFECT}")
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +686,7 @@ def _truncate_symbol(symbol, defect_tol, envelope=None):
 # ---------------------------------------------------------------------------
 
 
-def toeplitz_kernel_indices(symbol, order=64, sv_tol=1e-6, max_scan=64):
+def toeplitz_kernel_indices(symbol, order=64):
     """Partial indices read from truncated block-Toeplitz kernel counts.
 
     The kernel-dimension formula dim ker T_V = sum max(-nu_j, 0) holds
@@ -702,7 +700,7 @@ def toeplitz_kernel_indices(symbol, order=64, sv_tol=1e-6, max_scan=64):
     Restricting inputs to polynomial degree <= order while keeping
     every output mode (a tall section) represents the operator without
     finite-section reflection artifacts; kernel dimensions are read
-    from singular values below sv_tol * sigma_max.  The increments
+    from singular values below ORACLE_SV_TOL * sigma_max.  The increments
     h(m+1) - h(m) count the indices below each level.  Brute-force
     oracle for tests, not the production algorithm.
     """
@@ -727,11 +725,11 @@ def toeplitz_kernel_indices(symbol, order=64, sv_tol=1e-6, max_scan=64):
                 T[i * s : (i + 1) * s, j * s : (j + 1) * s] = coeff(i - j + shift)
         sv = np.linalg.svd(T, compute_uv=False)
         top = sv[0] if sv[0] > 0 else 1.0
-        small = int(np.sum(sv < sv_tol * top))
+        small = int(np.sum(sv < ORACLE_SV_TOL * top))
         if small:
             # a kernel count is only trusted across a clear spectral gap
-            counted_max = sv[sv < sv_tol * top].max()
-            uncounted_min = sv[sv >= sv_tol * top].min()
+            counted_max = sv[sv < ORACLE_SV_TOL * top].max()
+            uncounted_min = sv[sv >= ORACLE_SV_TOL * top].min()
             if counted_max > 0 and uncounted_min / counted_max < 1e3:
                 raise FactorizationError("Toeplitz oracle has no clear singular gap")
         return small
@@ -746,7 +744,7 @@ def toeplitz_kernel_indices(symbol, order=64, sv_tol=1e-6, max_scan=64):
         return h[m]
 
     lo = start
-    for _ in range(max_scan):
+    for _ in range(ORACLE_MAX_SCAN):
         if get(lo) == 0:
             break
         lo -= 1
@@ -755,7 +753,7 @@ def toeplitz_kernel_indices(symbol, order=64, sv_tol=1e-6, max_scan=64):
     kappa = []
     prev = 0
     m = lo
-    for _ in range(max_scan):
+    for _ in range(ORACLE_MAX_SCAN):
         inc = get(m + 1) - get(m)
         if inc < prev or inc > s:
             raise FactorizationError("inconsistent Toeplitz kernel increments")
@@ -793,7 +791,7 @@ class ReductionReport:
         }
 
 
-def verify_reduction_chain(q, params, N=None, pointwise_tol=1e-8):
+def verify_reduction_chain(q, params, N=None):
     """Replay the constant/one-sided reduction from G to the closed form.
 
     Each recorded step multiplies the gradient matrix on the right by a
@@ -875,7 +873,7 @@ def verify_reduction_chain(q, params, N=None, pointwise_tol=1e-8):
     B_end = np.linalg.solve(np.conj(G5), G5)
     closed = build_B(q, params, source="closed_form", N=N)
     err = np.abs(B_end - closed.samples).max()
-    if err > pointwise_tol * max(1.0, np.abs(closed.samples).max()):
+    if err > CHAIN_POINTWISE_TOL * max(1.0, np.abs(closed.samples).max()):
         raise ReductionMismatchError(f"chain endpoint deviates from closed form by {err}")
 
     winds = {st["det_winding"] for st in steps}

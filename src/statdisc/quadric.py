@@ -20,10 +20,12 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidInputError
+from .errors import InvalidInputError, UsageError
 
 HERMITIAN_TOL = 1e-14
-COND_BOUND_DEFAULT = 1e12
+COND_BOUND = 1e12
+# highest total degree of a perturbation monomial
+MAX_DEGREE = 6
 
 
 def _as_complex_vector(z, length=None):
@@ -43,12 +45,11 @@ class Hyperquadric:
 
     n is the complex tangent dimension; A the Hermitian form. A is
     symmetrized on construction and rejected when non-Hermitian beyond
-    1e-14 entrywise or when its condition number exceeds cond_bound.
+    1e-14 entrywise or when its condition number exceeds COND_BOUND.
     """
 
     n: int
     A: np.ndarray
-    cond_bound: float = COND_BOUND_DEFAULT
 
     def __post_init__(self):
         if self.n < 1:
@@ -63,7 +64,7 @@ class Hyperquadric:
             raise InvalidInputError("A is not Hermitian to 1e-14")
         A = 0.5 * (A + A.conj().T)
         sv = np.linalg.svd(A, compute_uv=False)
-        if sv[-1] == 0.0 or sv[0] / sv[-1] > self.cond_bound:
+        if sv[-1] == 0.0 or sv[0] / sv[-1] > COND_BOUND:
             raise InvalidInputError("A is degenerate or too ill-conditioned")
         A.flags.writeable = False
         object.__setattr__(self, "A", A)
@@ -120,11 +121,30 @@ class Hyperquadric:
 
     @classmethod
     def from_json(cls, obj):
-        n = int(obj["n"])
-        flat = np.array([complex(re, im) for re, im in obj["A"]], dtype=complex)
+        n = _json_value(obj, "n", int)
+        pairs = _json_value(obj, "A", lambda A: [complex(re, im) for re, im in A])
+        flat = np.array(pairs, dtype=complex)
+        if n < 1:  # before the reshape, which cannot take a negative n
+            raise InvalidInputError("n must be a positive integer")
         if flat.size != n * n:
             raise InvalidInputError("A must hold n*n row-major entries")
         return cls(n=n, A=flat.reshape(n, n))
+
+
+def _json_value(obj, key, convert, *default):
+    """convert(obj[key]), or the default of a missing optional key.
+
+    A model file that is not an object, lacks a required key, or holds a
+    value convert cannot take is a usage error that names the key.
+    """
+    if not isinstance(obj, dict) or (key not in obj and not default):
+        raise UsageError(f"model file needs an object with key {key!r}")
+    if key not in obj:
+        return default[0]
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"model file key {key!r}: {exc}") from None
 
 
 def z_to_real_coords(z):
@@ -148,7 +168,6 @@ class PerturbedHypersurface:
     base: Hyperquadric
     epsilon: float = 0.0
     terms: dict = field(default_factory=dict)
-    max_degree: int = 6
 
     def __post_init__(self):
         if not np.isfinite(self.epsilon):
@@ -161,8 +180,8 @@ class PerturbedHypersurface:
             mi = tuple(int(m) for m in mi)
             if len(mi) != d or any(m < 0 for m in mi):
                 raise InvalidInputError(f"bad multi-index {mi}")
-            if sum(mi) > self.max_degree:
-                raise InvalidInputError(f"term degree {sum(mi)} exceeds {self.max_degree}")
+            if sum(mi) > MAX_DEGREE:
+                raise InvalidInputError(f"term degree {sum(mi)} exceeds {MAX_DEGREE}")
             c = float(c)
             if not np.isfinite(c):
                 raise InvalidInputError("non-finite coefficient")
@@ -265,9 +284,10 @@ class PerturbedHypersurface:
     def from_json(cls, obj):
         base = Hyperquadric.from_json(obj)
         terms = {}
-        for t in obj.get("terms", []):
-            terms[tuple(int(m) for m in t["multi_index"])] = float(t["coeff"])
-        return cls(base=base, epsilon=float(obj.get("epsilon", 0.0)), terms=terms)
+        for t in _json_value(obj, "terms", list, []):
+            mi = _json_value(t, "multi_index", lambda mi: tuple(int(m) for m in mi))
+            terms[mi] = _json_value(t, "coeff", float)
+        return cls(base=base, epsilon=_json_value(obj, "epsilon", float, 0.0), terms=terms)
 
 
 def satisfies_condition_star(q, p0):

@@ -32,7 +32,6 @@ from statdisc import (
     transport_jet,
     verify_reduction_chain,
 )
-from statdisc.boundary_analysis import BoundaryFunction
 from statdisc.errors import LiftConstructionError, NotReachableError
 
 from conftest import lift_zero_modulus, random_disc_params, random_hermitian_quadric
@@ -103,7 +102,7 @@ def test_criterion_3_lift_validity():
             grad = q.grad_r_many(h.T).T
             ratio = hs / grad
             assert np.abs(ratio.imag).max() < 1e-10 * np.abs(ratio).max()
-            defect = np.max(holomorphic_defect(BoundaryFunction(zeta[None, :] * hs)))
+            defect = np.max(holomorphic_defect(zeta[None, :] * hs))
             assert defect < 1e-10
             try:
                 built = construct_regular_lift(PerturbedHypersurface(base=q), h)

@@ -4,17 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statdisc import (
-    BoundaryFunction,
     DiscParams,
     Hyperquadric,
     PerturbedHypersurface,
     circle_nodes,
     construct_regular_lift,
-    fourier,
     hilbert_transform,
     holomorphic_defect,
     make_disc,
-    synth,
     winding_number,
 )
 from statdisc.errors import (
@@ -30,36 +27,9 @@ THETA = 2 * np.pi * np.arange(N) / N
 
 
 class TestFourier:
-    def test_unit_mode(self):
-        bf = BoundaryFunction(ZETA)
-        c = bf.coeffs
-        assert abs(bf.coeff(1) - 1.0) < 1e-14
-        mask = np.ones(N, dtype=bool)
-        mask[1] = False
-        assert np.abs(c[mask]).max() < 1e-14
-
-    def test_geometric_series(self):
-        # 1/(1 - z/2) has coefficients 2^-m for m >= 0
-        bf = BoundaryFunction(1.0 / (1.0 - 0.5 * ZETA))
-        for m in range(0, 8):
-            assert abs(bf.coeff(m) - 0.5**m) < 1e-12
-        assert abs(bf.coeff(-3)) < 1e-12
-
-    def test_roundtrip(self, rng):
-        vals = rng.normal(size=N) + 1j * rng.normal(size=N)
-        back = synth(fourier(BoundaryFunction(vals)))
-        assert np.abs(back.values - vals).max() < 1e-12 * np.abs(vals).max()
-
-    def test_parseval(self, rng):
-        vals = rng.normal(size=N) + 1j * rng.normal(size=N)
-        bf = BoundaryFunction(vals)
-        lhs = np.sum(np.abs(vals) ** 2) / N
-        rhs = np.sum(np.abs(bf.coeffs) ** 2)
-        assert abs(lhs - rhs) < 1e-12 * lhs
-
     def test_bad_grid_rejected(self):
         with pytest.raises(InvalidInputError):
-            BoundaryFunction(np.ones(100))
+            holomorphic_defect(np.ones(100))
 
 
 class TestHilbert:
@@ -91,13 +61,6 @@ class TestHilbert:
         got = hilbert_transform(g)
         assert got.shape == g.shape and got.dtype == float
         assert np.abs(got - self.reference(g)).max() <= 1e-14 * np.abs(g).max()
-
-    def test_boundary_function_input(self, rng):
-        g = rng.normal(size=(2, N))
-        got = hilbert_transform(BoundaryFunction(g))
-        assert isinstance(got, BoundaryFunction)
-        assert np.all(got.values.imag == 0.0)
-        assert np.abs(got.values.real - self.reference(g)).max() <= 1e-14 * np.abs(g).max()
 
     def test_accepts_numerically_real_complex(self, rng):
         g = rng.normal(size=N)
@@ -135,12 +98,12 @@ class TestDefect:
             q, LiftParams(disc=DiscParams(y0=0.0, v=[0], w=[1], a=0.5), b=1.0)
         )
         hs = lift.boundary(N)
-        assert np.max(holomorphic_defect(BoundaryFunction(ZETA[None, :] * hs))) < 1e-10
+        assert np.max(holomorphic_defect(ZETA[None, :] * hs)) < 1e-10
 
     def test_nonnegative_synthesis(self, rng):
         coeffs = np.zeros(N, dtype=complex)
         coeffs[: N // 2] = rng.normal(size=N // 2) + 1j * rng.normal(size=N // 2)
-        assert holomorphic_defect(synth(coeffs)) < 1e-14
+        assert holomorphic_defect(np.fft.ifft(coeffs * N)) < 1e-14
 
 
 class TestWinding:

@@ -276,6 +276,51 @@ class TestExecute:
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": "usage", "detail": detail}
 
+    @pytest.mark.parametrize(
+        "model,detail",
+        [
+            ([1, [[1, 0]]], "model file needs an object with key 'n'"),
+            ({"A": [[1, 0]]}, "model file needs an object with key 'n'"),
+            ({"n": "x", "A": [[1, 0]]},
+             "model file key 'n': invalid literal for int() with base 10: 'x'"),
+            ({"n": 1, "A": [1]}, "model file key 'A': cannot unpack non-iterable int object"),
+            ({"n": 1, "A": [[1, 0]], "terms": [{"coeff": 1.0}]},
+             "model file needs an object with key 'multi_index'"),
+        ],
+        ids=["list", "no-n", "n-text", "A-unpaired", "term-without-multi-index"],
+    )
+    def test_malformed_model_file_is_a_usage_error(self, capsys, tmp_path, model, detail):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        code, out, err = run_main(capsys, "disc-make", "--A", str(path))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "usage", "detail": detail}
+
+    @pytest.mark.parametrize(
+        "model,detail",
+        [
+            ({"n": 2, "A": [[1, 0], [1, 0], [0, 0], [1, 0]]}, "A is not Hermitian to 1e-14"),
+            ({"n": 1, "A": [[1, 0]], "terms": [{"multi_index": [4, 0], "coeff": 1.0}]},
+             "bad multi-index (4, 0)"),
+            ({"n": 2, "A": [[1, 0]]}, "A must hold n*n row-major entries"),
+            ({"n": -1, "A": [[1, 0]]}, "n must be a positive integer"),
+        ],
+        ids=["non-hermitian", "bad-multi-index", "entry-count", "n-negative"],
+    )
+    def test_invalid_model_file_is_a_domain_error(self, capsys, tmp_path, model, detail):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        code, out, err = run_main(capsys, "disc-make", "--A", str(path))
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "InvalidInputError", "detail": detail}
+
+    def test_model_file_matches_the_flags(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"n": 2, "A": [[1, 0], [0, 0], [0, 0], [1, 0]]}))
+        from_file = run_main(capsys, "disc-make", "--A", str(path), "--w", "1,0.5")
+        assert from_file[0] == 0
+        assert from_file == run_main(capsys, "disc-make", "--n", "2", "--w", "1,0.5")
+
     def test_typed_config_file_matches_the_flags(self, capsys, tmp_path):
         config = {"n": 1, "a": "0.3", "w": "1", "epsilon": 1e-3, "term": ["0,0,4,0:1.0"],
                   "pin_center": True, "p0": "1.5", "grid": 128, "modes": 32}

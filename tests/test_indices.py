@@ -37,22 +37,12 @@ ZETA = circle_nodes(N)
 def diag_symbol(*powers):
     s = len(powers)
     smp = np.zeros((N, s, s), dtype=complex)
-    C = np.zeros((max(powers) + 1, s, s), dtype=complex)
     for j, k in enumerate(powers):
         smp[:, j, j] = ZETA**k
-        C[k, j, j] = 1.0
-    return MatrixSymbol(samples=smp, laurent=LaurentMatrix(C, 0))
+    return MatrixSymbol(samples=smp)
 
 
 class TestMatrixSymbol:
-    def test_laurent_must_match_samples(self):
-        smp = np.zeros((N, 1, 1), dtype=complex)
-        smp[:, 0, 0] = ZETA
-        C = np.zeros((2, 1, 1), dtype=complex)
-        C[1, 0, 0] = 1.0 + 1e-6
-        with pytest.raises(InvalidInputError):
-            MatrixSymbol(samples=smp, laurent=LaurentMatrix(C, 0))
-
     def test_singular_rejected(self):
         smp = np.zeros((N, 2, 2), dtype=complex)
         smp[:, 0, 0] = ZETA
@@ -177,10 +167,7 @@ class TestPartialIndices:
         smp = np.zeros((N, 2, 2), dtype=complex)
         smp[:, 0, 1] = ZETA**2
         smp[:, 1, 0] = ZETA**2
-        C = np.zeros((3, 2, 2), dtype=complex)
-        C[2, 0, 1] = 1.0
-        C[2, 1, 0] = 1.0
-        pi = partial_indices(MatrixSymbol(samples=smp, laurent=LaurentMatrix(C, 0)))
+        pi = partial_indices(MatrixSymbol(samples=smp))
         assert pi.kappa == (2, 2) and pi.total == 4
 
     def test_full_n1_against_toeplitz_oracle(self):

@@ -343,7 +343,7 @@ def newton_oracle(system, x, cfg):
 def _model(n, eps):
     """Hermitian form with off-diagonal entries and a perturbation whose
     Hessian couples z0 with the tangential coordinates."""
-    A = np.diag([1.0, 1.5, 2.0][:n]).astype(complex)
+    A = np.diag([1.0, 1.5, 2.0, 2.5][:n]).astype(complex)
     for i in range(n - 1):
         A[i, i + 1] = 0.2 - 0.1j
         A[i + 1, i] = 0.2 + 0.1j
@@ -413,7 +413,7 @@ class TestLinearization:
         ref = np.linalg.lstsq(J, c, rcond=_RCOND)[0]
         assert np.linalg.norm(Vt.T @ ((Vt @ (J.T @ c)) / S**2) - ref) <= 1e-5 * np.linalg.norm(ref)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_family_counts_and_gap(self, n):
         # criterion 7's counts: 4n + 3 free, 2n + 1 with the center pinned
         q, _ = _model(n, 0.0)
@@ -627,21 +627,39 @@ class TestTransport:
         assert np.array_equal(tgt.center(), pin)
         assert np.abs(tgt.velocity() - u).max() < 1e-10
 
-    @pytest.mark.parametrize("eps", [1e-4, 1e-3])
-    def test_circular_representation(self, eps):
+    @pytest.mark.parametrize(
+        "m, z, eps",
+        [pytest.param(QUARTIC, [2.0, np.sqrt(2.0)], eps, id=f"{eps}") for eps in (1e-4, 1e-3)]
+        + [
+            # z on Q over z_a = (1, 0.5): z0 = 1 + 0.25 A_22
+            pytest.param(
+                PerturbedHypersurface(
+                    base=Hyperquadric(n=2, A=np.diag([1.0, a22])),
+                    terms={(0, 0, 4, 0, 0, 0): 1.0, (0, 0, 0, 0, 2, 2): 0.5},
+                ),
+                [1.0 + 0.25 * a22, 1.0, 0.5],
+                eps,
+                id=f"n2-A22={a22:g}-{eps}",
+            )
+            for a22 in (1.0, -1.0)
+            for eps in (1e-4, 1e-3)
+        ],
+    )
+    def test_circular_representation(self, m, z, eps):
         # the paper's circular representation Phi takes the endpoint h(1) of
         # the pinned disc h to h'(0); the pinned disc through h(e^{i th}) is
         # h(e^{i th} zeta), so Phi(h(e^{i th})) = e^{i th} h'(0) at every eps
-        m = QUARTIC.with_epsilon(eps)
+        m = m.with_epsilon(eps)
+        A = m.base.A
         cfg = SolveConfig(N=128, M=40)
-        z = np.array([2.0, np.sqrt(2.0)], dtype=complex)
+        z = np.array(z, dtype=complex)
         h, u = _disc_through_solution(m, 1.0 + 0j, z, cfg)
         modes = np.arange(h.h_coeffs.shape[1])
         for th in (0.8, 2.0):
             rotated = h.h_coeffs * np.exp(1j * th * modes)
             p = rotated.sum(axis=1)  # h(e^{i th}), on M
             # the solve reads Im z0 and z_a, and starts from the point of Q over p
-            over = np.array([np.real(p[1:].conj() @ SPHERE.A @ p[1:]) + 1j * p[0].imag, *p[1:]])
+            over = np.array([np.real(p[1:].conj() @ A @ p[1:]) + 1j * p[0].imag, *p[1:]])
             g, v = _disc_through_solution(m, 1.0 + 0j, over, cfg)
             assert np.abs(g.h_coeffs - rotated).max() < 1e-9
             assert np.abs(v - np.exp(1j * th) * u).max() < 1e-9
