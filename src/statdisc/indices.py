@@ -9,14 +9,12 @@ factorization exponents (partial indices) and determinant winding
 Partial indices are computed exactly, from a matrix Laurent polynomial
 with the symbol's indices, by a lowest-degree column reduction that
 finishes once the per-column bottom degrees sum to the determinant's
-order at the origin.  A disc-model symbol (`build_B`, either source)
-carries an index-equivalent form: the same symbol along the centered
-disc with pole 0 and direction w/|w|, which a disc automorphism, a
-Heisenberg translation and a dilation of Q relate to the disc with
-pole a (see IndexEquivalentForm).  Its determinant is a monomial, so no
-root is extracted.  Any other symbol is taken through a defect-checked
-Fourier truncation of its samples, and its interior determinant zeros
-are pushed to the origin first (root extraction).
+order at the origin.  Only a form whose determinant is a monomial is
+factored.  A disc-model symbol (`build_B`, either source) carries
+one: the same symbol along the centered disc with pole 0 and
+direction w/|w|, which a disc automorphism, a Heisenberg translation
+and a dilation of Q relate to the disc with pole a (see
+IndexEquivalentForm).  A symbol without that form is refused.
 The index sum is always checked against the determinant winding of
 the samples.  That check is the limit near the circle.  The closed
 form passes it up to |a| = 1 - 1e-10.  For the gradient source the
@@ -45,10 +43,6 @@ from .errors import (
 DET_MIN = 1e-10
 SNAP_REL = 1e-11
 COLUMN_SNAP_REL = 1e-10  # per column, in the reduction steps
-TRUNCATION_DEFECT = 1e-10  # relative Fourier tail a truncated symbol may drop
-ROOT_REMAINDER_REL = 1e-7  # relative remainder of a division by (zeta - root)
-# a root within ROOT_CLUSTER_REL * modulus + ROOT_CLUSTER_ABS of a cluster joins it
-ROOT_CLUSTER_REL, ROOT_CLUSTER_ABS = 0.15, 1e-9
 ORACLE_SV_TOL = 1e-6
 ORACLE_MAX_SCAN = 64  # index levels the Toeplitz oracle scans each way
 CHAIN_POINTWISE_TOL = 1e-8  # replayed chain against the closed-form symbol
@@ -140,7 +134,7 @@ def laurent_from_fft_samples(samples, lo, hi, tol=1e-11):
     return LaurentMatrix(*_trim(out, lo))
 
 
-def laurent_det(lm, grid=None):
+def laurent_det(lm):
     """Determinant of a Laurent matrix, again as (coeffs, lo)."""
     s = lm.size
     span = s * (lm.coeffs.shape[0] - 1)
@@ -154,15 +148,6 @@ def laurent_det(lm, grid=None):
     # a polynomial of degree <= span < N: coefficient d sits in bin d mod N
     coeffs = np.array([c[d % N] for d in range(span + 1)])
     return coeffs, s * lm.lo
-
-
-def _poly_trim(coeffs, lo, rel=SNAP_REL):
-    mags = np.abs(coeffs)
-    scale = mags.max(initial=0.0)
-    if scale == 0.0:
-        return np.zeros(1, dtype=complex), 0
-    keep = np.nonzero(mags > rel * scale)[0]
-    return coeffs[keep[0] : keep[-1] + 1], lo + int(keep[0])
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +189,9 @@ class IndexEquivalentForm:
       reduction fails for |a| >= 1 - 1e-6.
 
     At pole 0 both symbols are polynomials of degree <= 2 whose
-    determinant is a monomial, so the factorization finds no interior
-    determinant zero to extract.
+    determinant is a monomial (its other coefficients measure below
+    1e-14 of it on random models, n <= 6, up to |a| = 1 - 1e-10).  That
+    is the one kind of form the factorization takes.
     """
 
     laurent: LaurentMatrix
@@ -215,9 +201,10 @@ class IndexEquivalentForm:
 class MatrixSymbol:
     """Matrix-valued function on the circle grid.
 
-    samples has shape (N, s, s).  reduced, when present, is an
-    index-equivalent Laurent form used by the factorization.  The
-    samples are read-only, so their determinants are computed once.
+    samples has shape (N, s, s).  reduced is the index-equivalent
+    Laurent form that `partial_indices` factors; `build_B` sets it, and
+    a symbol without one has a Maslov index but no partial indices.
+    The samples are read-only, so their determinants are computed once.
     """
 
     samples: np.ndarray
@@ -393,171 +380,26 @@ def build_B(q, params, source="closed_form", N=None):
 # ---------------------------------------------------------------------------
 
 
-def _poly_roots(coeffs):
-    """Roots of sum_k coeffs[k] zeta^k (ascending order coefficients)."""
-    c, _ = _poly_trim(np.asarray(coeffs, dtype=complex), 0)
-    if c.size <= 1:
-        return np.array([], dtype=complex)
-    return np.roots(c[::-1])
-
-
-def _cluster_roots(roots, coeffs):
-    """Greedy clustering of a root cloud of the polynomial with ascending
-    coefficients coeffs into (centroid, multiplicity).
-
-    A root of multiplicity m comes out of the companion eigensolve as a
-    cloud of radius about eps^(1/m).  The centroid is polished by
-    Newton iteration on the (m-1)-th derivative of the polynomial,
-    where the root is simple; if that leaves a larger residual than the
-    raw members carry (the cloud was really distinct simple roots), the
-    members are returned individually.
-    """
-    out = []
-    left = list(roots)
-    while left:
-        seed = left.pop()
-        members = [seed]
-        changed = True
-        while changed:
-            changed = False
-            center = np.mean(members)
-            rest = []
-            for r in left:
-                bound = ROOT_CLUSTER_REL * max(abs(r), abs(center)) + ROOT_CLUSTER_ABS
-                if abs(r - center) <= bound:
-                    members.append(r)
-                    changed = True
-                else:
-                    rest.append(r)
-            left = rest
-        center = np.mean(members)
-        m = len(members)
-        if m >= 2:
-            d = np.asarray(coeffs, dtype=complex)
-            pall = d
-            for _ in range(m - 1):
-                d = d[1:] * np.arange(1, d.size)
-            for _ in range(8):
-                val = np.polyval(d[::-1], center)
-                der = np.polyval((d[1:] * np.arange(1, d.size))[::-1], center)
-                if der == 0:
-                    break
-                step = val / der
-                center -= step
-                if abs(step) < 1e-15 * max(1.0, abs(center)):
-                    break
-            res_refined = abs(np.polyval(pall[::-1], center))
-            res_members = max(abs(np.polyval(pall[::-1], r)) for r in members)
-            if res_refined > 100.0 * res_members + 1e-300:
-                out.extend((r, 1) for r in members)
-                continue
-        out.append((center, m))
-    return out
-
-
-def _unitary_with_first_column(u):
-    s = u.shape[0]
-    k = int(np.argmax(np.abs(u)))
-    cols = [u / np.linalg.norm(u)]
-    for j in range(s):
-        if j != k:
-            cols.append(np.eye(s, dtype=complex)[:, j])
-    Qm, _ = np.linalg.qr(np.column_stack(cols))
-    Qm[:, 0] = u / np.linalg.norm(u)
-    return Qm
-
-
-def _divide_column_by_root(colv, mu):
-    """Divide a polynomial column (K, s) by (zeta - mu); check remainders.
-
-    Runs the synthetic division top-down for |mu| < 1 and bottom-up for
-    |mu| >= 1; each direction keeps its error recurrence contractive.
-    """
-    K = colv.shape[0]
-    out = np.zeros_like(colv)
-    rem = np.zeros(colv.shape[1], dtype=complex)
-    if abs(mu) < 1.0:
-        for i in range(colv.shape[1]):
-            carry = 0.0 + 0.0j
-            for k in range(K - 1, 0, -1):
-                carry = colv[k, i] + mu * carry
-                out[k - 1, i] = carry
-            rem[i] = colv[0, i] + mu * carry
-    else:
-        for i in range(colv.shape[1]):
-            carry = 0.0 + 0.0j  # q_{-1}
-            for k in range(K - 1):
-                carry = (carry - colv[k, i]) / mu
-                out[k, i] = carry
-            rem[i] = colv[K - 1, i] - carry
-    scale = np.abs(colv).max()
-    if scale > 0 and np.abs(rem).max() > ROOT_REMAINDER_REL * scale:
-        raise FactorizationError("root extraction left a large remainder")
-    return out
-
-
-def _extract_one_root(coeffs, root):
-    """Push one interior determinant zero (|root| < 1) to the origin.
-
-    Mix its null vector into column 0 by a constant unitary, divide the
-    column by (zeta - root) and re-insert one zeta; the net change is a
-    minus-side Blaschke-type factor, so no partial index moves.
-    """
-    Pmu = LaurentMatrix(coeffs, 0).eval(root)[0]
-    _, _, vh = np.linalg.svd(Pmu)
-    u = np.conj(vh[-1])
-    mixed = np.einsum("kij,jl->kil", coeffs, _unitary_with_first_column(u))
-    divided = _divide_column_by_root(mixed[:, :, 0], root)
-    grown = np.zeros((mixed.shape[0] + 1,) + mixed.shape[1:], dtype=complex)
-    grown[:-1] = mixed
-    grown[:, :, 0] = 0.0
-    grown[1:, :, 0] = divided
-    return grown
-
-
-def _inside_det_roots(lm):
-    """Interior determinant zeros (off the origin), with multiplicity.
-
-    Zeros in the ambiguity band around the circle raise; zeros outside
-    are irrelevant to the reduction (their polynomial factor stays
-    invertible on the closed disc and folds into the plus factor).
-    """
-    inner_cut, outer_cut = 0.999, 1.001
-    dcoef, _dlo = _poly_trim(*laurent_det(lm))
-    roots = _poly_roots(dcoef)
-    loose = []
-    for r in roots:
-        if abs(r) < inner_cut:
-            loose.append(r)
-        elif abs(r) <= outer_cut:
-            raise FactorizationError("determinant root too close to the unit circle")
-    queue = []
-    for center, mult in _cluster_roots(np.array(loose, dtype=complex), dcoef):
-        queue.extend([center] * mult)
-    return queue
-
-
 def _extract_det_roots(coeffs, lo):
-    """Push every interior determinant zero to the origin.
+    """Trim a Laurent form and read its determinant order K at the origin.
 
-    The zeros are located and polished once per pass from the current
-    determinant and consumed in a batch; division dust can surface as
-    fresh tiny zeros, which the next pass sweeps.
+    Only a form whose determinant is a monomial c zeta^K is factored, so
+    there is no interior determinant zero to extract: every determinant
+    coefficient but the largest must be at most 1e-8 of it, or
+    FactorizationError is raised.  Returns (coeffs, lo, K) of the
+    trimmed form.
     """
-    for _pass in range(5):
-        lm = LaurentMatrix(coeffs, lo).trimmed()
-        coeffs, lo = lm.coeffs, lm.lo
-        queue = _inside_det_roots(lm)
-        if not queue:
-            return coeffs, lo
-        for center in queue:
-            coeffs = _snap_columns(np.ascontiguousarray(coeffs))
-            coeffs = _extract_one_root(coeffs, center)
-        coeffs = _snap_columns(np.ascontiguousarray(coeffs))
     lm = LaurentMatrix(coeffs, lo).trimmed()
-    if _inside_det_roots(lm):
-        raise FactorizationError("interior determinant zeros survived extraction")
-    return lm.coeffs, lm.lo
+    dcoef, dlo = laurent_det(lm)
+    mags = np.abs(dcoef)
+    top = int(np.argmax(mags))
+    rest = np.delete(mags, top).max(initial=0.0)
+    if rest >= 1e-8 * mags[top]:
+        raise FactorizationError(
+            f"determinant is not a monomial: a coefficient of {rest:.1e} beside the largest "
+            f"{mags[top]:.1e}; only a form with a monomial determinant is factored"
+        )
+    return lm.coeffs, lm.lo, dlo + top
 
 
 def _bottom_degrees(coeffs, lo):
@@ -579,19 +421,16 @@ def _bottom_degrees(coeffs, lo):
 def birkhoff_partial_indices(lm):
     """Partial indices of a Laurent matrix polynomial, exactly.
 
-    After interior-root extraction the determinant is c zeta^K times a
-    polynomial invertible on the closed disc; then whenever the
-    per-column bottom coefficient vectors are dependent, the dependency
-    is resolved into the column of lowest bottom degree using only
-    nonpositive powers of zeta (legal right-side operations), raising
-    that bottom degree strictly.  The sum of bottoms is bounded by the
-    determinant's order K at the origin, so the loop terminates with an
-    invertible bottom matrix, and the bottoms are the indices: the
-    remaining factor has unit-invertible values on the closed disc.
+    The determinant must be a monomial c zeta^K (see _extract_det_roots).
+    Whenever the per-column bottom coefficient vectors are dependent,
+    the dependency is resolved into the column of lowest bottom degree
+    using only nonpositive powers of zeta (legal right-side operations),
+    raising that bottom degree strictly.  The sum of bottoms is bounded
+    by K, so the loop terminates with an invertible bottom matrix, and
+    the bottoms are the indices: the remaining factor has
+    unit-invertible values on the closed disc.
     """
-    lm = lm.trimmed()
-    coeffs, lo = _extract_det_roots(lm.coeffs, lm.lo)
-    _dcoef, K = _poly_trim(*laurent_det(LaurentMatrix(coeffs, lo)), rel=1e-8)
+    coeffs, lo, K = _extract_det_roots(lm.coeffs, lm.lo)
     s = coeffs.shape[1]
     for _ in range(4 * (abs(K) + s * coeffs.shape[0] + 4)):
         coeffs = _snap_columns(np.ascontiguousarray(coeffs))
@@ -647,18 +486,18 @@ def birkhoff_partial_indices(lm):
 def partial_indices(symbol):
     """Partial indices of a sampled symbol via exact Birkhoff reduction.
 
-    Uses the index-equivalent reduced form when the symbol has one, and
-    otherwise a Fourier truncation of the samples that drops at most
-    TRUNCATION_DEFECT of their mass.  The result always satisfies
-    sum(kappa) = winding of det(samples); a mismatch raises, and names
-    the grid size, which a symbol with a pole near the circle needs
-    raised.
+    Factors the symbol's index-equivalent reduced form, which `build_B`
+    attaches; a symbol without one raises InvalidInputError.  The result
+    always satisfies sum(kappa) = winding of det(samples); a mismatch
+    raises, and names the grid size, which a symbol with a pole near
+    the circle needs raised.
     """
-    if symbol.reduced is not None:
-        lm = symbol.reduced.laurent
-    else:
-        lm = _truncate_symbol(symbol)
-    kappa = birkhoff_partial_indices(lm)
+    if symbol.reduced is None:
+        raise InvalidInputError(
+            "partial_indices needs the symbol's index-equivalent form; "
+            "build the symbol with build_B"
+        )
+    kappa = birkhoff_partial_indices(symbol.reduced.laurent)
     wind = winding_number(symbol.det_samples())
     if int(kappa.sum()) != wind:
         raise FactorizationError(
@@ -666,19 +505,6 @@ def partial_indices(symbol):
             "samples; a pole near the circle needs a larger grid"
         )
     return PartialIndices.from_values(kappa)
-
-
-def _truncate_symbol(symbol):
-    c = np.fft.fft(symbol.samples, axis=0) / symbol.N
-    m = np.fft.fftfreq(symbol.N, 1.0 / symbol.N).astype(int)
-    total = np.linalg.norm(c)
-    for d in range(1, symbol.N // 2):
-        tail = np.linalg.norm(c[np.abs(m) > d])
-        if tail <= TRUNCATION_DEFECT * total:
-            if d * symbol.size > 400:
-                raise ApproximationError("adequate truncation degree is too large")
-            return laurent_from_fft_samples(symbol.samples, -d, d, tol=TRUNCATION_DEFECT)
-    raise ApproximationError(f"no Laurent truncation reaches defect {TRUNCATION_DEFECT}")
 
 
 # ---------------------------------------------------------------------------

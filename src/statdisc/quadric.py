@@ -121,7 +121,7 @@ class Hyperquadric:
 
     @classmethod
     def from_json(cls, obj):
-        n = _json_value(obj, "n", int)
+        n = _json_value(obj, "n", _json_int)
         pairs = _json_value(obj, "A", lambda A: [complex(re, im) for re, im in A])
         flat = np.array(pairs, dtype=complex)
         if n < 1:  # before the reshape, which cannot take a negative n
@@ -145,6 +145,13 @@ def _json_value(obj, key, convert, *default):
         return convert(obj[key])
     except (TypeError, ValueError) as exc:
         raise UsageError(f"model file key {key!r}: {exc}") from None
+
+
+def _json_int(value):
+    """A JSON integer; a float or a bool is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 def z_to_real_coords(z):
@@ -285,7 +292,7 @@ class PerturbedHypersurface:
         base = Hyperquadric.from_json(obj)
         terms = {}
         for t in _json_value(obj, "terms", list, []):
-            mi = _json_value(t, "multi_index", lambda mi: tuple(int(m) for m in mi))
+            mi = _json_value(t, "multi_index", lambda mi: tuple(_json_int(m) for m in mi))
             terms[mi] = _json_value(t, "coeff", float)
         return cls(base=base, epsilon=_json_value(obj, "epsilon", float, 0.0), terms=terms)
 

@@ -281,13 +281,17 @@ class TestExecute:
         [
             ([1, [[1, 0]]], "model file needs an object with key 'n'"),
             ({"A": [[1, 0]]}, "model file needs an object with key 'n'"),
-            ({"n": "x", "A": [[1, 0]]},
-             "model file key 'n': invalid literal for int() with base 10: 'x'"),
+            ({"n": "x", "A": [[1, 0]]}, "model file key 'n': expected an integer, got 'x'"),
+            ({"n": 1.9, "A": [[1, 0]]}, "model file key 'n': expected an integer, got 1.9"),
+            ({"n": True, "A": [[1, 0]]}, "model file key 'n': expected an integer, got True"),
             ({"n": 1, "A": [1]}, "model file key 'A': cannot unpack non-iterable int object"),
             ({"n": 1, "A": [[1, 0]], "terms": [{"coeff": 1.0}]},
              "model file needs an object with key 'multi_index'"),
+            ({"n": 1, "A": [[1, 0]], "terms": [{"multi_index": [0, 0, 2.7, 0], "coeff": 1.0}]},
+             "model file key 'multi_index': expected an integer, got 2.7"),
         ],
-        ids=["list", "no-n", "n-text", "A-unpaired", "term-without-multi-index"],
+        ids=["list", "no-n", "n-text", "n-float", "n-bool", "A-unpaired",
+             "term-without-multi-index", "multi-index-float"],
     )
     def test_malformed_model_file_is_a_usage_error(self, capsys, tmp_path, model, detail):
         path = tmp_path / "model.json"
