@@ -92,7 +92,9 @@ def winding_number(vals):
     ratios = np.roll(vals, -1) / vals
     steps = np.angle(ratios)
     if np.abs(steps).max() >= WINDING_MAX_STEP:
-        raise ResolutionError("phase step close to pi; increase the grid size")
+        raise ResolutionError(
+            f"phase step close to pi on N={vals.shape[0]} samples; increase the grid size"
+        )
     total = steps.sum() / (2.0 * np.pi)
     wind = int(np.rint(total))
     if abs(total - wind) > 0.1:

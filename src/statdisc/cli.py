@@ -226,6 +226,11 @@ def parse_config(argv):
 
 def _load_model(opt):
     if opt.get("A"):
+        if opt.get("epsilon") or opt.get("term"):
+            raise UsageError(
+                "--A reads the whole model from its file: put 'epsilon' and 'terms' in the "
+                "model file, not --epsilon or --term"
+            )
         path = opt["A"]
         try:
             with open(path) as fh:
@@ -319,35 +324,31 @@ def _disc_make(opt, m, N):
     d = make_disc(m.base, params)
     if opt["format"] == "csv":
         return boundary_csv(d.boundary(N))
-    rep = verify_gluing(m if m.epsilon else m.base, d.boundary(N))
-    return canonical_json(
-        {
-            "params": params.to_json(),
-            "center": vector_pairs(d.center()),
-            "endpoint": vector_pairs(d.at(np.array(1.0 + 0.0j))),
-            "velocity": vector_pairs(d.velocity()),
-            "max_residual": rep.max_residual,
-        }
-    ) + "\n"
+    rep = verify_gluing(m, d.boundary(N))
+    return {
+        "params": params.to_json(),
+        "center": vector_pairs(d.center()),
+        "endpoint": vector_pairs(d.at(np.array(1.0 + 0.0j))),
+        "velocity": vector_pairs(d.velocity()),
+        "max_residual": rep.max_residual,
+    }
 
 
 def _disc_invert(opt, m, N):
     samples = _read_boundary_csv(_required(opt, "input", "disc-invert"), m.n + 1)
-    return canonical_json({"params": invert_disc(m.base, samples).to_json()}) + "\n"
+    return {"params": invert_disc(m.base, samples).to_json()}
 
 
 def _disc_through(opt, m, N):
     z = _parse_point(_required(opt, "z", "disc-through"))
     params = disc_through(m.base, _parse_complex(opt["p0"]), z)
     d = make_disc(m.base, params)
-    return canonical_json(
-        {
-            "a": pair(params.a),
-            "w": vector_pairs(params.w),
-            "y0": params.y0,
-            "endpoint": vector_pairs(d.at(np.array(1.0 + 0.0j))),
-        }
-    ) + "\n"
+    return {
+        "a": pair(params.a),
+        "w": vector_pairs(params.w),
+        "y0": params.y0,
+        "endpoint": vector_pairs(d.at(np.array(1.0 + 0.0j))),
+    }
 
 
 def _lift(opt, m, N):
@@ -358,28 +359,26 @@ def _lift(opt, m, N):
         return boundary_csv(lift.boundary(N))
     proj = projectivize_lift(q, lp, N=N)
     hs = circle_nodes(N)[None, :] * lift.boundary(N)
-    return canonical_json(
-        {
-            "b": float(opt["b"]),
-            "lift_defect": float(np.max(holomorphic_defect(hs))),
-            "c_at_1": float(lift.c_factor(np.array(1.0 + 0.0j)).real),
-            "projectivized_components": 2 * q.n + 1,
-            "permutation": list(proj.permutation) if proj.permutation else None,
-        }
-    ) + "\n"
+    return {
+        "b": float(opt["b"]),
+        "lift_defect": float(np.max(holomorphic_defect(hs))),
+        "c_at_1": float(lift.c_factor(np.array(1.0 + 0.0j)).real),
+        "projectivized_components": 2 * q.n + 1,
+        "permutation": list(proj.permutation) if proj.permutation else None,
+    }
 
 
 def _verify(opt, m, N):
     samples = _read_boundary_csv(_required(opt, "input", "verify"), m.n + 1)
     rep = verify_gluing(m, samples)
-    return canonical_json({"max_residual": rep.max_residual, "lift_defect": rep.lift_defect}) + "\n"
+    return {"max_residual": rep.max_residual, "lift_defect": rep.lift_defect}
 
 
 def _indices_maslov(opt, m, N):
     from .indices import build_B, maslov_index
 
     B = build_B(m.base, _disc_params(opt, m.n), source=opt["source"], N=N)
-    return canonical_json({"kappa_total": maslov_index(B), "n": m.n, "expected": 2 * m.n + 2}) + "\n"
+    return {"kappa_total": maslov_index(B), "n": m.n, "expected": 2 * m.n + 2}
 
 
 def _indices_partial(opt, m, N):
@@ -388,18 +387,17 @@ def _indices_partial(opt, m, N):
     B = build_B(m.base, _disc_params(opt, m.n), source=opt["source"], N=N)
     out = partial_indices(B).to_json()
     out["det_winding"] = maslov_index(B)
-    return canonical_json(out) + "\n"
+    return out
 
 
 def _indices_replay(opt, m, N):
     from .indices import verify_reduction_chain
 
-    rep = verify_reduction_chain(m.base, _disc_params(opt, m.n), N=N)
-    return canonical_json(rep.to_json()) + "\n"
+    return verify_reduction_chain(m.base, _disc_params(opt, m.n), N=N).to_json()
 
 
 def _solve(opt, m, N):
-    return canonical_json(_homotopy_solve(opt, m)[0].to_json()) + "\n"
+    return _homotopy_solve(opt, m)[0].to_json()
 
 
 def _family_dim(opt, m, N):
@@ -407,27 +405,23 @@ def _family_dim(opt, m, N):
 
     sol, scfg = _homotopy_solve(opt, m)
     fd = family_dimension(m, sol, scfg)
-    return canonical_json(
-        {
-            "dim": fd["dim"],
-            "pinned": bool(opt.get("pin_center")),
-            "singular_values": [float(v) for v in fd["singular_values"][-12:]],
-        }
-    ) + "\n"
+    return {
+        "dim": fd["dim"],
+        "pinned": bool(opt.get("pin_center")),
+        "singular_values": [float(v) for v in fd["singular_values"][-12:]],
+    }
 
 
 def _jacobians(opt, m, N):
     from .rh_solver import center_map_jacobians
 
     cm = center_map_jacobians(m, _parse_complex(opt["p0"]), _solve_config(opt))
-    return canonical_json(
-        {
-            "endpoint_invertible": cm.endpoint_invertible,
-            "velocity_injective": cm.velocity_injective,
-            "sv_endpoint_min": float(cm.sv_endpoint[-1]),
-            "sv_velocity_min": float(cm.sv_velocity[-1]),
-        }
-    ) + "\n"
+    return {
+        "endpoint_invertible": cm.endpoint_invertible,
+        "velocity_injective": cm.velocity_injective,
+        "sv_endpoint_min": float(cm.sv_endpoint[-1]),
+        "sv_velocity_min": float(cm.sv_velocity[-1]),
+    }
 
 
 def _indicatrix(opt, m, N):
@@ -468,11 +462,11 @@ def _transport(opt, m, N):
     dF = np.eye(m.n + 1, dtype=complex)
     dF[1:, 1:] *= np.exp(1j * th)
     out = transport_jet(m, m, _parse_complex(opt["p0"]), dF, z, cfg=scfg)
-    return canonical_json({"image": vector_pairs(out), "theta": th}) + "\n"
+    return {"image": vector_pairs(out), "theta": th}
 
 
-# subcommand -> handler(options, model, grid size) returning the artifact text;
-# the order is the order of the command-line help
+# subcommand -> handler(options, model, grid size) returning the artifact: a
+# JSON object, or CSV text; the order is the order of the command-line help
 HANDLERS = {
     "disc-make": _disc_make,
     "disc-invert": _disc_invert,
@@ -496,7 +490,8 @@ def _run(cfg):
     m, N = _load_model(opt), _grid(opt)
     if cfg.subcommand not in HANDLERS:
         raise UsageError(f"unknown subcommand {cfg.subcommand!r}")
-    return HANDLERS[cfg.subcommand](opt, m, N)
+    out = HANDLERS[cfg.subcommand](opt, m, N)
+    return out if isinstance(out, str) else canonical_json(out) + "\n"
 
 
 def _read_boundary_csv(path, ncomp):

@@ -235,16 +235,6 @@ def invert_disc(q, h_samples):
     return DiscParams(y0=y0, v=v, w=w, a=a)
 
 
-def _lift_polys(a):
-    def p(zeta):
-        return (zeta - np.conj(a)) * (1.0 - a * zeta) / (1.0 + abs(a) ** 2)
-
-    def qq(zeta):
-        return (1.0 - a * zeta) / (1.0 + abs(a) ** 2)
-
-    return p, qq
-
-
 class ClosedFormLift:
     """Evaluator for the regular lift h* of a closed-form disc."""
 
@@ -262,11 +252,13 @@ class ClosedFormLift:
         if np.abs(zeta).min(initial=np.inf) < 1e-14:
             raise PoleError("h* has its pole at 0")
         d = self.lift_params.disc
-        p, qq = _lift_polys(d.a)
+        a = d.a
+        # p and q of the module docstring; p does not reuse q, which would move the rounding
+        p = (zeta - np.conj(a)) * (1.0 - a * zeta) / (1.0 + abs(a) ** 2)
+        q = (1.0 - a * zeta) / (1.0 + abs(a) ** 2)
         out = np.zeros(zeta.shape + (d.n + 1,), dtype=complex)
-        pv = p(zeta)
-        out[..., 0] = 0.5 * pv
-        out[..., 1:] = -pv[..., None] * self._vA - qq(zeta)[..., None] * self._wA
+        out[..., 0] = 0.5 * p
+        out[..., 1:] = -p[..., None] * self._vA - q[..., None] * self._wA
         out *= (self.lift_params.b / zeta)[..., None]
         return out
 
@@ -319,7 +311,6 @@ def projectivize_lift(q, l, N=None):
         d = DiscParams(y0=d.y0, v=d.v[list(sigma)], w=d.w[list(sigma)], a=d.a)
         l = LiftParams(disc=d, b=l.b)
     lift = ClosedFormLift(q, l)
-    zeta = circle_nodes(N)
     h = lift.disc.boundary(N)
     hs = lift.boundary(N)
     f = np.empty((2 * d.n + 1, N), dtype=complex)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_analysis import circle_nodes, validate_grid, winding_number
+from .boundary_analysis import GRID_DEFAULT, circle_nodes, validate_grid, winding_number
 from .disc import DiscParams, LiftParams, ProjectivizedLift, projectivize_lift
 from .errors import (
     ApproximationError,
@@ -74,10 +74,6 @@ class LaurentMatrix:
     def size(self):
         return self.coeffs.shape[1]
 
-    @property
-    def hi(self):
-        return self.lo + self.coeffs.shape[0] - 1
-
     def eval(self, zeta):
         zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
         out = np.zeros(zeta.shape + (self.size, self.size), dtype=complex)
@@ -111,27 +107,18 @@ def _snap_columns(coeffs):
     return coeffs
 
 
-def laurent_from_fft_samples(samples, lo, hi, tol=1e-11):
-    """Interpolate grid samples (N, s, s) into a Laurent matrix.
+def _reduced_form(samples):
+    """Laurent form C_0 + C_1 zeta + C_2 zeta^2 of pole-0 samples (N, s, s).
 
-    The true symbol must be supported in [lo, hi]; mass outside that
-    envelope certifies failure and raises ApproximationError.
+    The pole-0 symbol is a polynomial of degree <= 2: mass above 1e-12 of
+    the total in any other mode (modes 3 .. N-1 of the FFT, the negative
+    ones included) raises ApproximationError.
     """
-    N = samples.shape[0]
-    if hi - lo + 1 > N:
-        raise ApproximationError("grid too small for the requested envelope")
-    c = np.fft.fft(samples, axis=0) / N
-    m = np.fft.fftfreq(N, 1.0 / N).astype(int)
-    inside = (m >= lo) & (m <= hi)
+    c = np.fft.fft(samples, axis=0) / samples.shape[0]
     total = np.linalg.norm(c)
-    if total > 0 and np.linalg.norm(c[~inside]) > tol * total:
+    if total > 0 and np.linalg.norm(c[3:]) > 1e-12 * total:
         raise ApproximationError("samples carry mass outside the Laurent envelope")
-    K = hi - lo + 1
-    out = np.zeros((K, samples.shape[1], samples.shape[2]), dtype=complex)
-    for k in range(N):
-        if inside[k]:
-            out[m[k] - lo] = c[k]
-    return LaurentMatrix(*_trim(out, lo))
+    return LaurentMatrix(*_trim(c[:3], 0))
 
 
 def laurent_det(lm):
@@ -362,7 +349,7 @@ def build_B(q, params, source="closed_form", N=None):
     Laurent form is interpolated from REDUCED_GRID samples, and the
     envelope [0, 2] certifies it.
     """
-    N = validate_grid(N or 256)
+    N = validate_grid(N or GRID_DEFAULT)
     if np.linalg.norm(params.v) != 0.0:
         raise InvalidParamsError("conjugation symbols assume a centered disc (v = 0)")
     sampled = SYMBOL_SOURCES.get(source)
@@ -371,8 +358,7 @@ def build_B(q, params, source="closed_form", N=None):
     samples = sampled(q, params, N)
     unit = params.w / np.linalg.norm(params.w)
     at_zero = sampled(q, DiscParams(y0=params.y0, v=params.v, w=unit, a=0.0), REDUCED_GRID)
-    reduced = laurent_from_fft_samples(at_zero, lo=0, hi=2, tol=1e-12)
-    return MatrixSymbol(samples=samples, reduced=IndexEquivalentForm(reduced))
+    return MatrixSymbol(samples=samples, reduced=IndexEquivalentForm(_reduced_form(at_zero)))
 
 
 # ---------------------------------------------------------------------------
@@ -530,25 +516,24 @@ def toeplitz_kernel_indices(symbol, order=64):
     h(m+1) - h(m) count the indices below each level.  Brute-force
     oracle for tests, not the production algorithm.
     """
-    s = symbol.size
-    c = np.fft.fft(np.swapaxes(symbol.samples, 1, 2), axis=0) / symbol.N
-    m_modes = np.fft.fftfreq(symbol.N, 1.0 / symbol.N).astype(int)
-    cmap = {int(mm): c[k] for k, mm in enumerate(m_modes)}
-    zero = np.zeros((s, s), dtype=complex)
+    s, N = symbol.size, symbol.N
+    c = np.fft.fft(np.swapaxes(symbol.samples, 1, 2), axis=0) / N
+    m_modes = np.fft.fftfreq(N, 1.0 / N).astype(int)
+    # block N is zero: it stands for every mode off the grid
+    blocks = np.concatenate([c, np.zeros((1, s, s), dtype=complex)])
     # the tall section only needs rows reaching the symbol's support
     mags = np.linalg.norm(c, axis=(1, 2))
     sig = np.abs(m_modes[mags > 1e-13 * mags.max()])
     support = int(sig.max()) if sig.size else 0
-
-    def coeff(k):
-        return cmap.get(int(k), zero)
+    rows = order + support + 1
+    offsets = np.arange(rows)[:, None] - np.arange(order + 1)[None, :]
 
     def kernel_dim(shift):
-        rows = order + support + 1
-        T = np.empty((rows * s, (order + 1) * s), dtype=complex)
-        for i in range(rows):
-            for j in range(order + 1):
-                T[i * s : (i + 1) * s, j * s : (j + 1) * s] = coeff(i - j + shift)
+        k = offsets + shift
+        on_grid = (k >= -(N // 2)) & (k < N // 2)
+        # block (i, j) of T is the coefficient of mode i - j + shift
+        T = blocks[np.where(on_grid, k % N, N)].transpose(0, 2, 1, 3)
+        T = T.reshape(rows * s, (order + 1) * s)
         sv = np.linalg.svd(T, compute_uv=False)
         top = sv[0] if sv[0] > 0 else 1.0
         small = int(np.sum(sv < ORACLE_SV_TOL * top))
@@ -628,7 +613,7 @@ def verify_reduction_chain(q, params, N=None):
     chain runs at the pole a; the two index computations go through the
     pole-0 forms of `build_B`.
     """
-    N = validate_grid(N or 256)
+    N = validate_grid(N or GRID_DEFAULT)
     if np.linalg.norm(params.v) != 0.0:
         raise InvalidParamsError("reduction chain assumes a centered disc (v = 0)")
     lift = projectivize_lift(q, LiftParams(disc=params, b=1.0), N=N)

@@ -98,13 +98,9 @@ class Hyperquadric:
         out[:, 1:] = -(z[:, 1:].conj() @ self.A)
         return out
 
-    def eigen_split(self):
-        """Eigenvalues (ascending) and eigenvectors of A."""
-        return np.linalg.eigh(self.A)
-
     def definiteness(self):
         """"positive-definite", "negative-definite" or "indefinite"."""
-        w, _ = self.eigen_split()
+        w, _ = np.linalg.eigh(self.A)
         if w[0] > 0:
             return "positive-definite"
         if w[-1] < 0:
@@ -338,7 +334,7 @@ def exists_disc_centered(q, p):
     p = _as_complex_vector(p, q.n + 1)
     x0 = q.eval_r(p)
     kind = q.definiteness()
-    w_eig, v_eig = q.eigen_split()
+    w_eig, v_eig = np.linalg.eigh(q.A)
     is_center_form = bool(np.all(p[1:] == 0))
     cond = satisfies_condition_star(q, p[0]) if is_center_form else None
 

@@ -55,7 +55,12 @@ from .errors import (
     NoConvergenceError,
     TargetInversionError,
 )
-from .quadric import Hyperquadric, PerturbedHypersurface, satisfies_condition_star
+from .quadric import (
+    Hyperquadric,
+    PerturbedHypersurface,
+    exists_disc_centered,
+    satisfies_condition_star,
+)
 
 
 @dataclass(frozen=True)
@@ -88,6 +93,13 @@ def _as_perturbed(m):
     if isinstance(m, Hyperquadric):
         return PerturbedHypersurface(base=m)
     return m
+
+
+def _boundary_samples(coeffs, N):
+    """Samples (n+1, N) on the circle grid of truncated holomorphic coefficients."""
+    spec = np.zeros((coeffs.shape[0], N), dtype=complex)
+    spec[:, : coeffs.shape[1]] = coeffs
+    return np.fft.ifft(spec * N, axis=1)
 
 
 class _DiscSystem:
@@ -128,16 +140,11 @@ class _DiscSystem:
         coefficients; reads take coefficient arrays stacked on leading axes."""
         return read(self.unpack(np.eye(self.size))).T
 
-    def boundary(self, coeffs):
-        spec = np.zeros((self.n + 1, self.cfg.N), dtype=complex)
-        spec[:, : self.cfg.M + 1] = coeffs
-        return np.fft.ifft(spec * self.cfg.N, axis=1)
-
     # -- residual and its exact linearization ----------------------------
 
     def residual(self, x):
         coeffs = self.unpack(x)
-        h = self.boundary(coeffs)
+        h = _boundary_samples(coeffs, self.cfg.N)
         rho = self.m.eval_rho_many(h.T)
         neg = construct_regular_lift(self.m, h).spec[: self.n, self.cfg.N // 2 :].reshape(-1)
         parts = [rho, neg.real, neg.imag]
@@ -178,7 +185,7 @@ class _DiscSystem:
         constraint rows, the pin's included, are the constant constraint_rows.
         """
         N, n, half = self.cfg.N, self.n, self.cfg.N // 2
-        h = self.boundary(self.unpack(x))
+        h = _boundary_samples(self.unpack(x), self.cfg.N)
         lift = construct_regular_lift(self.m, h)
         grad, lam, phi = lift.grad.T, lift.lam, lift.phi
         P, Q = self.grad_derivatives(h)
@@ -238,10 +245,7 @@ class GluedDisc:
         return self.h_coeffs.shape[0] - 1
 
     def boundary_values(self, N=None):
-        N = validate_grid(N or self.config.N)
-        spec = np.zeros((self.h_coeffs.shape[0], N), dtype=complex)
-        spec[:, : self.h_coeffs.shape[1]] = self.h_coeffs
-        return np.fft.ifft(spec * N, axis=1)
+        return _boundary_samples(self.h_coeffs, validate_grid(N or self.config.N))
 
     def center(self):
         return self.h_coeffs[:, 0].copy()
@@ -377,7 +381,7 @@ def solve_glued_disc(m, start, cfg=None, pin_center=None, constraint=None):
         # Newton holds the pin rows to rounding; the returned disc holds the pin
         coeffs[:, 0] = system.pin_center
         sup = system.sup_norm(system.residual(system.pack(coeffs)))
-    lift = construct_regular_lift(m, system.boundary(coeffs))
+    lift = construct_regular_lift(m, _boundary_samples(coeffs, cfg.N))
     defects = lift.defects
     if np.max(defects) > 10.0 * cfg.tol:
         raise NoConvergenceError(
@@ -562,11 +566,13 @@ class CenterMapJacobians:
         return bool(self.sv_velocity[-1] > 1e-10 * max(1.0, self.sv_velocity[0]))
 
 
-def center_map_jacobians(m, p0, cfg=None, base_a=0.0, direction=None):
+def center_map_jacobians(m, p0, cfg=None):
     """Jacobians of h -> (Im h0(1), h_a(1)) and h -> h'(0) on the pinned family.
 
-    Both maps are real-linear reads of the coefficients, so each Jacobian
-    is its read's rows times the tangent basis of the pinned solve's
+    The family is continued from the closed-form disc with pole 0 whose
+    direction is the exists_disc_centered witness at (p0, 0).  Both maps
+    are real-linear reads of the coefficients, so each Jacobian is its
+    read's rows times the tangent basis of the pinned solve's
     linearization; at epsilon = 0 that solve returns the closed-form disc
     with no Newton step.
     """
@@ -575,17 +581,12 @@ def center_map_jacobians(m, p0, cfg=None, base_a=0.0, direction=None):
     p0 = complex(p0)
     if not satisfies_condition_star(q, p0):
         raise InvalidInputError("center fails the admissibility condition")
-    if direction is None:
-        from .quadric import exists_disc_centered
-
-        res = exists_disc_centered(q, _center_pin(q.n, p0))
-        if not res.exists:
-            raise InvalidInputError("no centered disc exists at p0")
-        direction = res.witness
-    direction = np.asarray(direction, dtype=complex)
+    # an admissible center has a witness: both checks read the same signs
+    pin = _center_pin(q.n, p0)
+    direction = exists_disc_centered(q, pin).witness
     cfg = cfg or SolveConfig()
-    params0 = _center_disc_params(q, p0, complex(base_a), direction)
-    sol = solve_with_homotopy(m, params0, cfg, pin_center=_center_pin(q.n, p0))
+    params0 = _center_disc_params(q, p0, 0.0, direction)
+    sol = solve_with_homotopy(m, params0, cfg, pin_center=pin)
     basis, system = family_tangent_basis(m, sol, cfg)
     Je = system.rows(_endpoint) @ basis
     Jv = system.rows(_velocity) @ basis

@@ -228,6 +228,18 @@ class TestExecute:
             " on N=256 samples; a pole near the circle needs a larger grid"
         )
 
+    def test_maslov_near_the_circle_names_the_grid(self, capsys):
+        args = ("indices-maslov", "--n", "4", "--a", "0.95", "--w", "1,0.5,0.2,0.1",
+                "--source", "gradient")
+        code, out, err = run_main(capsys, *args)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "ResolutionError",
+            "detail": "phase step close to pi on N=256 samples; increase the grid size",
+        }
+        code, out, _ = run_main(capsys, *args, "--grid", "1024")
+        assert code == 0 and json.loads(out)["kappa_total"] == 10
+
     @pytest.mark.parametrize(
         "args,detail",
         [
@@ -324,6 +336,33 @@ class TestExecute:
         from_file = run_main(capsys, "disc-make", "--A", str(path), "--w", "1,0.5")
         assert from_file[0] == 0
         assert from_file == run_main(capsys, "disc-make", "--n", "2", "--w", "1,0.5")
+
+    @pytest.mark.parametrize(
+        "flags,config",
+        [
+            (("--epsilon", "0.01", "--term", "0,0,4,0:1.0"), None),
+            (("--epsilon", "0.01"), None),
+            (("--term", "0,0,4,0:1.0"), None),
+            ((), {"epsilon": 0.01, "term": ["0,0,4,0:1.0"]}),
+        ],
+        ids=["both-flags", "epsilon-flag", "term-flag", "config"],
+    )
+    def test_model_file_refuses_a_perturbation_beside_it(self, capsys, tmp_path, flags, config):
+        # the model file holds the whole model; the perturbation would be dropped
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"n": 1, "A": [[1, 0]]}))
+        if config is not None:
+            cfgfile = tmp_path / "run.json"
+            cfgfile.write_text(json.dumps(config))
+            flags = ("--config", str(cfgfile))
+        code, out, err = run_main(capsys, "solve", "--A", str(path), "--a", "0.3", *flags,
+                                  "--grid", "128", "--modes", "32")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "usage",
+            "detail": "--A reads the whole model from its file: put 'epsilon' and 'terms' in "
+            "the model file, not --epsilon or --term",
+        }
 
     def test_typed_config_file_matches_the_flags(self, capsys, tmp_path):
         config = {"n": 1, "a": "0.3", "w": "1", "epsilon": 1e-3, "term": ["0,0,4,0:1.0"],

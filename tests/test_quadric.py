@@ -232,6 +232,26 @@ class TestExistence:
                 form = (w.conj() @ q.A @ w).real
                 assert abs(form - q.eval_r(p)) < 1e-10 * (1 + abs(form))
 
+    def test_admissible_center_has_a_witness(self, rng):
+        # center_map_jacobians takes the witness without an existence check:
+        # every center that satisfies_condition_star admits must have one
+        cases = set()
+        for trial in range(60):
+            n = int(rng.integers(1, 5))
+            kind = ("positive", "negative", None)[trial % 3]
+            q = random_hermitian_quadric(rng, n, kind)
+            for _ in range(4):
+                p0 = complex(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-1, 1), rng.normal())
+                if not satisfies_condition_star(q, p0):
+                    continue
+                res = exists_disc_centered(q, np.concatenate([[p0], np.zeros(n)]))
+                assert res.exists and res.condition_star
+                w = res.witness
+                form = (w.conj() @ q.A @ w).real
+                assert abs(form - p0.real) <= 1e-12 * abs(p0.real)
+                cases.add(res.case)
+        assert cases == {"positive-definite", "negative-definite", "indefinite"}
+
     def test_condition_star(self):
         assert satisfies_condition_star(SPHERE, 1.0)
         assert not satisfies_condition_star(SPHERE, -1.0)

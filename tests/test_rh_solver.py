@@ -510,7 +510,7 @@ class TestCenterMaps:
         # (w, a) = (1, 0) it maps the velocity (Re v0, Re v1, Im v0, Im v1)
         # to the endpoint (Im z0, Re z1, Im z1) as below, c = 1 / (2 sqrt(x0))
         for x0 in (1.0, 0.5, 0.1):
-            cm = center_map_jacobians(FLAT, x0, base_a=0.0, direction=np.array([1.0 + 0j]))
+            cm = center_map_jacobians(FLAT, x0)
             D = cm.J_endpoint @ np.linalg.pinv(cm.J_velocity)
             c = 1.0 / (2.0 * np.sqrt(x0))
             expect = [[0, 0, 1, 0], [c, 0, 0, 0], [0, 0, c, 1]]
