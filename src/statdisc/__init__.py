@@ -31,11 +31,11 @@ _EXPORTS = {
             "winding_number",
         ),
         "disc": (
+            "ClosedFormLift",
             "Disc",
             "DiscParams",
             "GluingReport",
             "LiftParams",
-            "closed_form_lift",
             "disc_through",
             "invert_disc",
             "make_disc",

@@ -108,18 +108,14 @@ class RegularLift:
 
     grad holds (d rho / d z) o h as (N, n+1), lam the positive factor,
     phi = zeta * (d rho / d z_n) o h, and spec the Fourier coefficients
-    (n+1, N) of zeta * h* in numpy fft ordering.
+    (n+1, N) of zeta * h* in numpy fft ordering, where h* = lam * grad.T
+    is the regular lift.
     """
 
     grad: np.ndarray
     lam: np.ndarray
     phi: np.ndarray
     spec: np.ndarray
-
-    @property
-    def h_star(self):
-        """The regular lift lam * (d rho / d z) o h, shape (n+1, N)."""
-        return self.lam[None, :] * self.grad.T
 
     @property
     def defects(self):

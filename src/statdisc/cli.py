@@ -17,9 +17,9 @@ import numpy as np
 from . import boundary_analysis
 from .boundary_analysis import GRID_DEFAULT, circle_nodes, holomorphic_defect
 from .disc import (
+    ClosedFormLift,
     DiscParams,
     LiftParams,
-    closed_form_lift,
     disc_through,
     invert_disc,
     make_disc,
@@ -46,7 +46,10 @@ def _fmt_float(x):
 
 
 def canonical_json(obj):
-    """Deterministic JSON with fixed float formatting and sorted keys."""
+    """Deterministic JSON with fixed float formatting and sorted keys;
+    numpy arrays go by their nested lists, complex numbers as [re, im]."""
+    if isinstance(obj, np.ndarray):
+        return canonical_json(obj.tolist())
     if isinstance(obj, dict):
         items = sorted(obj.items())
         inner = ",".join(f"{json.dumps(str(k))}:{canonical_json(v)}" for k, v in items)
@@ -60,19 +63,10 @@ def canonical_json(obj):
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(obj)
     if isinstance(obj, (complex, np.complexfloating)):
-        return canonical_json(pair(obj))
+        return f"[{_fmt_float(obj.real)},{_fmt_float(obj.imag)}]"
     if obj is None:
         return "null"
     return json.dumps(str(obj))
-
-
-def pair(z):
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
-def vector_pairs(v):
-    return [pair(z) for z in np.asarray(v, dtype=complex)]
 
 
 def samples_csv(header_fields, rows, schema):
@@ -283,15 +277,13 @@ def _grid(opt):
         raise UsageError(f"--grid {opt['grid']}: {exc}")
 
 
-def _solve_config(opt):
+def _solve_config(opt, N):
+    """Solver settings on the grid N that _grid validated."""
     from .rh_solver import SolveConfig
 
-    kw = {}
-    if opt.get("grid") is not None:
-        kw["N"] = int(opt["grid"])
-    if opt.get("modes") is not None:
-        kw["M"] = int(opt["modes"])
-    return SolveConfig(**kw)
+    if opt.get("modes") is None:
+        return SolveConfig(N=N)
+    return SolveConfig(N=N, M=int(opt["modes"]))
 
 
 # ---------------------------------------------------------------------------
@@ -307,16 +299,17 @@ def _required(opt, key, sub):
     return opt[key]
 
 
-def _homotopy_solve(opt, m):
+def _homotopy_solve(opt, m, N):
     """Newton continuation from the closed-form disc; --pin-center fixes (p0, 0, ...)."""
-    from .rh_solver import solve_with_homotopy
+    from .rh_solver import _center_pin, solve_with_homotopy
 
-    params, scfg = _disc_params(opt, m.n), _solve_config(opt)
-    pin = None
-    if opt.get("pin_center"):
-        pin = np.zeros(m.n + 1, dtype=complex)
-        pin[0] = _parse_complex(opt["p0"])
+    params, scfg = _disc_params(opt, m.n), _solve_config(opt, N)
+    pin = _center_pin(m.n, _parse_complex(opt["p0"])) if opt.get("pin_center") else None
     return solve_with_homotopy(m, params, scfg, pin_center=pin), scfg
+
+
+def _params_json(p):
+    return {"y0": p.y0, "v": p.v, "w": p.w, "a": p.a}
 
 
 def _disc_make(opt, m, N):
@@ -326,17 +319,17 @@ def _disc_make(opt, m, N):
         return boundary_csv(d.boundary(N))
     rep = verify_gluing(m, d.boundary(N))
     return {
-        "params": params.to_json(),
-        "center": vector_pairs(d.center()),
-        "endpoint": vector_pairs(d.at(np.array(1.0 + 0.0j))),
-        "velocity": vector_pairs(d.velocity()),
+        "params": _params_json(params),
+        "center": d.center(),
+        "endpoint": d.at(np.array(1.0 + 0.0j)),
+        "velocity": d.velocity(),
         "max_residual": rep.max_residual,
     }
 
 
 def _disc_invert(opt, m, N):
     samples = _read_boundary_csv(_required(opt, "input", "disc-invert"), m.n + 1)
-    return {"params": invert_disc(m.base, samples).to_json()}
+    return {"params": _params_json(invert_disc(m.base, samples))}
 
 
 def _disc_through(opt, m, N):
@@ -344,17 +337,17 @@ def _disc_through(opt, m, N):
     params = disc_through(m.base, _parse_complex(opt["p0"]), z)
     d = make_disc(m.base, params)
     return {
-        "a": pair(params.a),
-        "w": vector_pairs(params.w),
+        "a": params.a,
+        "w": params.w,
         "y0": params.y0,
-        "endpoint": vector_pairs(d.at(np.array(1.0 + 0.0j))),
+        "endpoint": d.at(np.array(1.0 + 0.0j)),
     }
 
 
 def _lift(opt, m, N):
     q = m.base
     lp = LiftParams(disc=_disc_params(opt, q.n), b=float(opt["b"]))
-    lift = closed_form_lift(q, lp)
+    lift = ClosedFormLift(q, lp)
     if opt["format"] == "csv":
         return boundary_csv(lift.boundary(N))
     proj = projectivize_lift(q, lp, N=N)
@@ -382,28 +375,40 @@ def _indices_maslov(opt, m, N):
 
 
 def _indices_partial(opt, m, N):
-    from .indices import build_B, maslov_index, partial_indices
+    from .indices import build_B, partial_indices
 
     B = build_B(m.base, _disc_params(opt, m.n), source=opt["source"], N=N)
-    out = partial_indices(B).to_json()
-    out["det_winding"] = maslov_index(B)
-    return out
+    pi = partial_indices(B)  # its sum is certified against the det winding
+    return {"kappa": pi.kappa, "total": pi.total, "det_winding": pi.total}
 
 
 def _indices_replay(opt, m, N):
     from .indices import verify_reduction_chain
 
-    return verify_reduction_chain(m.base, _disc_params(opt, m.n), N=N).to_json()
+    rep = verify_reduction_chain(m.base, _disc_params(opt, m.n), N=N)
+    return {
+        "kappa": rep.kappa_closed.kappa,
+        "total": rep.kappa_closed.total,
+        "det_winding": rep.det_winding,
+        "steps": rep.steps,
+    }
 
 
 def _solve(opt, m, N):
-    return _homotopy_solve(opt, m)[0].to_json()
+    sol = _homotopy_solve(opt, m, N)[0]
+    return {
+        "coefficients": sol.h_coeffs,
+        "residual_sup": sol.residual_sup,
+        "lift_defects": sol.lift_defects,
+        "iterations": sol.iterations,
+        "linearizations": sol.linearizations,
+    }
 
 
 def _family_dim(opt, m, N):
     from .rh_solver import family_dimension
 
-    sol, scfg = _homotopy_solve(opt, m)
+    sol, scfg = _homotopy_solve(opt, m, N)
     fd = family_dimension(m, sol, scfg)
     return {
         "dim": fd["dim"],
@@ -415,7 +420,7 @@ def _family_dim(opt, m, N):
 def _jacobians(opt, m, N):
     from .rh_solver import center_map_jacobians
 
-    cm = center_map_jacobians(m, _parse_complex(opt["p0"]), _solve_config(opt))
+    cm = center_map_jacobians(m, _parse_complex(opt["p0"]), _solve_config(opt, N))
     return {
         "endpoint_invertible": cm.endpoint_invertible,
         "velocity_injective": cm.velocity_injective,
@@ -427,7 +432,7 @@ def _jacobians(opt, m, N):
 def _indicatrix(opt, m, N):
     from .rh_solver import indicatrix_sample
 
-    scfg = _solve_config(opt)
+    scfg = _solve_config(opt, N)
     pts = indicatrix_sample(
         m, _parse_complex(opt["p0"]), int(opt["count"]), scfg, seed=int(opt["seed"])
     )
@@ -457,12 +462,12 @@ def _transport(opt, m, N):
     from .rh_solver import transport_jet
 
     z = _parse_point(_required(opt, "z", "transport"))
-    scfg = _solve_config(opt)
+    scfg = _solve_config(opt, N)
     th = float(opt["theta"])
     dF = np.eye(m.n + 1, dtype=complex)
     dF[1:, 1:] *= np.exp(1j * th)
     out = transport_jet(m, m, _parse_complex(opt["p0"]), dF, z, cfg=scfg)
-    return {"image": vector_pairs(out), "theta": th}
+    return {"image": out, "theta": th}
 
 
 # subcommand -> handler(options, model, grid size) returning the artifact: a

@@ -43,10 +43,6 @@ GLUING_TOL = 1e-10
 GLUING_ROUNDING = 8.0
 
 
-def _pair(z):
-    return [float(z.real), float(z.imag)]
-
-
 @dataclass(frozen=True)
 class DiscParams:
     """(y0, v, w, a) with |a| <= 1 - 1e-10 and w != 0."""
@@ -90,14 +86,6 @@ class DiscParams:
                 + abs(self.a) ** 2
             )
         )
-
-    def to_json(self):
-        return {
-            "y0": self.y0,
-            "v": [_pair(z) for z in self.v],
-            "w": [_pair(z) for z in self.w],
-            "a": _pair(complex(self.a)),
-        }
 
 
 @dataclass(frozen=True)
@@ -236,7 +224,7 @@ def invert_disc(q, h_samples):
 
 
 class ClosedFormLift:
-    """Evaluator for the regular lift h* of a closed-form disc."""
+    """Evaluator for the regular lift h* of a closed-form disc on Delta \\ {0}."""
 
     def __init__(self, quadric, lift_params):
         self.quadric = quadric
@@ -271,11 +259,6 @@ class ClosedFormLift:
         zeta = np.asarray(zeta, dtype=complex)
         a = self.lift_params.disc.a
         return self.lift_params.b * (1.0 - 2.0 * (a * zeta).real / (1.0 + abs(a) ** 2))
-
-
-def closed_form_lift(q, l):
-    """Regular lift evaluator for the disc of l on Delta \\ {0}."""
-    return ClosedFormLift(q, l)
 
 
 @dataclass(frozen=True)

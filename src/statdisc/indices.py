@@ -13,14 +13,15 @@ order at the origin.  Only a form whose determinant is a monomial is
 factored.  A disc-model symbol (`build_B`, either source) carries
 one: the same symbol along the centered disc with pole 0 and
 direction w/|w|, which a disc automorphism, a Heisenberg translation
-and a dilation of Q relate to the disc with pole a (see
-IndexEquivalentForm).  A symbol without that form is refused.
-The index sum is always checked against the determinant winding of
-the samples.  That check is the limit near the circle.  The closed
-form passes it up to |a| = 1 - 1e-10.  For the gradient source the
-256-point winding misses the pole from about |a| = 0.95 (n >= 2; 0.9 at
-n = 6) and from 0.999 at every n; a larger grid resolves it (4096
-points at 0.99, n = 3).
+and a dilation of Q relate to the disc with pole a (derivation at
+`build_B`).  A symbol without that form is refused.
+The Maslov index, the determinant winding of the samples, is always
+checked against that form's determinant order, which is the index
+sum.  That check is the limit near the circle.  The closed form passes
+it up to |a| = 1 - 1e-10.  For the gradient source the 256-point
+winding misses the pole from about |a| = 0.95 (n >= 2; 0.9 at n = 6)
+and from 0.999 at every n; a larger grid resolves it (4096 points at
+0.99, n = 3).
 A truncated block Toeplitz kernel count serves as an independent test
 oracle, never as the primary path.
 """
@@ -57,16 +58,17 @@ CHAIN_POINTWISE_TOL = 1e-8  # replayed chain against the closed-form symbol
 class LaurentMatrix:
     """Matrix Laurent polynomial sum_m C_m zeta^m, m = lo .. lo+K-1.
 
-    coeffs has shape (K, s, s).
+    coeffs has shape (K, s, s); it is a read-only copy of the input.
     """
 
     coeffs: np.ndarray
     lo: int
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
+        c = np.array(self.coeffs, dtype=complex)
         if c.ndim != 3 or c.shape[1] != c.shape[2]:
             raise InvalidInputError(f"bad Laurent coefficient shape {c.shape}")
+        c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "lo", int(self.lo))
 
@@ -81,9 +83,6 @@ class LaurentMatrix:
             out *= zeta[..., None, None]
             out += self.coeffs[k]
         return out * (zeta[..., None, None] ** self.lo)
-
-    def trimmed(self):
-        return LaurentMatrix(*_trim(self.coeffs, self.lo))
 
 
 def _trim(coeffs, lo):
@@ -143,59 +142,18 @@ def laurent_det(lm):
 
 
 @dataclass(frozen=True)
-class IndexEquivalentForm:
-    """Laurent matrix with the same partial indices as a sampled symbol.
-
-    For the centered disc h with pole a and direction w, `build_B` takes
-    it from the centered disc with pole 0 and direction w/|w|.  Three
-    maps of the disc lead there, none of which moves a partial index:
-
-    * Reparametrization.  With psi(zeta) = (zeta + conj(a))/(1 + a zeta),
-      g = h o psi has g_a = (conj(a) w + w zeta)/(1 - |a|^2) = v' + w' zeta,
-      where w' = w/(1 - |a|^2) and v' = conj(a) w', and
-      g_0 = i y0 + wAw (1 + |a|^2 + 2 a zeta)/(1 - |a|^2)^2.  The symbol
-      is a pointwise function of the projectivized lift and
-      f_g = f_h o psi, so V_g = V_h o psi.  If V_h = V+ Lambda V-, then
-      V_g = (V+ o psi)(Lambda o psi)(V- o psi), and
-      psi^k = zeta^k (1 + conj(a)/zeta)^k (1 + a zeta)^(-k) is a minus
-      factor times zeta^k times a plus factor (Clancey-Gohberg 1981).
-    * Re-centering.  The Heisenberg translation
-      F(z0, z) = (z0 - 2 v'Az + v'Av', z - v') keeps r (r o F = r) and
-      maps g to the disc (w'Aw' + i y0, w' zeta): centered, pole 0.  Its
-      differential is constant, so conormals move by a constant matrix;
-      on the projective coordinates t that is a fractional-linear map
-      whose differential D(zeta) along f_g is holomorphic and
-      invertible on the closed disc.  The defining equations pull back
-      to real combinations of themselves, so the symbol becomes
-      D V_g conj(D)^{-1}: a plus factor on the left and a minus factor
-      on the right.
-    * Scaling.  The dilation (z0, z) -> (c^2 z0, c z), c = 1/|w'|, keeps
-      Q and multiplies conormals by a constant diagonal matrix.  It
-      takes w' to w/|w|.  Without it the entries of the pole-0 form
-      span 1 to |w'|^2, about 1e20 at |a| = 1 - 1e-10, and the column
-      reduction fails for |a| >= 1 - 1e-6.
-
-    At pole 0 both symbols are polynomials of degree <= 2 whose
-    determinant is a monomial (its other coefficients measure below
-    1e-14 of it on random models, n <= 6, up to |a| = 1 - 1e-10).  That
-    is the one kind of form the factorization takes.
-    """
-
-    laurent: LaurentMatrix
-
-
-@dataclass(frozen=True)
 class MatrixSymbol:
     """Matrix-valued function on the circle grid.
 
-    samples has shape (N, s, s).  reduced is the index-equivalent
-    Laurent form that `partial_indices` factors; `build_B` sets it, and
-    a symbol without one has a Maslov index but no partial indices.
+    samples has shape (N, s, s).  reduced is a Laurent form with the
+    symbol's partial indices, which `partial_indices` factors and
+    `maslov_index` checks against; `build_B` sets it, and a symbol
+    without one has an unchecked Maslov index but no partial indices.
     The samples are read-only, so their determinants are computed once.
     """
 
     samples: np.ndarray
-    reduced: IndexEquivalentForm | None = None
+    reduced: LaurentMatrix | None = None
 
     def __post_init__(self):
         smp = np.asarray(self.samples, dtype=complex)
@@ -235,13 +193,28 @@ class PartialIndices:
         kappa = tuple(sorted((int(v) for v in values), reverse=True))
         return cls(kappa=kappa, total=int(sum(kappa)))
 
-    def to_json(self):
-        return {"kappa": list(self.kappa), "total": self.total}
+
+def _checked_winding(symbol, order):
+    """Winding of det(symbol), which must equal order, the determinant
+    order of its reduced form and so its partial index sum.  A mismatch
+    means the grid missed a pole near the circle; it raises
+    FactorizationError and names the grid size, the knob that resolves it.
+    """
+    wind = winding_number(symbol.det_samples())
+    if wind != order:
+        raise FactorizationError(
+            f"partial index sum {order} != det winding {wind} on N={symbol.N} "
+            "samples; a pole near the circle needs a larger grid"
+        )
+    return wind
 
 
 def maslov_index(symbol):
-    """Winding of det(symbol) around 0; the total index."""
-    return winding_number(symbol.det_samples())
+    """Winding of det(symbol) around 0; the total index, checked against
+    the determinant order of the reduced form when the symbol has one."""
+    if symbol.reduced is None:
+        return winding_number(symbol.det_samples())
+    return _checked_winding(symbol, _extract_det_roots(symbol.reduced.coeffs, symbol.reduced.lo)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -338,16 +311,43 @@ def build_B(q, params, source="closed_form", N=None):
 
     source "closed_form" emits the displayed matrix; source "gradient"
     computes -conj(G)^{-1} G pointwise from the defining equations.  The
-    samples are those of the disc with pole a, so the Maslov index and
-    the index-sum check read the symbol itself.  The reduced form, for
-    either source, is the same symbol along the centered disc with pole
-    0 and direction w/|w|, which has the same partial indices: h o psi,
-    psi(zeta) = (zeta + conj(a))/(1 + a zeta), has z_a = v' + w' zeta
-    with w' = w/(1 - |a|^2) and v' = conj(a) w'; the Heisenberg
-    translation z -> z - v' of Q re-centers it, and a dilation of Q
-    scales w' to w/|w| (derivation at IndexEquivalentForm).  Its
-    Laurent form is interpolated from REDUCED_GRID samples, and the
-    envelope [0, 2] certifies it.
+    samples are those of the disc h with pole a, so the Maslov index
+    reads the symbol itself.  The reduced form, for either source, is
+    the same symbol along the centered disc with pole 0 and direction
+    w/|w|.  Three maps of the disc lead there, none of which moves a
+    partial index:
+
+    * Reparametrization.  With psi(zeta) = (zeta + conj(a))/(1 + a zeta),
+      g = h o psi has g_a = (conj(a) w + w zeta)/(1 - |a|^2) = v' + w' zeta,
+      where w' = w/(1 - |a|^2) and v' = conj(a) w', and
+      g_0 = i y0 + wAw (1 + |a|^2 + 2 a zeta)/(1 - |a|^2)^2.  The symbol
+      is a pointwise function of the projectivized lift and
+      f_g = f_h o psi, so V_g = V_h o psi.  If V_h = V+ Lambda V-, then
+      V_g = (V+ o psi)(Lambda o psi)(V- o psi), and
+      psi^k = zeta^k (1 + conj(a)/zeta)^k (1 + a zeta)^(-k) is a minus
+      factor times zeta^k times a plus factor (Clancey-Gohberg 1981).
+    * Re-centering.  The Heisenberg translation
+      F(z0, z) = (z0 - 2 v'Az + v'Av', z - v') keeps r (r o F = r) and
+      maps g to the disc (w'Aw' + i y0, w' zeta): centered, pole 0.  Its
+      differential is constant, so conormals move by a constant matrix;
+      on the projective coordinates t that is a fractional-linear map
+      whose differential D(zeta) along f_g is holomorphic and
+      invertible on the closed disc.  The defining equations pull back
+      to real combinations of themselves, so the symbol becomes
+      D V_g conj(D)^{-1}: a plus factor on the left and a minus factor
+      on the right.
+    * Scaling.  The dilation (z0, z) -> (c^2 z0, c z), c = 1/|w'|, keeps
+      Q and multiplies conormals by a constant diagonal matrix.  It
+      takes w' to w/|w|.  Without it the entries of the pole-0 form
+      span 1 to |w'|^2, about 1e20 at |a| = 1 - 1e-10, and the column
+      reduction fails for |a| >= 1 - 1e-6.
+
+    At pole 0 both symbols are polynomials of degree <= 2 whose
+    determinant is a monomial (its other coefficients measure below
+    1e-14 of it on random models, n <= 6, up to |a| = 1 - 1e-10).  That
+    is the one kind of form the factorization takes.  The reduced form
+    is interpolated from REDUCED_GRID samples, and the envelope [0, 2]
+    certifies it.
     """
     N = validate_grid(N or GRID_DEFAULT)
     if np.linalg.norm(params.v) != 0.0:
@@ -358,7 +358,7 @@ def build_B(q, params, source="closed_form", N=None):
     samples = sampled(q, params, N)
     unit = params.w / np.linalg.norm(params.w)
     at_zero = sampled(q, DiscParams(y0=params.y0, v=params.v, w=unit, a=0.0), REDUCED_GRID)
-    return MatrixSymbol(samples=samples, reduced=IndexEquivalentForm(_reduced_form(at_zero)))
+    return MatrixSymbol(samples=samples, reduced=_reduced_form(at_zero))
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +375,7 @@ def _extract_det_roots(coeffs, lo):
     FactorizationError is raised.  Returns (coeffs, lo, K) of the
     trimmed form.
     """
-    lm = LaurentMatrix(coeffs, lo).trimmed()
+    lm = LaurentMatrix(*_trim(coeffs, lo))
     dcoef, dlo = laurent_det(lm)
     mags = np.abs(dcoef)
     top = int(np.argmax(mags))
@@ -417,11 +417,10 @@ def birkhoff_partial_indices(lm):
     unit-invertible values on the closed disc.
     """
     coeffs, lo, K = _extract_det_roots(lm.coeffs, lm.lo)
+    coeffs = coeffs.copy()  # the reduction snaps it in place
     s = coeffs.shape[1]
     for _ in range(4 * (abs(K) + s * coeffs.shape[0] + 4)):
-        coeffs = _snap_columns(np.ascontiguousarray(coeffs))
-        lmt = LaurentMatrix(coeffs, lo).trimmed()
-        coeffs, lo = lmt.coeffs, lmt.lo
+        coeffs, lo = _trim(_snap_columns(coeffs), lo)
         bots, betas = _bottom_degrees(coeffs, lo)
         colnorms = np.linalg.norm(betas, axis=0)
         u, sv, vh = np.linalg.svd(betas / colnorms[None, :])
@@ -472,24 +471,18 @@ def birkhoff_partial_indices(lm):
 def partial_indices(symbol):
     """Partial indices of a sampled symbol via exact Birkhoff reduction.
 
-    Factors the symbol's index-equivalent reduced form, which `build_B`
-    attaches; a symbol without one raises InvalidInputError.  The result
-    always satisfies sum(kappa) = winding of det(samples); a mismatch
-    raises, and names the grid size, which a symbol with a pole near
-    the circle needs raised.
+    Factors the symbol's reduced form, which `build_B` attaches; a
+    symbol without one raises InvalidInputError.  The result always
+    satisfies sum(kappa) = winding of det(samples): the sum is the
+    form's determinant order, the one `maslov_index` checks against.
     """
     if symbol.reduced is None:
         raise InvalidInputError(
             "partial_indices needs the symbol's index-equivalent form; "
             "build the symbol with build_B"
         )
-    kappa = birkhoff_partial_indices(symbol.reduced.laurent)
-    wind = winding_number(symbol.det_samples())
-    if int(kappa.sum()) != wind:
-        raise FactorizationError(
-            f"partial index sum {int(kappa.sum())} != det winding {wind} on N={symbol.N} "
-            "samples; a pole near the circle needs a larger grid"
-        )
+    kappa = birkhoff_partial_indices(symbol.reduced)
+    _checked_winding(symbol, int(kappa.sum()))
     return PartialIndices.from_values(kappa)
 
 
@@ -593,14 +586,6 @@ class ReductionReport:
     kappa_gradient: PartialIndices
     kappa_closed: PartialIndices
 
-    def to_json(self):
-        return {
-            "kappa": list(self.kappa_closed.kappa),
-            "total": self.kappa_closed.total,
-            "det_winding": self.det_winding,
-            "steps": self.steps,
-        }
-
 
 def verify_reduction_chain(q, params, N=None):
     """Replay the constant/one-sided reduction from G to the closed form.
@@ -701,10 +686,9 @@ def verify_reduction_chain(q, params, N=None):
         raise ReductionMismatchError(
             f"index mismatch: gradient {kappa_grad} vs closed {kappa_closed}"
         )
-    bwind = winding_number(closed.det_samples())
     return ReductionReport(
         steps=steps,
-        det_winding=int(bwind),
+        det_winding=kappa_closed.total,  # partial_indices checked it against the winding
         kappa_gradient=kappa_grad,
         kappa_closed=kappa_closed,
     )

@@ -256,17 +256,6 @@ class GluedDisc:
     def endpoint(self):
         return self.h_coeffs.sum(axis=1)
 
-    def to_json(self):
-        return {
-            "coefficients": [
-                [[float(z.real), float(z.imag)] for z in row] for row in self.h_coeffs
-            ],
-            "residual_sup": self.residual_sup,
-            "lift_defects": [float(v) for v in self.lift_defects],
-            "iterations": self.iterations,
-            "linearizations": self.linearizations,
-        }
-
 
 def _factor(J, b=None):
     """U, S, V^T of J and Q^T b (None without b), Q never formed.
@@ -282,16 +271,11 @@ def _factor(J, b=None):
     return U, S, Vt, None if b is None else R[:K, K]
 
 
-def params_to_coeffs(q, params, M):
-    """Truncated coefficients of the closed-form disc."""
-    return Disc(q, params, check=False).coefficients(M)
-
-
 def _start_coeffs(m, start, M):
     """Coefficients (n+1, M+1) of start, a DiscParams of the base quadric
     or a coefficient array."""
     if isinstance(start, DiscParams):
-        return params_to_coeffs(m.base, start, M)
+        return Disc(m.base, start, check=False).coefficients(M)
     coeffs = np.asarray(start, dtype=complex)
     if coeffs.shape != (m.n + 1, M + 1):
         raise InvalidInputError(f"bad coefficient shape {coeffs.shape}")
@@ -608,12 +592,16 @@ class IndicatrixPoint:
     error: str | None
 
 
-def indicatrix_sample(m, p0, count, cfg=None, seed=0, a_max=0.5):
+INDICATRIX_A_MAX = 0.5  # indicatrix_sample draws |a| below this
+
+
+def indicatrix_sample(m, p0, count, cfg=None, seed=0):
     """Velocity cloud h'(0) of the pinned disc family.
 
-    Directions and pole parameters are drawn from a seeded generator;
-    incompatible directions (wrong sign of the Hermitian form) and
-    failed solves are reported per point rather than aborting the run.
+    Directions and pole parameters (|a| < INDICATRIX_A_MAX) are drawn
+    from a seeded generator; incompatible directions (wrong sign of the
+    Hermitian form) and failed solves are reported per point rather
+    than aborting the run.
     """
     m = _as_perturbed(m)
     q = m.base
@@ -627,7 +615,7 @@ def indicatrix_sample(m, p0, count, cfg=None, seed=0, a_max=0.5):
     for _ in range(count):
         u = rng.normal(size=q.n) + 1j * rng.normal(size=q.n)
         u /= np.linalg.norm(u)
-        a = a_max * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+        a = INDICATRIX_A_MAX * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
         try:
             params = _center_disc_params(q, p0, a, u)
         except InvalidInputError as err:
@@ -645,24 +633,20 @@ def indicatrix_sample(m, p0, count, cfg=None, seed=0, a_max=0.5):
     return out
 
 
-def _disc_through_solution(m, p0, z, cfg):
-    """Pinned disc whose endpoint matches z (exactly at epsilon = 0)."""
-    m = _as_perturbed(m)
-    q = m.base
-    z = np.asarray(z, dtype=complex)
-    params = disc_through(q, p0, z)
+def _disc_through_solution(m, p0, params, z, cfg):
+    """Pinned disc whose endpoint matches z, continued from params, the
+    closed-form disc through z (exact at epsilon = 0), and its velocity."""
     if m.epsilon == 0.0:
-        return params, Disc(q, params, check=False).velocity()
+        return params, Disc(m.base, params, check=False).velocity()
     target = _endpoint(z[:, None])  # the constant disc z ends at z
     sol = solve_with_homotopy(
-        m, params, cfg, pin_center=_center_pin(q.n, p0), constraint=(_endpoint, target)
+        m, params, cfg, pin_center=_center_pin(m.n, p0), constraint=(_endpoint, target)
     )
     return sol, sol.velocity()
 
 
 def _invert_velocity(m, p0, u, cfg, tol_scale):
-    """Pinned disc with h'(0) = u; inverts the velocity chart."""
-    m = _as_perturbed(m)
+    """Pinned disc with h'(0) = u, and its endpoint; inverts the velocity chart."""
     q = m.base
     u = np.asarray(u, dtype=complex)
     x0 = p0.real
@@ -702,7 +686,8 @@ def transport_jet(m_src, m_tgt, p0, dF, z, p0_target=None, cfg=None):
     Finds the source disc through z centered at (p0, 0), pushes its
     velocity with dF, inverts the velocity chart of the target family
     centered at (p0_target, 0), and returns the endpoint of the
-    resulting disc.  With identity data this is the identity map.
+    resulting disc.  With identity data this is the identity map.  An
+    inadmissible target center is refused before any solve.
     """
     m_src = _as_perturbed(m_src)
     m_tgt = _as_perturbed(m_tgt)
@@ -711,9 +696,12 @@ def transport_jet(m_src, m_tgt, p0, dF, z, p0_target=None, cfg=None):
     dF = np.asarray(dF, dtype=complex)
     if dF.shape != (m_src.n + 1, m_src.n + 1):
         raise InvalidInputError("dF must be (n+1) x (n+1)")
+    z = np.asarray(z, dtype=complex)
+    params = disc_through(m_src.base, p0, z)  # refuses the source center and z
+    if not satisfies_condition_star(m_tgt.base, p0t):
+        raise InvalidInputError("target center fails the admissibility condition")
     cfg = cfg or SolveConfig()
-    _src, u = _disc_through_solution(m_src, p0, z, cfg)
-    u_t = dF @ u
+    _src, u = _disc_through_solution(m_src, p0, params, z, cfg)
     tol_scale = max(1e-8, 10.0 * abs(m_tgt.epsilon))
-    _tgt, endpoint = _invert_velocity(m_tgt, p0t, u_t, cfg, tol_scale)
-    return np.asarray(endpoint, dtype=complex)
+    _tgt, endpoint = _invert_velocity(m_tgt, p0t, dF @ u, cfg, tol_scale)
+    return endpoint

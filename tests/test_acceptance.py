@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from statdisc import (
+    ClosedFormLift,
     DiscParams,
     Hyperquadric,
     LiftParams,
@@ -18,7 +19,6 @@ from statdisc import (
     SolveConfig,
     center_map_jacobians,
     circle_nodes,
-    closed_form_lift,
     construct_regular_lift,
     disc_through,
     family_dimension,
@@ -97,7 +97,7 @@ def test_criterion_3_lift_validity():
             p = random_disc_params(rng, n, a_max=0.55, centered=done % 3 == 0)
             d = make_disc(q, p)
             h = d.boundary(256)
-            lift = closed_form_lift(q, LiftParams(disc=p, b=1.0))
+            lift = ClosedFormLift(q, LiftParams(disc=p, b=1.0))
             hs = lift.boundary(256)
             grad = q.grad_r_many(h.T).T
             ratio = hs / grad
@@ -111,7 +111,7 @@ def test_criterion_3_lift_validity():
                 assert lift_zero_modulus(q, p) < 1.0
                 continue
             mask = np.abs(hs) > 1e-6 * np.abs(hs).max()
-            rr = built.h_star[mask] / hs[mask]
+            rr = (built.lam * built.grad.T)[mask] / hs[mask]
             assert np.abs(rr.imag).max() < 1e-9 * np.abs(rr).max()
             assert rr.real.min() > 0.0
             done += 1

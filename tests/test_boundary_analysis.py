@@ -91,10 +91,10 @@ class TestDefect:
         assert holomorphic_defect(ZETA.conj()) == pytest.approx(1.0)
 
     def test_lift_of_closed_form(self):
-        from statdisc import LiftParams, closed_form_lift
+        from statdisc import ClosedFormLift, LiftParams
 
         q = Hyperquadric(n=1, A=np.array([[1.0]]))
-        lift = closed_form_lift(
+        lift = ClosedFormLift(
             q, LiftParams(disc=DiscParams(y0=0.0, v=[0], w=[1], a=0.5), b=1.0)
         )
         hs = lift.boundary(N)
@@ -146,8 +146,8 @@ class TestRegularLift:
         lift = construct_regular_lift(self.M0, h)
         assert np.abs(lift.phi + 1.0).max() < 1e-13
         assert np.abs(lift.lam - 1.0).max() < 1e-13
-        assert np.abs(lift.h_star[0] - 0.5).max() < 1e-13
-        assert np.abs(lift.h_star[1] + ZETA.conj()).max() < 1e-13
+        assert np.abs((lift.lam * lift.grad.T)[0] - 0.5).max() < 1e-13
+        assert np.abs((lift.lam * lift.grad.T)[1] + ZETA.conj()).max() < 1e-13
         assert np.max(lift.defects) < 1e-13
 
     def test_defining_function_scale_invariance(self):
@@ -164,7 +164,7 @@ class TestRegularLift:
             -np.log(2.0)
         )  # lambda for 2*rho is lambda/2, exactly
         lift2_hstar = (base.lam * lam2 * 2)[None, :] * self.M0.grad_rho_many(h.T).T
-        ratio = lift2_hstar / base.h_star
+        ratio = lift2_hstar / (base.lam * base.grad.T)
         assert np.abs(ratio - 1.0).max() < 1e-12
 
     def test_perturbed_disc_end_to_end(self):
@@ -182,7 +182,7 @@ class TestRegularLift:
             construct_regular_lift(self.M0, h)
 
     def test_reproduces_closed_form_up_to_positive_factor(self, rng):
-        from statdisc import LiftParams, closed_form_lift
+        from statdisc import ClosedFormLift, LiftParams
 
         from conftest import lift_zero_modulus, random_disc_params, random_hermitian_quadric
 
@@ -200,9 +200,9 @@ class TestRegularLift:
                 # inside the disc have no regular lift
                 assert lift_zero_modulus(q, params) < 1.0
                 continue
-            closed = closed_form_lift(q, LiftParams(disc=params, b=1.0)).boundary(N)
+            closed = ClosedFormLift(q, LiftParams(disc=params, b=1.0)).boundary(N)
             mask = np.abs(closed) > 1e-6 * np.abs(closed).max()
-            ratio = built.h_star[mask] / closed[mask]
+            ratio = (built.lam * built.grad.T)[mask] / closed[mask]
             assert np.abs(ratio.imag).max() < 1e-9 * np.abs(ratio).max()
             assert ratio.real.min() > 0
             done += 1

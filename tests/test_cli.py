@@ -240,6 +240,19 @@ class TestExecute:
         code, out, _ = run_main(capsys, *args, "--grid", "1024")
         assert code == 0 and json.loads(out)["kappa_total"] == 10
 
+    def test_maslov_missed_pole_names_the_grid(self, capsys):
+        # the 256-point winding misses the pole with no phase step near pi
+        args = ("indices-maslov", "--n", "1", "--a", "0.999", "--w", "1", "--source", "gradient")
+        code, out, err = run_main(capsys, *args)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "FactorizationError",
+            "detail": "partial index sum 4 != det winding 2 on N=256 samples;"
+            " a pole near the circle needs a larger grid",
+        }
+        code, out, _ = run_main(capsys, *args, "--grid", "16384")
+        assert code == 0 and json.loads(out)["kappa_total"] == 4
+
     @pytest.mark.parametrize(
         "args,detail",
         [
@@ -479,3 +492,103 @@ class TestCanonicalJson:
     def test_sorted_keys_and_complex(self):
         s = canonical_json({"b": 1 + 2j, "a": [True, None]})
         assert s == '{"a":[true,null],"b":[1,2]}'
+
+
+@pytest.fixture(scope="module")
+def boundary_csv_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("wire") / "disc.csv"
+    assert cli.main(["disc-make", "--n", "1", "--a", "0.4", "--w", "1", "--y0", "0.3",
+                     "--format", "csv", "--output", str(path)]) == 0
+    return str(path)
+
+
+# per key of the JSON object: None for a real-valued field, k for a
+# complex field nested k lists deep (0: one [re, im] pair), or the
+# object the key holds
+PARAMS = {"a": 0, "v": 1, "w": 1, "y0": None}
+WIRE_FORMATS = [
+    (("disc-make", "--n", "2", "--w", "1,0.5", "--a", "0.3+0.1j", "--v", "0.2,0"),
+     {"params": PARAMS, "center": 1, "endpoint": 1, "velocity": 1, "max_residual": None}),
+    (("disc-invert", "--n", "1", "--input", "{csv}"), {"params": PARAMS}),
+    (("disc-through", "--n", "2", "--p0", "1+0.5j", "--z", "1.25+0.5j,1,0.5"),
+     {"a": 0, "w": 1, "y0": None, "endpoint": 1}),
+    (("lift", "--n", "2", "--w", "1,0.5", "--a", "0.3"),
+     {"b": None, "c_at_1": None, "lift_defect": None, "permutation": None,
+      "projectivized_components": None}),
+    (("verify", "--n", "1", "--input", "{csv}"), {"lift_defect": None, "max_residual": None}),
+    (("indices-maslov", "--n", "2", "--a", "0.6", "--w", "1,0.5", "--source", "gradient"),
+     {"expected": None, "kappa_total": None, "n": None}),
+    (("indices-partial", "--n", "2", "--a", "0.4+0.2j", "--w", "1,0.5"),
+     {"det_winding": None, "kappa": None, "total": None}),
+    (("indices-replay", "--n", "2", "--a", "0.4", "--w", "1,0.5"),
+     {"det_winding": None, "kappa": None, "steps": None, "total": None}),
+    (("solve", "--n", "1", "--a", "0.3", "--w", "1", "--epsilon", "1e-3",
+      "--term", "0,0,4,0:1.0", *SOLVE_GRID),
+     {"coefficients": 2, "iterations": None, "lift_defects": None, "linearizations": None,
+      "residual_sup": None}),
+    (("family-dim", "--n", "1", "--a", "0.2", "--w", "1", *SOLVE_GRID),
+     {"dim": None, "pinned": None, "singular_values": None}),
+    (("jacobians", "--n", "1", *SOLVE_GRID),
+     {"endpoint_invertible": None, "sv_endpoint_min": None, "sv_velocity_min": None,
+      "velocity_injective": None}),
+    (("transport", "--n", "1", "--p0", "1", "--z", "2,1.4142135623730951", "--theta", "0.8"),
+     {"image": 1, "theta": None}),
+]
+
+
+def assert_wire(value, spec):
+    if isinstance(spec, dict):
+        assert isinstance(value, dict) and set(value) == set(spec)
+        for key, sub in spec.items():
+            assert_wire(value[key], sub)
+    elif spec == 0:
+        assert isinstance(value, list) and len(value) == 2
+        assert all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
+    elif spec is not None:
+        assert isinstance(value, list) and value
+        for item in value:
+            assert_wire(item, spec - 1)
+
+
+@pytest.mark.parametrize("args,spec", WIRE_FORMATS, ids=[a[0] for a, _ in WIRE_FORMATS])
+def test_wire_format(capsys, boundary_csv_path, args, spec):
+    args = [arg.format(csv=boundary_csv_path) for arg in args]
+    code, out, err = run_main(capsys, *args)
+    assert (code, err) == (0, "")
+    assert_wire(json.loads(out), spec)
+
+
+class TestDomainSweep:
+    """Every closed-form cell answers with kappa = (2, 1, ..., 1); a cell of
+    the gradient source or the replay chain answers correctly or refuses,
+    exit 1, naming the grid.  The solver's cells are not swept here."""
+
+    RADII = (0.3, 0.6, 0.8, 0.9, 0.95, 0.99, 0.999, 1 - 1e-10)
+    CELLS = (("disc-make", None), ("lift", None),
+             ("indices-maslov", "closed_form"), ("indices-partial", "closed_form"),
+             ("indices-maslov", "gradient"), ("indices-partial", "gradient"),
+             ("indices-replay", None))
+
+    @pytest.mark.parametrize("signature", ["definite", "alternating"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_answers_or_names_the_grid(self, capsys, tmp_path, n, signature):
+        # alternating: A = diag(-1, 1, -1, 1)[:n], another signature at every n
+        signs = [1.0] * n if signature == "definite" else [(-1.0) ** (j + 1) for j in range(n)]
+        path = tmp_path / "model.json"
+        A = np.diag(signs).ravel()
+        path.write_text(json.dumps({"n": n, "A": [[x, 0.0] for x in A]}))
+        w = ",".join(["1", "0.5", "0.2", "0.1"][:n])
+        kappa, total = [2] + [1] * (2 * n), 2 * n + 2
+        for r, (sub, source) in product(self.RADII, self.CELLS):
+            args = [sub, "--A", str(path), "--w", w, f"--a={edge_pole(r, 1.0)!r}"]
+            args += ["--source", source] if source else []
+            code, out, err = run_main(capsys, *args)
+            if code == 1 and source != "closed_form" and sub.startswith("indices"):
+                assert "N=256" in json.loads(err)["detail"], args
+                continue
+            assert (code, err) == (0, ""), args
+            data = json.loads(out)
+            if sub == "indices-maslov":
+                assert data["kappa_total"] == data["expected"] == total, args
+            elif sub.startswith("indices"):
+                assert (data["kappa"], data["total"], data["det_winding"]) == (kappa, total, total)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from statdisc import (
+    ClosedFormLift,
     Disc,
     DiscParams,
     Hyperquadric,
     LiftParams,
     circle_nodes,
-    closed_form_lift,
     disc_through,
     invert_disc,
     make_disc,
@@ -189,7 +189,7 @@ class TestInvertDisc:
 
 class TestClosedFormLift:
     def test_linear_disc_lift(self):
-        lift = closed_form_lift(
+        lift = ClosedFormLift(
             SPHERE, LiftParams(disc=DiscParams(y0=0.0, v=[0], w=[1], a=0.0), b=1.0)
         )
         zeta = circle_nodes(64)
@@ -198,15 +198,15 @@ class TestClosedFormLift:
         assert np.abs(zeta * hs[1] + 1.0).max() < 1e-13
 
     def test_real_factor_value(self):
-        lift = closed_form_lift(
+        lift = ClosedFormLift(
             SPHERE, LiftParams(disc=DiscParams(y0=0.0, v=[0], w=[1], a=0.5), b=1.0)
         )
         assert lift.c_factor(ONE) == pytest.approx(0.2)
 
     def test_linear_in_scale(self):
         p = DiscParams(y0=0.0, v=[0.2], w=[1.0], a=0.3)
-        l1 = closed_form_lift(SPHERE, LiftParams(disc=p, b=1.0)).boundary(128)
-        l2 = closed_form_lift(SPHERE, LiftParams(disc=p, b=2.0)).boundary(128)
+        l1 = ClosedFormLift(SPHERE, LiftParams(disc=p, b=1.0)).boundary(128)
+        l2 = ClosedFormLift(SPHERE, LiftParams(disc=p, b=2.0)).boundary(128)
         assert np.abs(l2 - 2 * l1).max() < 1e-13
 
     def test_realness_and_uniqueness(self, rng):
@@ -215,7 +215,7 @@ class TestClosedFormLift:
             q = random_hermitian_quadric(rng, n)
             p = random_disc_params(rng, n, a_max=0.6)
             d = make_disc(q, p)
-            hs = closed_form_lift(q, LiftParams(disc=p, b=1.0)).boundary(128)
+            hs = ClosedFormLift(q, LiftParams(disc=p, b=1.0)).boundary(128)
             grad = q.grad_r_many(d.boundary(128).T).T
             ratio = hs / grad
             scale = np.abs(ratio).max()
@@ -223,7 +223,7 @@ class TestClosedFormLift:
             assert np.abs(ratio - ratio[0]).max() < 1e-10 * scale  # same scalar per column
             assert np.abs(ratio).min() > 1e-3 * scale
             beta = -3.0
-            l2 = closed_form_lift(q, LiftParams(disc=p, b=beta)).boundary(128)
+            l2 = ClosedFormLift(q, LiftParams(disc=p, b=beta)).boundary(128)
             assert np.abs(l2 / beta - hs).max() < 1e-12 * np.abs(hs).max()
 
 

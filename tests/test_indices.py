@@ -157,6 +157,20 @@ class TestMaslov:
         B = build_B(q, p, source="closed_form")
         assert maslov_index(B) == 2 * n + 2
 
+    def test_missed_pole_is_refused_and_names_the_grid(self):
+        # at |a| = 0.999 the 256-point winding of the gradient symbol
+        # misses the pole without a phase step near pi: it reads 2, and
+        # the reduced form's determinant order, the index sum, is 4
+        p = DiscParams(y0=0.0, v=[0], w=[1], a=0.999)
+        B = build_B(SPHERE, p, source="gradient")
+        with pytest.raises(FactorizationError) as err:
+            maslov_index(B)
+        assert str(err.value) == (
+            "partial index sum 4 != det winding 2 on N=256 samples;"
+            " a pole near the circle needs a larger grid"
+        )
+        assert maslov_index(build_B(SPHERE, p, source="gradient", N=16384)) == 4
+
 
 class TestPartialIndices:
     def test_diag(self):
@@ -166,6 +180,16 @@ class TestPartialIndices:
     def test_offdiagonal_squares(self):
         kappa = birkhoff_partial_indices(LaurentMatrix([[[0, 1], [1, 0]]], 2))
         assert tuple(kappa.tolist()) == (2, 2)
+
+    def test_factorization_leaves_the_reduced_form_unchanged(self):
+        q = Hyperquadric(n=2, A=np.diag([1.0, -1.0]))
+        p = DiscParams(y0=0.0, v=[0, 0], w=[1, 0.5], a=0.4)
+        B = build_B(q, p, source="gradient")
+        before = B.reduced.coeffs.tobytes()
+        first, second = partial_indices(B), partial_indices(B)
+        assert first == second
+        assert B.reduced.coeffs.tobytes() == before
+        assert not B.reduced.coeffs.flags.writeable
 
     def test_symbol_without_reduced_form_is_refused(self):
         with pytest.raises(InvalidInputError, match="build_B"):
