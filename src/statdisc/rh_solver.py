@@ -22,18 +22,24 @@ family dimension and the tangent basis all use this one linearization
 E. Wegert, Nonlinear Boundary Value Problems for Holomorphic Functions
 and Singular Integral Equations, 1992).
 
-One path factors it, _factor: the QR of [J | b] with Q never formed,
-then the SVD of R's K x K block.  Newton's step (b = -r), its chord
-solver and the tangent basis (no b) all read it, and each linearization
-is factored once: after an undamped Newton step the solver tries the
-same truncated pseudo-inverse on the new residual and keeps the step
-while the residual's sup norm at least halves; otherwise it
-re-linearizes at the same point, so the fall-back is the damped Newton
-step (the chord or Shamanskii method, C. T. Kelley, Solving Nonlinear
-Equations with Newton's Method, SIAM 2003, 5.4).  max_iter caps the
-linearizations; accepted chord steps at least halve the residual, so
-there are at most log2(r0 / tol) of them.  tol, the step cut _RCOND and
-the damping floor _DAMPING_MIN are constants.
+Newton takes J's minimum-norm step with _RCOND's cut, and needs no SVD
+for it where the family's null space is the closed form's: the
+paper's explicit parametrization gives T0, the tangent of the family
+(y0, v, w, a) at the start, built at the first linearization, and one
+QR of [J | -r; T0^T | 0] with Q never formed then gives the step and
+null(J) (_tangent_steps).  Where two norm bounds cannot prove that step
+equal to the truncated-SVD one, that linearization falls back to
+_factor: the QR of [J | b], then the SVD of R's K x K block, which also
+gives the tangent basis (no b).  Each linearization is factored once:
+after an undamped Newton step the solver tries the same factorization
+on the new residual and keeps the step while the residual's sup norm
+at least halves; otherwise it re-linearizes at the same point, so the
+fall-back is the damped Newton step (the chord or Shamanskii method,
+C. T. Kelley, Solving Nonlinear Equations with Newton's Method, SIAM
+2003, 5.4).  max_iter caps the linearizations; accepted chord steps at
+least halve the residual, so there are at most log2(r0 / tol) of them.
+tol, the step cut _RCOND and the damping floor _DAMPING_MIN are
+constants.
 """
 
 from dataclasses import dataclass, field
@@ -51,6 +57,7 @@ from .disc import Disc, DiscParams, disc_through
 from .errors import (
     DimensionAmbiguousError,
     InvalidInputError,
+    InvalidParamsError,
     LiftConstructionError,
     NoConvergenceError,
     TargetInversionError,
@@ -86,6 +93,7 @@ _BLOCK = 16  # modes per Jacobian column block; bounds the transient footprint
 _CHORD_CONTRACTION = 0.5
 _RCOND = 1e-8  # pseudo-inverse cut; keeps Newton steps clear of the family's null cluster
 _DAMPING_MIN = 1.0 / 64.0  # the line search gives up below this step fraction
+_TRI_BLOCK = 32  # _inv_upper inverts triangles up to this size directly
 _SV_CUT, _GAP_MIN = 1e-6, 1e3  # _null_count: the null cut over the largest, the least gap
 
 
@@ -173,8 +181,9 @@ class _DiscSystem:
             Q += 0.25 * self.m.epsilon * (xx + yy + 1j * (xy - yx))
         return P, Q
 
-    def jacobian(self, x):
-        """Exact derivative of residual at x, assembled in column blocks.
+    def jacobian(self, x, out=None):
+        """Exact derivative of residual at x, assembled in column blocks
+        (into out, when given, a (rows, packed size) array or view).
 
         Along dh the residual moves by d rho = 2 Re(grad rho . dh),
         d log lam = -T(Im(d phi / phi)) - Re(d phi / phi) and
@@ -194,7 +203,7 @@ class _DiscSystem:
         ratio_p, ratio_q = self.zeta * P[n] / phi, self.zeta * Q[n] / phi
         lift_p, lift_q = zl * P[:n], zl * Q[:n]
         lift_g = zl * grad[:n]
-        J = np.empty((N + n * N + self.constraint_rows.shape[0], x.size))
+        J = np.empty((N + n * N + self.constraint_rows.shape[0], x.size)) if out is None else out
         J[N + n * N :] = self.constraint_rows
         modes = self.cfg.M + 1
         nodes = np.arange(N)
@@ -264,11 +273,101 @@ def _factor(J, b=None):
     column; the SVD of its leading K x K block is that of J.  Over the
     values above _RCOND * S[0] (lstsq's cut), the minimum-norm solution
     of J s = b is V S^-1 U^T (Q^T b) and that of J s = c V S^-2 V^T J^T c.
+    It serves the tangent basis, and Newton wherever _tangent_steps
+    cannot prove its step equal to this one.
     """
     K = J.shape[1]
     R = np.linalg.qr(J if b is None else np.column_stack([J, b]), mode="r")
     U, S, Vt = np.linalg.svd(R[:K, :K])
     return U, S, Vt, None if b is None else R[:K, K]
+
+
+def _svd_steps(J, b):
+    """Newton step for J s = b and the chord solver for J s = c, both
+    _factor's truncated minimum-norm solutions."""
+    U, S, Vt, qtb = _factor(J, b)
+    keep = S > _RCOND * S[0]
+    U, S, Vt = U[:, keep], S[keep], Vt[keep]
+    return Vt.T @ ((U.T @ qtb) / S), lambda c: Vt.T @ ((Vt @ (J.T @ c)) / S**2)
+
+
+def _inv_upper(R):
+    """Inverse of the upper-triangular R by 2 x 2 blocks,
+    [[A, B], [0, D]]^-1 = [[A^-1, -A^-1 B D^-1], [0, D^-1]]; only the
+    diagonal blocks of up to _TRI_BLOCK rows pay for np.linalg.inv's LU."""
+    K = R.shape[0]
+    if K <= _TRI_BLOCK:
+        return np.linalg.inv(R)  # a triangle needs no pivot, so its LU is R itself
+    h = K // 2
+    out = np.zeros_like(R)
+    out[:h, :h] = _inv_upper(R[:h, :h])
+    out[h:, h:] = _inv_upper(R[h:, h:])
+    out[:h, h:] = -out[:h, :h] @ (R[:h, h:] @ out[h:, h:])
+    return out
+
+
+def _start_tangent(system, coeffs):
+    """Orthonormal columns T0 (packed size x d) spanning the closed-form
+    family's tangent at the disc that modes 0-2 of coeffs read as, within
+    the directions that the constraint rows leave free; None when they
+    read as no disc."""
+    w = coeffs[1:, 1]
+    if system.cfg.M < 2 or not np.any(w):
+        return None
+    try:
+        params = DiscParams(
+            y0=coeffs[0, 0].imag, v=coeffs[1:, 0], w=w, a=np.vdot(w, coeffs[1:, 2]) / np.vdot(w, w)
+        )
+    except InvalidParamsError:
+        return None
+    tangent = Disc(system.m.base, params, check=False).family_tangent(system.cfg.M)
+    T0 = np.array([system.pack(t) for t in tangent]).T
+    C = system.constraint_rows @ T0
+    if C.size:
+        T0 = T0 @ np.linalg.svd(C)[2][min(C.shape) :].T
+    return np.linalg.qr(T0)[0]
+
+
+def _tangent_steps(J, R, T0):
+    """Newton step and chord solver from R of the QR of [J | b; T0^T | 0],
+    or None unless they provably equal _svd_steps'.
+
+    With R^T R = J^T J + T0 T0^T, R^-1 R^-T T0 spans null(J) when
+    [J; T0^T] has full column rank and null(J) has T0's dimension d (A.
+    Bjorck, Numerical Methods for Least Squares Problems, SIAM 1996), and
+    R^-1 (Q^T b) and R^-1 R^-T J^T c taken off that span N are J's
+    minimum-norm solutions.  They are _svd_steps' when its cut drops
+    exactly d values: |J N|_F <= _RCOND |J|_F / sqrt(K) puts d of them
+    below it, and _RCOND |J|_F |R^-1|_F < 1 keeps the others above it,
+    since rank-d interlacing gives sigma_{K-d}(J) >= 1 / |R^-1|_2.
+    """
+    K = J.shape[1]
+    Rinv = _inv_upper(R[:K, :K])
+    N = np.linalg.qr(Rinv @ (Rinv.T @ T0))[0]
+    norm_J = np.linalg.norm(J)
+    # written so that a non-finite norm falls back
+    if not (
+        np.linalg.norm(J @ N) <= _RCOND * norm_J / np.sqrt(K)
+        and _RCOND * norm_J * np.linalg.norm(Rinv) < 1.0
+    ):
+        return None
+
+    def off_null(s):
+        return s - N @ (N.T @ s)
+
+    return off_null(Rinv @ R[:K, K]), lambda c: off_null(Rinv @ (Rinv.T @ (J.T @ c)))
+
+
+def _newton_steps(system, x, r, T0):
+    """Newton step for J s = -r at x and the chord solver: from one QR of
+    [J | -r; T0^T | 0] when _tangent_steps proves them, else from _factor."""
+    if T0 is None:
+        return _svd_steps(system.jacobian(x), -r)
+    aug = np.zeros((r.size + T0.shape[1], x.size + 1))
+    J = system.jacobian(x, out=aug[: r.size, :-1])
+    aug[: r.size, -1] = -r
+    aug[r.size :, :-1] = T0.T
+    return _tangent_steps(J, np.linalg.qr(aug, mode="r"), T0) or _svd_steps(J, -r)
 
 
 def _start_coeffs(m, start, M):
@@ -306,7 +405,7 @@ def solve_glued_disc(m, start, cfg=None, pin_center=None, constraint=None):
     chord = False  # the last linearization was undamped; reused while it contracts
     while history[-1] >= cfg.tol:
         if chord:
-            x_try = x + Vt.T @ ((Vt @ (J.T @ -r)) / S**2)
+            x_try = x + solve_chord(-r)
             try:
                 r_try = system.residual(x_try)
                 sup = system.sup_norm(r_try)
@@ -324,12 +423,10 @@ def solve_glued_disc(m, start, cfg=None, pin_center=None, constraint=None):
                 f" (residual {history[-1]:.3e})",
                 residual_history=history,
             )
-        J = system.jacobian(x)
+        if linearizations == 0:
+            tangent = _start_tangent(system, coeffs)
+        step, solve_chord = _newton_steps(system, x, r, tangent)
         linearizations += 1
-        U, S, Vt, qtb = _factor(J, -r)
-        keep = S > _RCOND * S[0]  # the minimum-norm step over the kept values
-        U, S, Vt = U[:, keep], S[keep], Vt[keep]
-        step = Vt.T @ ((U.T @ qtb) / S)
         t = 1.0
         cur = np.linalg.norm(r)
         while True:

@@ -38,6 +38,8 @@ from statdisc.rh_solver import (
     _endpoint,
     _factor,
     _invert_velocity,
+    _newton_steps,
+    _start_tangent,
     _velocity,
     family_tangent_basis,
 )
@@ -146,8 +148,9 @@ class TestSolve:
     def test_layers_run_through_their_entry_points(self, monkeypatch):
         # A profiler attributes time to the kernel and the Hilbert transform
         # by replacing these two names wherever a statdisc module holds them,
-        # and to the factorization by replacing np.linalg.svd; a perturbed
-        # solve must reach all three through those names.
+        # and to the factorizations by replacing np.linalg.qr and
+        # np.linalg.svd; a perturbed solve must reach the first three and
+        # family_dimension the SVD through those names.
         from statdisc import boundary_analysis
 
         calls = Counter()
@@ -159,9 +162,12 @@ class TestSolve:
                     for key, val in list(vars(mod).items()):
                         if val is original:
                             monkeypatch.setattr(mod, key, counted)
+        monkeypatch.setattr(np.linalg, "qr", counting(calls, "qr", np.linalg.qr))
         monkeypatch.setattr(np.linalg, "svd", counting(calls, "svd", np.linalg.svd))
-        solve_glued_disc(QUARTIC, START, CFG)
-        assert calls["poly_eval"] > 0 and calls["hilbert_transform"] > 0 and calls["svd"] > 0
+        sol = solve_glued_disc(QUARTIC, START, CFG)
+        assert calls["poly_eval"] > 0 and calls["hilbert_transform"] > 0 and calls["qr"] > 0
+        family_dimension(QUARTIC, sol, CFG)
+        assert calls["svd"] > 0
 
     def test_one_linearization_serves_chord_steps(self):
         sol = solve_glued_disc(QUARTIC, START, SolveConfig(N=128, M=32, max_iter=1))
@@ -287,6 +293,35 @@ class TestSolve:
         _stalled_homotopy(RETRYING, start)
         assert stages == [t * RETRYING.epsilon for t in (0.0, 1.0, 0.5, 0.25)]
 
+    @pytest.mark.parametrize(
+        "m, start, cfg",
+        [
+            pytest.param(QUARTIC, STALLING, CFG, id="n1-M32"),
+            # like a refusing continuation slot: n = 2, |a| = 0.55 at (128, 24)
+            pytest.param(
+                PerturbedHypersurface(
+                    base=Hyperquadric(n=2, A=np.diag([1.0, 1.5])),
+                    epsilon=1e-4,
+                    terms={(0, 0, 4, 0, 0, 0): 1.0},
+                ),
+                DiscParams(y0=0.1, v=[0.0, 0.0], w=[1.0, 0.5], a=0.55 * np.exp(0.4j)),
+                SolveConfig(N=128, M=24),
+                id="n2-M24",
+            ),
+        ],
+    )
+    def test_truncation_floor_falls_back_to_the_svd_step(self, monkeypatch, m, start, cfg):
+        # past its |a|^M floor the start's d smallest singular values sit
+        # above the step cut, so no tangent step is proved and every
+        # linearization of the refused eps = 0 solve takes _factor's step
+        calls = Counter()
+        monkeypatch.setattr(rh_solver, "_factor", counting(calls, "factor", _factor))
+        jacobian = _DiscSystem.jacobian
+        monkeypatch.setattr(_DiscSystem, "jacobian", counting(calls, "jacobian", jacobian))
+        with pytest.raises(NoConvergenceError, match="does not solve eps = 0"):
+            solve_with_homotopy(m, start, cfg)
+        assert calls["factor"] == calls["jacobian"] > 0
+
     @pytest.mark.parametrize("as_coeffs", [False, True], ids=["params", "coefficients"])
     def test_zero_epsilon_runs_one_stage(self, monkeypatch, as_coeffs):
         start = params_to_coeffs(SPHERE, STALLING, CFG.M) if as_coeffs else STALLING
@@ -385,6 +420,16 @@ def _linearization_setup(n, eps, setup):
     return system, system.pack(c)
 
 
+def _resolved_setup(n, eps, pinned):
+    """System at N = 128, M = 32 and a closed-form start above its
+    truncation floor (|a|^M below 1e-22)."""
+    q, m = _model(n, eps)
+    cfg = SolveConfig(N=128, M=32)
+    p = DiscParams(y0=0.1, v=0.3 * np.ones(n), w=np.linspace(1.0, 0.5, n) + 0.2j, a=0.2 + 0.1j)
+    c = params_to_coeffs(q, p, cfg.M)
+    return _DiscSystem(m, cfg, pin_center=c[:, 0] if pinned else None), c
+
+
 class TestLinearization:
     """The analytic Jacobian against the central-difference oracle, and
     the Newton factorization against lstsq."""
@@ -402,20 +447,76 @@ class TestLinearization:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("eps", [0.0, 1e-4, 1e-3])
     @pytest.mark.parametrize("setup", ["free", "pinned", "endpoint", "velocity"])
-    def test_factorization_matches_lstsq(self, n, eps, setup):
-        # the Newton step V S^-1 U^T (Q^T b) and the chord solve
-        # V S^-2 V^T (J^T c) over the values that _RCOND keeps
+    def test_factorization_matches_lstsq(self, monkeypatch, n, eps, setup):
+        # the Newton step and the chord solve, from one QR of [J; T0^T]
+        # where the tangent step's conditions hold, else from _factor; at
+        # M = 8 the start sits on its truncation floor, so the free and
+        # pinned setups fall back, and the transport reads leave T0 no
+        # column, so those run the tangent step
         system, x = _linearization_setup(n, eps, setup)
-        J, b = system.jacobian(x), -system.residual(x)
-        U, S, Vt, qtb = _factor(J, b)
-        keep = S > _RCOND * S[0]
-        U, S, Vt = U[:, keep], S[keep], Vt[keep]
-        step = Vt.T @ ((U.T @ qtb) / S)
-        ref = np.linalg.lstsq(J, b, rcond=_RCOND)[0]
+        J, r = system.jacobian(x), system.residual(x)
+        T0 = _start_tangent(system, system.unpack(x))
+        calls = Counter()
+        monkeypatch.setattr(rh_solver, "_factor", counting(calls, "factor", _factor))
+        step, solve_chord = _newton_steps(system, x, r, T0)
+        assert calls["factor"] == (setup in ("free", "pinned"))
+        ref = np.linalg.lstsq(J, -r, rcond=_RCOND)[0]
         assert np.linalg.norm(step - ref) <= 1e-8 * np.linalg.norm(ref)
-        c = np.random.default_rng(n).normal(size=b.size)
+        c = np.random.default_rng(n).normal(size=r.size)
         ref = np.linalg.lstsq(J, c, rcond=_RCOND)[0]
-        assert np.linalg.norm(Vt.T @ ((Vt @ (J.T @ c)) / S**2) - ref) <= 1e-5 * np.linalg.norm(ref)
+        assert np.linalg.norm(solve_chord(c) - ref) <= 1e-5 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("eps", [0.0, 1e-4, 1e-3])
+    @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+    def test_tangent_step_at_a_resolved_start(self, monkeypatch, n, eps, pinned):
+        # above its truncation floor the start's linearization takes the
+        # tangent step, lstsq's to the same bounds
+        system, c = _resolved_setup(n, eps, pinned)
+        x = system.pack(c)
+        J, r = system.jacobian(x), system.residual(x)
+        calls = Counter()
+        monkeypatch.setattr(rh_solver, "_factor", counting(calls, "factor", _factor))
+        step, solve_chord = _newton_steps(system, x, r, _start_tangent(system, c))
+        assert calls["factor"] == 0
+        if eps:  # at eps = 0 the residual is rounding
+            ref = np.linalg.lstsq(J, -r, rcond=_RCOND)[0]
+            assert np.linalg.norm(step - ref) <= 1e-8 * np.linalg.norm(ref)
+        rhs = np.random.default_rng(n).normal(size=r.size)
+        ref = np.linalg.lstsq(J, rhs, rcond=_RCOND)[0]
+        assert np.linalg.norm(solve_chord(rhs) - ref) <= 1e-5 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_family_tangent_matches_differences(self, n):
+        q, _ = _model(n, 0.0)
+        p = DiscParams(y0=0.1, v=0.3 * np.ones(n), w=np.linspace(1.0, 0.5, n) + 0.2j, a=0.4 - 0.3j)
+        T = Disc(q, p).family_tangent(10)
+        # the real parameters (y0, Re v, Im v, Re w, Im w, Re a, Im a)
+        real = np.concatenate([[p.y0], p.v.real, p.v.imag, p.w.real, p.w.imag, [p.a.real, p.a.imag]])
+
+        def coefficients(t):
+            vw = t[1:-2].reshape(2, 2, n)
+            v, w = vw[:, 0] + 1j * vw[:, 1]
+            params = DiscParams(y0=t[0], v=v, w=w, a=t[-2] + 1j * t[-1])
+            return Disc(q, params, check=False).coefficients(10)
+
+        h = 1e-6
+        for k, e in enumerate(np.eye(real.size)):
+            ref = (coefficients(real + h * e) - coefficients(real - h * e)) / (2 * h)
+            assert np.abs(T[k] - ref).max() <= 1e-8 * np.abs(T).max()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+    def test_start_tangent_spans_the_family(self, n, pinned):
+        # orthonormal, 4n + 3 columns free and the 2n + 1 the pin leaves
+        # free pinned, and null for J at eps = 0 on the closed form
+        system, c = _resolved_setup(n, 0.0, pinned)
+        T0 = _start_tangent(system, c)
+        assert T0.shape == (system.size, 2 * n + 1 if pinned else 4 * n + 3)
+        assert np.abs(T0.T @ T0 - np.eye(T0.shape[1])).max() <= 1e-12
+        assert np.linalg.norm(system.constraint_rows @ T0) <= 1e-12
+        J = system.jacobian(system.pack(c))
+        assert np.linalg.norm(J @ T0) <= 1e-12 * np.linalg.norm(J)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_family_counts_and_gap(self, n):
@@ -570,6 +671,10 @@ def _assert_point_over(m, out, z, tol=1e-9):
     assert abs(m.eval_rho(out)) < tol
 
 
+QUADRIC_N2 = Hyperquadric(n=2, A=np.eye(2))
+Z_N2 = np.array([2.0, 1.0, 1.0], dtype=complex)  # on QUADRIC_N2
+
+
 class TestTransport:
     def test_identity(self):
         z = np.array([2.0, np.sqrt(2.0)], dtype=complex)
@@ -615,6 +720,26 @@ class TestTransport:
         z = np.array([2.0, np.sqrt(2.0)], dtype=complex)
         out = transport_jet(src, tgt, 1.0, dF, z, p0_target=t**2, cfg=SolveConfig(N=128, M=40))
         _assert_point_over(tgt, out, dF @ z)
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-3])
+    def test_invariant_rotation_n2(self, eps):
+        # |z1|^4 is invariant under z1 -> e^{i th} z1; the pinned systems
+        # stack transport rows, which leave the start's tangent no column
+        terms = {(0, 0, 4, 0, 0, 0): 1.0, (0, 0, 2, 2, 0, 0): 2.0, (0, 0, 0, 4, 0, 0): 1.0}
+        m = PerturbedHypersurface(base=QUADRIC_N2, epsilon=eps, terms=terms)
+        dF = np.diag([1.0, np.exp(0.8j), 1.0])
+        out = transport_jet(m, m, 1.0, dF, Z_N2, cfg=CFG)
+        _assert_point_over(m, out, dF @ Z_N2)
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-3])
+    def test_dilation_between_perturbations_n2(self, eps):
+        # F = (t^2 z0, t z_a) takes the quartic at eps to the quartic at eps / t^2
+        t = 1.3
+        src = PerturbedHypersurface(base=QUADRIC_N2, epsilon=eps, terms={(0, 0, 4, 0, 0, 0): 1.0})
+        tgt = src.with_epsilon(eps / t**2)
+        dF = np.diag([t**2, t, t])
+        out = transport_jet(src, tgt, 1.0, dF, Z_N2, p0_target=t**2, cfg=CFG)
+        _assert_point_over(tgt, out, dF @ Z_N2)
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-3])
     def test_pin_and_transport_rows_in_one_system(self, eps):
