@@ -58,6 +58,15 @@ def hilbert_transform(g):
     return np.fft.irfft(c, n=N, axis=-1)
 
 
+def _negative_mass(c):
+    """Relative l2 mass of the negative modes, the upper half in numpy's
+    fft ordering, of Fourier coefficients (..., N); one value per
+    leading index, and 0 where every coefficient is 0."""
+    total = np.linalg.norm(c, axis=-1)
+    neg = np.linalg.norm(c[..., c.shape[-1] // 2 :], axis=-1)
+    return neg / np.where(total > 0, total, 1.0)
+
+
 def holomorphic_defect(h):
     """Relative l2 mass of the negative Fourier modes of samples (..., N).
 
@@ -68,12 +77,7 @@ def holomorphic_defect(h):
     N = validate_grid(h.shape[-1])
     if not np.all(np.isfinite(h)):
         raise InvalidInputError("non-finite boundary samples")
-    c = np.fft.fft(h, axis=-1) / N
-    m = np.fft.fftfreq(N, 1.0 / N)
-    total = np.linalg.norm(c, axis=-1)
-    neg = np.linalg.norm(np.where(m < 0, c, 0.0), axis=-1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(total > 0, neg / np.where(total > 0, total, 1.0), 0.0)
+    out = _negative_mass(np.fft.fft(h, axis=-1) / N)
     return float(out) if out.ndim == 0 else out
 
 
@@ -120,9 +124,7 @@ class RegularLift:
     @property
     def defects(self):
         """Relative l2 mass of the negative modes of zeta * h*, per component."""
-        tot = np.linalg.norm(self.spec, axis=1)
-        tot[tot == 0] = 1.0
-        return np.linalg.norm(self.spec[:, self.spec.shape[1] // 2 :], axis=1) / tot
+        return _negative_mass(self.spec)
 
 
 def construct_regular_lift(m, h_samples):

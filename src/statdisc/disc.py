@@ -286,7 +286,7 @@ class ClosedFormLift:
         return self.at(circle_nodes(N)).T
 
     def c_factor(self, zeta):
-        """Real factor with h* = c * grad_r(h) on the boundary."""
+        """Real factor with h* = c * (d r / d z) o h on the boundary."""
         zeta = np.asarray(zeta, dtype=complex)
         a = self.lift_params.disc.a
         return self.lift_params.b * (1.0 - 2.0 * (a * zeta).real / (1.0 + abs(a) ** 2))

@@ -27,11 +27,12 @@ oracle, never as the primary path.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .boundary_analysis import GRID_DEFAULT, circle_nodes, validate_grid, winding_number
-from .disc import DiscParams, LiftParams, ProjectivizedLift, projectivize_lift
+from .disc import DiscParams, LiftParams, projectivize_lift
 from .errors import (
     ApproximationError,
     FactorizationError,
@@ -83,6 +84,13 @@ class LaurentMatrix:
             out *= zeta[..., None, None]
             out += self.coeffs[k]
         return out * (zeta[..., None, None] ** self.lo)
+
+    @cached_property
+    def _det_roots(self):
+        """_extract_det_roots of this form, (coeffs, lo, K): the form is
+        read-only, so its determinant order is taken once (a refusal is
+        not cached and recurs on every read)."""
+        return _extract_det_roots(self.coeffs, self.lo)
 
 
 def _trim(coeffs, lo):
@@ -214,7 +222,7 @@ def maslov_index(symbol):
     the determinant order of the reduced form when the symbol has one."""
     if symbol.reduced is None:
         return winding_number(symbol.det_samples())
-    return _checked_winding(symbol, _extract_det_roots(symbol.reduced.coeffs, symbol.reduced.lo)[2])
+    return _checked_winding(symbol, symbol.reduced._det_roots[2])
 
 
 # ---------------------------------------------------------------------------
@@ -254,17 +262,11 @@ def _gradient_rows(q, z, t):
     return G
 
 
-def build_G(q, f):
-    """Conjugate-gradient matrix of the 2n+1 defining equations along f."""
-    if isinstance(f, ProjectivizedLift):
-        q = f.quadric
-        f = f.values
-    f = np.asarray(f, dtype=complex)
-    if f.ndim != 2 or f.shape[0] != 2 * q.n + 1:
-        raise InvalidInputError(f"expected (2n+1, N) samples, got {f.shape}")
-    z = f[: q.n + 1].T
-    t = f[q.n + 1 :].T
-    return MatrixSymbol(samples=_gradient_rows(q, z, t))
+def build_G(lift):
+    """Conjugate-gradient matrix of the 2n+1 defining equations along the
+    projectivized lift."""
+    q, f = lift.quadric, lift.values
+    return MatrixSymbol(samples=_gradient_rows(q, f[: q.n + 1].T, f[q.n + 1 :].T))
 
 
 def _closed_form_B_samples(q, params, N):
@@ -297,7 +299,7 @@ def _closed_form_B_samples(q, params, N):
 def _gradient_B_samples(q, params, N):
     """-conj(G)^{-1} G pointwise along the projectivized lift."""
     lift = projectivize_lift(q, LiftParams(disc=params, b=1.0), N=N)
-    G = build_G(lift.quadric, lift).samples
+    G = build_G(lift).samples
     return -np.linalg.solve(np.conj(G), G)
 
 
@@ -416,7 +418,7 @@ def birkhoff_partial_indices(lm):
     the bottoms are the indices: the remaining factor has
     unit-invertible values on the closed disc.
     """
-    coeffs, lo, K = _extract_det_roots(lm.coeffs, lm.lo)
+    coeffs, lo, K = lm._det_roots
     coeffs = coeffs.copy()  # the reduction snaps it in place
     s = coeffs.shape[1]
     for _ in range(4 * (abs(K) + s * coeffs.shape[0] + 4)):
@@ -613,7 +615,7 @@ def verify_reduction_chain(q, params, N=None):
     if abs(gn) < 1e-12:
         raise InvalidParamsError("normalizing component vanishes")
 
-    G0 = build_G(q, lift).samples
+    G0 = build_G(lift).samples
     steps = []
 
     def record(name, Gk):

@@ -86,12 +86,8 @@ class Hyperquadric:
             raise InvalidInputError("Hermitian form returned a non-real value")
         return z[:, 0].real - quad.real
 
-    def grad_r(self, z):
-        """(1/2, -conj(z_a)^T A) at a single point."""
-        z = _as_complex_vector(z, self.n + 1)
-        return self.grad_r_many(z[None, :])[0]
-
     def grad_r_many(self, z):
+        """(1/2, -conj(z_a)^T A) at each row of z, shape (P, n+1)."""
         z = np.asarray(z, dtype=complex)
         out = np.empty_like(z)
         out[:, 0] = 0.5
@@ -219,10 +215,6 @@ class PerturbedHypersurface:
     def _is_pure_quadric(self):
         return self.epsilon == 0.0 or self._coeffs.size == 0
 
-    def eval_rho(self, z):
-        z = _as_complex_vector(z, self.n + 1)
-        return float(self.eval_rho_many(z[None, :])[0])
-
     def eval_rho_many(self, z):
         base = self.base.eval_r_many(z)
         if self._is_pure_quadric():
@@ -230,10 +222,6 @@ class PerturbedHypersurface:
         x = z_to_real_coords(z)
         s = _kernels.poly_eval(x, self._powers, self._coeffs)
         return base + self.epsilon * s
-
-    def grad_rho(self, z):
-        z = _as_complex_vector(z, self.n + 1)
-        return self.grad_rho_many(z[None, :])[0]
 
     def grad_rho_many(self, z):
         base = self.base.grad_r_many(z)

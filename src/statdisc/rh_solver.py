@@ -29,8 +29,8 @@ paper's explicit parametrization gives T0, the tangent of the family
 QR of [J | -r; T0^T | 0] with Q never formed then gives the step and
 null(J) (_tangent_steps).  Where two norm bounds cannot prove that step
 equal to the truncated-SVD one, that linearization falls back to
-_factor: the QR of [J | b], then the SVD of R's K x K block, which also
-gives the tangent basis (no b).  Each linearization is factored once:
+_svd_steps: the QR of [J | b], then the SVD of R's K x K block, as
+the tangent basis takes it (no b).  Each linearization is factored once:
 after an undamped Newton step the solver tries the same factorization
 on the new residual and keeps the step while the residual's sup norm
 at least halves; otherwise it re-linearizes at the same point, so the
@@ -249,10 +249,6 @@ class GluedDisc:
     linearizations: int
     residual_history: list = field(default_factory=list)
 
-    @property
-    def n(self):
-        return self.h_coeffs.shape[0] - 1
-
     def boundary_values(self, N=None):
         return _boundary_samples(self.h_coeffs, validate_grid(N or self.config.N))
 
@@ -266,29 +262,22 @@ class GluedDisc:
         return self.h_coeffs.sum(axis=1)
 
 
-def _factor(J, b=None):
-    """U, S, V^T of J and Q^T b (None without b), Q never formed.
+def _svd_steps(J, b):
+    """Newton step for J s = b and the chord solver for J s = c: lstsq's
+    truncated minimum-norm solutions, with Q never formed.
 
     R of the QR factorization of [J | b] carries Q^T b in its last
-    column; the SVD of its leading K x K block is that of J.  Over the
-    values above _RCOND * S[0] (lstsq's cut), the minimum-norm solution
-    of J s = b is V S^-1 U^T (Q^T b) and that of J s = c V S^-2 V^T J^T c.
-    It serves the tangent basis, and Newton wherever _tangent_steps
-    cannot prove its step equal to this one.
+    column; the SVD U S V^T of its leading K x K block is that of J.
+    Over the values above _RCOND * S[0] (lstsq's cut), the minimum-norm
+    solution of J s = b is V S^-1 U^T (Q^T b) and that of J s = c
+    V S^-2 V^T J^T c.
     """
     K = J.shape[1]
-    R = np.linalg.qr(J if b is None else np.column_stack([J, b]), mode="r")
+    R = np.linalg.qr(np.column_stack([J, b]), mode="r")
     U, S, Vt = np.linalg.svd(R[:K, :K])
-    return U, S, Vt, None if b is None else R[:K, K]
-
-
-def _svd_steps(J, b):
-    """Newton step for J s = b and the chord solver for J s = c, both
-    _factor's truncated minimum-norm solutions."""
-    U, S, Vt, qtb = _factor(J, b)
     keep = S > _RCOND * S[0]
     U, S, Vt = U[:, keep], S[keep], Vt[keep]
-    return Vt.T @ ((U.T @ qtb) / S), lambda c: Vt.T @ ((Vt @ (J.T @ c)) / S**2)
+    return Vt.T @ ((U.T @ R[:K, K]) / S), lambda c: Vt.T @ ((Vt @ (J.T @ c)) / S**2)
 
 
 def _inv_upper(R):
@@ -360,7 +349,7 @@ def _tangent_steps(J, R, T0):
 
 def _newton_steps(system, x, r, T0):
     """Newton step for J s = -r at x and the chord solver: from one QR of
-    [J | -r; T0^T | 0] when _tangent_steps proves them, else from _factor."""
+    [J | -r; T0^T | 0] when _tangent_steps proves them, else from _svd_steps."""
     if T0 is None:
         return _svd_steps(system.jacobian(x), -r)
     aug = np.zeros((r.size + T0.shape[1], x.size + 1))
@@ -584,7 +573,7 @@ def family_tangent_basis(m, sol, cfg=None):
     """Orthonormal null-space basis of the linearization at sol, of the
     dimension that family_dimension counts, and the system at sol."""
     system, J = _system_at(m, sol, cfg)
-    _U, S, Vt, _qtb = _factor(J)
+    _U, S, Vt = np.linalg.svd(np.linalg.qr(J, mode="r"))  # J's S and V, Q never formed
     return Vt[-_null_count(S) :].T, system
 
 
@@ -762,15 +751,23 @@ def _invert_velocity(m, p0, u, cfg, tol_scale):
             )
         params = DiscParams(y0=p0.imag, v=np.zeros(q.n), w=w, a=a)
         return params, Disc(q, params, check=False).at(np.array(1.0 + 0.0j))
-    seed_w = w * np.sqrt(abs(x0 * (1.0 - abs(a) ** 2) / quad))
-    seed = DiscParams(y0=p0.imag, v=np.zeros(q.n), w=seed_w, a=a)
+    try:
+        seed = _center_disc_params(q, p0, a, w)
+    except InvalidInputError:
+        # no centered disc of the eps = 0 family starts the homotopy
+        raise TargetInversionError(
+            f"velocity has w*Aw = {quad:.3e}, the wrong sign for Re p0 = {x0:.6g};"
+            " no disc of the family has it"
+        )
     target = np.concatenate([u.real, u.imag])
     try:
         sol = solve_with_homotopy(
             m, seed, cfg, pin_center=_center_pin(q.n, p0), constraint=(_velocity, target)
         )
     except (NoConvergenceError, LiftConstructionError) as err:
-        raise TargetInversionError(f"velocity inversion failed: {err}")
+        raise TargetInversionError(
+            f"velocity inversion failed ({mism:.3e} off the eps = 0 indicatrix): {err}"
+        )
     err = np.linalg.norm(sol.velocity() - u)
     if err > tol_scale * max(1.0, np.linalg.norm(u)):
         raise TargetInversionError(f"velocity missed by {err:.3e}")

@@ -140,6 +140,38 @@ class TestExecute:
             "singular_values": [2.0, 1e-5],
         }
 
+    def test_family_dimension_spectrum_reaches_the_error_json(self, monkeypatch, capsys):
+        # the solve runs; the refusal comes from the family-dimension count
+        from statdisc import rh_solver
+
+        def ambiguous(*_args):
+            raise DimensionAmbiguousError(
+                "no clear spectral gap", singular_values=np.array([3.0, 2e-5, np.inf])
+            )
+
+        monkeypatch.setattr(rh_solver, "family_dimension", ambiguous)
+        code, out, err = run_main(capsys, "family-dim", "--n", "1", "--a", "0.2", "--w", "1",
+                                  "--grid", "64", "--modes", "16")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "DimensionAmbiguousError",
+            "detail": "no clear spectral gap",
+            "singular_values": [3.0, 2e-5, None],
+        }
+
+    def test_single_mode_refusal_is_json(self, capsys):
+        # with M = 1 the start gives no closed-form tangent (T0 is None), so
+        # every linearization takes the SVD step, whose cut drops J's zero
+        # Im c00 column; the solve refuses with the error JSON, not a crash
+        code, out, err = run_main(capsys, "solve", "--n", "1", "--a", "0", "--w", "1",
+                                  "--epsilon", "1e-3", "--term", "0,0,4,0:1.0",
+                                  "--grid", "16", "--modes", "1")
+        assert (code, out) == (1, "")
+        detail = json.loads(err)
+        assert detail["error"] == "NoConvergenceError"
+        assert detail["detail"].endswith("on the N=16, M=1 grid: raise M (and N), or lower eps")
+        assert len(detail["residual_history"]) >= 2
+
     def test_usage_exit_code(self):
         code, _, err = run_cli("indices-maslov", "--bogus")
         assert code == 2

@@ -19,6 +19,7 @@ from statdisc import (
     toeplitz_kernel_indices,
     verify_reduction_chain,
 )
+from statdisc import indices
 from statdisc.errors import (
     FactorizationError,
     InvalidInputError,
@@ -55,7 +56,7 @@ class TestBuildG:
         proj = projectivize_lift(
             SPHERE, LiftParams(disc=DiscParams(y0=0.0, v=[0], w=[1], a=0.0), b=1.0), N=N
         )
-        G = build_G(SPHERE, proj)
+        G = build_G(proj)
         assert np.allclose(G.samples[:, 0, 0], 0.5)
         assert np.abs(np.linalg.det(G.samples)).min() > 1e-10
 
@@ -65,7 +66,7 @@ class TestBuildG:
         params = random_disc_params(rng, n, centered=True)
         proj = projectivize_lift(q, LiftParams(disc=params, b=1.0), N=64)
         q2, f = proj.quadric, proj.values
-        G = build_G(q2, proj)
+        G = build_G(proj)
         A = q2.A
 
         def defining(zt):
@@ -120,7 +121,7 @@ class TestBuildB:
         p = DiscParams(y0=0.0, v=[0], w=[1], a=0.3)
         Bg = build_B(SPHERE, p, source="gradient")
         proj = projectivize_lift(SPHERE, LiftParams(disc=p, b=1.0), N=N)
-        G = build_G(SPHERE, proj)
+        G = build_G(proj)
         expected = -np.linalg.solve(np.conj(G.samples), G.samples)
         assert np.abs(Bg.samples - expected).max() < 1e-12
 
@@ -172,6 +173,19 @@ class TestMaslov:
         assert maslov_index(build_B(SPHERE, p, source="gradient", N=16384)) == 4
 
 
+def count_det_roots(monkeypatch):
+    """The argument tuples of every indices._extract_det_roots call from now on."""
+    calls = []
+    original = indices._extract_det_roots
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(indices, "_extract_det_roots", counted)
+    return calls
+
+
 class TestPartialIndices:
     def test_diag(self):
         kappa = birkhoff_partial_indices(LaurentMatrix(np.eye(2)[None], 1))
@@ -195,13 +209,27 @@ class TestPartialIndices:
         with pytest.raises(InvalidInputError, match="build_B"):
             partial_indices(diag_symbol(1, 1))
 
-    def test_non_monomial_determinant_is_refused(self):
-        # diag(zeta - 0.5, 1): an interior determinant zero at 0.5
+    def test_non_monomial_determinant_is_refused(self, monkeypatch):
+        # diag(zeta - 0.5, 1): an interior determinant zero at 0.5; the
+        # refusal is not cached, so every read of the form refuses it again
         C = np.zeros((2, 2, 2), dtype=complex)
         C[0] = np.diag([-0.5, 1.0])
         C[1, 0, 0] = 1.0
-        with pytest.raises(FactorizationError, match="not a monomial"):
-            birkhoff_partial_indices(LaurentMatrix(C, 0))
+        lm = LaurentMatrix(C, 0)
+        calls = count_det_roots(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(FactorizationError, match="not a monomial"):
+                birkhoff_partial_indices(lm)
+        assert len(calls) == 2
+
+    def test_determinant_order_is_taken_once_per_form(self, monkeypatch):
+        # the closed-form symbols operation: partial indices, then the
+        # Maslov check against the same form's determinant order
+        calls = count_det_roots(monkeypatch)
+        q = Hyperquadric(n=2, A=np.diag([1.0, -1.0]))
+        B = build_B(q, DiscParams(y0=0.0, v=[0, 0], w=[1, 0.5], a=0.4))
+        assert partial_indices(B).total == maslov_index(B) == 6
+        assert len(calls) == 1
 
     def test_full_n1_against_toeplitz_oracle(self):
         # oracle-recorded value for (a, w) = (1/2, 1): (2, 1, 1)
@@ -308,7 +336,7 @@ class TestReductionChain:
         # doubling a column multiplies det by 2: winding unchanged
         p = DiscParams(y0=0.0, v=[0], w=[1], a=0.3)
         proj = projectivize_lift(SPHERE, LiftParams(disc=p, b=1.0), N=N)
-        G = build_G(SPHERE, proj).samples
+        G = build_G(proj).samples
         from statdisc import winding_number
 
         w0 = winding_number(np.linalg.det(G))

@@ -30,6 +30,11 @@ def fd_gradient(fn, z, h=1e-6):
     return out
 
 
+def at(many, z):
+    """A batched evaluation, many(z[None])[0], at the single point z."""
+    return many(np.asarray(z, dtype=complex)[None])[0]
+
+
 def random_sextic(rng, q, terms=12):
     """eps = 1 perturbation of q by `terms` random monomials of degree <= 6."""
     d = 2 * (q.n + 1)
@@ -74,13 +79,13 @@ class TestEvalR:
 
 class TestGradR:
     def test_trivial_points(self):
-        assert np.allclose(SPHERE.grad_r([1, 0]), [0.5, 0.0])
-        assert np.allclose(SPHERE.grad_r([1, 1]), [0.5, -1.0])
+        assert np.allclose(at(SPHERE.grad_r_many, [1, 0]), [0.5, 0.0])
+        assert np.allclose(at(SPHERE.grad_r_many, [1, 1]), [0.5, -1.0])
 
     def test_hand_expansion_n2(self):
         # -conj(z_a)^T A with A = diag(2, 3), z_a = (i, 1): (2i, -3)
         q = Hyperquadric(n=2, A=np.diag([2.0, 3.0]))
-        g = q.grad_r([0, 1j, 1])
+        g = at(q.grad_r_many, [0, 1j, 1])
         assert np.allclose(g, [0.5, 2.0j, -3.0], atol=1e-14)
         fd = fd_gradient(q.eval_r, np.array([0, 1j, 1], dtype=complex))
         assert np.allclose(g, fd, atol=1e-6)
@@ -90,7 +95,7 @@ class TestGradR:
             q = random_hermitian_quadric(rng, n)
             for _ in range(34):
                 z = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-                g = q.grad_r(z)
+                g = at(q.grad_r_many, z)
                 fd = fd_gradient(q.eval_r, z)
                 assert np.abs(g - fd).max() < 1e-6 * (1 + np.abs(g).max())
 
@@ -100,19 +105,19 @@ class TestPerturbation:
         q = random_hermitian_quadric(rng, 2)
         m = PerturbedHypersurface(base=q, epsilon=0.0, terms={(0, 0, 3, 0, 0, 0): 1.0})
         z = rng.normal(size=3) + 1j * rng.normal(size=3)
-        assert m.eval_rho(z) == q.eval_r(z)
-        assert np.array_equal(m.grad_rho(z), q.grad_r(z))
+        assert at(m.eval_rho_many, z) == q.eval_r(z)
+        assert np.array_equal(at(m.grad_rho_many, z), at(q.grad_r_many, z))
 
     def test_cubic_term_value(self):
         m = PerturbedHypersurface(base=SPHERE, epsilon=0.01, terms={(0, 0, 3, 0): 1.0})
-        assert m.eval_rho([1, 1]) == pytest.approx(0.01, abs=1e-15)
+        assert at(m.eval_rho_many, [1, 1]) == pytest.approx(0.01, abs=1e-15)
 
     def test_cubic_term_gradient(self):
         m = PerturbedHypersurface(base=SPHERE, epsilon=0.01, terms={(0, 0, 3, 0): 1.0})
-        g = m.grad_rho([1, 1])
+        g = at(m.grad_rho_many, [1, 1])
         # d s / d z1 = (3 x1^2)/2 at x1 = 1
-        assert np.allclose(g, SPHERE.grad_r([1, 1]) + 0.01 * np.array([0, 1.5]))
-        fd = fd_gradient(m.eval_rho, np.array([1, 1], dtype=complex))
+        assert np.allclose(g, at(SPHERE.grad_r_many, [1, 1]) + 0.01 * np.array([0, 1.5]))
+        fd = fd_gradient(lambda z: at(m.eval_rho_many, z), np.array([1, 1], dtype=complex))
         assert np.abs(g - fd).max() < 1e-6
 
     def test_hessian_by_hand(self):
@@ -134,9 +139,9 @@ class TestPerturbation:
         terms = {(1, 0, 2, 1): 0.7, (0, 0, 0, 4): -0.3}
         z = rng.normal(size=2) + 1j * rng.normal(size=2)
         r0 = q.eval_r(z)
-        va = PerturbedHypersurface(base=q, epsilon=0.2, terms=terms).eval_rho(z)
-        vb = PerturbedHypersurface(base=q, epsilon=0.5, terms=terms).eval_rho(z)
-        vab = PerturbedHypersurface(base=q, epsilon=0.7, terms=terms).eval_rho(z)
+        va = at(PerturbedHypersurface(base=q, epsilon=0.2, terms=terms).eval_rho_many, z)
+        vb = at(PerturbedHypersurface(base=q, epsilon=0.5, terms=terms).eval_rho_many, z)
+        vab = at(PerturbedHypersurface(base=q, epsilon=0.7, terms=terms).eval_rho_many, z)
         assert abs((va - r0) + (vb - r0) - (vab - r0)) < 1e-14 * (1 + abs(vab))
 
     def test_hessian_matches_gradient_differences(self, rng):

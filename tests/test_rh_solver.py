@@ -24,6 +24,7 @@ from statdisc import (
 )
 from statdisc import _kernels, rh_solver
 from statdisc.errors import (
+    DimensionAmbiguousError,
     InvalidInputError,
     LiftConstructionError,
     NoConvergenceError,
@@ -36,10 +37,11 @@ from statdisc.rh_solver import (
     _disc_through_solution,
     _DiscSystem,
     _endpoint,
-    _factor,
     _invert_velocity,
     _newton_steps,
+    _null_count,
     _start_tangent,
+    _svd_steps,
     _velocity,
     family_tangent_basis,
 )
@@ -94,6 +96,30 @@ def _record_stages(monkeypatch):
 
     monkeypatch.setattr(rh_solver, "solve_glued_disc", staged)
     return stages
+
+
+def _count_solves(monkeypatch):
+    """Counter of solve_glued_disc calls from now on, under the key "solve"."""
+    calls = Counter()
+    monkeypatch.setattr(
+        rh_solver, "solve_glued_disc", counting(calls, "solve", rh_solver.solve_glued_disc)
+    )
+    return calls
+
+
+def _stall_homotopy(monkeypatch):
+    """Make every solve_with_homotopy call raise NoConvergenceError("stub stall")."""
+
+    def stalled(*_args, **_kwargs):
+        raise NoConvergenceError("stub stall", residual_history=[1.0])
+
+    monkeypatch.setattr(rh_solver, "solve_with_homotopy", stalled)
+
+
+# indefinite: a velocity or direction with w*Aw < 0 has the wrong sign for Re p0 > 0
+INDEFINITE = PerturbedHypersurface(
+    base=Hyperquadric(n=2, A=np.diag([1.0, -1.5])), epsilon=1e-4, terms={(0, 0, 4, 0, 0, 0): 1.0}
+)
 
 
 class TestSolve:
@@ -313,14 +339,14 @@ class TestSolve:
     def test_truncation_floor_falls_back_to_the_svd_step(self, monkeypatch, m, start, cfg):
         # past its |a|^M floor the start's d smallest singular values sit
         # above the step cut, so no tangent step is proved and every
-        # linearization of the refused eps = 0 solve takes _factor's step
+        # linearization of the refused eps = 0 solve takes _svd_steps' step
         calls = Counter()
-        monkeypatch.setattr(rh_solver, "_factor", counting(calls, "factor", _factor))
+        monkeypatch.setattr(rh_solver, "_svd_steps", counting(calls, "svd", _svd_steps))
         jacobian = _DiscSystem.jacobian
         monkeypatch.setattr(_DiscSystem, "jacobian", counting(calls, "jacobian", jacobian))
         with pytest.raises(NoConvergenceError, match="does not solve eps = 0"):
             solve_with_homotopy(m, start, cfg)
-        assert calls["factor"] == calls["jacobian"] > 0
+        assert calls["svd"] == calls["jacobian"] > 0
 
     @pytest.mark.parametrize("as_coeffs", [False, True], ids=["params", "coefficients"])
     def test_zero_epsilon_runs_one_stage(self, monkeypatch, as_coeffs):
@@ -449,7 +475,7 @@ class TestLinearization:
     @pytest.mark.parametrize("setup", ["free", "pinned", "endpoint", "velocity"])
     def test_factorization_matches_lstsq(self, monkeypatch, n, eps, setup):
         # the Newton step and the chord solve, from one QR of [J; T0^T]
-        # where the tangent step's conditions hold, else from _factor; at
+        # where the tangent step's conditions hold, else from _svd_steps; at
         # M = 8 the start sits on its truncation floor, so the free and
         # pinned setups fall back, and the transport reads leave T0 no
         # column, so those run the tangent step
@@ -457,9 +483,9 @@ class TestLinearization:
         J, r = system.jacobian(x), system.residual(x)
         T0 = _start_tangent(system, system.unpack(x))
         calls = Counter()
-        monkeypatch.setattr(rh_solver, "_factor", counting(calls, "factor", _factor))
+        monkeypatch.setattr(rh_solver, "_svd_steps", counting(calls, "svd", _svd_steps))
         step, solve_chord = _newton_steps(system, x, r, T0)
-        assert calls["factor"] == (setup in ("free", "pinned"))
+        assert calls["svd"] == (setup in ("free", "pinned"))
         ref = np.linalg.lstsq(J, -r, rcond=_RCOND)[0]
         assert np.linalg.norm(step - ref) <= 1e-8 * np.linalg.norm(ref)
         c = np.random.default_rng(n).normal(size=r.size)
@@ -476,9 +502,9 @@ class TestLinearization:
         x = system.pack(c)
         J, r = system.jacobian(x), system.residual(x)
         calls = Counter()
-        monkeypatch.setattr(rh_solver, "_factor", counting(calls, "factor", _factor))
+        monkeypatch.setattr(rh_solver, "_svd_steps", counting(calls, "svd", _svd_steps))
         step, solve_chord = _newton_steps(system, x, r, _start_tangent(system, c))
-        assert calls["factor"] == 0
+        assert calls["svd"] == 0
         if eps:  # at eps = 0 the residual is rounding
             ref = np.linalg.lstsq(J, -r, rcond=_RCOND)[0]
             assert np.linalg.norm(step - ref) <= 1e-8 * np.linalg.norm(ref)
@@ -597,8 +623,28 @@ class TestFamilyDimension:
         assert family_dimension(FLAT, sol, fine)["dim"] == 7
         assert family_tangent_basis(FLAT, sol, fine)[0].shape == (4 * 33, 7)
 
+    @pytest.mark.parametrize(
+        "sv, message",
+        [
+            ([1.0, 0.5, 0.1], "no null directions found"),
+            ([1.0, 1e-5, 5e-7], r"no clear spectral gap \(1.000e-05 over 5.000e-07\)"),
+        ],
+        ids=["no-null", "no-gap"],
+    )
+    def test_null_count_refusals_carry_the_spectrum(self, sv, message):
+        sv = np.array(sv)
+        with pytest.raises(DimensionAmbiguousError, match=message) as err:
+            _null_count(sv)
+        assert np.array_equal(err.value.singular_values, sv)
+
 
 class TestCenterMaps:
+    def test_inadmissible_center_refused_before_any_solve(self, monkeypatch):
+        calls = _count_solves(monkeypatch)
+        with pytest.raises(InvalidInputError, match="^center fails the admissibility"):
+            center_map_jacobians(QUARTIC, -1.0)
+        assert calls["solve"] == 0
+
     def test_invertible_at_unit_center(self):
         cm = center_map_jacobians(FLAT, 1.0)
         assert cm.endpoint_invertible
@@ -628,6 +674,35 @@ class TestCenterMaps:
 
 
 class TestIndicatrix:
+    def test_inadmissible_center_refused_before_any_solve(self, monkeypatch):
+        calls = _count_solves(monkeypatch)
+        with pytest.raises(InvalidInputError, match="^center fails the admissibility"):
+            indicatrix_sample(QUARTIC, -1.0, 4, CFG)
+        assert calls["solve"] == 0
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-4])
+    def test_wrong_sign_directions_are_error_rows(self, monkeypatch, eps):
+        # under an indefinite A some drawn directions have w*Aw < 0; each is
+        # reported in its row and the run goes on (no solve at eps = 0)
+        _stall_homotopy(monkeypatch)
+        pts = indicatrix_sample(INDEFINITE.with_epsilon(eps), 1.0, 8, CFG, seed=3)
+        wrong = [p for p in pts if p.params is None]
+        assert 0 < len(wrong) < len(pts)
+        for p in wrong:
+            assert p.error == "direction has the wrong sign for this center"
+            assert p.velocity is None and np.isnan(p.residual)
+        for p in pts:
+            if p.params is not None:
+                assert (p.error is None) == (eps == 0.0)
+
+    def test_failed_solves_are_error_rows(self, monkeypatch):
+        _stall_homotopy(monkeypatch)
+        pts = indicatrix_sample(QUARTIC, 1.0, 3, CFG, seed=11)
+        assert len(pts) == 3
+        for p in pts:
+            assert p.error == "stub stall" and p.params is not None
+            assert p.velocity is None and np.isnan(p.residual)
+
     def test_flat_cloud_closed_form(self):
         pts = indicatrix_sample(FLAT, 1.0, 8, CFG, seed=11)
         ok = [p for p in pts if p.velocity is not None]
@@ -668,7 +743,7 @@ def _assert_point_over(m, out, z, tol=1e-9):
     """out is the point of m over z: the same Im z0 and z_a, and rho(out) = 0."""
     assert abs(out[0].imag - z[0].imag) < tol
     assert np.abs(out[1:] - z[1:]).max() < tol
-    assert abs(m.eval_rho(out)) < tol
+    assert abs(m.eval_rho_many(out[None])[0]) < tol
 
 
 QUADRIC_N2 = Hyperquadric(n=2, A=np.eye(2))
@@ -812,3 +887,33 @@ class TestTransport:
     def test_off_indicatrix_velocity_rejected(self):
         with pytest.raises(TargetInversionError):
             _invert_velocity(FLAT, 1.0 + 0j, np.array([0.5, 2.0 + 0j]), CFG, 1e-8)
+
+    @pytest.mark.parametrize(
+        "m, u, message",
+        [
+            (QUARTIC, [0.5, 1e-13], "^velocity has vanishing tangential part$"),
+            (QUARTIC, [2.0, 1.0], r"^velocity needs \|a\| = 1.0 outside the family$"),
+            (FLAT, [0.5, 2.0], "^velocity is off the indicatrix by 3.267e\\+00; cannot invert$"),
+            (
+                INDEFINITE,
+                [0.2, 0.3, 1.0],
+                r"^velocity has w\*Aw = -1.410e\+00, the wrong sign for Re p0 = 1;"
+                " no disc of the family has it$",
+            ),
+        ],
+        ids=["tangential", "pole", "off-indicatrix", "wrong-sign"],
+    )
+    def test_velocity_refused_before_any_solve(self, monkeypatch, m, u, message):
+        calls = _count_solves(monkeypatch)
+        with pytest.raises(TargetInversionError, match=message):
+            _invert_velocity(m, 1.0 + 0j, np.array(u, dtype=complex), CFG, 1e-8)
+        assert calls["solve"] == 0
+
+    def test_failed_inversion_names_the_indicatrix_distance(self, monkeypatch):
+        # |u_a|^2 / (1 - |a|^2) = 1.44 / 0.9375 against Re p0 = 1
+        _stall_homotopy(monkeypatch)
+        with pytest.raises(TargetInversionError) as err:
+            _invert_velocity(QUARTIC, 1.0 + 0j, np.array([0.5, 1.2 + 0j]), CFG, 1e-8)
+        assert str(err.value) == (
+            "velocity inversion failed (5.360e-01 off the eps = 0 indicatrix): stub stall"
+        )
