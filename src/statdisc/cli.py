@@ -396,8 +396,16 @@ def _indices_replay(opt, m, N):
 
 def _solve(opt, m, N):
     sol = _homotopy_solve(opt, m, N)[0]
+    frame = sol.frame  # the closed-form start always has one
     return {
         "coefficients": sol.h_coeffs,
+        "frame": {
+            "a": frame.a,
+            "c2": frame.phi.c2,
+            "L": frame.phi.L,
+            "t": frame.phi.t,
+            "coefficients": sol.coeffs,
+        },
         "residual_sup": sol.residual_sup,
         "lift_defects": sol.lift_defects,
         "iterations": sol.iterations,
@@ -505,6 +513,8 @@ def _read_boundary_csv(path, ncomp):
             lines = [ln.strip() for ln in fh if ln.strip()]
     except OSError as exc:
         raise UsageError(f"cannot read samples: {exc}")
+    if lines and lines[0].startswith(("{", "[")):  # disc-make's default artifact, say
+        raise UsageError("expected a boundary CSV (--format csv), got JSON")
     body = [ln.split(",") for ln in lines if not ln.startswith("#")][1:]  # after the header
     if not body:
         raise UsageError("boundary CSV has no samples")

@@ -156,17 +156,73 @@ def z_to_real_coords(z):
 
 
 @dataclass(frozen=True)
+class Frame:
+    """A complex-affine map Phi of C^(n+1) with r o Phi = c2 r, held by
+    its inverse Phi^-1(y) = L y + t.
+
+    The automorphisms of Q up to scale are such maps (Chern-Moser 1974):
+    the Heisenberg translations keep r, the dilation (c^2 z0, c z_a)
+    scales it by c^2.  Phi takes {r + eps s = 0} to {r + eps c2 s o Phi^-1
+    = 0}, which PerturbedHypersurface evaluates by composition.
+    """
+
+    L: np.ndarray
+    t: np.ndarray
+    c2: float
+
+    @classmethod
+    def heisenberg(cls, q, b, tau):
+        """F(z0, z) = (z0 - 2 b*Az + b*Ab - i tau, z - b), which keeps r."""
+        b = np.asarray(b, dtype=complex)
+        bA = b.conj() @ q.A
+        L = np.eye(q.n + 1, dtype=complex)
+        L[0, 1:] = 2.0 * bA
+        return cls(L=L, t=np.concatenate([[np.real(bA @ b) + 1j * tau], b]), c2=1.0)
+
+    @classmethod
+    def dilation(cls, n, c):
+        """D(z0, z) = (c^2 z0, c z), which scales r by c^2."""
+        L = np.diag(np.concatenate([[1.0 / c**2], np.full(n, 1.0 / c)])).astype(complex)
+        return cls(L=L, t=np.zeros(n + 1, dtype=complex), c2=c**2)
+
+    def then(self, other):
+        """The frame of other o self: Phi_other after Phi_self."""
+        return Frame(L=self.L @ other.L, t=self.L @ other.t + self.t, c2=self.c2 * other.c2)
+
+    def inverse(self, y):
+        """Phi^-1 at each row of y, shape (..., n+1)."""
+        return y @ self.L.T + self.t
+
+    def forward(self, z):
+        """Phi at each row of z, shape (..., n+1)."""
+        return np.linalg.solve(self.L, (np.asarray(z) - self.t).T).T
+
+    @cached_property
+    def real_L(self):
+        """L as a real matrix on the coordinates (Re y0, Im y0, Re y1, ...)."""
+        R = np.empty((2 * self.L.shape[0],) * 2)
+        R[0::2, 0::2] = R[1::2, 1::2] = self.L.real
+        R[1::2, 0::2] = self.L.imag
+        R[0::2, 1::2] = -self.L.imag
+        return R
+
+
+@dataclass(frozen=True)
 class PerturbedHypersurface:
     """rho = r + eps * s with s a real polynomial in the real coordinates.
 
     terms maps a multi-index over the 2n+2 real coordinates to its real
     coefficient. eps = 0 reproduces the quadric along the identical code
-    path (the polynomial is never touched).
+    path (the polynomial is never touched).  frame, when given, is a
+    Frame Phi and the surface is Phi({r + eps s = 0}) = {r + eps c2 s o
+    Phi^-1 = 0}, evaluated by composition; epsilon stays the eps of the
+    unframed surface.  Model files do not carry a frame.
     """
 
     base: Hyperquadric
     epsilon: float = 0.0
     terms: dict = field(default_factory=dict)
+    frame: Frame | None = None
 
     def __post_init__(self):
         if not np.isfinite(self.epsilon):
@@ -195,16 +251,18 @@ class PerturbedHypersurface:
         coeffs.flags.writeable = False
         object.__setattr__(self, "_powers", powers)
         object.__setattr__(self, "_coeffs", coeffs)
+        # derivative stacks by order; with_epsilon and in_frame copies share the dict
+        object.__setattr__(self, "_stacks", {})
 
     @property
     def n(self):
         return self.base.n
 
     def with_epsilon(self, epsilon):
-        """The same terms at another eps; self when eps is unchanged.
+        """The same terms and frame at another eps; self when eps is unchanged.
 
         The derivative stacks depend on the terms alone, so the copy
-        carries the ones self has already built.
+        shares them with self.
         """
         if epsilon == self.epsilon:
             return self
@@ -212,56 +270,79 @@ class PerturbedHypersurface:
         object.__setattr__(out, "epsilon", epsilon)
         return out
 
+    def in_frame(self, frame):
+        """Phi(self) for the Frame Phi: the same terms, pre-mapped by Phi^-1;
+        the copy shares self's derivative stacks."""
+        out = copy.copy(self)
+        object.__setattr__(out, "frame", frame if self.frame is None else self.frame.then(frame))
+        return out
+
     def _is_pure_quadric(self):
         return self.epsilon == 0.0 or self._coeffs.size == 0
+
+    def _s_coords(self, z):
+        """Real coordinates at which s is evaluated for the rows of z, and
+        the weight of s in rho: eps, or eps c2 in a frame."""
+        if self.frame is None:
+            return z_to_real_coords(z), self.epsilon
+        return z_to_real_coords(self.frame.inverse(z)), self.epsilon * self.frame.c2
 
     def eval_rho_many(self, z):
         base = self.base.eval_r_many(z)
         if self._is_pure_quadric():
             return base
-        x = z_to_real_coords(z)
+        x, weight = self._s_coords(z)
         s = _kernels.poly_eval(x, self._powers, self._coeffs)
-        return base + self.epsilon * s
+        return base + weight * s
 
     def grad_rho_many(self, z):
         base = self.base.grad_r_many(z)
         if self._is_pure_quadric():
             return base
-        x = z_to_real_coords(z)
+        x, weight = self._s_coords(z)
         g = _kernels.poly_eval(x, *self._gradient_stack)
-        # d/dz_j = (d/dx_j - i d/dy_j) / 2 applied to the real polynomial
-        return base + self.epsilon * 0.5 * (g[:, 0::2] - 1j * g[:, 1::2])
+        # d/dz_j = (d/dx_j - i d/dy_j) / 2 applied to the real polynomial;
+        # Phi^-1 is complex-affine, so a frame multiplies it by L
+        grad = weight * 0.5 * (g[:, 0::2] - 1j * g[:, 1::2])
+        return base + (grad if self.frame is None else grad @ self.frame.L)
 
     def hess_s_many(self, z):
-        """Real Hessian of s (without eps) at each row of z: (P, 2n+2, 2n+2)."""
-        x = z_to_real_coords(z)
+        """Real Hessian of s (without eps) at each row of z: (P, 2n+2, 2n+2);
+        in a frame, of c2 s o Phi^-1, that is c2 R^T H R with R = real_L."""
+        x, _weight = self._s_coords(z)
         d = x.shape[1]
         i, j = np.triu_indices(d)
         upper = _kernels.poly_eval(x, *self._hessian_stack)
         out = np.empty((x.shape[0], d, d))
         out[:, i, j] = out[:, j, i] = upper
-        return out
+        if self.frame is None:
+            return out
+        R = self.frame.real_L
+        return self.frame.c2 * (R.T @ out @ R)
 
-    @cached_property
+    @property
     def _gradient_stack(self):
         """The D first derivatives of s, stacked in array form (K = D)."""
         return self._derivative_stack(1)
 
-    @cached_property
+    @property
     def _hessian_stack(self):
         """d^2 s / dx_i dx_j for i <= j in np.triu_indices order, stacked."""
         return self._derivative_stack(2)
 
     def _derivative_stack(self, order):
-        """All derivatives of s of one order, one column per multi-index.
+        """All derivatives of s of one order, one column per multi-index,
+        built once for self and its copies.
 
         Columns follow itertools.combinations_with_replacement over the
         real coordinates, which for order 2 is np.triu_indices order.
         """
-        d = 2 * (self.n + 1)
-        combos = combinations_with_replacement(range(d), order)
-        betas = [np.bincount(c, minlength=d) for c in combos]
-        return _kernels.stack_derivatives(self._powers, self._coeffs, betas)
+        if order not in self._stacks:
+            d = 2 * (self.n + 1)
+            combos = combinations_with_replacement(range(d), order)
+            betas = [np.bincount(c, minlength=d) for c in combos]
+            self._stacks[order] = _kernels.stack_derivatives(self._powers, self._coeffs, betas)
+        return self._stacks[order]
 
     def to_json(self):
         obj = self.base.to_json()

@@ -40,9 +40,15 @@ C. T. Kelley, Solving Nonlinear Equations with Newton's Method, SIAM
 least halve the residual, so there are at most log2(r0 / tol) of them.
 tol, the step cut _RCOND and the damping floor _DAMPING_MIN are
 constants.
+
+solve_with_homotopy solves a closed-form start in its normalized frame
+(DiscFrame): on the image Phi(M) under an automorphism of the quadric up
+to scale, from the pole-0 disc, which is exact at eps = 0 on every grid;
+solve_glued_disc is the same Newton on whatever surface it is given.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import ClassVar
 
 import numpy as np
@@ -63,6 +69,7 @@ from .errors import (
     TargetInversionError,
 )
 from .quadric import (
+    Frame,
     Hyperquadric,
     PerturbedHypersurface,
     exists_disc_centered,
@@ -203,8 +210,11 @@ class _DiscSystem:
         ratio_p, ratio_q = self.zeta * P[n] / phi, self.zeta * Q[n] / phi
         lift_p, lift_q = zl * P[:n], zl * Q[:n]
         lift_g = zl * grad[:n]
-        J = np.empty((N + n * N + self.constraint_rows.shape[0], x.size)) if out is None else out
+        if out is None:
+            out = np.empty((N + n * N + self.constraint_rows.shape[0], x.size), order="F")
+        J = out
         J[N + n * N :] = self.constraint_rows
+        JT = J.T  # a column of J is a row of J.T, contiguous in Fortran order
         modes = self.cfg.M + 1
         nodes = np.arange(N)
         for j in range(n + 1):
@@ -224,22 +234,127 @@ class _DiscSystem:
                     neg = (np.fft.fft(dlift, axis=-1)[..., half:] / N).reshape(mode.size, -1)
                     # pack lists a component's modes contiguously
                     c = slice(offset + lo, offset + lo + mode.size)
-                    J[:N, c] = 2.0 * (grad[j] * dh).real.T
-                    J[N : N + n * half, c] = neg.real.T
-                    J[N + n * half : N + n * N, c] = neg.imag.T
+                    JT[c, :N] = 2.0 * (grad[j] * dh).real
+                    JT[c, N : N + n * half] = neg.real
+                    JT[c, N + n * half : N + n * N] = neg.imag
         return J
+
+
+def _polyval(coeffs, z):
+    """sum_k coeffs[..., k] z^k at a point z, or at each of an array of points
+    (a last axis added); powers by repeated multiplication."""
+    z = np.asarray(z, dtype=complex)
+    powers = np.ones(z.shape + (coeffs.shape[-1],), dtype=complex)
+    for k in range(1, coeffs.shape[-1]):
+        powers[..., k] = powers[..., k - 1] * z
+    return coeffs @ np.moveaxis(powers, -1, 0)
+
+
+@dataclass(frozen=True)
+class DiscFrame:
+    """The normalized frame of a solve: the disc on M is
+    h = Phi^-1 o g o psi^-1, with g the solved disc on Phi(M) and
+    psi(zeta) = (zeta + conj(a)) / (1 + a zeta).
+
+    normalized builds it from a closed-form start as build_B reduces a
+    symbol: psi moves the pole a to 0, the Heisenberg translation F by
+    g(0) and the dilation D with c = 1 / |w'| (w' = w / (1 - |a|^2)) make
+    Phi = D o F take h o psi to the centered disc (uAu, u zeta), u = w/|w|.
+    That start has degree 1, so it solves eps = 0 exactly at every M
+    (Lempert 1981; Chern-Moser 1974).
+    """
+
+    a: complex
+    phi: Frame
+
+    @classmethod
+    def normalized(cls, q, params, M):
+        """The frame of the closed-form disc params, and g's start coefficients (n+1, M+1)."""
+        a, v, w = params.a, params.v, params.w
+        s = 1.0 - abs(a) ** 2
+        w1 = w / s
+        b = v + np.conj(a) * w1  # g(0)_a
+        tau = params.y0 + 2.0 * np.imag(np.conj(a) * (v.conj() @ q.A @ w)) / s  # Im g(0)_0
+        c = 1.0 / np.linalg.norm(w1)
+        phi = Frame.heisenberg(q, b, tau).then(Frame.dilation(q.n, c))
+        unit = DiscParams(y0=0.0, v=np.zeros(q.n), w=c * w1, a=0.0)
+        return cls(a=a, phi=phi), Disc(q, unit, check=False).coefficients(M)
+
+    def _point(self, zeta):
+        """psi^-1(zeta) = (zeta - conj(a)) / (1 - a zeta)."""
+        return (zeta - np.conj(self.a)) / (1.0 - self.a * zeta)
+
+    def g_at(self, coeffs, zeta):
+        """g(psi^-1(zeta)) of coefficient arrays stacked on leading axes:
+        (..., n+1), or (..., n+1, P) for P points zeta."""
+        return _polyval(coeffs, self._point(zeta))
+
+    def h_at(self, coeffs, zeta):
+        """h(zeta) less Phi^-1's constant t: L g(psi^-1(zeta)), (..., n+1)."""
+        return self.g_at(coeffs, zeta) @ self.phi.L.T
+
+    def h_slope(self, coeffs, zeta):
+        """h'(zeta) = L g'(psi^-1(zeta)) (1 - |a|^2) / (1 - a zeta)^2, (..., n+1)."""
+        dg = _polyval(np.arange(1, coeffs.shape[-1]) * coeffs[..., 1:], self._point(zeta))
+        return (1.0 - abs(self.a) ** 2) / (1.0 - self.a * zeta) ** 2 * dg @ self.phi.L.T
+
+    def constraint(self, pin=None, constraint=None):
+        """The pin h(0) = pin and constraint = (read, target) of h as one
+        (read, target) of g's coefficients, or None without either.
+
+        The pin is the read g(-conj(a)) = Phi(pin).  Phi^-1 is affine, so
+        a read of h is the read of L g o psi^-1 (the read called with
+        frame=self) with its constant, the read of the constant disc t,
+        taken off the target.
+        """
+        parts = []
+        if pin is not None:
+            parts.append((lambda c: _parts(self.g_at(c, 0.0)), _parts(self.phi.forward(pin))))
+        if constraint is not None:
+            read, target = constraint
+            constant = np.zeros((self.phi.t.size, 2), dtype=complex)
+            constant[:, 0] = self.phi.t
+            parts.append((partial(read, frame=self), target - read(constant)))
+        if not parts:
+            return None
+        reads, targets = zip(*parts)
+        return lambda c: np.concatenate([r(c) for r in reads], axis=-1), np.concatenate(targets)
+
+    def taylor(self, coeffs):
+        """Taylor coefficients 0..M of h = Phi^-1 o g o psi^-1 from g's (n+1, M+1).
+
+        Row k of T holds those of psi^-1(zeta)^k, each the truncated
+        product of the one before with psi^-1's; |psi^-1| = 1 on the
+        circle bounds every row's l2 norm by 1.
+        """
+        modes = coeffs.shape[-1]
+        a = self.a
+        first = np.empty(modes, dtype=complex)
+        first[0] = -np.conj(a)
+        first[1:] = (1.0 - abs(a) ** 2) * a ** np.arange(modes - 1)
+        T = np.zeros((modes, modes), dtype=complex)
+        T[0, 0] = 1.0
+        for k in range(1, modes):
+            T[k] = np.convolve(T[k - 1], first)[:modes]
+        out = self.phi.L @ (coeffs @ T)
+        out[:, 0] += self.phi.t
+        return out
 
 
 @dataclass
 class GluedDisc:
     """Converged disc on a perturbed hypersurface.
 
-    h_coeffs holds the truncated holomorphic coefficients (n+1, M+1);
-    lam the positive boundary factor of the regular lift at the
-    solution; diagnostics carries residuals and iteration history.
+    coeffs holds the truncated holomorphic coefficients (n+1, M+1) of the
+    solved disc in its frame: g on Phi(M) when frame is a DiscFrame, the
+    disc h on M itself when frame is None.  lam is the positive boundary
+    factor of the regular lift at the solution, and residual_sup and
+    lift_defects its certificate, all on the solve grid in that frame:
+    there the residual reads c2 times rho of M.  diagnostics carries
+    residuals and iteration history.  The reads map back to M.
     """
 
-    h_coeffs: np.ndarray
+    coeffs: np.ndarray
     lam: np.ndarray
     config: SolveConfig
     pin_center: np.ndarray | None
@@ -248,18 +363,36 @@ class GluedDisc:
     iterations: int
     linearizations: int
     residual_history: list = field(default_factory=list)
+    frame: DiscFrame | None = None
+
+    @property
+    def h_coeffs(self):
+        """Taylor coefficients 0..M of the disc h on M, (n+1, M+1)."""
+        return self.coeffs if self.frame is None else self.frame.taylor(self.coeffs)
 
     def boundary_values(self, N=None):
-        return _boundary_samples(self.h_coeffs, validate_grid(N or self.config.N))
+        N = validate_grid(N or self.config.N)
+        if self.frame is None:
+            return _boundary_samples(self.coeffs, N)
+        return self.frame.phi.inverse(self.frame.g_at(self.coeffs, circle_nodes(N)).T).T
 
     def center(self):
-        return self.h_coeffs[:, 0].copy()
+        """h(0); a pinned disc returns its pin, which Newton holds to rounding."""
+        if self.pin_center is not None:
+            return self.pin_center.copy()
+        if self.frame is None:
+            return self.coeffs[:, 0].copy()
+        return self.frame.h_at(self.coeffs, 0.0) + self.frame.phi.t
 
     def velocity(self):
-        return self.h_coeffs[:, 1].copy()
+        if self.frame is None:
+            return self.coeffs[:, 1].copy()
+        return self.frame.h_slope(self.coeffs, 0.0)
 
     def endpoint(self):
-        return self.h_coeffs.sum(axis=1)
+        if self.frame is None:
+            return self.coeffs.sum(axis=1)
+        return self.frame.h_at(self.coeffs, 1.0) + self.frame.phi.t
 
 
 def _svd_steps(J, b):
@@ -352,7 +485,7 @@ def _newton_steps(system, x, r, T0):
     [J | -r; T0^T | 0] when _tangent_steps proves them, else from _svd_steps."""
     if T0 is None:
         return _svd_steps(system.jacobian(x), -r)
-    aug = np.zeros((r.size + T0.shape[1], x.size + 1))
+    aug = np.zeros((r.size + T0.shape[1], x.size + 1), order="F")
     J = system.jacobian(x, out=aug[: r.size, :-1])
     aug[: r.size, -1] = -r
     aug[r.size :, :-1] = T0.T
@@ -459,7 +592,7 @@ def solve_glued_disc(m, start, cfg=None, pin_center=None, constraint=None):
             residual_history=history,
         )
     return GluedDisc(
-        h_coeffs=coeffs,
+        coeffs=coeffs,
         lam=lift.lam,
         config=cfg,
         pin_center=system.pin_center,
@@ -473,6 +606,14 @@ def solve_glued_disc(m, start, cfg=None, pin_center=None, constraint=None):
 
 def solve_with_homotopy(m, start, cfg=None, pin_center=None, constraint=None):
     """solve_glued_disc continued in epsilon over up to three schedules.
+
+    A closed-form start (DiscParams) is solved in its normalized frame
+    (DiscFrame): on Phi(M), from the centered disc with pole 0, which
+    solves eps = 0 exactly at every M.  The pin and constraint become
+    reads of g (DiscFrame.constraint), and the returned disc carries the
+    frame, so its reads map back to M.  A coefficient-array start is
+    solved as given, with no frame.  Where the frame gives no regular
+    lift, the refusal names the perturbation's size there and the knobs.
 
     Continuation assumes that start solves the eps = 0 problem (E. L.
     Allgower and K. Georg, Introduction to Numerical Continuation Methods,
@@ -489,7 +630,27 @@ def solve_with_homotopy(m, start, cfg=None, pin_center=None, constraint=None):
     """
     m = _as_perturbed(m)
     cfg = cfg or SolveConfig()
-    coeffs = _start_coeffs(m, start, cfg.M)
+    if not isinstance(start, DiscParams):
+        return _continue(m, _start_coeffs(m, start, cfg.M), cfg, pin_center, constraint)
+    frame, coeffs = DiscFrame.normalized(m.base, start, cfg.M)
+    surface = m.in_frame(frame.phi)
+    try:
+        sol = _continue(surface, coeffs, cfg, None, frame.constraint(pin_center, constraint))
+    except LiftConstructionError as err:
+        refusal = str(err)
+    else:
+        return replace(sol, frame=frame, pin_center=pin_center)
+    g = _boundary_samples(coeffs, cfg.N).T
+    size = np.abs(surface.eval_rho_many(g) - m.base.eval_r_many(g)).max()
+    raise LiftConstructionError(
+        f"{refusal}; in the normalized frame of the pole |a| = {abs(start.a):.3g} the"
+        f" perturbation eps*c^2*sup|s o Phi^-1 o g| reads {size:.3e} (eps = {m.epsilon:.3g},"
+        f" c^2 = {frame.phi.c2:.3g}): lower eps or |a|"
+    )
+
+
+def _continue(m, coeffs, cfg, pin_center, constraint):
+    """solve_with_homotopy's eps = 0 check and schedules on m from coeffs."""
     try:
         if m.epsilon == 0.0:
             return solve_glued_disc(m, coeffs, cfg, pin_center=pin_center, constraint=constraint)
@@ -518,7 +679,7 @@ def solve_with_homotopy(m, start, cfg=None, pin_center=None, constraint=None):
                         pin_center=pin_center,
                         constraint=constraint,
                     )
-                    cur = sol.h_coeffs
+                    cur = sol.coeffs
                 return sol
             except NoConvergenceError as err:
                 last = err.with_traceback(None)
@@ -534,13 +695,18 @@ def solve_with_homotopy(m, start, cfg=None, pin_center=None, constraint=None):
 
 
 def _system_at(m, sol, cfg):
-    """System at sol and its exact Jacobian, stacking a pinned sol's pin
-    rows under the residual's; cfg may change N (off the solve grid), not M."""
+    """System at sol in its frame and its exact Jacobian, stacking a pinned
+    sol's pin rows under the residual's; cfg may change N (off the solve
+    grid), not M."""
     cfg = cfg or sol.config
     if cfg.M != sol.config.M:
         raise InvalidInputError(f"solution has M={sol.config.M}, configuration M={cfg.M}")
-    system = _DiscSystem(m, cfg, pin_center=sol.pin_center)
-    return system, system.jacobian(system.pack(sol.h_coeffs))
+    if sol.frame is None:
+        system = _DiscSystem(m, cfg, pin_center=sol.pin_center)
+    else:
+        surface = _as_perturbed(m).in_frame(sol.frame.phi)
+        system = _DiscSystem(surface, cfg, constraint=sol.frame.constraint(sol.pin_center))
+    return system, system.jacobian(system.pack(sol.coeffs))
 
 
 def _null_count(sv):
@@ -599,25 +765,30 @@ def _center_pin(n, p0):
     return pin
 
 
-def _endpoint(coeffs):
+def _parts(z):
+    """Re and Im of complex vectors stacked on leading axes."""
+    return np.concatenate([z.real, z.imag], axis=-1)
+
+
+# A read takes coefficient arrays stacked on leading axes.  _endpoint and
+# _velocity also take a DiscFrame, and then read h through it less the
+# constant of Phi^-1 (DiscFrame.constraint puts that into the target).
+
+
+def _endpoint(coeffs, frame=None):
     """Im z0, Re z_a and Im z_a of h(1): the endpoint read."""
-    end = coeffs.sum(axis=-1)
+    end = coeffs.sum(axis=-1) if frame is None else frame.h_at(coeffs, 1.0)
     return np.concatenate([end[..., :1].imag, end[..., 1:].real, end[..., 1:].imag], axis=-1)
-
-
-def _mode(coeffs, k):
-    c = coeffs[..., k]
-    return np.concatenate([c.real, c.imag], axis=-1)
 
 
 def _center(coeffs):
     """Re and Im of h(0): the pin read."""
-    return _mode(coeffs, 0)
+    return _parts(coeffs[..., 0])
 
 
-def _velocity(coeffs):
+def _velocity(coeffs, frame=None):
     """Re and Im of h'(0): the velocity read."""
-    return _mode(coeffs, 1)
+    return _parts(coeffs[..., 1] if frame is None else frame.h_slope(coeffs, 0.0))
 
 
 @dataclass(frozen=True)
@@ -658,8 +829,8 @@ def center_map_jacobians(m, p0, cfg=None):
     params0 = _center_disc_params(q, p0, 0.0, direction)
     sol = solve_with_homotopy(m, params0, cfg, pin_center=pin)
     basis, system = family_tangent_basis(m, sol, cfg)
-    Je = system.rows(_endpoint) @ basis
-    Jv = system.rows(_velocity) @ basis
+    Je = system.rows(partial(_endpoint, frame=sol.frame)) @ basis
+    Jv = system.rows(partial(_velocity, frame=sol.frame)) @ basis
     sv_e = np.linalg.svd(Je, compute_uv=False)
     sv_v = np.linalg.svd(Jv, compute_uv=False)
     return CenterMapJacobians(J_endpoint=Je, J_velocity=Jv, sv_endpoint=sv_e, sv_velocity=sv_v)

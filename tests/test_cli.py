@@ -90,8 +90,13 @@ class TestExecute:
         assert detail["error"] in ("NoConvergenceError", "LiftConstructionError")
 
     def test_no_convergence_reports_residual_history(self):
-        # the truncation floor |a|^M of the default grid sits above tol
-        code, _, err = run_cli("solve", "--n", "1", "--a", "0.7", "--w", "1")
+        # the perturbation's own truncation floor on the (64, 16) grid sits
+        # above tol; the closed-form start solves eps = 0 in its frame, so
+        # every schedule runs and stalls
+        code, _, err = run_cli(
+            "solve", "--n", "1", "--a", "0.9", "--w", "1", "--epsilon", "1e-3",
+            "--term", "0,0,4,0:1.0", "--grid", "64", "--modes", "16",
+        )
         assert code == 1
         detail = json.loads(err)
         assert detail["error"] == "NoConvergenceError"
@@ -99,31 +104,37 @@ class TestExecute:
         hist = detail["residual_history"]
         assert len(hist) >= 2 and hist[-1] > 1e-11
         assert f"{hist[-1]:.3e}" in detail["detail"]
-        # it names the cause, a start that Newton cannot correct at eps = 0,
-        # its residual before Newton, and the knob
-        assert "the start does not solve eps = 0 on the N=256, M=48 grid" in detail["detail"]
-        assert "from 4.798e-07 to" in detail["detail"]
-        assert detail["detail"].endswith("raise M (and N) or lower |a|")
+        # it names the cause and the knobs, with the user's eps, not the
+        # frame's eps * c^2 = 3.61e-05
+        assert detail["detail"].endswith(
+            "; every schedule stalls above tol at eps = 0.001 on the N=64, M=16 grid:"
+            " raise M (and N), or lower eps"
+        )
 
     def test_no_convergence_at_positive_eps_reports_the_start_check(self):
-        # the same start is refused before any eps stage, so the message,
-        # its residual and the history all come from the eps = 0 check
-        code, _, err = run_cli(
+        # the closed-form start at |a| = 0.7 sat on its |a|^M floor; in its
+        # normalized frame it now answers with one linearization
+        code, out, _ = run_cli(
             "solve", "--n", "1", "--a", "0.7", "--w", "1", "--epsilon", "1e-3",
             "--term", "0,0,4,0:1",
         )
-        assert code == 1
-        detail = json.loads(err)
-        assert detail["error"] == "NoConvergenceError"
-        hist = detail["residual_history"]
-        assert [f"{v:.3e}" for v in hist] == ["4.798e-07", "1.704e-09"]
-        prefix, cause = detail["detail"].split("; ")
-        assert prefix.endswith(f"{hist[-1]:.3e}")
-        assert cause.startswith(
-            "the start does not solve eps = 0 on the N=256, M=48 grid"
-            " (Newton takes its residual from 4.798e-07 to 1.704e-09)"
+        assert code == 0
+        data = json.loads(out)
+        assert data["residual_sup"] < 1e-11 and data["linearizations"] == 1
+        # at |a| = 0.95 the start is refused before any Newton step: the
+        # perturbation in the frame is as large as r, and the error names
+        # it, the user's eps and the knobs
+        code, _, err = run_cli(
+            "solve", "--n", "1", "--a", "0.95", "--w", "1", "--epsilon", "1e-3",
+            "--term", "0,0,4,0:1",
         )
-        assert cause.endswith("raise M (and N) or lower |a|")
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "LiftConstructionError",
+            "detail": "normalization component winds around 0; in the normalized frame of the"
+            " pole |a| = 0.95 the perturbation eps*c^2*sup|s o Phi^-1 o g| reads 1.521e+00"
+            " (eps = 0.001, c^2 = 0.00951): lower eps or |a|",
+        }
 
     def test_dimension_error_reports_singular_values(self, monkeypatch, capsys):
         def ambiguous(_cfg):
@@ -234,6 +245,18 @@ class TestExecute:
         code, out, err = run_cli("verify", "--n", "1", "--input", str(csv_path))
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": "usage", "detail": detail}
+
+    @pytest.mark.parametrize("sub", ["disc-invert", "verify"])
+    def test_json_input_names_the_format(self, capsys, tmp_path, sub):
+        # disc-make writes JSON unless asked for --format csv
+        path = tmp_path / "disc.json"
+        assert cli.main(["disc-make", "--n", "1", "--a", "0.2", "--output", str(path)]) == 0
+        capsys.readouterr()
+        code, out, err = run_main(capsys, sub, "--n", "1", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "usage", "detail": "expected a boundary CSV (--format csv), got JSON"
+        }
 
     def test_replay_subcommand(self):
         code, out, _ = run_cli("indices-replay", "--n", "1", "--a", "0.4", "--w", "1")
@@ -557,7 +580,8 @@ WIRE_FORMATS = [
     (("solve", "--n", "1", "--a", "0.3", "--w", "1", "--epsilon", "1e-3",
       "--term", "0,0,4,0:1.0", *SOLVE_GRID),
      {"coefficients": 2, "iterations": None, "lift_defects": None, "linearizations": None,
-      "residual_sup": None}),
+      "residual_sup": None,
+      "frame": {"L": 2, "a": 0, "c2": None, "coefficients": 2, "t": 1}}),
     (("family-dim", "--n", "1", "--a", "0.2", "--w", "1", *SOLVE_GRID),
      {"dim": None, "pinned": None, "singular_values": None}),
     (("jacobians", "--n", "1", *SOLVE_GRID),
@@ -593,7 +617,8 @@ def test_wire_format(capsys, boundary_csv_path, args, spec):
 class TestDomainSweep:
     """Every closed-form cell answers with kappa = (2, 1, ..., 1); a cell of
     the gradient source or the replay chain answers correctly or refuses,
-    exit 1, naming the grid.  The solver's cells are not swept here."""
+    exit 1, naming the grid.  A solve cell answers below tol or refuses,
+    exit 1, naming its cause and a knob (n <= 2 so far)."""
 
     RADII = (0.3, 0.6, 0.8, 0.9, 0.95, 0.99, 0.999, 1 - 1e-10)
     CELLS = (("disc-make", None), ("lift", None),
@@ -624,3 +649,30 @@ class TestDomainSweep:
                 assert data["kappa_total"] == data["expected"] == total, args
             elif sub.startswith("indices"):
                 assert (data["kappa"], data["total"], data["det_winding"]) == (kappa, total, total)
+
+    SOLVE_KNOBS = ("raise M (and N), or lower eps", "lower eps or |a|")
+
+    @pytest.mark.parametrize("signature", ["definite", "alternating"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_solve_answers_or_names_a_knob(self, capsys, tmp_path, n, signature):
+        signs = [1.0] * n if signature == "definite" else [(-1.0) ** (j + 1) for j in range(n)]
+        w = ",".join(["1", "0.5"][:n])
+        for eps in (0.0, 1e-3):
+            path = tmp_path / f"model-{eps}.json"
+            path.write_text(json.dumps({
+                "n": n, "A": [[x, 0.0] for x in np.diag(signs).ravel()], "epsilon": eps,
+                "terms": [{"multi_index": [0, 0, 4] + [0] * (2 * n - 1), "coeff": 1.0}],
+            }))
+            for r in self.RADII:
+                args = ["solve", "--A", str(path), "--w", w, f"--a={edge_pole(r, 1.0)!r}",
+                        "--grid", "128", "--modes", "24"]
+                code, out, err = run_main(capsys, *args)
+                if code == 0:
+                    assert json.loads(out)["residual_sup"] < 1e-11, args
+                    continue
+                assert (code, out) == (1, ""), args
+                detail = json.loads(err)
+                assert detail["error"] in ("NoConvergenceError", "LiftConstructionError"), args
+                assert detail["detail"].endswith(self.SOLVE_KNOBS), args
+                # eps = 0 is exact in the normalized frame at every |a|
+                assert eps > 0, args

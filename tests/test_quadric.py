@@ -9,7 +9,7 @@ from statdisc import (
     satisfies_condition_star,
 )
 from statdisc.errors import InvalidInputError
-from statdisc.quadric import z_to_real_coords
+from statdisc.quadric import Frame, z_to_real_coords
 
 from conftest import random_hermitian_quadric
 
@@ -197,6 +197,83 @@ class TestPerturbation:
         assert np.allclose(m2.base.A, m.base.A)
         assert m2.epsilon == m.epsilon
         assert m2.terms == m.terms
+
+
+def random_frame(rng, q):
+    """A Heisenberg translation followed by a dilation, both random."""
+    b = rng.normal(size=q.n) + 1j * rng.normal(size=q.n)
+    heis = Frame.heisenberg(q, b, tau=rng.normal())
+    return heis.then(Frame.dilation(q.n, rng.uniform(0.3, 3.0)))
+
+
+class TestFrame:
+    """Phi(M) by composition: rho' = r + eps c2 s o Phi^-1."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_framed_rho_is_scaled_rho_of_the_preimage(self, rng, n):
+        q = random_hermitian_quadric(rng, n)
+        m = random_sextic(rng, q)
+        F = random_frame(rng, q)
+        y = rng.normal(size=(9, n + 1)) + 1j * rng.normal(size=(9, n + 1))
+        framed = m.in_frame(F).eval_rho_many(y)
+        ref = F.c2 * m.eval_rho_many(F.inverse(y))
+        assert np.abs(framed - ref).max() <= 1e-12 * np.abs(ref).max()
+        # the frame maps Q to itself: r o Phi = c2 r, and forward inverts inverse
+        z = F.inverse(y)
+        assert np.abs(q.eval_r_many(F.forward(z)) - F.c2 * q.eval_r_many(z)).max() <= 1e-12 * (
+            1.0 + np.abs(q.eval_r_many(z)).max()
+        )
+        assert np.abs(F.forward(z) - y).max() <= 1e-12 * np.abs(y).max()
+
+    def test_frames_compose(self, rng):
+        q = random_hermitian_quadric(rng, 2)
+        m = random_sextic(rng, q)
+        F1, F2 = random_frame(rng, q), random_frame(rng, q)
+        y = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
+        twice = m.in_frame(F1).in_frame(F2)
+        once = m.in_frame(F1.then(F2))
+        for name in ("eval_rho_many", "grad_rho_many", "hess_s_many"):
+            a, b = getattr(twice, name)(y), getattr(once, name)(y)
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+        # Phi2 o Phi1 is Phi1 first: its inverse is Phi1^-1 o Phi2^-1
+        assert np.abs(once.frame.inverse(y) - F1.inverse(F2.inverse(y))).max() <= 1e-12 * (
+            np.abs(once.frame.inverse(y)).max()
+        )
+
+    def test_identity_frame_is_bitwise(self, rng):
+        q = random_hermitian_quadric(rng, 2)
+        m = random_sextic(rng, q)
+        identity = Frame(L=np.eye(3, dtype=complex), t=np.zeros(3, dtype=complex), c2=1.0)
+        framed = m.in_frame(identity)
+        z = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
+        for name in ("eval_rho_many", "grad_rho_many", "hess_s_many"):
+            assert np.array_equal(getattr(framed, name)(z), getattr(m, name)(z)), name
+        assert framed.epsilon == m.epsilon and framed._hessian_stack is m._hessian_stack
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_framed_derivatives_match_differences(self, rng, n):
+        q = random_hermitian_quadric(rng, n)
+        m = random_sextic(rng, q).in_frame(random_frame(rng, q))
+        y = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        grad = at(m.grad_rho_many, y)
+        ref = fd_gradient(lambda u: at(m.eval_rho_many, u), y)
+        assert np.abs(grad - ref).max() <= 1e-6 * (1.0 + np.abs(ref).max())
+        # the Hessian of c2 s o Phi^-1 against differences of its real gradient
+        d = 2 * (n + 1)
+
+        def real_grad(u):
+            g = at(m.grad_rho_many, u) - at(q.grad_r_many, u)
+            out = np.empty(d)
+            out[0::2], out[1::2] = 2.0 * g.real, -2.0 * g.imag
+            return out / m.epsilon
+
+        H = at(m.hess_s_many, y)
+        assert np.abs(H - H.T).max() <= 1e-12 * np.abs(H).max()
+        for k in range(d):
+            dz = np.zeros(n + 1, dtype=complex)
+            dz[k // 2] = 1e-5 if k % 2 == 0 else 1e-5j
+            fd = (real_grad(y + dz) - real_grad(y - dz)) / 2e-5
+            assert np.abs(H[:, k] - fd).max() <= 1e-6 * (1.0 + np.abs(H).max())
 
 
 def brute_force_exists(q, x0, rng, samples=10_000):

@@ -32,6 +32,7 @@ from statdisc.errors import (
 )
 from statdisc.rh_solver import (
     _RCOND,
+    DiscFrame,
     _center_disc_params,
     _center_pin,
     _disc_through_solution,
@@ -64,6 +65,13 @@ def params_to_coeffs(q, params, M):
     return Disc(q, params, check=False).coefficients(M)
 
 
+# A coefficient-array start is solved as given, with no frame, so it keeps
+# the closed form's |a|^M truncation floor; a DiscParams start is solved in
+# its normalized frame, where the start is exact at eps = 0.
+STALLING_COEFFS = params_to_coeffs(SPHERE, STALLING, CFG.M)
+START_COEFFS = params_to_coeffs(SPHERE, START, CFG.M)
+
+
 def counting(calls, key, original):
     """original, counting its calls in calls[key]."""
 
@@ -74,7 +82,7 @@ def counting(calls, key, original):
     return counted
 
 
-def _stalled_homotopy(m, start=STALLING):
+def _stalled_homotopy(m, start=STALLING_COEFFS):
     """Message and residual history of the NoConvergenceError that
     solve_with_homotopy raises (not the error, whose traceback holds frames)."""
     try:
@@ -220,10 +228,10 @@ class TestSolve:
             gc.enable()
 
     def test_failed_homotopy_leaves_no_reference_cycles(self):
-        self._assert_no_reference_cycles(QUARTIC, STALLING)  # refused before any stage
+        self._assert_no_reference_cycles(QUARTIC, STALLING_COEFFS)  # refused before any stage
 
     def test_retried_homotopy_leaves_no_reference_cycles(self):
-        self._assert_no_reference_cycles(RETRYING, START)  # all three schedules
+        self._assert_no_reference_cycles(RETRYING, START_COEFFS)  # all three schedules
 
     def test_homotopy_stages_share_derivative_stacks(self, monkeypatch):
         # all three schedules, the four-stage one included, run and stall;
@@ -234,7 +242,7 @@ class TestSolve:
         original = _kernels.stack_derivatives
         monkeypatch.setattr(_kernels, "stack_derivatives", counting(calls, "stack", original))
         stages = _record_stages(monkeypatch)
-        _stalled_homotopy(m, START)
+        _stalled_homotopy(m, START_COEFFS)
         assert stages == [t * m.epsilon for t in (1.0, 0.5, 1.0, 0.25, 0.5, 0.75)]
         assert calls["stack"] <= 2
 
@@ -246,7 +254,7 @@ class TestSolve:
         with pytest.raises(NoConvergenceError):
             solve_glued_disc(m, START, cfg)  # schedule 1 alone
         stages = _record_stages(monkeypatch)
-        sol = solve_with_homotopy(m, START, cfg)
+        sol = solve_with_homotopy(m, params_to_coeffs(SPHERE, START, cfg.M), cfg)
         assert stages == [t * m.epsilon for t in (1.0, 0.5, 1.0)]
         assert sol.residual_sup < cfg.tol and np.max(sol.lift_defects) <= 10 * cfg.tol
 
@@ -256,7 +264,7 @@ class TestSolve:
         with pytest.raises(NoConvergenceError) as check:
             solve_glued_disc(FLAT, STALLING, CFG)  # the eps = 0 check
         stages = _record_stages(monkeypatch)
-        msg, hist = _stalled_homotopy(QUARTIC, STALLING)
+        msg, hist = _stalled_homotopy(QUARTIC, STALLING_COEFFS)
         assert stages == [0.0]  # refused before any eps stage
         assert msg.startswith(f"{check.value}; ")
         assert msg.startswith(("damping stalled", "no convergence"))
@@ -271,10 +279,10 @@ class TestSolve:
         assert msg.endswith("raise M (and N) or lower |a|")
 
     def test_pinned_unresolved_start_is_refused_before_any_stage(self, monkeypatch):
-        pin = params_to_coeffs(SPHERE, STALLING, CFG.M)[:, 0]
+        pin = STALLING_COEFFS[:, 0]
         stages = _record_stages(monkeypatch)
         with pytest.raises(NoConvergenceError, match="does not solve eps = 0") as refused:
-            solve_with_homotopy(QUARTIC, STALLING, CFG, pin_center=pin)
+            solve_with_homotopy(QUARTIC, STALLING_COEFFS, CFG, pin_center=pin)
         assert stages == [0.0]
         with pytest.raises(NoConvergenceError) as check:
             solve_glued_disc(FLAT, STALLING, CFG)  # unpinned, like the check
@@ -286,15 +294,15 @@ class TestSolve:
         calls = Counter()
         original = _DiscSystem.jacobian
         monkeypatch.setattr(_DiscSystem, "jacobian", counting(calls, "bare", original))
-        bare = solve_glued_disc(QUARTIC, START, CFG, pin_center=pin)
+        bare = solve_glued_disc(QUARTIC, START_COEFFS, CFG, pin_center=pin)
         monkeypatch.setattr(_DiscSystem, "jacobian", counting(calls, "homotopy", original))
-        sol = solve_with_homotopy(QUARTIC, START, CFG, pin_center=pin)
+        sol = solve_with_homotopy(QUARTIC, START_COEFFS, CFG, pin_center=pin)
         assert calls["homotopy"] == calls["bare"] > 0
         assert np.array_equal(sol.h_coeffs, bare.h_coeffs)
 
     def test_exhausted_schedules_name_the_knobs(self):
         # START solves eps = 0 at CFG, so all three schedules run and stall
-        msg, hist = _stalled_homotopy(RETRYING, START)
+        msg, hist = _stalled_homotopy(RETRYING, START_COEFFS)
         assert msg.startswith(("damping stalled", "no convergence"))
         assert msg.endswith(
             "; every schedule stalls above tol at eps = 0.05 on the N=128, M=32 grid:"
@@ -303,8 +311,10 @@ class TestSolve:
         assert hist[-1] >= CFG.tol
         # and each knob alone rescues it
         fine = SolveConfig(N=256, M=48)
-        assert solve_with_homotopy(RETRYING, START, fine).residual_sup < fine.tol
-        assert solve_with_homotopy(RETRYING.with_epsilon(0.02), START, CFG).residual_sup < CFG.tol
+        fine_start = params_to_coeffs(SPHERE, START, fine.M)
+        assert solve_with_homotopy(RETRYING, fine_start, fine).residual_sup < fine.tol
+        lower = RETRYING.with_epsilon(0.02)
+        assert solve_with_homotopy(lower, START_COEFFS, CFG).residual_sup < CFG.tol
 
     def test_start_newton_corrects_at_zero_keeps_the_retries(self, monkeypatch):
         # this pole's truncated start misses tol at eps = 0, yet one Newton
@@ -316,7 +326,7 @@ class TestSolve:
         assert system.sup_norm(system.residual(x)) >= CFG.tol
         assert solve_glued_disc(FLAT, start, CFG).residual_sup < CFG.tol
         stages = _record_stages(monkeypatch)
-        _stalled_homotopy(RETRYING, start)
+        _stalled_homotopy(RETRYING, params_to_coeffs(SPHERE, start, CFG.M))
         assert stages == [t * RETRYING.epsilon for t in (0.0, 1.0, 0.5, 0.25)]
 
     @pytest.mark.parametrize(
@@ -345,16 +355,23 @@ class TestSolve:
         jacobian = _DiscSystem.jacobian
         monkeypatch.setattr(_DiscSystem, "jacobian", counting(calls, "jacobian", jacobian))
         with pytest.raises(NoConvergenceError, match="does not solve eps = 0"):
-            solve_with_homotopy(m, start, cfg)
+            solve_with_homotopy(m, params_to_coeffs(m.base, start, cfg.M), cfg)
         assert calls["svd"] == calls["jacobian"] > 0
 
     @pytest.mark.parametrize("as_coeffs", [False, True], ids=["params", "coefficients"])
     def test_zero_epsilon_runs_one_stage(self, monkeypatch, as_coeffs):
-        start = params_to_coeffs(SPHERE, STALLING, CFG.M) if as_coeffs else STALLING
+        # the one stage refuses a coefficient start on its floor; in the
+        # normalized frame the same disc is exact and needs no Newton step
+        start = STALLING_COEFFS if as_coeffs else STALLING
         stages = _record_stages(monkeypatch)
-        msg, _hist = _stalled_homotopy(QUARTIC.with_epsilon(0.0), start)
+        if as_coeffs:
+            msg, _hist = _stalled_homotopy(QUARTIC.with_epsilon(0.0), start)
+            assert "does not solve eps = 0" in msg and "eps steps" not in msg
+        else:
+            sol = solve_with_homotopy(QUARTIC.with_epsilon(0.0), start, CFG)
+            assert sol.iterations == sol.linearizations == 0
+            assert sol.residual_sup < 1e-14
         assert stages == [0.0]
-        assert "does not solve eps = 0" in msg and "eps steps" not in msg
 
     def test_resolved_pole_passes_the_gate(self, monkeypatch):
         fine = SolveConfig(N=256, M=64)
@@ -567,6 +584,106 @@ class TestLinearization:
                 assert sv[sv >= cut].min() / sv[sv < cut].max() >= 1e3
 
 
+def _sweep_model(n, r, eps):
+    """The normalized-frame sweep: A = diag(1, 1.5)[:n], s = (Re z1)^4, and
+    the start y0 = 0.1, w = (1, 0.5)[:n], a = r e^{0.4 i}."""
+    q = Hyperquadric(n=n, A=np.diag([1.0, 1.5][:n]))
+    m = PerturbedHypersurface(base=q, epsilon=eps, terms={(0, 0, 4) + (0,) * (2 * n - 1): 1.0})
+    return m, DiscParams(y0=0.1, v=np.zeros(n), w=[1.0, 0.5][:n], a=r * np.exp(0.4j))
+
+
+DOMAIN_LIMIT = (1, 0.95, 1e-3)  # n, |a|, eps: no regular lift in the frame
+
+
+class TestNormalizedFrame:
+    """Closed-form starts solved on Phi(M) from the pole-0 disc, read on M."""
+
+    FINE = SolveConfig(N=256, M=48)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-4, 1e-3])
+    @pytest.mark.parametrize("r", [0.5, 0.7, 0.9, 0.95])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_answers_on_M_off_the_grid(self, n, r, eps):
+        m, p = _sweep_model(n, r, eps)
+        cfg = self.FINE
+        if (n, r, eps) == DOMAIN_LIMIT:
+            with pytest.raises(LiftConstructionError, match=r"lower eps or \|a\|$"):
+                solve_with_homotopy(m, p, cfg)
+            return
+        sol = solve_with_homotopy(m, p, cfg)
+        c2 = sol.frame.phi.c2
+        assert sol.residual_sup < cfg.tol
+        assert sol.linearizations == (0 if eps == 0.0 else 1) or (n, r, eps) == (2, 0.95, 1e-3)
+        # the certificate is rho' = c2 rho of M on the solve grid ...
+        on_grid = np.abs(m.eval_rho_many(sol.boundary_values().T)).max()
+        assert c2 * on_grid <= sol.residual_sup + 1e-13
+        # ... and holds on M off the grid, with the lift of M
+        h = sol.boundary_values(4096)
+        assert c2 * np.abs(m.eval_rho_many(h.T)).max() < 2.0 * cfg.tol
+        assert np.max(construct_regular_lift(m, h).defects) <= 10.0 * cfg.tol
+        if eps == 0.0:  # the closed form itself
+            ref = Disc(m.base, p).boundary(4096)
+            assert np.abs(h - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_domain_limit_names_the_perturbation_and_the_knobs(self):
+        m, p = _sweep_model(*DOMAIN_LIMIT)
+        with pytest.raises(LiftConstructionError) as err:
+            solve_with_homotopy(m, p, self.FINE)
+        assert str(err.value) == (
+            "normalization component winds around 0; in the normalized frame of the pole"
+            " |a| = 0.95 the perturbation eps*c^2*sup|s o Phi^-1 o g| reads 1.300e+00"
+            " (eps = 0.001, c^2 = 0.00951): lower eps or |a|"
+        )
+        # the refusal leaves no reference cycle behind
+        gc.collect()
+        gc.disable()
+        try:
+            with pytest.raises(LiftConstructionError):
+                solve_with_homotopy(m, p, self.FINE)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+    def test_homotopy_is_one_bare_solve_on_the_image(self, monkeypatch, pinned):
+        # one solver path: the homotopy builds the frame, then runs the
+        # frame-agnostic Newton on Phi(M) from the pole-0 start
+        m, p = _sweep_model(2, 0.7, 1e-3)
+        cfg = SolveConfig(N=128, M=24)
+        pin = Disc(m.base, p).center() if pinned else None
+        frame, g0 = DiscFrame.normalized(m.base, p, cfg.M)
+        bare = solve_glued_disc(m.in_frame(frame.phi), g0, cfg, constraint=frame.constraint(pin))
+        stages = _record_stages(monkeypatch)
+        sol = solve_with_homotopy(m, p, cfg, pin_center=pin)
+        assert stages == [m.epsilon]
+        assert np.array_equal(sol.coeffs, bare.coeffs)
+        assert sol.linearizations == bare.linearizations == 1
+        fd = family_dimension(m, sol, cfg)
+        assert fd["dim"] == (2 * m.n + 1 if pinned else 4 * m.n + 3)
+
+    def test_pinned_disc_holds_its_pin(self):
+        m, p = _sweep_model(2, 0.9, 1e-3)
+        pin = Disc(m.base, p).center()
+        sol = solve_with_homotopy(m, p, self.FINE, pin_center=pin)
+        assert np.array_equal(sol.center(), pin)
+        # the pin read is g(-conj(a)) = Phi(pin); mapped back it hits the pin
+        frame = sol.frame
+        back = frame.phi.inverse(frame.g_at(sol.coeffs, 0.0))
+        assert np.abs(back - pin).max() <= 1e-14 * np.abs(pin).max()
+
+    def test_reads_are_those_of_the_boundary(self):
+        m, p = _sweep_model(2, 0.5, 1e-3)
+        sol = solve_with_homotopy(m, p, self.FINE)
+        N = 1024
+        h = sol.boundary_values(N)
+        taylor = np.fft.fft(h, axis=1)[:, : self.FINE.M + 1] / N
+        scale = np.abs(taylor).max()
+        assert np.abs(sol.h_coeffs - taylor).max() <= 1e-12 * scale
+        assert np.abs(sol.center() - taylor[:, 0]).max() <= 1e-12 * scale
+        assert np.abs(sol.velocity() - taylor[:, 1]).max() <= 1e-12 * scale
+        assert np.abs(sol.endpoint() - h[:, 0]).max() <= 1e-12 * scale
+
+
 class TestFamilyDimension:
     def test_unpinned_n1(self):
         sol = solve_glued_disc(FLAT, START, CFG)
@@ -610,7 +727,7 @@ class TestFamilyDimension:
         T, system = family_tangent_basis(m, sol, cfg)
         assert T.shape[1] == family_dimension(m, sol, cfg)["dim"]
         assert np.abs(T.T @ T - np.eye(T.shape[1])).max() <= 1e-12
-        J = system.jacobian(system.pack(sol.h_coeffs))
+        J = system.jacobian(system.pack(sol.coeffs))  # the system is in the disc's frame
         assert np.linalg.norm(J @ T, 2) <= 1e-9 * np.linalg.norm(J, 2)
 
     def test_configuration_must_keep_the_truncation(self):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from statdisc import (
+    Disc,
     DiscParams,
     Hyperquadric,
     PerturbedHypersurface,
@@ -64,11 +65,11 @@ def test_indices_hooks_resolve(tracing):
 
 
 def test_refused_homotopy_records_one_failed_solve(tracing):
-    # a start above its truncation floor at eps > 0 is refused by the eps = 0
-    # check alone, so schedules_tried reads one schedule for it
+    # a coefficient start above its truncation floor at eps > 0 is refused
+    # by the eps = 0 check alone, so schedules_tried reads one schedule for it
     q = Hyperquadric(n=1, A=np.array([[1.0]]))
     m = PerturbedHypersurface(base=q, epsilon=1e-3, terms={(0, 0, 4, 0): 1.0})
-    start = DiscParams(y0=0.1, v=[0.0], w=[1.0], a=0.6)
+    start = Disc(q, DiscParams(y0=0.1, v=[0.0], w=[1.0], a=0.6), check=False).coefficients(32)
     tracer = tracing.Tracer()
     try:
         tracer.install()
