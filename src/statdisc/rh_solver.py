@@ -45,6 +45,14 @@ solve_with_homotopy solves a closed-form start in its normalized frame
 (DiscFrame): on the image Phi(M) under an automorphism of the quadric up
 to scale, from the pole-0 disc, which is exact at eps = 0 on every grid;
 solve_glued_disc is the same Newton on whatever surface it is given.
+Where its start is that pole-0 disc and misses tol, the first chord
+operator is J0^+, with J0 the eps = 0 linearization there: rotation
+invariant, so block diagonal in Fourier modes, built in closed form and
+factored block by block (_pole_zero_blocks, _pole_zero_chord), with no
+dense Jacobian.  J0 counts as a linearization.  Its steps lie off the
+family tangent T0 (null(J0)), so unpinned the solved disc is the member
+with T0^T (x - x0) = 0.  When a J0 step fails to halve the residual,
+its steps are dropped and the exact Newton above runs from the start.
 """
 
 from dataclasses import dataclass, field, replace
@@ -83,7 +91,7 @@ class SolveConfig:
 
     N: int = 256
     M: int = 48
-    max_iter: int = 30  # linearizations; chord steps reuse one and are not counted
+    max_iter: int = 30  # linearizations, J0 included; chord steps reuse one and are not counted
     tol: ClassVar[float] = 1e-11
 
     def __post_init__(self):
@@ -428,11 +436,9 @@ def _inv_upper(R):
     return out
 
 
-def _start_tangent(system, coeffs):
-    """Orthonormal columns T0 (packed size x d) spanning the closed-form
-    family's tangent at the disc that modes 0-2 of coeffs read as, within
-    the directions that the constraint rows leave free; None when they
-    read as no disc."""
+def _family_columns(system, coeffs):
+    """The closed-form family's tangent (packed size x 4n+3) at the disc
+    that modes 0-2 of coeffs read as; None when they read as no disc."""
     w = coeffs[1:, 1]
     if system.cfg.M < 2 or not np.any(w):
         return None
@@ -443,11 +449,126 @@ def _start_tangent(system, coeffs):
     except InvalidParamsError:
         return None
     tangent = Disc(system.m.base, params, check=False).family_tangent(system.cfg.M)
-    T0 = np.array([system.pack(t) for t in tangent]).T
+    return np.array([system.pack(t) for t in tangent]).T
+
+
+def _start_tangent(system, coeffs):
+    """Orthonormal columns T0 (packed size x d) spanning the closed-form
+    family's tangent at the disc that modes 0-2 of coeffs read as, within
+    the directions that the constraint rows leave free; None when they
+    read as no disc."""
+    T0 = _family_columns(system, coeffs)
+    if T0 is None:
+        return None
     C = system.constraint_rows @ T0
     if C.size:
         T0 = T0 @ np.linalg.svd(C)[2][min(C.shape) :].T
     return np.linalg.qr(T0)[0]
+
+
+def _pole_zero_blocks(A, u, N, M):
+    """J0, the eps = 0 linearization at the pole-0 disc (u*Au + i y, u zeta),
+    as real blocks (M + 1, 2n+2, 4n+2), one per Fourier mode p = 0..M.
+
+    There grad r = (1/2, -conj(zeta) beta) with beta = conj(u)^T A, phi =
+    -beta_n and lam = 1 / |beta_n| are constant, P = 0 and Q[1:, 1:] =
+    -A^T.  So dh_j = e zeta^k moves d phi / phi by gamma zeta^(1-k), gamma
+    = A_jn conj(e) / beta_n, and log lam by -2 Re(gamma zeta^(1-k)) (k >= 2;
+    -Re gamma at k = 1, 0 at k = 0).  J0 commutes with zeta -> e^{it} zeta:
+    after the orthogonal real DFT of the rho rows, block p holds
+      rows: rho's cos p and sin p, then Re and Im of mode 1 - p of lifted
+            component 0 and of mode -p of lifted components 1..n-1;
+      columns: Re and Im of mode p of component 0, of mode p + 1 of
+            components 1..n, and (at p = 1) of their mode 0.
+    Every other row of J0 is 0, and a column reaches its block alone.
+    """
+    n = u.size
+    e = np.array([1.0, 1j])
+    beta = u.conj() @ A
+    lam = 1.0 / abs(beta[-1])
+    gamma = A[:, -1, None] * e.conj() / beta[-1]  # [j, e]
+    # d rho = Re(c zeta^p) per column
+    rho = np.zeros((M + 1, 4 * n + 2), dtype=complex)
+    rho[:, :2] = e
+    up = (-2.0 * beta[:, None] * e).ravel()
+    rho[:-1, 2 : 2 * n + 2] = up
+    rho[1, 2 * n + 2 :] = up.conj()
+    # negative modes of zeta lam grad_i: -lam gamma / 2 (i = 0), and
+    # lam (beta_i gamma - A_ji conj(e)) (i = 1..n-1), from mode k = p + 1 >= 2
+    lift = np.zeros((M + 1, n, 4 * n + 2), dtype=complex)
+    lift[2:-1, 0, 2 : 2 * n + 2] = (-0.5 * lam * gamma).ravel()
+    lifted = beta[:-1, None, None] * gamma - A[:, :-1].T[:, :, None] * e.conj()
+    lift[1:-1, 1:, 2 : 2 * n + 2] = lam * lifted.reshape(n - 1, 2 * n)
+    B = np.empty((M + 1, 2 * n + 2, 4 * n + 2))
+    scale = np.full((M + 1, 1), np.sqrt(N / 2))
+    scale[0] = np.sqrt(N)
+    B[:, 0] = scale * rho.real
+    B[:, 1] = -scale * rho.imag
+    B[0, 1] = 0.0  # mode 0 has no sin row
+    B[:, 2::2] = lift.real
+    B[:, 3::2] = lift.imag
+    return B
+
+
+def _pole_zero_chord(system, coeffs):
+    """Chord solver c -> s of J0, the eps = 0 linearization at the pole-0
+    disc that coeffs hold (_pole_zero_blocks), or None for another start.
+
+    J0^+ is the blocks' pseudo-inverses, cut as np.linalg.pinv cuts J0, at
+    _RCOND times the largest singular value of all, between the orthogonal
+    real DFT of the rho rows and the scatter of the block solutions; its
+    steps lie off J0's null space, the family tangent T0.  The constraint
+    rows C go by a step in T0: s = J0^+ c + T0 y with y = (C T0)^+ (c_C -
+    C J0^+ c), so J0 s is unchanged and the constraint rows hold.
+    """
+    n, N, M = system.n, system.cfg.N, system.cfg.M
+    A = system.m.base.A
+    u = coeffs[1:, 1]
+    rest = coeffs.copy()
+    rest[0, 0] = rest[1:, 1] = 0.0
+    quad = np.vdot(u, A @ u).real
+    if np.any(rest) or not np.isclose(coeffs[0, 0].real, quad, rtol=1e-13, atol=0.0):
+        return None
+    U, S, Vt = np.linalg.svd(_pole_zero_blocks(A, u, N, M), full_matrices=False)
+    keep = S > _RCOND * S.max()
+    inv = Vt.transpose(0, 2, 1) * np.where(keep, 1.0 / np.where(keep, S, 1.0), 0.0)[:, None]
+    inv = inv @ U.transpose(0, 2, 1)  # (M + 1, 4n+2, 2n+2)
+    half = N // 2
+    lift_end = N + 2 * n * half  # the constraint rows follow
+    weight = np.full(M + 1, np.sqrt(2.0 / N))
+    weight[0] = 1.0 / np.sqrt(N)
+
+    def solve_j0(c):
+        rhs = np.zeros((M + 1, 2 * n + 2))
+        spec = weight * np.fft.rfft(c[:N])[: M + 1]
+        rhs[:, 0], rhs[:, 1] = spec.real, -spec.imag
+        neg = (c[N : N + n * half] + 1j * c[N + n * half : lift_end]).reshape(n, half)
+        modes = np.zeros((M + 1, n), dtype=complex)
+        modes[2:, 0] = neg[0, half - 1 : half - M : -1]  # mode 1 - p
+        modes[1:, 1:] = neg[1:, half - 1 : half - M - 1 : -1].T  # mode -p
+        rhs[:, 2::2], rhs[:, 3::2] = modes.real, modes.imag
+        sol = (inv @ rhs[..., None])[..., 0]
+        z = sol[:, 0::2] + 1j * sol[:, 1::2]  # the columns' Re and Im in pairs
+        ds = np.empty((n + 1, M + 1), dtype=complex)
+        ds[0] = z[:, 0]
+        ds[1:, 1:] = z[:-1, 1 : n + 1].T
+        ds[1:, 0] = z[1, n + 1 :]
+        return system.pack(ds)
+
+    C = system.constraint_rows
+    if not C.size:
+        return solve_j0
+    T0 = _family_columns(system, coeffs)
+    if T0 is None:
+        return None
+    T0 = np.linalg.qr(T0)[0]
+    correct = np.linalg.pinv(C @ T0, rcond=_RCOND)
+
+    def solve(c):
+        s = solve_j0(c)
+        return s + T0 @ (correct @ (c[lift_end:] - C @ s))
+
+    return solve
 
 
 def _tangent_steps(J, R, T0):
@@ -520,11 +641,15 @@ def solve_glued_disc(m, start, cfg=None, pin_center=None, constraint=None):
     if pin_center is not None:
         coeffs = coeffs.copy()
         coeffs[:, 0] = system.pin_center
-    x = system.pack(coeffs)
-    r = system.residual(x)
+    x = x0 = system.pack(coeffs)
+    r = r0 = system.residual(x)
     history = [system.sup_norm(r)]
-    iters = linearizations = 0
-    chord = False  # the last linearization was undamped; reused while it contracts
+    iters = 0
+    # the pole-0 disc's start takes J0's chord first (_pole_zero_chord)
+    solve_chord = _pole_zero_chord(system, coeffs) if history[-1] >= cfg.tol else None
+    pole_zero = solve_chord is not None
+    linearizations = int(pole_zero)
+    chord = pole_zero  # the last linearization is reused while it contracts
     while history[-1] >= cfg.tol:
         if chord:
             x_try = x + solve_chord(-r)
@@ -545,7 +670,10 @@ def solve_glued_disc(m, start, cfg=None, pin_center=None, constraint=None):
                 f" (residual {history[-1]:.3e})",
                 residual_history=history,
             )
-        if linearizations == 0:
+        if linearizations == pole_zero:
+            # the first exact linearization, at the start: J0's chord, if it
+            # ran, stalled, and its steps are dropped
+            x, r, iters, history = x0, r0, 0, history[:1]
             tangent = _start_tangent(system, coeffs)
         step, solve_chord = _newton_steps(system, x, r, tangent)
         linearizations += 1
@@ -617,8 +745,9 @@ def solve_with_homotopy(m, start, cfg=None, pin_center=None, constraint=None):
 
     Continuation assumes that start solves the eps = 0 problem (E. L.
     Allgower and K. Georg, Introduction to Numerical Continuation Methods,
-    1990), so that is decided once, before any eps stage: when the start's
-    unpinned eps = 0 residual on the grid misses tol, one unpinned
+    1990), so that is decided once, before any eps stage.  The framed start
+    solves it by construction and is not checked.  When a coefficient-array
+    start's unpinned eps = 0 residual on the grid misses tol, one unpinned
     solve_glued_disc at eps = 0 must correct it, and a start that Newton
     cannot correct there is refused before any stage, with that solve's
     NoConvergenceError and the cause and knob appended.  At eps = 0 the one
@@ -634,8 +763,9 @@ def solve_with_homotopy(m, start, cfg=None, pin_center=None, constraint=None):
         return _continue(m, _start_coeffs(m, start, cfg.M), cfg, pin_center, constraint)
     frame, coeffs = DiscFrame.normalized(m.base, start, cfg.M)
     surface = m.in_frame(frame.phi)
+    constraint = frame.constraint(pin_center, constraint)
     try:
-        sol = _continue(surface, coeffs, cfg, None, frame.constraint(pin_center, constraint))
+        sol = _continue(surface, coeffs, cfg, None, constraint, exact_start=True)
     except LiftConstructionError as err:
         refusal = str(err)
     else:
@@ -649,15 +779,18 @@ def solve_with_homotopy(m, start, cfg=None, pin_center=None, constraint=None):
     )
 
 
-def _continue(m, coeffs, cfg, pin_center, constraint):
-    """solve_with_homotopy's eps = 0 check and schedules on m from coeffs."""
+def _continue(m, coeffs, cfg, pin_center, constraint, exact_start=False):
+    """solve_with_homotopy's eps = 0 check and schedules on m from coeffs;
+    an exact_start (the framed pole-0 disc) solves eps = 0 by construction
+    and skips the check."""
     try:
         if m.epsilon == 0.0:
             return solve_glued_disc(m, coeffs, cfg, pin_center=pin_center, constraint=constraint)
-        zero = m.with_epsilon(0.0)
-        system = _DiscSystem(zero, cfg)
-        if system.sup_norm(system.residual(system.pack(coeffs))) >= cfg.tol:
-            solve_glued_disc(zero, coeffs, cfg)
+        if not exact_start:
+            zero = m.with_epsilon(0.0)
+            system = _DiscSystem(zero, cfg)
+            if system.sup_norm(system.residual(system.pack(coeffs))) >= cfg.tol:
+                solve_glued_disc(zero, coeffs, cfg)
     except NoConvergenceError as err:
         # without its traceback, which holds this frame and would close a cycle
         last = err.with_traceback(None)

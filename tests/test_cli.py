@@ -111,16 +111,23 @@ class TestExecute:
             " raise M (and N), or lower eps"
         )
 
-    def test_no_convergence_at_positive_eps_reports_the_start_check(self):
+    def test_no_convergence_at_positive_eps_reports_the_start_check(self, monkeypatch, capsys):
         # the closed-form start at |a| = 0.7 sat on its |a|^M floor; in its
-        # normalized frame it now answers with one linearization
-        code, out, _ = run_cli(
-            "solve", "--n", "1", "--a", "0.7", "--w", "1", "--epsilon", "1e-3",
-            "--term", "0,0,4,0:1",
-        )
+        # normalized frame it now answers with one linearization, J0's
+        args = ("solve", "--n", "1", "--a", "0.7", "--w", "1", "--epsilon", "1e-3",
+                "--term", "0,0,4,0:1")
+        code, out, _ = run_cli(*args)
         assert code == 0
         data = json.loads(out)
         assert data["residual_sup"] < 1e-11 and data["linearizations"] == 1
+        # in-process the same bytes, with no dense Jacobian assembled
+        from statdisc import rh_solver
+
+        calls = []
+        jacobian = rh_solver._DiscSystem.jacobian
+        monkeypatch.setattr(rh_solver._DiscSystem, "jacobian",
+                            lambda *a, **k: calls.append(1) or jacobian(*a, **k))
+        assert run_main(capsys, *args) == (0, out, "") and calls == []
         # at |a| = 0.95 the start is refused before any Newton step: the
         # perturbation in the frame is as large as r, and the error names
         # it, the user's eps and the knobs
@@ -172,8 +179,8 @@ class TestExecute:
 
     def test_single_mode_refusal_is_json(self, capsys):
         # with M = 1 the start gives no closed-form tangent (T0 is None), so
-        # every linearization takes the SVD step, whose cut drops J's zero
-        # Im c00 column; the solve refuses with the error JSON, not a crash
+        # every exact linearization takes the SVD step, whose cut drops J's
+        # zero Im c00 column; the solve refuses with the error JSON, not a crash
         code, out, err = run_main(capsys, "solve", "--n", "1", "--a", "0", "--w", "1",
                                   "--epsilon", "1e-3", "--term", "0,0,4,0:1.0",
                                   "--grid", "16", "--modes", "1")

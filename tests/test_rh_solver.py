@@ -38,9 +38,12 @@ from statdisc.rh_solver import (
     _disc_through_solution,
     _DiscSystem,
     _endpoint,
+    _family_columns,
     _invert_velocity,
     _newton_steps,
     _null_count,
+    _pole_zero_blocks,
+    _pole_zero_chord,
     _start_tangent,
     _svd_steps,
     _velocity,
@@ -112,6 +115,14 @@ def _count_solves(monkeypatch):
     monkeypatch.setattr(
         rh_solver, "solve_glued_disc", counting(calls, "solve", rh_solver.solve_glued_disc)
     )
+    return calls
+
+
+def _count_jacobians(monkeypatch):
+    """Counter of _DiscSystem.jacobian calls from now on, under "jacobian"."""
+    calls = Counter()
+    original = _DiscSystem.jacobian
+    monkeypatch.setattr(_DiscSystem, "jacobian", counting(calls, "jacobian", original))
     return calls
 
 
@@ -373,6 +384,23 @@ class TestSolve:
             assert sol.residual_sup < 1e-14
         assert stages == [0.0]
 
+    def test_framed_start_skips_the_zero_check(self, monkeypatch):
+        # the framed pole-0 start solves eps = 0 by construction, so no
+        # eps = 0 system is built for it; a coefficient start is checked
+        built = []
+        original = _DiscSystem.__init__
+
+        def recording(self, m, *args, **kwargs):
+            built.append(m.epsilon)
+            original(self, m, *args, **kwargs)
+
+        monkeypatch.setattr(_DiscSystem, "__init__", recording)
+        solve_with_homotopy(QUARTIC, START, CFG)
+        assert built == [QUARTIC.epsilon]
+        built.clear()
+        solve_with_homotopy(QUARTIC, START_COEFFS, CFG)
+        assert built == [0.0, QUARTIC.epsilon]
+
     def test_resolved_pole_passes_the_gate(self, monkeypatch):
         fine = SolveConfig(N=256, M=64)
         stages = _record_stages(monkeypatch)
@@ -603,17 +631,20 @@ class TestNormalizedFrame:
     @pytest.mark.parametrize("eps", [0.0, 1e-4, 1e-3])
     @pytest.mark.parametrize("r", [0.5, 0.7, 0.9, 0.95])
     @pytest.mark.parametrize("n", [1, 2])
-    def test_answers_on_M_off_the_grid(self, n, r, eps):
+    def test_answers_on_M_off_the_grid(self, monkeypatch, n, r, eps):
         m, p = _sweep_model(n, r, eps)
         cfg = self.FINE
         if (n, r, eps) == DOMAIN_LIMIT:
             with pytest.raises(LiftConstructionError, match=r"lower eps or \|a\|$"):
                 solve_with_homotopy(m, p, cfg)
             return
+        calls = _count_jacobians(monkeypatch)
         sol = solve_with_homotopy(m, p, cfg)
         c2 = sol.frame.phi.c2
         assert sol.residual_sup < cfg.tol
-        assert sol.linearizations == (0 if eps == 0.0 else 1) or (n, r, eps) == (2, 0.95, 1e-3)
+        # at eps > 0 one linearization, J0's, and no dense Jacobian
+        expect = (0 if eps == 0.0 else 1, 0)
+        assert (sol.linearizations, calls["jacobian"]) == expect or (n, r, eps) == (2, 0.95, 1e-3)
         # the certificate is rho' = c2 rho of M on the solve grid ...
         on_grid = np.abs(m.eval_rho_many(sol.boundary_values().T)).max()
         assert c2 * on_grid <= sol.residual_sup + 1e-13
@@ -652,12 +683,14 @@ class TestNormalizedFrame:
         cfg = SolveConfig(N=128, M=24)
         pin = Disc(m.base, p).center() if pinned else None
         frame, g0 = DiscFrame.normalized(m.base, p, cfg.M)
+        calls = _count_jacobians(monkeypatch)
         bare = solve_glued_disc(m.in_frame(frame.phi), g0, cfg, constraint=frame.constraint(pin))
         stages = _record_stages(monkeypatch)
         sol = solve_with_homotopy(m, p, cfg, pin_center=pin)
         assert stages == [m.epsilon]
         assert np.array_equal(sol.coeffs, bare.coeffs)
-        assert sol.linearizations == bare.linearizations == 1
+        # one linearization each, J0's: no dense Jacobian
+        assert sol.linearizations == bare.linearizations == 1 and calls["jacobian"] == 0
         fd = family_dimension(m, sol, cfg)
         assert fd["dim"] == (2 * m.n + 1 if pinned else 4 * m.n + 3)
 
@@ -682,6 +715,191 @@ class TestNormalizedFrame:
         assert np.abs(sol.center() - taylor[:, 0]).max() <= 1e-12 * scale
         assert np.abs(sol.velocity() - taylor[:, 1]).max() <= 1e-12 * scale
         assert np.abs(sol.endpoint() - h[:, 0]).max() <= 1e-12 * scale
+
+
+def _real_dft(N):
+    """Orthogonal real DFT (N x N): row 0 the mean, rows 2p - 1 and 2p the
+    cos and sin of mode p, row N - 1 the Nyquist mode."""
+    nodes = 2.0 * np.pi * np.arange(N) / N
+    F = np.empty((N, N))
+    F[0] = 1.0 / np.sqrt(N)
+    for p in range(1, N // 2):
+        F[2 * p - 1] = np.sqrt(2.0 / N) * np.cos(p * nodes)
+        F[2 * p] = np.sqrt(2.0 / N) * np.sin(p * nodes)
+    F[N - 1] = np.cos(N // 2 * nodes) / np.sqrt(N)
+    return F
+
+
+def _scatter_blocks(B, n, N, M):
+    """J0 with its rho rows after _real_dft, from _pole_zero_blocks' blocks
+    placed by the layout its docstring states; a block entry with no row
+    or column there must be 0."""
+    half, modes = N // 2, M + 1
+    G = np.zeros((N + 2 * n * half, 2 * (n + 1) * modes))
+
+    def lifted(i, mode, part):  # Re (part 0) or Im of mode < 0 of lifted component i
+        return N + part * n * half + i * half + half + mode if mode < 0 else None
+
+    def column(j, k, part):
+        return part * (n + 1) * modes + j * modes + k if 0 <= k <= M else None
+
+    for p in range(modes):
+        rows = [2 * p - 1 if p else 0, 2 * p if p else None]
+        rows += [lifted(i, 1 - p if i == 0 else -p, part) for i in range(n) for part in (0, 1)]
+        cols = [column(0, p, part) for part in (0, 1)]
+        cols += [column(j, p + 1, part) for j in range(1, n + 1) for part in (0, 1)]
+        cols += [column(j, 0 if p == 1 else -1, part) for j in range(1, n + 1) for part in (0, 1)]
+        r = np.array([i is not None for i in rows])
+        c = np.array([k is not None for k in cols])
+        assert not B[p][~r].any() and not B[p][:, ~c].any()
+        G[np.ix_(np.array(rows)[r].astype(int), np.array(cols)[c].astype(int))] = B[p][np.ix_(r, c)]
+    return G
+
+
+def _pole_zero_case(n, signature, M):
+    """A Hermitian form with off-diagonal entries (indefinite: the last
+    diagonal entry negated; at n = 1 that is negative definite) and its
+    pole-0 disc (uAu + 0.3 i, u zeta)."""
+    A = np.diag([1.0, 1.5, 2.0][:n]).astype(complex)
+    if n > 1:
+        A[0, 1], A[1, 0] = 0.2 - 0.1j, 0.2 + 0.1j
+    if signature == "indefinite":
+        A[-1, -1] *= -1.0
+    q = Hyperquadric(n=n, A=A)
+    u = np.linspace(1.0, 0.5, n) + 0.2j
+    return q, params_to_coeffs(q, DiscParams(y0=0.3, v=np.zeros(n), w=u, a=0.0), M)
+
+
+class TestPoleZeroChord:
+    """J0, the eps = 0 linearization at the pole-0 disc, built by Fourier
+    blocks in closed form, and the solves whose chord starts from it."""
+
+    GRIDS = [(128, 24), (256, 48), (16, 7)]  # the last with M = N/2 - 1
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g[0]}-{g[1]}")
+    @pytest.mark.parametrize("signature", ["definite", "indefinite"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_blocks_are_the_jacobian_after_the_real_dft(self, n, signature, grid):
+        N, M = grid
+        q, c = _pole_zero_case(n, signature, M)
+        system = _DiscSystem(q, SolveConfig(N=N, M=M))
+        J = system.jacobian(system.pack(c))
+        J[:N] = _real_dft(N) @ J[:N]
+        J0 = _scatter_blocks(_pole_zero_blocks(q.A, c[1:, 1], N, M), n, N, M)
+        assert np.abs(J0 - J).max() <= 1e-13 * np.abs(J).max()
+        # the family's tangent is null for J0
+        T0 = np.linalg.qr(_family_columns(system, c))[0]
+        assert np.linalg.norm(J0 @ T0) <= 1e-15 * np.linalg.norm(J0)
+
+    @pytest.mark.parametrize("grid", [(128, 24), (16, 7)], ids=lambda g: f"{g[0]}-{g[1]}")
+    @pytest.mark.parametrize("signature", ["definite", "indefinite"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_block_pseudo_inverse_is_pinv(self, n, signature, grid):
+        N, M = grid
+        q, c = _pole_zero_case(n, signature, M)
+        system = _DiscSystem(q, SolveConfig(N=N, M=M))
+        J = system.jacobian(system.pack(c))
+        solve = _pole_zero_chord(system, c)
+        P = np.column_stack([solve(e) for e in np.eye(J.shape[0])])
+        ref = np.linalg.pinv(J, rcond=_RCOND)
+        assert np.abs(P - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_only_the_pole_zero_disc_takes_it(self):
+        q, c = _pole_zero_case(2, "definite", 24)
+        system = _DiscSystem(q, SolveConfig(N=128, M=24))
+        assert _pole_zero_chord(system, c) is not None
+        w = c[1:, 1]
+        off_pole = params_to_coeffs(q, DiscParams(y0=0.3, v=np.zeros(2), w=w, a=0.2), 24)
+        shifted = c.copy()
+        shifted[1:, 0] = 0.1  # v != 0
+        lifted = c.copy()
+        lifted[0, 0] += 1e-9  # Re h0 != uAu
+        for start in (off_pole, shifted, lifted):
+            assert _pole_zero_chord(system, start) is None
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-3])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+    def test_converging_framed_solve_takes_no_dense_jacobian(self, monkeypatch, n, eps, pinned):
+        m, p = _sweep_model(n, 0.5, eps)
+        cfg = SolveConfig(N=128, M=24)
+        pin = Disc(m.base, p).center() if pinned else None
+        calls = _count_jacobians(monkeypatch)
+        sol = solve_with_homotopy(m, p, cfg, pin_center=pin)
+        assert sol.residual_sup < cfg.tol and np.max(sol.lift_defects) <= 10 * cfg.tol
+        assert sol.linearizations == 1 and calls["jacobian"] == 0
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_unpinned_disc_is_the_chart_disc(self, monkeypatch, n):
+        # every J0 step lies off T0 = null(J0): T0^T (x - x0) = 0
+        m, p = _sweep_model(n, 0.7, 1e-3)
+        cfg = SolveConfig(N=128, M=24)
+        frame, g0 = DiscFrame.normalized(m.base, p, cfg.M)
+        calls = _count_jacobians(monkeypatch)
+        sol = solve_glued_disc(m.in_frame(frame.phi), g0, cfg)
+        assert sol.residual_sup < cfg.tol and calls["jacobian"] == 0
+        system = _DiscSystem(m, cfg)
+        T0 = np.linalg.qr(_family_columns(system, g0))[0]
+        dx = system.pack(sol.coeffs) - system.pack(g0)
+        assert np.linalg.norm(T0.T @ dx) <= 1e-12 * np.linalg.norm(dx)
+
+    def test_pinned_disc_holds_its_pin(self, monkeypatch):
+        # the pin rows hold from J0's first step on: the coefficient start
+        # keeps its pin, and the framed pin read g(-conj(a)) = Phi(pin) holds
+        m, p = _sweep_model(2, 0.7, 1e-3)
+        cfg = SolveConfig(N=128, M=24)
+        frame, g0 = DiscFrame.normalized(m.base, p, cfg.M)
+        surface = m.in_frame(frame.phi)
+        calls = _count_jacobians(monkeypatch)
+        sol = solve_glued_disc(surface, g0, cfg, pin_center=g0[:, 0])
+        assert np.array_equal(sol.coeffs[:, 0], g0[:, 0])
+        assert sol.residual_sup < cfg.tol and sol.linearizations == 1
+        pin = Disc(m.base, p).center()
+        framed = solve_with_homotopy(m, p, cfg, pin_center=pin)
+        assert np.array_equal(framed.center(), pin) and framed.linearizations == 1
+        read, target = frame.constraint(pin)
+        assert np.abs(read(framed.coeffs) - target).max() <= 1e-14 * np.abs(target).max()
+        assert calls["jacobian"] == 0
+
+    @pytest.mark.parametrize(
+        "cfg, answers",
+        [(SolveConfig(N=256, M=64), True), (SolveConfig(N=128, M=32), False)],
+        ids=["answers", "refuses"],
+    )
+    def test_stalled_j0_step_falls_back_to_the_exact_jacobian(self, monkeypatch, cfg, answers):
+        # eps (Re z0)(Re z1)^2 at eps = 0.6 takes J0's first step to 0.72 of
+        # the start's residual; J0's step is dropped and the exact Newton
+        # runs from the start, as it does without J0, one linearization on
+        m = PerturbedHypersurface(base=SPHERE, epsilon=0.6, terms={(1, 0, 2, 0): 1.0})
+        g0 = params_to_coeffs(SPHERE, DiscParams(y0=0.0, v=[0.0], w=[1.0], a=0.0), cfg.M)
+        system = _DiscSystem(m, cfg)
+        x0 = system.pack(g0)
+        r0 = system.residual(x0)
+        r1 = system.residual(x0 + _pole_zero_chord(system, g0)(-r0))
+        assert system.sup_norm(r1) > 0.5 * system.sup_norm(r0)
+
+        def outcome():
+            try:
+                return solve_glued_disc(m, g0, cfg)
+            except NoConvergenceError as err:
+                return err
+
+        calls = _count_jacobians(monkeypatch)
+        sol = outcome()
+        jacobians = calls["jacobian"]
+        monkeypatch.setattr(rh_solver, "_pole_zero_chord", lambda *_args: None)
+        exact = outcome()
+        if answers:
+            assert sol.residual_sup < cfg.tol
+            assert np.array_equal(sol.coeffs, exact.coeffs)
+            assert sol.residual_history == exact.residual_history
+            assert sol.iterations == exact.iterations
+            # J0 plus each exact Jacobian
+            assert sol.linearizations == exact.linearizations + 1 == jacobians + 1
+        else:
+            assert isinstance(sol, NoConvergenceError) and isinstance(exact, NoConvergenceError)
+            assert str(sol) == str(exact) and str(sol).startswith("damping stalled")
+            assert sol.residual_history == exact.residual_history
 
 
 class TestFamilyDimension:
