@@ -421,7 +421,7 @@ def _family_dim(opt, m, N):
     return {
         "dim": fd["dim"],
         "pinned": bool(opt.get("pin_center")),
-        "singular_values": [float(v) for v in fd["singular_values"][-12:]],
+        "gap": list(fd["gap"]),
     }
 
 

@@ -53,6 +53,11 @@ dense Jacobian.  J0 counts as a linearization.  Its steps lie off the
 family tangent T0 (null(J0)), so unpinned the solved disc is the member
 with T0^T (x - x0) = 0.  When a J0 step fails to halve the residual,
 its steps are dropped and the exact Newton above runs from the start.
+
+family_dimension counts null(J) at a framed solution from J0's blocks
+too: two bounds on J's singular values across the cut
+(_certified_dimension), with the values-only SVD of J only where they
+prove nothing.
 """
 
 from dataclasses import dataclass, field, replace
@@ -452,18 +457,24 @@ def _family_columns(system, coeffs):
     return np.array([system.pack(t) for t in tangent]).T
 
 
+def _family_tangent(system, coeffs):
+    """Orthonormal columns (packed size x 4n+3) spanning the closed-form
+    family's tangent at the disc that modes 0-2 of coeffs read as; None
+    when they read as no disc."""
+    T = _family_columns(system, coeffs)
+    return None if T is None else np.linalg.qr(T)[0]
+
+
 def _start_tangent(system, coeffs):
     """Orthonormal columns T0 (packed size x d) spanning the closed-form
     family's tangent at the disc that modes 0-2 of coeffs read as, within
     the directions that the constraint rows leave free; None when they
     read as no disc."""
-    T0 = _family_columns(system, coeffs)
-    if T0 is None:
-        return None
-    C = system.constraint_rows @ T0
-    if C.size:
-        T0 = T0 @ np.linalg.svd(C)[2][min(C.shape) :].T
-    return np.linalg.qr(T0)[0]
+    T0 = _family_tangent(system, coeffs)
+    C = system.constraint_rows
+    if T0 is None or not C.size:
+        return T0
+    return T0 @ np.linalg.svd(C @ T0)[2][C.shape[0] :].T
 
 
 def _pole_zero_blocks(A, u, N, M):
@@ -510,18 +521,81 @@ def _pole_zero_blocks(A, u, N, M):
     return B
 
 
+class _PoleZero:
+    """J0 (_pole_zero_blocks) factored block by block, with its maps.
+
+    rows takes residual rows (the orthogonal real DFT of the rho rows,
+    then the lifted modes each block holds) to block rows, and scatter
+    block columns to packed unknowns; every row of J0 that no block
+    holds is 0.  J0^+ is inv between them: the blocks'
+    pseudo-inverses V S^+ U^T, cut as np.linalg.pinv cuts J0, at _RCOND
+    times the largest singular value of all; kept holds the values above
+    that cut, and left is S^+ U^T, so |J0^+ y| = |left y|.
+    """
+
+    def __init__(self, A, u, N, M):
+        n = self.n = u.size
+        self.N, self.M = N, M
+        self.blocks = _pole_zero_blocks(A, u, N, M)
+        U, S, Vt = np.linalg.svd(self.blocks, full_matrices=False)
+        keep = S > _RCOND * S.max()
+        self.kept = S[keep]
+        inverse = np.where(keep, 1.0 / np.where(keep, S, 1.0), 0.0)
+        self.inv = Vt.transpose(0, 2, 1) * inverse[:, None] @ U.transpose(0, 2, 1)
+        self.left = inverse[..., None] * U.transpose(0, 2, 1)  # (M + 1, 2n+2, 2n+2)
+        self.weight = np.full((M + 1, 1), np.sqrt(2.0 / N))
+        self.weight[0] = 1.0 / np.sqrt(N)
+        # packed index of the Re part of each block's complex columns, -1
+        # where the block's column is no unknown
+        modes = M + 1
+        re = np.full((modes, 2 * n + 1), -1)
+        re[:, 0] = np.arange(modes)
+        re[:-1, 1 : n + 1] = np.arange(1, n + 1) * modes + np.arange(1, modes)[:, None]
+        re[1, n + 1 :] = np.arange(1, n + 1) * modes
+        self.cols = np.repeat(re, 2, axis=1)
+        self.cols[:, 1::2] += np.where(re >= 0, (n + 1) * modes, 0)
+        self.size = 2 * (n + 1) * modes
+
+    def rows(self, c):
+        """Block rows (M + 1, 2n+2, m) of the residual rows c (rows, m)."""
+        n, N, M, half = self.n, self.N, self.M, self.N // 2
+        out = np.zeros((M + 1, 2 * n + 2, c.shape[1]))
+        spec = self.weight * np.fft.rfft(c[:N], axis=0)[: M + 1]
+        out[:, 0], out[:, 1] = spec.real, -spec.imag
+        for part in (0, 1):  # Re, then Im of the negative modes
+            neg = c[N + part * n * half : N + (part + 1) * n * half].reshape(n, half, -1)
+            out[2:, 2 + part] = neg[0, half - 1 : half - M : -1]  # mode 1 - p
+            out[1:, 4 + part :: 2] = neg[1:, half - 1 : half - M - 1 : -1].swapaxes(0, 1)  # mode -p
+        return out
+
+    def scatter(self, z):
+        """Packed unknowns (packed size, m) of the block columns z (M + 1, 4n+2, m)."""
+        out = np.empty((self.size, z.shape[-1]))
+        real = self.cols >= 0
+        out[self.cols[real]] = z[real]
+        return out
+
+    def solve(self, c):
+        """J0^+ c for residual rows c (rows, m)."""
+        return self.scatter(self.inv @ self.rows(c))
+
+    def subtract(self, rows):
+        """rows - J0 in place, for block rows over the packed unknowns
+        (M + 1, 2n+2, packed size)."""
+        p, col = np.nonzero(self.cols >= 0)
+        rows[p, :, self.cols[p, col]] -= self.blocks[p, :, col]
+        return rows
+
+
 def _pole_zero_chord(system, coeffs):
     """Chord solver c -> s of J0, the eps = 0 linearization at the pole-0
-    disc that coeffs hold (_pole_zero_blocks), or None for another start.
+    disc that coeffs hold (_PoleZero), or None for another start.
 
-    J0^+ is the blocks' pseudo-inverses, cut as np.linalg.pinv cuts J0, at
-    _RCOND times the largest singular value of all, between the orthogonal
-    real DFT of the rho rows and the scatter of the block solutions; its
-    steps lie off J0's null space, the family tangent T0.  The constraint
-    rows C go by a step in T0: s = J0^+ c + T0 y with y = (C T0)^+ (c_C -
-    C J0^+ c), so J0 s is unchanged and the constraint rows hold.
+    Its steps lie off J0's null space, the family tangent T0.  The
+    constraint rows C go by a step in T0: s = J0^+ c + T0 y with y =
+    (C T0)^+ (c_C - C J0^+ c), so J0 s is unchanged and the constraint
+    rows hold.
     """
-    n, N, M = system.n, system.cfg.N, system.cfg.M
     A = system.m.base.A
     u = coeffs[1:, 1]
     rest = coeffs.copy()
@@ -529,40 +603,19 @@ def _pole_zero_chord(system, coeffs):
     quad = np.vdot(u, A @ u).real
     if np.any(rest) or not np.isclose(coeffs[0, 0].real, quad, rtol=1e-13, atol=0.0):
         return None
-    U, S, Vt = np.linalg.svd(_pole_zero_blocks(A, u, N, M), full_matrices=False)
-    keep = S > _RCOND * S.max()
-    inv = Vt.transpose(0, 2, 1) * np.where(keep, 1.0 / np.where(keep, S, 1.0), 0.0)[:, None]
-    inv = inv @ U.transpose(0, 2, 1)  # (M + 1, 4n+2, 2n+2)
-    half = N // 2
-    lift_end = N + 2 * n * half  # the constraint rows follow
-    weight = np.full(M + 1, np.sqrt(2.0 / N))
-    weight[0] = 1.0 / np.sqrt(N)
+    j0 = _PoleZero(A, u, system.cfg.N, system.cfg.M)
 
     def solve_j0(c):
-        rhs = np.zeros((M + 1, 2 * n + 2))
-        spec = weight * np.fft.rfft(c[:N])[: M + 1]
-        rhs[:, 0], rhs[:, 1] = spec.real, -spec.imag
-        neg = (c[N : N + n * half] + 1j * c[N + n * half : lift_end]).reshape(n, half)
-        modes = np.zeros((M + 1, n), dtype=complex)
-        modes[2:, 0] = neg[0, half - 1 : half - M : -1]  # mode 1 - p
-        modes[1:, 1:] = neg[1:, half - 1 : half - M - 1 : -1].T  # mode -p
-        rhs[:, 2::2], rhs[:, 3::2] = modes.real, modes.imag
-        sol = (inv @ rhs[..., None])[..., 0]
-        z = sol[:, 0::2] + 1j * sol[:, 1::2]  # the columns' Re and Im in pairs
-        ds = np.empty((n + 1, M + 1), dtype=complex)
-        ds[0] = z[:, 0]
-        ds[1:, 1:] = z[:-1, 1 : n + 1].T
-        ds[1:, 0] = z[1, n + 1 :]
-        return system.pack(ds)
+        return j0.solve(c[:, None])[:, 0]
 
     C = system.constraint_rows
     if not C.size:
         return solve_j0
-    T0 = _family_columns(system, coeffs)
+    T0 = _family_tangent(system, coeffs)
     if T0 is None:
         return None
-    T0 = np.linalg.qr(T0)[0]
     correct = np.linalg.pinv(C @ T0, rcond=_RCOND)
+    lift_end = system.cfg.N * (system.n + 1)  # the constraint rows follow
 
     def solve(c):
         s = solve_j0(c)
@@ -860,12 +913,84 @@ def _null_count(sv):
     return null
 
 
+def _certified_dimension(system, coeffs, J):
+    """family_dimension's count k and its bounds (kept_lower, null_upper)
+    on sigma_{K-k} and sigma_{K-k+1} of J, from J0's blocks; None where
+    they do not prove that _null_count of J's spectrum returns k.
+
+    J0 is _PoleZero at the pole-0 disc with coeffs' velocity u, and T0 the
+    family tangent there, null(J0) when J0 keeps K - (4n+3) values.  J_sel
+    = J0 + E, the rows of J that J0's blocks hold, has sigma_i(J_sel) <=
+    sigma_i(J); s, the least kept value, gives |J0^+ y| <= |y| / s.  With
+    eta = |J0^+ E|_F < 1, for v off T0, |J v| >= s |J0^+ J_sel v| >= s (1 -
+    eta) |v|.  With the constraint rows C (g = sigma_min(C T0), h = |C|_2),
+    on {T0 a + w: a in row(C T0), w off T0}, |J v| >= max(s (|w| - eta),
+    g |a| - h |w|), least where the two meet on |a|^2 + |w|^2 = 1.  By
+    Courant-Fischer either is a kept_lower <= sigma_{K-k}, with k = 4n+3 -
+    rank(C T0) (G. W. Stewart and J. Sun, Matrix Perturbation Theory,
+    1990).  J0's chord from T0, T <- T - J0^+ J_sel T, restricted to
+    null(C T), spans k directions with null_upper = |J T|_2 >=
+    sigma_{K-k+1}; it runs while null_upper shrinks by _CHORD_CONTRACTION.
+    The largest column norm and |J|_F bracket sigma_1, so the tests below
+    put _null_count's cut and gap where the bounds say.
+    """
+    A = system.m.base.A
+    u = coeffs[1:, 1]
+    pole = np.zeros_like(coeffs)
+    pole[0, 0] = np.vdot(u, A @ u).real
+    pole[1:, 1] = u
+    T0 = _family_tangent(system, pole)
+    if T0 is None:
+        return None
+    j0 = _PoleZero(A, u, system.cfg.N, system.cfg.M)
+    if j0.kept.size != J.shape[1] - T0.shape[1]:
+        return None
+    C = system.constraint_rows
+    E = j0.subtract(j0.rows(J))
+    s = j0.kept.min()
+    eta = np.linalg.norm(j0.left @ E)
+    if not eta < 1.0:
+        return None
+    if C.size:
+        g = np.linalg.svd(C @ T0, compute_uv=False)[-1]
+        h = np.sqrt(np.linalg.eigvalsh(C @ C.T)[-1])
+        meet = np.arctan2(g, s + h) + np.arcsin(s * eta / np.hypot(s + h, g))
+        lower = s * (np.sin(meet) - eta)
+    else:
+        lower = s * (1.0 - eta)
+    col = np.einsum("ij,ij->j", J, J)  # squared column norms
+    if not lower >= _SV_CUT * np.sqrt(col.sum()):
+        return None
+    T, JT, upper = T0, J @ T0, np.inf
+    while True:
+        T = np.linalg.qr(T - j0.solve(JT))[0]  # J0's chord: J0^+ J_sel T = J0^+ (J T)
+        JT = J @ T
+        null = JT @ np.linalg.svd(C @ T)[2][C.shape[0] :].T if C.size else JT  # J on null(C T)
+        last, upper = upper, np.linalg.svd(null, compute_uv=False)[0]
+        if upper < _SV_CUT * np.sqrt(col.max()) and lower >= _GAP_MIN * upper:
+            return {"dim": null.shape[1], "gap": (float(lower), float(upper))}
+        if not upper <= _CHORD_CONTRACTION * last:
+            return None
+
+
 def family_dimension(m, sol, cfg=None):
-    """Numerical null-space dimension of the linearized system at sol: one
-    values-only SVD of J, counted by _null_count."""
-    _system, J = _system_at(m, sol, cfg)
+    """Numerical null-space dimension of the linearization J at sol, as
+    _null_count counts J's singular values, and the gap across its cut:
+    {"dim": k, "gap": (kept_lower, null_upper)}.
+
+    A framed sol's count comes from J0's blocks (_certified_dimension),
+    with bounds on sigma_{K-k} and sigma_{K-k+1}; otherwise, and where
+    those bounds prove nothing, from one values-only SVD of J, with the
+    two values themselves.
+    """
+    system, J = _system_at(m, sol, cfg)
+    if sol.frame is not None:
+        certified = _certified_dimension(system, sol.coeffs, J)
+        if certified is not None:
+            return certified
     sv = np.linalg.svd(J, compute_uv=False)
-    return {"dim": _null_count(sv), "singular_values": sv}
+    k = _null_count(sv)
+    return {"dim": k, "gap": (float(sv[-k - 1]), float(sv[-k]))}
 
 
 def family_tangent_basis(m, sol, cfg=None):

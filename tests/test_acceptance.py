@@ -33,6 +33,7 @@ from statdisc import (
     verify_reduction_chain,
 )
 from statdisc.errors import LiftConstructionError, NotReachableError
+from statdisc.rh_solver import _system_at
 
 from conftest import lift_zero_modulus, random_disc_params, random_hermitian_quadric
 
@@ -183,18 +184,23 @@ def test_criterion_7_family_dimension():
                 sol = solve_with_homotopy(m, p, cfg)
                 fd = family_dimension(m, sol, cfg)
                 assert fd["dim"] == expect_free, (n, eps, fd["dim"])
-                _assert_gap(fd["singular_values"])
+                _assert_gap(m, sol, cfg, fd)
                 sol_p = solve_with_homotopy(m, p, cfg, pin_center=pin)
                 fd_p = family_dimension(m, sol_p, cfg)
                 assert fd_p["dim"] == expect_pinned, (n, eps, fd_p["dim"])
-                _assert_gap(fd_p["singular_values"])
+                _assert_gap(m, sol_p, cfg, fd_p)
 
 
-def _assert_gap(sv, cut=1e-6, ratio=1e3):
+def _assert_gap(m, sol, cfg, fd, cut=1e-6, ratio=1e3):
+    """The gap across the cut in the dense spectrum of the Jacobian that
+    family_dimension counts, and between its bounds (kept_lower, null_upper)."""
+    sv = np.linalg.svd(_system_at(m, sol, cfg)[1], compute_uv=False)
     top = sv[0]
     kept = sv[sv >= cut * top].min()
     dropped = sv[sv < cut * top].max()
-    assert kept / dropped >= ratio
+    assert kept >= ratio * dropped
+    kept_lower, null_upper = fd["gap"]
+    assert kept_lower >= ratio * null_upper
 
 
 def test_criterion_8_fixed_center_diffeomorphisms():

@@ -590,7 +590,7 @@ WIRE_FORMATS = [
       "residual_sup": None,
       "frame": {"L": 2, "a": 0, "c2": None, "coefficients": 2, "t": 1}}),
     (("family-dim", "--n", "1", "--a", "0.2", "--w", "1", *SOLVE_GRID),
-     {"dim": None, "pinned": None, "singular_values": None}),
+     {"dim": None, "gap": None, "pinned": None}),
     (("jacobians", "--n", "1", *SOLVE_GRID),
      {"endpoint_invertible": None, "sv_endpoint_min": None, "sv_velocity_min": None,
       "velocity_injective": None}),

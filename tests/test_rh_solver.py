@@ -35,6 +35,7 @@ from statdisc.rh_solver import (
     DiscFrame,
     _center_disc_params,
     _center_pin,
+    _certified_dimension,
     _disc_through_solution,
     _DiscSystem,
     _endpoint,
@@ -44,8 +45,10 @@ from statdisc.rh_solver import (
     _null_count,
     _pole_zero_blocks,
     _pole_zero_chord,
+    _PoleZero,
     _start_tangent,
     _svd_steps,
+    _system_at,
     _velocity,
     family_tangent_basis,
 )
@@ -123,6 +126,19 @@ def _count_jacobians(monkeypatch):
     calls = Counter()
     original = _DiscSystem.jacobian
     monkeypatch.setattr(_DiscSystem, "jacobian", counting(calls, "jacobian", original))
+    return calls
+
+
+def _count_svds(monkeypatch):
+    """Counter of np.linalg.svd calls from now on, by the input's column count."""
+    calls = Counter()
+    original = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls[np.shape(a)[-1]] += 1
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
     return calls
 
 
@@ -607,9 +623,17 @@ class TestLinearization:
                 sol = solve_with_homotopy(m, p, cfg, pin_center=center)
                 fd = family_dimension(m, sol, cfg)
                 assert fd["dim"] == expect, (eps, center, fd["dim"])
-                sv = fd["singular_values"]
-                cut = 1e-6 * sv[0]
-                assert sv[sv >= cut].min() / sv[sv < cut].max() >= 1e3
+                _assert_gaps(m, sol, cfg, fd)
+
+
+def _assert_gaps(m, sol, cfg, fd):
+    """A gap of 1e3 across the cut in the dense spectrum of the Jacobian
+    that family_dimension counts, and between its bounds."""
+    sv = np.linalg.svd(_system_at(m, sol, cfg)[1], compute_uv=False)
+    cut = 1e-6 * sv[0]
+    assert sv[sv >= cut].min() >= 1e3 * sv[sv < cut].max()
+    kept_lower, null_upper = fd["gap"]
+    assert kept_lower >= 1e3 * null_upper
 
 
 def _sweep_model(n, r, eps):
@@ -784,6 +808,9 @@ class TestPoleZeroChord:
         q, c = _pole_zero_case(n, signature, M)
         system = _DiscSystem(q, SolveConfig(N=N, M=M))
         J = system.jacobian(system.pack(c))
+        # _PoleZero's row and column maps take J to the same blocks
+        j0 = _PoleZero(q.A, c[1:, 1], N, M)
+        assert np.abs(j0.subtract(j0.rows(J))).max() <= 1e-13 * np.abs(J).max()
         J[:N] = _real_dft(N) @ J[:N]
         J0 = _scatter_blocks(_pole_zero_blocks(q.A, c[1:, 1], N, M), n, N, M)
         assert np.abs(J0 - J).max() <= 1e-13 * np.abs(J).max()
@@ -917,10 +944,7 @@ class TestFamilyDimension:
         sol = solve_glued_disc(QUARTIC, START, CFG)
         fd = family_dimension(QUARTIC, sol, CFG)
         assert fd["dim"] == 7
-        sv = fd["singular_values"]
-        kept = sv[sv >= 1e-6 * sv[0]].min()
-        dropped = sv[sv < 1e-6 * sv[0]].max()
-        assert kept / dropped > 1e3
+        _assert_gaps(QUARTIC, sol, CFG, fd)
 
     def test_unpinned_n2(self):
         q2 = Hyperquadric(n=2, A=np.diag([1.0, 1.5]))
@@ -971,6 +995,104 @@ class TestFamilyDimension:
         with pytest.raises(DimensionAmbiguousError, match=message) as err:
             _null_count(sv)
         assert np.array_equal(err.value.singular_values, sv)
+
+
+def _signature_model(n, signature, eps):
+    """_model's perturbation on _pole_zero_case's form of that signature."""
+    q, _ = _pole_zero_case(n, signature, 2)
+    return PerturbedHypersurface(base=q, epsilon=eps, terms=_model(n, eps)[1].terms)
+
+
+# (pinned, (n, |a|, eps)) of the normalized-frame sweep that answer: past
+# the domain limit, and pinned at (2, 0.95, 1e-3), Newton stalls at 3e-11
+SWEEP_CELLS = [
+    (pinned, (n, r, eps))
+    for pinned in (False, True)
+    for n in (1, 2)
+    for r in (0.5, 0.7, 0.9, 0.95)
+    for eps in (0.0, 1e-4, 1e-3)
+    if (n, r, eps) != DOMAIN_LIMIT and (pinned, n, r, eps) != (True, 2, 0.95, 1e-3)
+]
+
+
+class TestCertifiedDimension:
+    """family_dimension's count from J0's blocks (_certified_dimension)
+    against _null_count of the dense spectrum: the same dim, kept_lower
+    <= sigma_{K-k} and null_upper >= sigma_{K-k+1}."""
+
+    @staticmethod
+    def _assert_brackets(m, sol, cfg, expect):
+        """family_dimension's answer against the dense spectrum; whether
+        it came from the certificate."""
+        fd = family_dimension(m, sol, cfg)
+        system, J = _system_at(m, sol, cfg)
+        certified = _certified_dimension(system, sol.coeffs, J)
+        assert certified in (None, fd)
+        sv = np.linalg.svd(J, compute_uv=False)
+        k = _null_count(sv)
+        kept_lower, null_upper = fd["gap"]
+        assert fd["dim"] == k == expect
+        # up to the SVDs' rounding, about K u sigma_1 (at eps = 0 E is
+        # rounding and kept_lower is sigma_{K-k} itself)
+        ulp = 1e-13 * sv[0]
+        assert kept_lower <= sv[-k - 1] + ulp and null_upper >= sv[-k] - ulp
+        return certified is not None
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-4, 1e-3])
+    @pytest.mark.parametrize("signature", ["definite", "indefinite"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+    def test_bounds_bracket_the_dense_spectrum(self, pinned, n, signature, eps):
+        m = _signature_model(n, signature, eps)
+        cfg = SolveConfig(N=128, M=24)
+        p = DiscParams(y0=0.1, v=np.zeros(n), w=np.linspace(1.0, 0.5, n) + 0.2j, a=0.2 + 0.1j)
+        pin = Disc(m.base, p).center() if pinned else None
+        sol = solve_with_homotopy(m, p, cfg, pin_center=pin)
+        assert self._assert_brackets(m, sol, cfg, 2 * n + 1 if pinned else 4 * n + 3)
+
+    @pytest.mark.parametrize("pinned, cell", SWEEP_CELLS, ids=str)
+    def test_bounds_bracket_on_the_sweep(self, pinned, cell):
+        m, p = _sweep_model(*cell)
+        r = cell[1]
+        cfg = TestNormalizedFrame.FINE
+        pin = Disc(m.base, p).center() if pinned else None
+        sol = solve_with_homotopy(m, p, cfg, pin_center=pin)
+        certified = self._assert_brackets(m, sol, cfg, 2 * m.n + 1 if pinned else 4 * m.n + 3)
+        # the bounds hold while |J0^+ E|_F stays small: eps c2 sup|s o Phi^-1|
+        # grows with |a|, and the pinned bound loses h / g = |C|_2 / sigma_min(C T0)
+        assert certified or r > (0.5 if pinned else 0.7)
+
+    def test_eta_past_one_falls_back_to_the_dense_count(self):
+        # a continuation-benchmark input (seed 2, slot 15) whose E is too
+        # large for the bounds: |J0^+ E|_F = 1.63
+        q = Hyperquadric(n=1, A=np.array([[-1.4293037154587696]]))
+        terms = {(0, 3, 1, 1): -3699.3063178137895, (1, 1, 2, 2): 3582.1543745735107}
+        m = PerturbedHypersurface(base=q, epsilon=1e-3, terms=terms)
+        w = -0.4064839099280391 + 0.37171050960888485j
+        p = DiscParams(y0=0.0, v=[0.0], w=[w], a=0.007174008718983911 - 0.030908222406907004j)
+        cfg = SolveConfig(N=256, M=48)
+        sol = solve_with_homotopy(m, p, cfg)
+        system, J = _system_at(m, sol, cfg)
+        j0 = _PoleZero(q.A, sol.coeffs[1:, 1], cfg.N, cfg.M)
+        assert np.linalg.norm(j0.inv @ j0.subtract(j0.rows(J))) > 1.0
+        assert _certified_dimension(system, sol.coeffs, J) is None
+        sv = np.linalg.svd(J, compute_uv=False)
+        assert family_dimension(m, sol, cfg) == {"dim": 7, "gap": (sv[-8], sv[-7])}
+
+    @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+    def test_certified_count_takes_no_svd_of_j(self, monkeypatch, pinned):
+        m, p = _sweep_model(2, 0.5, 1e-3)
+        cfg = SolveConfig(N=128, M=24)
+        K = 2 * (m.n + 1) * (cfg.M + 1)
+        pin = Disc(m.base, p).center() if pinned else None
+        sol = solve_with_homotopy(m, p, cfg, pin_center=pin)
+        calls = _count_svds(monkeypatch)
+        assert family_dimension(m, sol, cfg)["dim"] == (5 if pinned else 11)
+        assert calls and calls[K] == 0
+        # the fallback takes the dense SVD of J
+        monkeypatch.setattr(rh_solver, "_certified_dimension", lambda *_args: None)
+        assert family_dimension(m, sol, cfg)["dim"] == (5 if pinned else 11)
+        assert calls[K] == 1
 
 
 class TestCenterMaps:
