@@ -22,24 +22,18 @@ family dimension and the tangent basis all use this one linearization
 E. Wegert, Nonlinear Boundary Value Problems for Holomorphic Functions
 and Singular Integral Equations, 1992).
 
-Newton takes J's minimum-norm step with _RCOND's cut, and needs no SVD
-for it where the family's null space is the closed form's: the
-paper's explicit parametrization gives T0, the tangent of the family
-(y0, v, w, a) at the start, built at the first linearization, and one
-QR of [J | -r; T0^T | 0] with Q never formed then gives the step and
-null(J) (_tangent_steps).  Where two norm bounds cannot prove that step
-equal to the truncated-SVD one, that linearization falls back to
-_svd_steps: the QR of [J | b], then the SVD of R's K x K block, as
-the tangent basis takes it (no b).  Each linearization is factored once:
-after an undamped Newton step the solver tries the same factorization
-on the new residual and keeps the step while the residual's sup norm
-at least halves; otherwise it re-linearizes at the same point, so the
-fall-back is the damped Newton step (the chord or Shamanskii method,
-C. T. Kelley, Solving Nonlinear Equations with Newton's Method, SIAM
-2003, 5.4).  max_iter caps the linearizations; accepted chord steps at
-least halve the residual, so there are at most log2(r0 / tol) of them.
-tol, the step cut _RCOND and the damping floor _DAMPING_MIN are
-constants.
+Newton takes lstsq's minimum-norm step with _RCOND's cut from
+_svd_steps: the QR of [J | -r] with Q never formed, then the SVD of
+R's K x K block, as the tangent basis takes it (no -r).  Each
+linearization is factored once: after an undamped Newton step the
+solver tries the same factorization on the new residual and keeps the
+step while the residual's sup norm at least halves; otherwise it
+re-linearizes at the same point, so the fall-back is the damped Newton
+step (the chord or Shamanskii method, C. T. Kelley, Solving Nonlinear
+Equations with Newton's Method, SIAM 2003, 5.4).  max_iter caps the
+linearizations; accepted chord steps at least halve the residual, so
+there are at most log2(r0 / tol) of them.  tol, the step cut _RCOND
+and the damping floor _DAMPING_MIN are constants.
 
 solve_with_homotopy solves a closed-form start in its normalized frame
 (DiscFrame): on the image Phi(M) under an automorphism of the quadric up
@@ -49,10 +43,12 @@ Where its start is that pole-0 disc and misses tol, the first chord
 operator is J0^+, with J0 the eps = 0 linearization there: rotation
 invariant, so block diagonal in Fourier modes, built in closed form and
 factored block by block (_pole_zero_blocks, _pole_zero_chord), with no
-dense Jacobian.  J0 counts as a linearization.  Its steps lie off the
-family tangent T0 (null(J0)), so unpinned the solved disc is the member
-with T0^T (x - x0) = 0.  When a J0 step fails to halve the residual,
-its steps are dropped and the exact Newton above runs from the start.
+dense Jacobian.  J0 counts as a linearization.  Its steps lie off
+null(J0), the tangent T0 of the family (y0, v, w, a) that the paper's
+explicit parametrization gives (Disc.family_tangent), so unpinned the
+solved disc is the member with T0^T (x - x0) = 0.  When a J0 step
+fails to halve the residual, its steps are dropped and the exact Newton
+above runs from the start.
 
 family_dimension counts null(J) at a framed solution from J0's blocks
 too: two bounds on J's singular values across the cut
@@ -113,7 +109,6 @@ _BLOCK = 16  # modes per Jacobian column block; bounds the transient footprint
 _CHORD_CONTRACTION = 0.5
 _RCOND = 1e-8  # pseudo-inverse cut; keeps Newton steps clear of the family's null cluster
 _DAMPING_MIN = 1.0 / 64.0  # the line search gives up below this step fraction
-_TRI_BLOCK = 32  # _inv_upper inverts triangles up to this size directly
 _SV_CUT, _GAP_MIN = 1e-6, 1e3  # _null_count: the null cut over the largest, the least gap
 
 
@@ -201,9 +196,8 @@ class _DiscSystem:
             Q += 0.25 * self.m.epsilon * (xx + yy + 1j * (xy - yx))
         return P, Q
 
-    def jacobian(self, x, out=None):
-        """Exact derivative of residual at x, assembled in column blocks
-        (into out, when given, a (rows, packed size) array or view).
+    def jacobian(self, x):
+        """Exact derivative of residual at x, assembled in column blocks.
 
         Along dh the residual moves by d rho = 2 Re(grad rho . dh),
         d log lam = -T(Im(d phi / phi)) - Re(d phi / phi) and
@@ -223,9 +217,7 @@ class _DiscSystem:
         ratio_p, ratio_q = self.zeta * P[n] / phi, self.zeta * Q[n] / phi
         lift_p, lift_q = zl * P[:n], zl * Q[:n]
         lift_g = zl * grad[:n]
-        if out is None:
-            out = np.empty((N + n * N + self.constraint_rows.shape[0], x.size), order="F")
-        J = out
+        J = np.empty((N + n * N + self.constraint_rows.shape[0], x.size), order="F")
         J[N + n * N :] = self.constraint_rows
         JT = J.T  # a column of J is a row of J.T, contiguous in Fortran order
         modes = self.cfg.M + 1
@@ -426,21 +418,6 @@ def _svd_steps(J, b):
     return Vt.T @ ((U.T @ R[:K, K]) / S), lambda c: Vt.T @ ((Vt @ (J.T @ c)) / S**2)
 
 
-def _inv_upper(R):
-    """Inverse of the upper-triangular R by 2 x 2 blocks,
-    [[A, B], [0, D]]^-1 = [[A^-1, -A^-1 B D^-1], [0, D^-1]]; only the
-    diagonal blocks of up to _TRI_BLOCK rows pay for np.linalg.inv's LU."""
-    K = R.shape[0]
-    if K <= _TRI_BLOCK:
-        return np.linalg.inv(R)  # a triangle needs no pivot, so its LU is R itself
-    h = K // 2
-    out = np.zeros_like(R)
-    out[:h, :h] = _inv_upper(R[:h, :h])
-    out[h:, h:] = _inv_upper(R[h:, h:])
-    out[:h, h:] = -out[:h, :h] @ (R[:h, h:] @ out[h:, h:])
-    return out
-
-
 def _family_columns(system, coeffs):
     """The closed-form family's tangent (packed size x 4n+3) at the disc
     that modes 0-2 of coeffs read as; None when they read as no disc."""
@@ -463,18 +440,6 @@ def _family_tangent(system, coeffs):
     when they read as no disc."""
     T = _family_columns(system, coeffs)
     return None if T is None else np.linalg.qr(T)[0]
-
-
-def _start_tangent(system, coeffs):
-    """Orthonormal columns T0 (packed size x d) spanning the closed-form
-    family's tangent at the disc that modes 0-2 of coeffs read as, within
-    the directions that the constraint rows leave free; None when they
-    read as no disc."""
-    T0 = _family_tangent(system, coeffs)
-    C = system.constraint_rows
-    if T0 is None or not C.size:
-        return T0
-    return T0 @ np.linalg.svd(C @ T0)[2][C.shape[0] :].T
 
 
 def _pole_zero_blocks(A, u, N, M):
@@ -624,48 +589,6 @@ def _pole_zero_chord(system, coeffs):
     return solve
 
 
-def _tangent_steps(J, R, T0):
-    """Newton step and chord solver from R of the QR of [J | b; T0^T | 0],
-    or None unless they provably equal _svd_steps'.
-
-    With R^T R = J^T J + T0 T0^T, R^-1 R^-T T0 spans null(J) when
-    [J; T0^T] has full column rank and null(J) has T0's dimension d (A.
-    Bjorck, Numerical Methods for Least Squares Problems, SIAM 1996), and
-    R^-1 (Q^T b) and R^-1 R^-T J^T c taken off that span N are J's
-    minimum-norm solutions.  They are _svd_steps' when its cut drops
-    exactly d values: |J N|_F <= _RCOND |J|_F / sqrt(K) puts d of them
-    below it, and _RCOND |J|_F |R^-1|_F < 1 keeps the others above it,
-    since rank-d interlacing gives sigma_{K-d}(J) >= 1 / |R^-1|_2.
-    """
-    K = J.shape[1]
-    Rinv = _inv_upper(R[:K, :K])
-    N = np.linalg.qr(Rinv @ (Rinv.T @ T0))[0]
-    norm_J = np.linalg.norm(J)
-    # written so that a non-finite norm falls back
-    if not (
-        np.linalg.norm(J @ N) <= _RCOND * norm_J / np.sqrt(K)
-        and _RCOND * norm_J * np.linalg.norm(Rinv) < 1.0
-    ):
-        return None
-
-    def off_null(s):
-        return s - N @ (N.T @ s)
-
-    return off_null(Rinv @ R[:K, K]), lambda c: off_null(Rinv @ (Rinv.T @ (J.T @ c)))
-
-
-def _newton_steps(system, x, r, T0):
-    """Newton step for J s = -r at x and the chord solver: from one QR of
-    [J | -r; T0^T | 0] when _tangent_steps proves them, else from _svd_steps."""
-    if T0 is None:
-        return _svd_steps(system.jacobian(x), -r)
-    aug = np.zeros((r.size + T0.shape[1], x.size + 1), order="F")
-    J = system.jacobian(x, out=aug[: r.size, :-1])
-    aug[: r.size, -1] = -r
-    aug[r.size :, :-1] = T0.T
-    return _tangent_steps(J, np.linalg.qr(aug, mode="r"), T0) or _svd_steps(J, -r)
-
-
 def _start_coeffs(m, start, M):
     """Coefficients (n+1, M+1) of start, a DiscParams of the base quadric
     or a coefficient array."""
@@ -727,8 +650,7 @@ def solve_glued_disc(m, start, cfg=None, pin_center=None, constraint=None):
             # the first exact linearization, at the start: J0's chord, if it
             # ran, stalled, and its steps are dropped
             x, r, iters, history = x0, r0, 0, history[:1]
-            tangent = _start_tangent(system, coeffs)
-        step, solve_chord = _newton_steps(system, x, r, tangent)
+        step, solve_chord = _svd_steps(system.jacobian(x), -r)
         linearizations += 1
         t = 1.0
         cur = np.linalg.norm(r)

@@ -111,9 +111,10 @@ class TestExecute:
             " raise M (and N), or lower eps"
         )
 
-    def test_no_convergence_at_positive_eps_reports_the_start_check(self, monkeypatch, capsys):
-        # the closed-form start at |a| = 0.7 sat on its |a|^M floor; in its
-        # normalized frame it now answers with one linearization, J0's
+    def test_framed_solve_answers_with_j0_or_names_the_domain_limit(self, monkeypatch, capsys):
+        # the closed-form start at |a| = 0.7 sits past its |a|^M floor; in
+        # its normalized frame it answers with one linearization, J0's, and
+        # no eps = 0 start check runs on a framed solve
         args = ("solve", "--n", "1", "--a", "0.7", "--w", "1", "--epsilon", "1e-3",
                 "--term", "0,0,4,0:1")
         code, out, _ = run_cli(*args)

@@ -40,13 +40,12 @@ from statdisc.rh_solver import (
     _DiscSystem,
     _endpoint,
     _family_columns,
+    _family_tangent,
     _invert_velocity,
-    _newton_steps,
     _null_count,
     _pole_zero_blocks,
     _pole_zero_chord,
     _PoleZero,
-    _start_tangent,
     _svd_steps,
     _system_at,
     _velocity,
@@ -357,9 +356,11 @@ class TestSolve:
         assert stages == [t * RETRYING.epsilon for t in (0.0, 1.0, 0.5, 0.25)]
 
     @pytest.mark.parametrize(
-        "m, start, cfg",
+        "m, start, cfg, pin",
         [
-            pytest.param(QUARTIC, STALLING, CFG, id="n1-M32"),
+            # refused: past its |a|^M floor the coefficient start's eps = 0
+            # solve stalls
+            pytest.param(QUARTIC, STALLING_COEFFS, CFG, None, id="n1-M32-floor"),
             # like a refusing continuation slot: n = 2, |a| = 0.55 at (128, 24)
             pytest.param(
                 PerturbedHypersurface(
@@ -367,22 +368,44 @@ class TestSolve:
                     epsilon=1e-4,
                     terms={(0, 0, 4, 0, 0, 0): 1.0},
                 ),
-                DiscParams(y0=0.1, v=[0.0, 0.0], w=[1.0, 0.5], a=0.55 * np.exp(0.4j)),
+                params_to_coeffs(
+                    Hyperquadric(n=2, A=np.diag([1.0, 1.5])),
+                    DiscParams(y0=0.1, v=[0.0, 0.0], w=[1.0, 0.5], a=0.55 * np.exp(0.4j)),
+                    24,
+                ),
                 SolveConfig(N=128, M=24),
-                id="n2-M24",
+                None,
+                id="n2-M24-floor",
+            ),
+            # answers: the pinned framed solve of `statdisc solve --n 2 --a 0.3
+            # --w 1,0.5 --epsilon 1e-4 --term 0,0,4,0,0,0:1.0 --grid 128
+            # --modes 24 --pin-center`, where J0's chord stalls
+            pytest.param(
+                PerturbedHypersurface(
+                    base=Hyperquadric(n=2, A=np.eye(2)),
+                    epsilon=1e-4,
+                    terms={(0, 0, 4, 0, 0, 0): 1.0},
+                ),
+                DiscParams(y0=0.0, v=[0.0, 0.0], w=[1.0, 0.5], a=0.3),
+                SolveConfig(N=128, M=24),
+                np.array([1.0, 0.0, 0.0], dtype=complex),
+                id="n2-pinned-j0-stalls",
             ),
         ],
     )
-    def test_truncation_floor_falls_back_to_the_svd_step(self, monkeypatch, m, start, cfg):
-        # past its |a|^M floor the start's d smallest singular values sit
-        # above the step cut, so no tangent step is proved and every
-        # linearization of the refused eps = 0 solve takes _svd_steps' step
+    def test_every_exact_linearization_takes_the_svd_step(self, monkeypatch, m, start, cfg, pin):
+        # _svd_steps is the one dense step: each exact Jacobian is factored
+        # by it once, whether the solve answers or is refused
         calls = Counter()
         monkeypatch.setattr(rh_solver, "_svd_steps", counting(calls, "svd", _svd_steps))
         jacobian = _DiscSystem.jacobian
         monkeypatch.setattr(_DiscSystem, "jacobian", counting(calls, "jacobian", jacobian))
-        with pytest.raises(NoConvergenceError, match="does not solve eps = 0"):
-            solve_with_homotopy(m, params_to_coeffs(m.base, start, cfg.M), cfg)
+        if isinstance(start, DiscParams):
+            sol = solve_with_homotopy(m, start, cfg, pin_center=pin)
+            assert sol.residual_sup < cfg.tol and sol.linearizations >= 2
+        else:
+            with pytest.raises(NoConvergenceError, match="does not solve eps = 0"):
+                solve_with_homotopy(m, start, cfg)
         assert calls["svd"] == calls["jacobian"] > 0
 
     @pytest.mark.parametrize("as_coeffs", [False, True], ids=["params", "coefficients"])
@@ -507,14 +530,13 @@ def _linearization_setup(n, eps, setup):
     return system, system.pack(c)
 
 
-def _resolved_setup(n, eps, pinned):
-    """System at N = 128, M = 32 and a closed-form start above its
+def _resolved_setup(n):
+    """eps = 0 system at N = 128, M = 32 and a closed-form start above its
     truncation floor (|a|^M below 1e-22)."""
-    q, m = _model(n, eps)
+    q, m = _model(n, 0.0)
     cfg = SolveConfig(N=128, M=32)
     p = DiscParams(y0=0.1, v=0.3 * np.ones(n), w=np.linspace(1.0, 0.5, n) + 0.2j, a=0.2 + 0.1j)
-    c = params_to_coeffs(q, p, cfg.M)
-    return _DiscSystem(m, cfg, pin_center=c[:, 0] if pinned else None), c
+    return _DiscSystem(m, cfg), params_to_coeffs(q, p, cfg.M)
 
 
 class TestLinearization:
@@ -534,44 +556,17 @@ class TestLinearization:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("eps", [0.0, 1e-4, 1e-3])
     @pytest.mark.parametrize("setup", ["free", "pinned", "endpoint", "velocity"])
-    def test_factorization_matches_lstsq(self, monkeypatch, n, eps, setup):
-        # the Newton step and the chord solve, from one QR of [J; T0^T]
-        # where the tangent step's conditions hold, else from _svd_steps; at
-        # M = 8 the start sits on its truncation floor, so the free and
-        # pinned setups fall back, and the transport reads leave T0 no
-        # column, so those run the tangent step
+    def test_factorization_matches_lstsq(self, n, eps, setup):
+        # the Newton step and the chord solve of _svd_steps, the one dense
+        # step: the QR of [J | -r], then the SVD of R's K x K block
         system, x = _linearization_setup(n, eps, setup)
         J, r = system.jacobian(x), system.residual(x)
-        T0 = _start_tangent(system, system.unpack(x))
-        calls = Counter()
-        monkeypatch.setattr(rh_solver, "_svd_steps", counting(calls, "svd", _svd_steps))
-        step, solve_chord = _newton_steps(system, x, r, T0)
-        assert calls["svd"] == (setup in ("free", "pinned"))
+        step, solve_chord = _svd_steps(J, -r)
         ref = np.linalg.lstsq(J, -r, rcond=_RCOND)[0]
         assert np.linalg.norm(step - ref) <= 1e-8 * np.linalg.norm(ref)
         c = np.random.default_rng(n).normal(size=r.size)
         ref = np.linalg.lstsq(J, c, rcond=_RCOND)[0]
         assert np.linalg.norm(solve_chord(c) - ref) <= 1e-5 * np.linalg.norm(ref)
-
-    @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("eps", [0.0, 1e-4, 1e-3])
-    @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
-    def test_tangent_step_at_a_resolved_start(self, monkeypatch, n, eps, pinned):
-        # above its truncation floor the start's linearization takes the
-        # tangent step, lstsq's to the same bounds
-        system, c = _resolved_setup(n, eps, pinned)
-        x = system.pack(c)
-        J, r = system.jacobian(x), system.residual(x)
-        calls = Counter()
-        monkeypatch.setattr(rh_solver, "_svd_steps", counting(calls, "svd", _svd_steps))
-        step, solve_chord = _newton_steps(system, x, r, _start_tangent(system, c))
-        assert calls["svd"] == 0
-        if eps:  # at eps = 0 the residual is rounding
-            ref = np.linalg.lstsq(J, -r, rcond=_RCOND)[0]
-            assert np.linalg.norm(step - ref) <= 1e-8 * np.linalg.norm(ref)
-        rhs = np.random.default_rng(n).normal(size=r.size)
-        ref = np.linalg.lstsq(J, rhs, rcond=_RCOND)[0]
-        assert np.linalg.norm(solve_chord(rhs) - ref) <= 1e-5 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_family_tangent_matches_differences(self, n):
@@ -593,15 +588,13 @@ class TestLinearization:
             assert np.abs(T[k] - ref).max() <= 1e-8 * np.abs(T).max()
 
     @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
-    def test_start_tangent_spans_the_family(self, n, pinned):
-        # orthonormal, 4n + 3 columns free and the 2n + 1 the pin leaves
-        # free pinned, and null for J at eps = 0 on the closed form
-        system, c = _resolved_setup(n, 0.0, pinned)
-        T0 = _start_tangent(system, c)
-        assert T0.shape == (system.size, 2 * n + 1 if pinned else 4 * n + 3)
+    def test_family_tangent_spans_the_family(self, n):
+        # orthonormal, 4n + 3 columns, and null for J at eps = 0 on the
+        # closed form
+        system, c = _resolved_setup(n)
+        T0 = _family_tangent(system, c)
+        assert T0.shape == (system.size, 4 * n + 3)
         assert np.abs(T0.T @ T0 - np.eye(T0.shape[1])).max() <= 1e-12
-        assert np.linalg.norm(system.constraint_rows @ T0) <= 1e-12
         J = system.jacobian(system.pack(c))
         assert np.linalg.norm(J @ T0) <= 1e-12 * np.linalg.norm(J)
 
