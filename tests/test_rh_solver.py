@@ -530,13 +530,14 @@ def _linearization_setup(n, eps, setup):
     return system, system.pack(c)
 
 
-def _resolved_setup(n):
-    """eps = 0 system at N = 128, M = 32 and a closed-form start above its
+def _resolved_setup(n, eps, pinned):
+    """System at N = 128, M = 32 and a closed-form start above its
     truncation floor (|a|^M below 1e-22)."""
-    q, m = _model(n, 0.0)
+    q, m = _model(n, eps)
     cfg = SolveConfig(N=128, M=32)
     p = DiscParams(y0=0.1, v=0.3 * np.ones(n), w=np.linspace(1.0, 0.5, n) + 0.2j, a=0.2 + 0.1j)
-    return _DiscSystem(m, cfg), params_to_coeffs(q, p, cfg.M)
+    c = params_to_coeffs(q, p, cfg.M)
+    return _DiscSystem(m, cfg, pin_center=c[:, 0] if pinned else None), c
 
 
 class TestLinearization:
@@ -568,6 +569,24 @@ class TestLinearization:
         ref = np.linalg.lstsq(J, c, rcond=_RCOND)[0]
         assert np.linalg.norm(solve_chord(c) - ref) <= 1e-5 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("eps", [0.0, 1e-4, 1e-3])
+    @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+    def test_svd_step_at_a_resolved_start(self, n, eps, pinned):
+        # above its truncation floor the start's J has the family's 4n + 3
+        # directions (2n + 1 pinned) at rounding at eps = 0; _svd_steps cuts
+        # them as lstsq does
+        system, c = _resolved_setup(n, eps, pinned)
+        x = system.pack(c)
+        J, r = system.jacobian(x), system.residual(x)
+        step, solve_chord = _svd_steps(J, -r)
+        if eps:  # at eps = 0 the residual is rounding
+            ref = np.linalg.lstsq(J, -r, rcond=_RCOND)[0]
+            assert np.linalg.norm(step - ref) <= 1e-8 * np.linalg.norm(ref)
+        rhs = np.random.default_rng(n).normal(size=r.size)
+        ref = np.linalg.lstsq(J, rhs, rcond=_RCOND)[0]
+        assert np.linalg.norm(solve_chord(rhs) - ref) <= 1e-5 * np.linalg.norm(ref)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_family_tangent_matches_differences(self, n):
         q, _ = _model(n, 0.0)
@@ -588,15 +607,23 @@ class TestLinearization:
             assert np.abs(T[k] - ref).max() <= 1e-8 * np.abs(T).max()
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_family_tangent_spans_the_family(self, n):
-        # orthonormal, 4n + 3 columns, and null for J at eps = 0 on the
-        # closed form
-        system, c = _resolved_setup(n)
+    @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+    def test_family_tangent_spans_the_family(self, n, pinned):
+        # orthonormal, 4n + 3 columns, and null for the lifted equations at
+        # eps = 0 on the closed form; the 2n + 2 pin rows have full rank on
+        # it, as J0's constraint step (C T0)^+ needs, leaving 2n + 1 free
+        system, c = _resolved_setup(n, 0.0, pinned)
         T0 = _family_tangent(system, c)
         assert T0.shape == (system.size, 4 * n + 3)
         assert np.abs(T0.T @ T0 - np.eye(T0.shape[1])).max() <= 1e-12
         J = system.jacobian(system.pack(c))
-        assert np.linalg.norm(J @ T0) <= 1e-12 * np.linalg.norm(J)
+        C = system.constraint_rows
+        lifted = J[: J.shape[0] - C.shape[0]]
+        assert np.linalg.norm(lifted @ T0) <= 1e-12 * np.linalg.norm(J)
+        assert C.shape[0] == (2 * n + 2 if pinned else 0)
+        if pinned:
+            S = np.linalg.svd(C @ T0, compute_uv=False)
+            assert S[-1] >= 1e-3 * S[0]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_family_counts_and_gap(self, n):
