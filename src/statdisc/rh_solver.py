@@ -35,10 +35,12 @@ linearizations; accepted chord steps at least halve the residual, so
 there are at most log2(r0 / tol) of them.  tol, the step cut _RCOND
 and the damping floor _DAMPING_MIN are constants.
 
-solve_with_homotopy solves a closed-form start in its normalized frame
-(DiscFrame): on the image Phi(M) under an automorphism of the quadric up
-to scale, from the pole-0 disc, which is exact at eps = 0 on every grid;
-solve_glued_disc is the same Newton on whatever surface it is given.
+solve_with_homotopy solves a closed-form start (DiscParams), the one
+start kind, in its normalized frame (DiscFrame): on the image Phi(M)
+under an automorphism of the quadric up to scale, from the pole-0 disc,
+which is exact at eps = 0 on every grid; pins and constraints are reads
+of g (DiscFrame.constraint).  solve_glued_disc is the same Newton on
+whatever surface it is given, from a coefficient array.
 Where its start is that pole-0 disc and misses tol, the first chord
 operator is J0^+, with J0 the eps = 0 linearization there: rotation
 invariant, so block diagonal in Fourier modes, built in closed form and
@@ -50,10 +52,9 @@ solved disc is the member with T0^T (x - x0) = 0.  When a J0 step
 fails to halve the residual, its steps are dropped and the exact Newton
 above runs from the start.
 
-family_dimension counts null(J) at a framed solution from J0's blocks
-too: two bounds on J's singular values across the cut
-(_certified_dimension), with the values-only SVD of J only where they
-prove nothing.
+family_dimension counts null(J) at a solution from J0's blocks too:
+two bounds on J's singular values across the cut (_certified_dimension),
+with the values-only SVD of J only where they prove nothing.
 """
 
 from dataclasses import dataclass, field, replace
@@ -130,23 +131,20 @@ class _DiscSystem:
 
     The unknowns are the real and imaginary parts of all (n+1, M+1)
     coefficients.  constraint = (read, target) appends the real equations
-    read(coeffs) = target, and pin_center = p appends h(0) = p the same
-    way (the read _center); each read is real-linear in the coefficients,
-    so its Jacobian rows are read of the unpacked identity, built once.
+    read(coeffs) = target (a pin is such a read, DiscFrame.constraint);
+    the read is real-linear in the coefficients, so its Jacobian rows are
+    read of the unpacked identity, built once.
     """
 
-    def __init__(self, m, cfg, pin_center=None, constraint=None):
+    def __init__(self, m, cfg, constraint=None):
         self.m = _as_perturbed(m)
         self.cfg = cfg
         self.n = self.m.n
         self.zeta = circle_nodes(cfg.N)
-        self.pin_center = None if pin_center is None else np.asarray(pin_center, dtype=complex)
-        self.constraints = [] if constraint is None else [constraint]
-        if self.pin_center is not None:
-            self.constraints.insert(0, (_center, _center(self.pin_center[:, None])))
+        self.constraint = constraint
         self.size = 2 * (self.n + 1) * (cfg.M + 1)  # packed unknowns
-        rows = [self.rows(read) for read, _target in self.constraints]
-        self.constraint_rows = np.vstack([np.empty((0, self.size)), *rows])
+        rows = np.empty((0, self.size)) if constraint is None else self.rows(constraint[0])
+        self.constraint_rows = np.ascontiguousarray(rows)
 
     # -- coefficient packing -------------------------------------------
 
@@ -171,7 +169,9 @@ class _DiscSystem:
         rho = self.m.eval_rho_many(h.T)
         neg = construct_regular_lift(self.m, h).spec[: self.n, self.cfg.N // 2 :].reshape(-1)
         parts = [rho, neg.real, neg.imag]
-        parts += [read(coeffs) - target for read, target in self.constraints]
+        if self.constraint is not None:
+            read, target = self.constraint
+            parts.append(read(coeffs) - target)
         return np.concatenate(parts)
 
     def sup_norm(self, r):
@@ -205,7 +205,7 @@ class _DiscSystem:
         column of the coefficient of zeta^k in component j perturbs that
         component alone, by zeta^k or i zeta^k; a block holds up to
         _BLOCK modes of one component and one of the two parts.  The
-        constraint rows, the pin's included, are the constant constraint_rows.
+        constraint rows are the constant constraint_rows.
         """
         N, n, half = self.cfg.N, self.n, self.cfg.N // 2
         h = _boundary_samples(self.unpack(x), self.cfg.N)
@@ -271,6 +271,12 @@ class DiscFrame:
 
     a: complex
     phi: Frame
+
+    @classmethod
+    def identity(cls, n):
+        """The frame of a bare solve: a = 0 and Phi the identity, so h = g."""
+        eye = np.eye(n + 1, dtype=complex)
+        return cls(a=0.0, phi=Frame(L=eye, t=np.zeros(n + 1, dtype=complex), c2=1.0))
 
     @classmethod
     def normalized(cls, q, params, M):
@@ -351,52 +357,45 @@ class GluedDisc:
     """Converged disc on a perturbed hypersurface.
 
     coeffs holds the truncated holomorphic coefficients (n+1, M+1) of the
-    solved disc in its frame: g on Phi(M) when frame is a DiscFrame, the
-    disc h on M itself when frame is None.  lam is the positive boundary
-    factor of the regular lift at the solution, and residual_sup and
-    lift_defects its certificate, all on the solve grid in that frame:
-    there the residual reads c2 times rho of M.  diagnostics carries
-    residuals and iteration history.  The reads map back to M.
+    solved disc g on Phi(M), with frame its DiscFrame (the identity frame
+    for a bare solve_glued_disc, where g is the disc h on M itself).  lam
+    is the positive boundary factor of the regular lift at the solution,
+    and residual_sup and lift_defects its certificate, all on the solve
+    grid in that frame: there the residual reads c2 times rho of M.
+    diagnostics carries residuals and iteration history.  The reads map
+    back to M.
     """
 
     coeffs: np.ndarray
     lam: np.ndarray
     config: SolveConfig
+    frame: DiscFrame
     pin_center: np.ndarray | None
     residual_sup: float
     lift_defects: np.ndarray
     iterations: int
     linearizations: int
     residual_history: list = field(default_factory=list)
-    frame: DiscFrame | None = None
 
     @property
     def h_coeffs(self):
         """Taylor coefficients 0..M of the disc h on M, (n+1, M+1)."""
-        return self.coeffs if self.frame is None else self.frame.taylor(self.coeffs)
+        return self.frame.taylor(self.coeffs)
 
     def boundary_values(self, N=None):
         N = validate_grid(N or self.config.N)
-        if self.frame is None:
-            return _boundary_samples(self.coeffs, N)
         return self.frame.phi.inverse(self.frame.g_at(self.coeffs, circle_nodes(N)).T).T
 
     def center(self):
         """h(0); a pinned disc returns its pin, which Newton holds to rounding."""
         if self.pin_center is not None:
             return self.pin_center.copy()
-        if self.frame is None:
-            return self.coeffs[:, 0].copy()
         return self.frame.h_at(self.coeffs, 0.0) + self.frame.phi.t
 
     def velocity(self):
-        if self.frame is None:
-            return self.coeffs[:, 1].copy()
         return self.frame.h_slope(self.coeffs, 0.0)
 
     def endpoint(self):
-        if self.frame is None:
-            return self.coeffs.sum(axis=1)
         return self.frame.h_at(self.coeffs, 1.0) + self.frame.phi.t
 
 
@@ -589,34 +588,27 @@ def _pole_zero_chord(system, coeffs):
     return solve
 
 
-def _start_coeffs(m, start, M):
-    """Coefficients (n+1, M+1) of start, a DiscParams of the base quadric
-    or a coefficient array."""
-    if isinstance(start, DiscParams):
-        return Disc(m.base, start, check=False).coefficients(M)
-    coeffs = np.asarray(start, dtype=complex)
-    if coeffs.shape != (m.n + 1, M + 1):
-        raise InvalidInputError(f"bad coefficient shape {coeffs.shape}")
-    return coeffs
+def solve_glued_disc(m, coeffs, cfg=None, constraint=None):
+    """Newton-continue a stationary disc onto the perturbed hypersurface m.
 
-
-def solve_glued_disc(m, start, cfg=None, pin_center=None, constraint=None):
-    """Newton-continue a stationary disc onto the perturbed hypersurface.
-
-    start is a DiscParams of the base quadric (or a coefficient array).
-    pin_center, when given, holds h(0) at that point: it is written into
-    mode 0 of the start and appended as the equations h(0) = pin_center.
-    constraint = (read, target) appends the real equations
-    read(coeffs) = target, read real-linear in the coefficient matrix.
-    At epsilon = 0 an exact disc returns unchanged with zero iterations.
+    coeffs is the start, truncated holomorphic coefficients (n+1, M+1) on
+    m itself.  constraint = (read, target) appends the real equations
+    read(coeffs) = target, read real-linear in the coefficient matrix; a
+    pin is such a read (DiscFrame.constraint).  The disc is returned in
+    the identity frame, so its reads are those of coeffs.  At epsilon = 0
+    an exact disc returns unchanged with zero iterations.
     """
     m = _as_perturbed(m)
     cfg = cfg or SolveConfig()
-    system = _DiscSystem(m, cfg, pin_center=pin_center, constraint=constraint)
-    coeffs = _start_coeffs(m, start, cfg.M)
-    if pin_center is not None:
-        coeffs = coeffs.copy()
-        coeffs[:, 0] = system.pin_center
+    if isinstance(coeffs, DiscParams):
+        raise InvalidInputError(
+            "solve_glued_disc takes a coefficient array; a DiscParams start is"
+            " solved by solve_with_homotopy"
+        )
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if coeffs.shape != (m.n + 1, cfg.M + 1):
+        raise InvalidInputError(f"bad coefficient shape {coeffs.shape}")
+    system = _DiscSystem(m, cfg, constraint=constraint)
     x = x0 = system.pack(coeffs)
     r = r0 = system.residual(x)
     history = [system.sup_norm(r)]
@@ -682,11 +674,6 @@ def solve_glued_disc(m, start, cfg=None, pin_center=None, constraint=None):
         iters += 1
         history.append(system.sup_norm(r))
     coeffs = system.unpack(x)
-    sup = history[-1]
-    if pin_center is not None and not np.array_equal(coeffs[:, 0], system.pin_center):
-        # Newton holds the pin rows to rounding; the returned disc holds the pin
-        coeffs[:, 0] = system.pin_center
-        sup = system.sup_norm(system.residual(system.pack(coeffs)))
     lift = construct_regular_lift(m, _boundary_samples(coeffs, cfg.N))
     defects = lift.defects
     if np.max(defects) > 10.0 * cfg.tol:
@@ -698,8 +685,9 @@ def solve_glued_disc(m, start, cfg=None, pin_center=None, constraint=None):
         coeffs=coeffs,
         lam=lift.lam,
         config=cfg,
-        pin_center=system.pin_center,
-        residual_sup=sup,
+        frame=DiscFrame.identity(m.n),
+        pin_center=None,
+        residual_sup=history[-1],
         lift_defects=defects,
         iterations=iters,
         linearizations=linearizations,
@@ -710,37 +698,34 @@ def solve_glued_disc(m, start, cfg=None, pin_center=None, constraint=None):
 def solve_with_homotopy(m, start, cfg=None, pin_center=None, constraint=None):
     """solve_glued_disc continued in epsilon over up to three schedules.
 
-    A closed-form start (DiscParams) is solved in its normalized frame
-    (DiscFrame): on Phi(M), from the centered disc with pole 0, which
-    solves eps = 0 exactly at every M.  The pin and constraint become
-    reads of g (DiscFrame.constraint), and the returned disc carries the
-    frame, so its reads map back to M.  A coefficient-array start is
-    solved as given, with no frame.  Where the frame gives no regular
-    lift, the refusal names the perturbation's size there and the knobs.
+    start is a closed-form disc (DiscParams) of the base quadric, solved
+    in its normalized frame (DiscFrame): on Phi(M), from the centered
+    disc with pole 0, which solves eps = 0 exactly at every M.  The pin
+    h(0) = pin_center and constraint = (read, target) of h become reads
+    of g (DiscFrame.constraint), and the returned disc carries the frame,
+    so its reads map back to M.  Where the frame gives no regular lift,
+    the refusal names the perturbation's size there and the knobs.
 
-    Continuation assumes that start solves the eps = 0 problem (E. L.
-    Allgower and K. Georg, Introduction to Numerical Continuation Methods,
-    1990), so that is decided once, before any eps stage.  The framed start
-    solves it by construction and is not checked.  When a coefficient-array
-    start's unpinned eps = 0 residual on the grid misses tol, one unpinned
-    solve_glued_disc at eps = 0 must correct it, and a start that Newton
-    cannot correct there is refused before any stage, with that solve's
-    NoConvergenceError and the cause and knob appended.  At eps = 0 the one
-    stage is that solve.  The schedules are [1], [1/2, 1] and
-    [1/4, 1/2, 3/4, 1] times eps (up to 7 stages), each started afresh from
-    the start's coefficients.  Smaller steps rescue some solves whose
-    discretization floor at eps sits near tol.  When every schedule fails,
-    the last one's error is re-raised with the knobs.
+    Continuation needs a start that solves the eps = 0 problem (E. L.
+    Allgower and K. Georg, Introduction to Numerical Continuation
+    Methods, 1990); the framed start does by construction.  At eps = 0
+    the one stage is solve_glued_disc from it.  The schedules are [1],
+    [1/2, 1] and [1/4, 1/2, 3/4, 1] times eps (up to 7 stages), each
+    started afresh from the start's coefficients.  Smaller steps rescue
+    some solves whose discretization floor at eps sits near tol.  When
+    every schedule fails, the last one's error is re-raised with the
+    knobs.
     """
+    if not isinstance(start, DiscParams):
+        raise InvalidInputError(
+            f"solve_with_homotopy takes a DiscParams start, got {type(start).__name__}"
+        )
     m = _as_perturbed(m)
     cfg = cfg or SolveConfig()
-    if not isinstance(start, DiscParams):
-        return _continue(m, _start_coeffs(m, start, cfg.M), cfg, pin_center, constraint)
     frame, coeffs = DiscFrame.normalized(m.base, start, cfg.M)
     surface = m.in_frame(frame.phi)
-    constraint = frame.constraint(pin_center, constraint)
     try:
-        sol = _continue(surface, coeffs, cfg, None, constraint, exact_start=True)
+        sol = _continue(surface, coeffs, cfg, frame.constraint(pin_center, constraint))
     except LiftConstructionError as err:
         refusal = str(err)
     else:
@@ -754,48 +739,25 @@ def solve_with_homotopy(m, start, cfg=None, pin_center=None, constraint=None):
     )
 
 
-def _continue(m, coeffs, cfg, pin_center, constraint, exact_start=False):
-    """solve_with_homotopy's eps = 0 check and schedules on m from coeffs;
-    an exact_start (the framed pole-0 disc) solves eps = 0 by construction
-    and skips the check."""
-    try:
-        if m.epsilon == 0.0:
-            return solve_glued_disc(m, coeffs, cfg, pin_center=pin_center, constraint=constraint)
-        if not exact_start:
-            zero = m.with_epsilon(0.0)
-            system = _DiscSystem(zero, cfg)
-            if system.sup_norm(system.residual(system.pack(coeffs))) >= cfg.tol:
-                solve_glued_disc(zero, coeffs, cfg)
-    except NoConvergenceError as err:
-        # without its traceback, which holds this frame and would close a cycle
-        last = err.with_traceback(None)
-        history = last.residual_history
-        cause = (
-            f"the start does not solve eps = 0 on the N={cfg.N}, M={cfg.M} grid"
-            f" (Newton takes its residual from {history[0]:.3e} to {history[-1]:.3e}):"
-            " raise M (and N) or lower |a|"
-        )
-    else:
-        for schedule in ([1.0], [0.5, 1.0], [0.25, 0.5, 0.75, 1.0]):
-            cur = coeffs
-            try:
-                for t in schedule:
-                    sol = solve_glued_disc(
-                        m.with_epsilon(t * m.epsilon),
-                        cur,
-                        cfg,
-                        pin_center=pin_center,
-                        constraint=constraint,
-                    )
-                    cur = sol.coeffs
-                return sol
-            except NoConvergenceError as err:
-                last = err.with_traceback(None)
-        cause = (
-            f"every schedule stalls above tol at eps = {m.epsilon:.3g} on the"
-            f" N={cfg.N}, M={cfg.M} grid: raise M (and N), or lower eps"
-        )
-    last = NoConvergenceError(f"{last}; {cause}", residual_history=last.residual_history)
+def _continue(m, coeffs, cfg, constraint):
+    """solve_with_homotopy's schedules on m from coeffs, which solve eps = 0."""
+    if m.epsilon == 0.0:
+        return solve_glued_disc(m, coeffs, cfg, constraint)
+    for schedule in ([1.0], [0.5, 1.0], [0.25, 0.5, 0.75, 1.0]):
+        cur = coeffs
+        try:
+            for t in schedule:
+                sol = solve_glued_disc(m.with_epsilon(t * m.epsilon), cur, cfg, constraint)
+                cur = sol.coeffs
+            return sol
+        except NoConvergenceError as err:
+            # without its traceback, which holds this frame and would close a cycle
+            last = err.with_traceback(None)
+    last = NoConvergenceError(
+        f"{last}; every schedule stalls above tol at eps = {m.epsilon:.3g} on the"
+        f" N={cfg.N}, M={cfg.M} grid: raise M (and N), or lower eps",
+        residual_history=last.residual_history,
+    )
     try:
         raise last
     finally:
@@ -809,11 +771,8 @@ def _system_at(m, sol, cfg):
     cfg = cfg or sol.config
     if cfg.M != sol.config.M:
         raise InvalidInputError(f"solution has M={sol.config.M}, configuration M={cfg.M}")
-    if sol.frame is None:
-        system = _DiscSystem(m, cfg, pin_center=sol.pin_center)
-    else:
-        surface = _as_perturbed(m).in_frame(sol.frame.phi)
-        system = _DiscSystem(surface, cfg, constraint=sol.frame.constraint(sol.pin_center))
+    surface = _as_perturbed(m).in_frame(sol.frame.phi)
+    system = _DiscSystem(surface, cfg, constraint=sol.frame.constraint(sol.pin_center))
     return system, system.jacobian(system.pack(sol.coeffs))
 
 
@@ -900,16 +859,14 @@ def family_dimension(m, sol, cfg=None):
     _null_count counts J's singular values, and the gap across its cut:
     {"dim": k, "gap": (kept_lower, null_upper)}.
 
-    A framed sol's count comes from J0's blocks (_certified_dimension),
-    with bounds on sigma_{K-k} and sigma_{K-k+1}; otherwise, and where
-    those bounds prove nothing, from one values-only SVD of J, with the
-    two values themselves.
+    The count comes from J0's blocks (_certified_dimension), with bounds
+    on sigma_{K-k} and sigma_{K-k+1}; where those bounds prove nothing,
+    from one values-only SVD of J, with the two values themselves.
     """
     system, J = _system_at(m, sol, cfg)
-    if sol.frame is not None:
-        certified = _certified_dimension(system, sol.coeffs, J)
-        if certified is not None:
-            return certified
+    certified = _certified_dimension(system, sol.coeffs, J)
+    if certified is not None:
+        return certified
     sv = np.linalg.svd(J, compute_uv=False)
     k = _null_count(sv)
     return {"dim": k, "gap": (float(sv[-k - 1]), float(sv[-k]))}
@@ -957,18 +914,13 @@ def _parts(z):
 
 def _endpoint(coeffs, frame=None):
     """Im z0, Re z_a and Im z_a of h(1): the endpoint read."""
-    end = coeffs.sum(axis=-1) if frame is None else frame.h_at(coeffs, 1.0)
+    end = frame.h_at(coeffs, 1.0) if frame else coeffs.sum(axis=-1)
     return np.concatenate([end[..., :1].imag, end[..., 1:].real, end[..., 1:].imag], axis=-1)
-
-
-def _center(coeffs):
-    """Re and Im of h(0): the pin read."""
-    return _parts(coeffs[..., 0])
 
 
 def _velocity(coeffs, frame=None):
     """Re and Im of h'(0): the velocity read."""
-    return _parts(coeffs[..., 1] if frame is None else frame.h_slope(coeffs, 0.0))
+    return _parts(frame.h_slope(coeffs, 0.0) if frame else coeffs[..., 1])
 
 
 @dataclass(frozen=True)

@@ -168,11 +168,12 @@ class TestRegularLift:
         assert np.abs(ratio - 1.0).max() < 1e-12
 
     def test_perturbed_disc_end_to_end(self):
-        from statdisc import SolveConfig, solve_glued_disc
+        from statdisc import Disc, SolveConfig, solve_glued_disc
 
         m = PerturbedHypersurface(base=self.Q, epsilon=1e-3, terms={(0, 0, 3, 0): 1.0})
         cfg = SolveConfig(N=128, M=32)
-        sol = solve_glued_disc(m, DiscParams(y0=0.0, v=[0.0], w=[1.0], a=0.2), cfg)
+        start = Disc(self.Q, DiscParams(y0=0.0, v=[0.0], w=[1.0], a=0.2)).coefficients(cfg.M)
+        sol = solve_glued_disc(m, start, cfg)
         lift = construct_regular_lift(m, sol.boundary_values(128))
         assert np.max(lift.defects) < 1e-9
 

@@ -33,6 +33,7 @@ from statdisc.errors import (
 from statdisc.rh_solver import (
     _RCOND,
     DiscFrame,
+    _boundary_samples,
     _center_disc_params,
     _center_pin,
     _certified_dimension,
@@ -57,12 +58,12 @@ FLAT = PerturbedHypersurface(base=SPHERE)
 QUARTIC = PerturbedHypersurface(base=SPHERE, epsilon=1e-3, terms={(0, 0, 4, 0): 1.0})
 CFG = SolveConfig(N=128, M=32)
 START = DiscParams(y0=0.1, v=[0.0], w=[1.0], a=0.25 + 0.1j)
-# at M = 32 this pole sits above the truncation floor: Newton cannot
-# correct the start even at eps = 0, so the homotopy refuses it before any stage
+# at M = 32 this pole sits above the closed form's truncation floor; its
+# normalized frame, where the start is exact at eps = 0, removes that floor
 STALLING = DiscParams(y0=0.1, v=[0.0], w=[1.0], a=0.6)
-# START solves eps = 0 at CFG, yet stalls at every eps of this quartic:
-# the homotopy runs all three schedules, the last one for three stages
-RETRYING = PerturbedHypersurface(base=SPHERE, epsilon=0.05, terms={(0, 0, 4, 0): 1.0})
+# START stalls at 1.58e-9 at every eps of this quartic at CFG: the
+# homotopy runs all three schedules, all seven stages
+RETRYING = PerturbedHypersurface(base=SPHERE, epsilon=0.09, terms={(0, 0, 4, 0): 1.0})
 
 
 def params_to_coeffs(q, params, M):
@@ -70,11 +71,23 @@ def params_to_coeffs(q, params, M):
     return Disc(q, params, check=False).coefficients(M)
 
 
-# A coefficient-array start is solved as given, with no frame, so it keeps
-# the closed form's |a|^M truncation floor; a DiscParams start is solved in
-# its normalized frame, where the start is exact at eps = 0.
-STALLING_COEFFS = params_to_coeffs(SPHERE, STALLING, CFG.M)
+def _sweep_model(n, r, eps):
+    """The normalized-frame sweep: A = diag(1, 1.5)[:n], s = (Re z1)^4, and
+    the start y0 = 0.1, w = (1, 0.5)[:n], a = r e^{0.4 i}."""
+    q = Hyperquadric(n=n, A=np.diag([1.0, 1.5][:n]))
+    m = PerturbedHypersurface(base=q, epsilon=eps, terms={(0, 0, 4) + (0,) * (2 * n - 1): 1.0})
+    return m, DiscParams(y0=0.1, v=np.zeros(n), w=[1.0, 0.5][:n], a=r * np.exp(0.4j))
+
+
+# solve_glued_disc's start: the coefficients, solved as given on the
+# surface, so a bare solve keeps the closed form's |a|^M truncation floor
 START_COEFFS = params_to_coeffs(SPHERE, START, CFG.M)
+
+
+def pin_rows(pin, constraint=None):
+    """The pin h(0) = pin, and constraint, as one constraint of a bare solve:
+    the reads of the identity frame, h(0) the mode-0 coefficients."""
+    return DiscFrame.identity(len(pin) - 1).constraint(pin, constraint)
 
 
 def counting(calls, key, original):
@@ -87,11 +100,11 @@ def counting(calls, key, original):
     return counted
 
 
-def _stalled_homotopy(m, start=STALLING_COEFFS):
+def _stalled_homotopy(m, start=START, cfg=CFG):
     """Message and residual history of the NoConvergenceError that
     solve_with_homotopy raises (not the error, whose traceback holds frames)."""
     try:
-        solve_with_homotopy(m, start, CFG)
+        solve_with_homotopy(m, start, cfg)
     except NoConvergenceError as err:
         return str(err), err.residual_history
     raise AssertionError("expected the homotopy to stall")
@@ -99,7 +112,7 @@ def _stalled_homotopy(m, start=STALLING_COEFFS):
 
 def _record_stages(monkeypatch):
     """The eps of every solve_glued_disc call that solve_with_homotopy
-    makes from now on, the eps = 0 check of its start included."""
+    makes from now on."""
     stages = []
     original = rh_solver.solve_glued_disc
 
@@ -158,14 +171,14 @@ INDEFINITE = PerturbedHypersurface(
 
 class TestSolve:
     def test_unperturbed_fixed_point(self):
-        sol = solve_glued_disc(FLAT, START, CFG)
+        sol = solve_glued_disc(FLAT, START_COEFFS, CFG)
         assert sol.iterations == 0
         assert sol.residual_sup < 1e-14
         ref = params_to_coeffs(SPHERE, START, CFG.M)
         assert np.abs(sol.h_coeffs - ref).max() < 1e-13
 
     def test_perturbed_quartic(self):
-        sol = solve_glued_disc(QUARTIC, START, CFG)
+        sol = solve_glued_disc(QUARTIC, START_COEFFS, CFG)
         assert sol.residual_sup < 1e-11
         assert sol.iterations <= 8
         rep = verify_gluing(QUARTIC, sol.boundary_values())
@@ -175,15 +188,46 @@ class TestSolve:
         assert np.all(sol.lam > 0)
 
     def test_solution_lift_is_the_public_construction(self):
-        sol = solve_glued_disc(QUARTIC, START, CFG)
-        lift = construct_regular_lift(QUARTIC, sol.boundary_values())
+        # the lift of the solver's own samples on its grid
+        sol = solve_glued_disc(QUARTIC, START_COEFFS, CFG)
+        lift = construct_regular_lift(QUARTIC, _boundary_samples(sol.coeffs, CFG.N))
         assert np.array_equal(sol.lam, lift.lam)
         assert np.array_equal(sol.lift_defects, lift.defects)
 
     def test_far_perturbation_fails(self):
         far = PerturbedHypersurface(base=SPHERE, epsilon=10.0, terms={(0, 0, 4, 0): 1.0})
         with pytest.raises((NoConvergenceError, LiftConstructionError)):
-            solve_glued_disc(far, START, CFG)
+            solve_glued_disc(far, START_COEFFS, CFG)
+
+    def test_homotopy_takes_a_closed_form_start(self, monkeypatch):
+        calls = _count_solves(monkeypatch)
+        with pytest.raises(InvalidInputError, match="^solve_with_homotopy takes a DiscParams"):
+            solve_with_homotopy(QUARTIC, START_COEFFS, CFG)
+        assert calls["solve"] == 0
+
+    def test_bare_solve_takes_coefficients(self):
+        with pytest.raises(InvalidInputError, match="^solve_glued_disc takes a coefficient array"):
+            solve_glued_disc(QUARTIC, START, CFG)
+        with pytest.raises(InvalidInputError, match=r"^bad coefficient shape \(2, 25\)$"):
+            solve_glued_disc(QUARTIC, START_COEFFS[:, :25], CFG)
+
+    def test_bare_solve_reads_its_coefficients(self):
+        # a bare solve's disc is in the identity frame: h is g, so every
+        # read is the coefficients' own
+        sol = solve_glued_disc(QUARTIC, START_COEFFS, CFG)
+        c = sol.coeffs
+        assert sol.frame.a == 0.0 and sol.pin_center is None
+        reads = [
+            (sol.h_coeffs, c),
+            (sol.center(), c[:, 0]),
+            (sol.velocity(), c[:, 1]),
+            (sol.endpoint(), c.sum(axis=1)),
+        ]
+        for read, ref in reads:
+            assert np.abs(read - ref).max() <= 1e-15 * np.abs(ref).max()
+        for N in (CFG.N, 1024):
+            ref = _boundary_samples(c, N)
+            assert np.abs(sol.boundary_values(N) - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_residual_certificate_on_perturbed_solution(self):
         m = PerturbedHypersurface(
@@ -196,14 +240,15 @@ class TestSolve:
     def test_pinned_center_held(self):
         pin = np.array([1.0, 0.0], dtype=complex)
         p = DiscParams(y0=0.0, v=[0.0], w=[1.0], a=0.2)
-        sol = solve_glued_disc(QUARTIC, p, CFG, pin_center=pin)
+        sol = solve_with_homotopy(QUARTIC, p, CFG, pin_center=pin)
         assert np.abs(sol.center() - pin).max() == 0.0
         assert sol.residual_sup < 1e-11
         # Newton holds the pin rows to rounding; residual and lift are
-        # reported for the returned coefficients, which hold the pin exactly
-        system = _DiscSystem(QUARTIC, CFG, pin_center=pin)
-        assert sol.residual_sup == system.sup_norm(system.residual(system.pack(sol.h_coeffs)))
-        assert np.array_equal(sol.lam, construct_regular_lift(QUARTIC, sol.boundary_values()).lam)
+        # reported for the returned coefficients, on the grid of its frame
+        system, _J = _system_at(QUARTIC, sol, CFG)
+        assert sol.residual_sup == system.sup_norm(system.residual(system.pack(sol.coeffs)))
+        lift = construct_regular_lift(system.m, _boundary_samples(sol.coeffs, CFG.N))
+        assert np.array_equal(sol.lam, lift.lam)
 
     def test_layers_run_through_their_entry_points(self, monkeypatch):
         # A profiler attributes time to the kernel and the Hilbert transform
@@ -224,158 +269,96 @@ class TestSolve:
                             monkeypatch.setattr(mod, key, counted)
         monkeypatch.setattr(np.linalg, "qr", counting(calls, "qr", np.linalg.qr))
         monkeypatch.setattr(np.linalg, "svd", counting(calls, "svd", np.linalg.svd))
-        sol = solve_glued_disc(QUARTIC, START, CFG)
+        sol = solve_glued_disc(QUARTIC, START_COEFFS, CFG)
         assert calls["poly_eval"] > 0 and calls["hilbert_transform"] > 0 and calls["qr"] > 0
         family_dimension(QUARTIC, sol, CFG)
         assert calls["svd"] > 0
 
     def test_one_linearization_serves_chord_steps(self):
-        sol = solve_glued_disc(QUARTIC, START, SolveConfig(N=128, M=32, max_iter=1))
+        sol = solve_glued_disc(QUARTIC, START_COEFFS, SolveConfig(N=128, M=32, max_iter=1))
         assert sol.linearizations == 1 < sol.iterations
         assert sol.residual_sup < 1e-11
 
     @pytest.mark.parametrize("pinned", [False, True])
     def test_matches_plain_newton(self, pinned):
-        pin = params_to_coeffs(SPHERE, START, CFG.M)[:, 0] if pinned else None
-        sol = solve_glued_disc(QUARTIC, START, CFG, pin_center=pin)
-        system = _DiscSystem(QUARTIC, CFG, pin_center=pin)
-        x = newton_oracle(system, system.pack(params_to_coeffs(SPHERE, START, CFG.M)), CFG)
+        constraint = pin_rows(START_COEFFS[:, 0]) if pinned else None
+        sol = solve_glued_disc(QUARTIC, START_COEFFS, CFG, constraint)
+        system = _DiscSystem(QUARTIC, CFG, constraint)
+        x = newton_oracle(system, system.pack(START_COEFFS), CFG)
         assert np.abs(sol.h_coeffs - system.unpack(x)).max() < 1e-6
 
     @staticmethod
-    def _assert_no_reference_cycles(m, start):
-        _stalled_homotopy(m, start)  # first-call caches
+    def _assert_no_reference_cycles(m, start, cfg):
+        _stalled_homotopy(m, start, cfg)  # first-call caches
         gc.collect()
         gc.disable()
         try:
-            _stalled_homotopy(m, start)
+            _stalled_homotopy(m, start, cfg)
             assert gc.collect() == 0
         finally:
             gc.enable()
 
     def test_failed_homotopy_leaves_no_reference_cycles(self):
-        self._assert_no_reference_cycles(QUARTIC, STALLING_COEFFS)  # refused before any stage
+        # n = 2, |a| = 0.95 at (128, 24): refused, each schedule stalling
+        # before its last stage
+        m, p = _sweep_model(2, 0.95, 1e-3)
+        self._assert_no_reference_cycles(m, p, SolveConfig(N=128, M=24))
 
     def test_retried_homotopy_leaves_no_reference_cycles(self):
-        self._assert_no_reference_cycles(RETRYING, START_COEFFS)  # all three schedules
+        self._assert_no_reference_cycles(RETRYING, START, CFG)  # all seven stages
 
     def test_homotopy_stages_share_derivative_stacks(self, monkeypatch):
         # all three schedules, the four-stage one included, run and stall;
-        # START solves eps = 0, so no eps = 0 solve precedes them; a fresh
-        # RETRYING, so that no stacks are cached yet
-        m = PerturbedHypersurface(base=SPHERE, epsilon=0.05, terms={(0, 0, 4, 0): 1.0})
+        # a fresh RETRYING, so that no stacks are cached yet
+        m = PerturbedHypersurface(base=SPHERE, epsilon=0.09, terms={(0, 0, 4, 0): 1.0})
         calls = Counter()
         original = _kernels.stack_derivatives
         monkeypatch.setattr(_kernels, "stack_derivatives", counting(calls, "stack", original))
         stages = _record_stages(monkeypatch)
-        _stalled_homotopy(m, START_COEFFS)
-        assert stages == [t * m.epsilon for t in (1.0, 0.5, 1.0, 0.25, 0.5, 0.75)]
+        _stalled_homotopy(m)
+        assert stages == [t * m.epsilon for t in (1.0, 0.5, 1.0, 0.25, 0.5, 0.75, 1.0)]
         assert calls["stack"] <= 2
 
     def test_retry_schedule_rescues_a_stalled_first_schedule(self, monkeypatch):
         # the discretization floor at this eps sits near tol: one full step
         # stalls above it, two half steps land below
-        cfg = SolveConfig(N=128, M=40)
-        m = PerturbedHypersurface(base=SPHERE, epsilon=0.28, terms={(2, 0, 0, 1): 1.25})
+        m, p = _sweep_model(2, 0.95, 1e-3)
+        cfg = SolveConfig(N=256, M=48)
+        frame, g0 = DiscFrame.normalized(m.base, p, cfg.M)
         with pytest.raises(NoConvergenceError):
-            solve_glued_disc(m, START, cfg)  # schedule 1 alone
+            solve_glued_disc(m.in_frame(frame.phi), g0, cfg)  # schedule 1 alone
         stages = _record_stages(monkeypatch)
-        sol = solve_with_homotopy(m, params_to_coeffs(SPHERE, START, cfg.M), cfg)
+        sol = solve_with_homotopy(m, p, cfg)
         assert stages == [t * m.epsilon for t in (1.0, 0.5, 1.0)]
         assert sol.residual_sup < cfg.tol and np.max(sol.lift_defects) <= 10 * cfg.tol
 
-    def test_unresolved_start_refuses_the_retries(self, monkeypatch):
-        with pytest.raises(NoConvergenceError):
-            solve_glued_disc(QUARTIC, STALLING, CFG)  # schedule 1 alone fails too
-        with pytest.raises(NoConvergenceError) as check:
-            solve_glued_disc(FLAT, STALLING, CFG)  # the eps = 0 check
-        stages = _record_stages(monkeypatch)
-        msg, hist = _stalled_homotopy(QUARTIC, STALLING_COEFFS)
-        assert stages == [0.0]  # refused before any eps stage
-        assert msg.startswith(f"{check.value}; ")
-        assert msg.startswith(("damping stalled", "no convergence"))
-        assert hist == check.value.residual_history
-        assert msg.split("; ")[0].endswith(f"{hist[-1]:.3e}")
-        system = _DiscSystem(SPHERE, CFG)
-        x = system.pack(params_to_coeffs(SPHERE, STALLING, CFG.M))
-        floor = system.sup_norm(system.residual(x))
-        assert hist[0] == floor
-        assert "does not solve eps = 0 on the N=128, M=32 grid" in msg
-        assert f"from {floor:.3e} to {hist[-1]:.3e})" in msg
-        assert msg.endswith("raise M (and N) or lower |a|")
-
-    def test_pinned_unresolved_start_is_refused_before_any_stage(self, monkeypatch):
-        pin = STALLING_COEFFS[:, 0]
-        stages = _record_stages(monkeypatch)
-        with pytest.raises(NoConvergenceError, match="does not solve eps = 0") as refused:
-            solve_with_homotopy(QUARTIC, STALLING_COEFFS, CFG, pin_center=pin)
-        assert stages == [0.0]
-        with pytest.raises(NoConvergenceError) as check:
-            solve_glued_disc(FLAT, STALLING, CFG)  # unpinned, like the check
-        assert refused.value.residual_history == check.value.residual_history
-
-    @pytest.mark.parametrize("pinned", [False, True])
-    def test_resolved_start_linearizes_like_a_bare_solve(self, monkeypatch, pinned):
-        pin = params_to_coeffs(SPHERE, START, CFG.M)[:, 0] if pinned else None
-        calls = Counter()
-        original = _DiscSystem.jacobian
-        monkeypatch.setattr(_DiscSystem, "jacobian", counting(calls, "bare", original))
-        bare = solve_glued_disc(QUARTIC, START_COEFFS, CFG, pin_center=pin)
-        monkeypatch.setattr(_DiscSystem, "jacobian", counting(calls, "homotopy", original))
-        sol = solve_with_homotopy(QUARTIC, START_COEFFS, CFG, pin_center=pin)
-        assert calls["homotopy"] == calls["bare"] > 0
-        assert np.array_equal(sol.h_coeffs, bare.h_coeffs)
-
     def test_exhausted_schedules_name_the_knobs(self):
-        # START solves eps = 0 at CFG, so all three schedules run and stall
-        msg, hist = _stalled_homotopy(RETRYING, START_COEFFS)
+        # START stalls at every eps of RETRYING at CFG, so all three schedules run
+        msg, hist = _stalled_homotopy(RETRYING)
         assert msg.startswith(("damping stalled", "no convergence"))
         assert msg.endswith(
-            "; every schedule stalls above tol at eps = 0.05 on the N=128, M=32 grid:"
+            "; every schedule stalls above tol at eps = 0.09 on the N=128, M=32 grid:"
             " raise M (and N), or lower eps"
         )
         assert hist[-1] >= CFG.tol
         # and each knob alone rescues it
         fine = SolveConfig(N=256, M=48)
-        fine_start = params_to_coeffs(SPHERE, START, fine.M)
-        assert solve_with_homotopy(RETRYING, fine_start, fine).residual_sup < fine.tol
-        lower = RETRYING.with_epsilon(0.02)
-        assert solve_with_homotopy(lower, START_COEFFS, CFG).residual_sup < CFG.tol
-
-    def test_start_newton_corrects_at_zero_keeps_the_retries(self, monkeypatch):
-        # this pole's truncated start misses tol at eps = 0, yet one Newton
-        # step there brings it below: the start residual alone is no floor;
-        # that eps = 0 solve runs first, then all three schedules
-        start = DiscParams(y0=0.1, v=[0.0], w=[1.0], a=0.46)
-        system = _DiscSystem(SPHERE, CFG)
-        x = system.pack(params_to_coeffs(SPHERE, start, CFG.M))
-        assert system.sup_norm(system.residual(x)) >= CFG.tol
-        assert solve_glued_disc(FLAT, start, CFG).residual_sup < CFG.tol
-        stages = _record_stages(monkeypatch)
-        _stalled_homotopy(RETRYING, params_to_coeffs(SPHERE, start, CFG.M))
-        assert stages == [t * RETRYING.epsilon for t in (0.0, 1.0, 0.5, 0.25)]
+        assert solve_with_homotopy(RETRYING, START, fine).residual_sup < fine.tol
+        lower = RETRYING.with_epsilon(0.07)
+        assert solve_with_homotopy(lower, START, CFG).residual_sup < CFG.tol
 
     @pytest.mark.parametrize(
-        "m, start, cfg, pin",
+        "m, start, cfg, pin, answers",
         [
-            # refused: past its |a|^M floor the coefficient start's eps = 0
-            # solve stalls
-            pytest.param(QUARTIC, STALLING_COEFFS, CFG, None, id="n1-M32-floor"),
-            # like a refusing continuation slot: n = 2, |a| = 0.55 at (128, 24)
+            # refused: START stalls at every eps of RETRYING at CFG
+            pytest.param(RETRYING, START, CFG, None, False, id="n1-eps0.09-refused"),
+            # refused: n = 2, |a| = 0.95 at (128, 24)
             pytest.param(
-                PerturbedHypersurface(
-                    base=Hyperquadric(n=2, A=np.diag([1.0, 1.5])),
-                    epsilon=1e-4,
-                    terms={(0, 0, 4, 0, 0, 0): 1.0},
-                ),
-                params_to_coeffs(
-                    Hyperquadric(n=2, A=np.diag([1.0, 1.5])),
-                    DiscParams(y0=0.1, v=[0.0, 0.0], w=[1.0, 0.5], a=0.55 * np.exp(0.4j)),
-                    24,
-                ),
+                *_sweep_model(2, 0.95, 1e-3),
                 SolveConfig(N=128, M=24),
                 None,
-                id="n2-M24-floor",
+                False,
+                id="n2-a0.95-M24-refused",
             ),
             # answers: the pinned framed solve of `statdisc solve --n 2 --a 0.3
             # --w 1,0.5 --epsilon 1e-4 --term 0,0,4,0,0,0:1.0 --grid 128
@@ -389,56 +372,36 @@ class TestSolve:
                 DiscParams(y0=0.0, v=[0.0, 0.0], w=[1.0, 0.5], a=0.3),
                 SolveConfig(N=128, M=24),
                 np.array([1.0, 0.0, 0.0], dtype=complex),
+                True,
                 id="n2-pinned-j0-stalls",
             ),
         ],
     )
-    def test_every_exact_linearization_takes_the_svd_step(self, monkeypatch, m, start, cfg, pin):
+    def test_every_exact_linearization_takes_the_svd_step(
+        self, monkeypatch, m, start, cfg, pin, answers
+    ):
         # _svd_steps is the one dense step: each exact Jacobian is factored
         # by it once, whether the solve answers or is refused
         calls = Counter()
         monkeypatch.setattr(rh_solver, "_svd_steps", counting(calls, "svd", _svd_steps))
         jacobian = _DiscSystem.jacobian
         monkeypatch.setattr(_DiscSystem, "jacobian", counting(calls, "jacobian", jacobian))
-        if isinstance(start, DiscParams):
+        if answers:
             sol = solve_with_homotopy(m, start, cfg, pin_center=pin)
             assert sol.residual_sup < cfg.tol and sol.linearizations >= 2
         else:
-            with pytest.raises(NoConvergenceError, match="does not solve eps = 0"):
-                solve_with_homotopy(m, start, cfg)
+            with pytest.raises(NoConvergenceError, match="every schedule stalls"):
+                solve_with_homotopy(m, start, cfg, pin_center=pin)
         assert calls["svd"] == calls["jacobian"] > 0
 
-    @pytest.mark.parametrize("as_coeffs", [False, True], ids=["params", "coefficients"])
-    def test_zero_epsilon_runs_one_stage(self, monkeypatch, as_coeffs):
-        # the one stage refuses a coefficient start on its floor; in the
-        # normalized frame the same disc is exact and needs no Newton step
-        start = STALLING_COEFFS if as_coeffs else STALLING
+    def test_zero_epsilon_runs_one_stage(self, monkeypatch):
+        # in the normalized frame a disc past the closed form's floor is
+        # exact at eps = 0 and needs no Newton step
         stages = _record_stages(monkeypatch)
-        if as_coeffs:
-            msg, _hist = _stalled_homotopy(QUARTIC.with_epsilon(0.0), start)
-            assert "does not solve eps = 0" in msg and "eps steps" not in msg
-        else:
-            sol = solve_with_homotopy(QUARTIC.with_epsilon(0.0), start, CFG)
-            assert sol.iterations == sol.linearizations == 0
-            assert sol.residual_sup < 1e-14
+        sol = solve_with_homotopy(QUARTIC.with_epsilon(0.0), STALLING, CFG)
+        assert sol.iterations == sol.linearizations == 0
+        assert sol.residual_sup < 1e-14
         assert stages == [0.0]
-
-    def test_framed_start_skips_the_zero_check(self, monkeypatch):
-        # the framed pole-0 start solves eps = 0 by construction, so no
-        # eps = 0 system is built for it; a coefficient start is checked
-        built = []
-        original = _DiscSystem.__init__
-
-        def recording(self, m, *args, **kwargs):
-            built.append(m.epsilon)
-            original(self, m, *args, **kwargs)
-
-        monkeypatch.setattr(_DiscSystem, "__init__", recording)
-        solve_with_homotopy(QUARTIC, START, CFG)
-        assert built == [QUARTIC.epsilon]
-        built.clear()
-        solve_with_homotopy(QUARTIC, START_COEFFS, CFG)
-        assert built == [0.0, QUARTIC.epsilon]
 
     def test_resolved_pole_passes_the_gate(self, monkeypatch):
         fine = SolveConfig(N=256, M=64)
@@ -525,8 +488,9 @@ def _linearization_setup(n, eps, setup):
         "endpoint": (_endpoint, _endpoint(c) + 0.01),
         "velocity": (_velocity, 1.01 * _velocity(c)),
     }.get(setup)
-    pin = None if setup == "free" else c[:, 0]
-    system = _DiscSystem(m, cfg, pin_center=pin, constraint=constraint)
+    if setup != "free":  # pinned, with the transport read after the pin rows
+        constraint = pin_rows(c[:, 0], constraint)
+    system = _DiscSystem(m, cfg, constraint)
     return system, system.pack(c)
 
 
@@ -537,7 +501,7 @@ def _resolved_setup(n, eps, pinned):
     cfg = SolveConfig(N=128, M=32)
     p = DiscParams(y0=0.1, v=0.3 * np.ones(n), w=np.linspace(1.0, 0.5, n) + 0.2j, a=0.2 + 0.1j)
     c = params_to_coeffs(q, p, cfg.M)
-    return _DiscSystem(m, cfg, pin_center=c[:, 0] if pinned else None), c
+    return _DiscSystem(m, cfg, pin_rows(c[:, 0]) if pinned else None), c
 
 
 class TestLinearization:
@@ -654,14 +618,6 @@ def _assert_gaps(m, sol, cfg, fd):
     assert sv[sv >= cut].min() >= 1e3 * sv[sv < cut].max()
     kept_lower, null_upper = fd["gap"]
     assert kept_lower >= 1e3 * null_upper
-
-
-def _sweep_model(n, r, eps):
-    """The normalized-frame sweep: A = diag(1, 1.5)[:n], s = (Re z1)^4, and
-    the start y0 = 0.1, w = (1, 0.5)[:n], a = r e^{0.4 i}."""
-    q = Hyperquadric(n=n, A=np.diag([1.0, 1.5][:n]))
-    m = PerturbedHypersurface(base=q, epsilon=eps, terms={(0, 0, 4) + (0,) * (2 * n - 1): 1.0})
-    return m, DiscParams(y0=0.1, v=np.zeros(n), w=[1.0, 0.5][:n], a=r * np.exp(0.4j))
 
 
 DOMAIN_LIMIT = (1, 0.95, 1e-3)  # n, |a|, eps: no regular lift in the frame
@@ -891,15 +847,16 @@ class TestPoleZeroChord:
         assert np.linalg.norm(T0.T @ dx) <= 1e-12 * np.linalg.norm(dx)
 
     def test_pinned_disc_holds_its_pin(self, monkeypatch):
-        # the pin rows hold from J0's first step on: the coefficient start
-        # keeps its pin, and the framed pin read g(-conj(a)) = Phi(pin) holds
+        # the pin rows hold from J0's first step on: a bare solve pinned at
+        # the start's mode 0 keeps it to rounding (no step writes it back),
+        # and the framed pin read g(-conj(a)) = Phi(pin) holds
         m, p = _sweep_model(2, 0.7, 1e-3)
         cfg = SolveConfig(N=128, M=24)
         frame, g0 = DiscFrame.normalized(m.base, p, cfg.M)
         surface = m.in_frame(frame.phi)
         calls = _count_jacobians(monkeypatch)
-        sol = solve_glued_disc(surface, g0, cfg, pin_center=g0[:, 0])
-        assert np.array_equal(sol.coeffs[:, 0], g0[:, 0])
+        sol = solve_glued_disc(surface, g0, cfg, pin_rows(g0[:, 0]))
+        assert np.abs(sol.coeffs[:, 0] - g0[:, 0]).max() <= 1e-15 * np.abs(g0[:, 0]).max()
         assert sol.residual_sup < cfg.tol and sol.linearizations == 1
         pin = Disc(m.base, p).center()
         framed = solve_with_homotopy(m, p, cfg, pin_center=pin)
@@ -951,17 +908,17 @@ class TestPoleZeroChord:
 
 class TestFamilyDimension:
     def test_unpinned_n1(self):
-        sol = solve_glued_disc(FLAT, START, CFG)
+        sol = solve_glued_disc(FLAT, START_COEFFS, CFG)
         assert family_dimension(FLAT, sol, CFG)["dim"] == 7
 
     def test_pinned_n1(self):
         pin = np.array([1.0, 0.0], dtype=complex)
         p = DiscParams(y0=0.0, v=[0.0], w=[1.0], a=0.2)
-        sol = solve_glued_disc(FLAT, p, CFG, pin_center=pin)
+        sol = solve_with_homotopy(FLAT, p, CFG, pin_center=pin)
         assert family_dimension(FLAT, sol, CFG)["dim"] == 3
 
     def test_perturbed_n1(self):
-        sol = solve_glued_disc(QUARTIC, START, CFG)
+        sol = solve_glued_disc(QUARTIC, START_COEFFS, CFG)
         fd = family_dimension(QUARTIC, sol, CFG)
         assert fd["dim"] == 7
         _assert_gaps(QUARTIC, sol, CFG, fd)
@@ -971,7 +928,7 @@ class TestFamilyDimension:
         m2 = PerturbedHypersurface(base=q2)
         p2 = DiscParams(y0=0.0, v=[0.0, 0.0], w=[1.0, 0.4 - 0.2j], a=0.2 + 0.1j)
         cfg = SolveConfig(N=128, M=24)
-        sol = solve_glued_disc(m2, p2, cfg)
+        sol = solve_glued_disc(m2, params_to_coeffs(q2, p2, cfg.M), cfg)
         assert family_dimension(m2, sol, cfg)["dim"] == 11
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -993,7 +950,7 @@ class TestFamilyDimension:
         assert np.linalg.norm(J @ T, 2) <= 1e-9 * np.linalg.norm(J, 2)
 
     def test_configuration_must_keep_the_truncation(self):
-        sol = solve_glued_disc(FLAT, START, CFG)  # M = 32
+        sol = solve_glued_disc(FLAT, START_COEFFS, CFG)  # M = 32
         for linearize in (family_dimension, family_tangent_basis):
             with pytest.raises(InvalidInputError, match="M=32, configuration M=24"):
                 linearize(FLAT, sol, SolveConfig(N=128, M=24))

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from statdisc import (
-    Disc,
     DiscParams,
     Hyperquadric,
     PerturbedHypersurface,
@@ -65,24 +64,27 @@ def test_indices_hooks_resolve(tracing):
 
 
 def test_refused_homotopy_records_one_failed_solve(tracing):
-    # a coefficient start above its truncation floor at eps > 0 is refused
-    # by the eps = 0 check alone, so schedules_tried reads one schedule for it
+    # this quartic stalls at every eps on the grid, so all three schedules
+    # run: each records one failed solve, and schedules_tried reads three
     q = Hyperquadric(n=1, A=np.array([[1.0]]))
-    m = PerturbedHypersurface(base=q, epsilon=1e-3, terms={(0, 0, 4, 0): 1.0})
-    start = Disc(q, DiscParams(y0=0.1, v=[0.0], w=[1.0], a=0.6), check=False).coefficients(32)
+    m = PerturbedHypersurface(base=q, epsilon=0.09, terms={(0, 0, 4, 0): 1.0})
+    start = DiscParams(y0=0.1, v=[0.0], w=[1.0], a=0.25 + 0.1j)
     tracer = tracing.Tracer()
     try:
         tracer.install()
-        with pytest.raises(NoConvergenceError, match="does not solve eps = 0"):
+        with pytest.raises(NoConvergenceError, match="every schedule stalls"):
             rh_solver.solve_with_homotopy(m, start, SolveConfig(N=128, M=32))
     finally:
         tracer.uninstall()
     spans = tracer.spans
     solves = [sp for sp in spans if sp[tracing.NAME] == "rh_solver.solve_glued_disc"]
-    assert len(solves) == 1 and solves[0][tracing.ERROR] == "NoConvergenceError"
-    assert spans[solves[0][tracing.PARENT]][tracing.NAME] == "rh_solver.solve_with_homotopy"
+    assert len(solves) == 7
+    failed = [sp for sp in solves if sp[tracing.ERROR]]
+    assert len(failed) == 3 and {sp[tracing.ERROR] for sp in failed} == {"NoConvergenceError"}
+    for sp in solves:
+        assert spans[sp[tracing.PARENT]][tracing.NAME] == "rh_solver.solve_with_homotopy"
     counts = tracing.solver_counts(spans)
-    assert counts["schedules_tried"] == 1 and counts["homotopy_ok"] == 0
+    assert counts["schedules_tried"] == 3 and counts["homotopy_ok"] == 0
 
 
 def test_package_names_follow_the_tracer(tracing):
