@@ -199,10 +199,20 @@ class TestSolve:
         with pytest.raises((NoConvergenceError, LiftConstructionError)):
             solve_glued_disc(far, START_COEFFS, CFG)
 
-    def test_homotopy_takes_a_closed_form_start(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "start, kind",
+        [
+            (START_COEFFS, "ndarray"),
+            (START_COEFFS.tolist(), "list"),
+            (Disc(SPHERE, START), "Disc"),
+        ],
+        ids=["coefficients", "list", "disc"],
+    )
+    def test_homotopy_takes_a_closed_form_start(self, monkeypatch, start, kind):
         calls = _count_solves(monkeypatch)
-        with pytest.raises(InvalidInputError, match="^solve_with_homotopy takes a DiscParams"):
-            solve_with_homotopy(QUARTIC, START_COEFFS, CFG)
+        message = f"^solve_with_homotopy takes a DiscParams start, got {kind}$"
+        with pytest.raises(InvalidInputError, match=message):
+            solve_with_homotopy(QUARTIC, start, CFG)
         assert calls["solve"] == 0
 
     def test_bare_solve_takes_coefficients(self):
@@ -211,10 +221,13 @@ class TestSolve:
         with pytest.raises(InvalidInputError, match=r"^bad coefficient shape \(2, 25\)$"):
             solve_glued_disc(QUARTIC, START_COEFFS[:, :25], CFG)
 
-    def test_bare_solve_reads_its_coefficients(self):
+    @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+    def test_bare_solve_reads_its_coefficients(self, pinned):
         # a bare solve's disc is in the identity frame: h is g, so every
-        # read is the coefficients' own
-        sol = solve_glued_disc(QUARTIC, START_COEFFS, CFG)
+        # read is the coefficients' own, pinned by constraint rows or not
+        constraint = pin_rows(START_COEFFS[:, 0]) if pinned else None
+        sol = solve_glued_disc(QUARTIC, START_COEFFS, CFG, constraint)
+        assert sol.residual_sup < CFG.tol
         c = sol.coeffs
         assert sol.frame.a == 0.0 and sol.pin_center is None
         reads = [
@@ -394,11 +407,13 @@ class TestSolve:
                 solve_with_homotopy(m, start, cfg, pin_center=pin)
         assert calls["svd"] == calls["jacobian"] > 0
 
-    def test_zero_epsilon_runs_one_stage(self, monkeypatch):
+    @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+    def test_zero_epsilon_runs_one_stage(self, monkeypatch, pinned):
         # in the normalized frame a disc past the closed form's floor is
-        # exact at eps = 0 and needs no Newton step
+        # exact at eps = 0 and needs no Newton step, also pinned at its center
+        pin = Disc(SPHERE, STALLING).center() if pinned else None
         stages = _record_stages(monkeypatch)
-        sol = solve_with_homotopy(QUARTIC.with_epsilon(0.0), STALLING, CFG)
+        sol = solve_with_homotopy(QUARTIC.with_epsilon(0.0), STALLING, CFG, pin_center=pin)
         assert sol.iterations == sol.linearizations == 0
         assert sol.residual_sup < 1e-14
         assert stages == [0.0]
