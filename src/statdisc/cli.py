@@ -278,12 +278,16 @@ def _grid(opt):
 
 
 def _solve_config(opt, N):
-    """Solver settings on the grid N that _grid validated."""
+    """Solver settings on the grid N that _grid validated; --modes, given or
+    the default, must be below N/2."""
     from .rh_solver import SolveConfig
 
-    if opt.get("modes") is None:
-        return SolveConfig(N=N)
-    return SolveConfig(N=N, M=int(opt["modes"]))
+    given = opt.get("modes") is not None
+    M = int(opt["modes"]) if given else SolveConfig.M
+    if M >= N // 2:
+        default = "" if given else " (the default)"
+        raise UsageError(f"--modes {M}{default} must be below --grid/2 = {N // 2}")
+    return SolveConfig(N=N, M=M)
 
 
 # ---------------------------------------------------------------------------

@@ -184,37 +184,6 @@ class Disc:
         c[1:, 1:] = self.params.w[:, None] * apow[None, :]
         return c
 
-    def family_tangent(self, M):
-        """Derivatives of coefficients(M) along the 4n+3 real parameters
-        (y0, Re v, Im v, Re w, Im w, Re a, Im a); shape (4n+3, n+1, M+1)."""
-        n, A = self.params.n, self.quadric.A
-        v, w, a = self.params.v, self.params.w, self.params.a
-        # one row per real parameter: its direction in y0, v, w and a
-        E = np.eye(4 * n + 3)
-        dy0 = E[:, 0]
-        dv = E[:, 1 : 1 + n] + 1j * E[:, 1 + n : 1 + 2 * n]
-        dw = E[:, 1 + 2 * n : 1 + 3 * n] + 1j * E[:, 1 + 3 * n : 1 + 4 * n]
-        da = E[:, -2] + 1j * E[:, -1]
-        s = 1.0 - abs(a) ** 2
-        dvAv = 2.0 * np.real(dv.conj() @ (A @ v))
-        dvAw = dv.conj() @ (A @ w) + dw @ (v.conj() @ A)
-        dx = 2.0 * np.real(dw @ (w.conj() @ A)) / s + self._x * 2.0 * np.real(np.conj(a) * da) / s
-        apow = a ** np.arange(M)
-        kapow = np.zeros(M, dtype=complex)  # d a^k / d a
-        kapow[1:] = np.arange(1, M) * apow[:-1]
-        dapow = da[:, None] * kapow
-        T = np.zeros((4 * n + 3, n + 1, M + 1), dtype=complex)
-        T[:, 0, 0] = dvAv + dx + 1j * dy0
-        T[:, 1:, 0] = dv
-        T[:, 0, 1:] = (
-            2.0 * dvAw[:, None] * apow
-            + 2.0 * self._vAw * dapow
-            + 2.0 * dx[:, None] * a * apow
-            + 2.0 * self._x * (da[:, None] * apow + a * dapow)
-        )
-        T[:, 1:, 1:] = dw[:, :, None] * apow + w[:, None] * dapow[:, None, :]
-        return T
-
 
 def make_disc(q, p):
     """Construct the stationary disc of q with parameters p."""

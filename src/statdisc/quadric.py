@@ -300,7 +300,7 @@ class PerturbedHypersurface:
         if self._is_pure_quadric():
             return base
         x, weight = self._s_coords(z)
-        g = _kernels.poly_eval(x, *self._gradient_stack)
+        g = _kernels.poly_eval(x, *self._derivative_stack(1))
         # d/dz_j = (d/dx_j - i d/dy_j) / 2 applied to the real polynomial;
         # Phi^-1 is complex-affine, so a frame multiplies it by L
         grad = weight * 0.5 * (g[:, 0::2] - 1j * g[:, 1::2])
@@ -312,23 +312,13 @@ class PerturbedHypersurface:
         x, _weight = self._s_coords(z)
         d = x.shape[1]
         i, j = np.triu_indices(d)
-        upper = _kernels.poly_eval(x, *self._hessian_stack)
+        upper = _kernels.poly_eval(x, *self._derivative_stack(2))
         out = np.empty((x.shape[0], d, d))
         out[:, i, j] = out[:, j, i] = upper
         if self.frame is None:
             return out
         R = self.frame.real_L
         return self.frame.c2 * (R.T @ out @ R)
-
-    @property
-    def _gradient_stack(self):
-        """The D first derivatives of s, stacked in array form (K = D)."""
-        return self._derivative_stack(1)
-
-    @property
-    def _hessian_stack(self):
-        """d^2 s / dx_i dx_j for i <= j in np.triu_indices order, stacked."""
-        return self._derivative_stack(2)
 
     def _derivative_stack(self, order):
         """All derivatives of s of one order, one column per multi-index,

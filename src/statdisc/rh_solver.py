@@ -47,10 +47,11 @@ invariant, so block diagonal in Fourier modes, built in closed form and
 factored block by block (_pole_zero_blocks, _pole_zero_chord), with no
 dense Jacobian.  J0 counts as a linearization.  Its steps lie off
 null(J0), the tangent T0 of the family (y0, v, w, a) that the paper's
-explicit parametrization gives (Disc.family_tangent), so unpinned the
-solved disc is the member with T0^T (x - x0) = 0.  When a J0 step
-fails to halve the residual, its steps are dropped and the exact Newton
-above runs from the start.
+explicit parametrization gives, built in closed form beside J0's blocks
+(_PoleZero.tangent, T0's one source), so unpinned the solved disc is the
+member with T0^T (x - x0) = 0.  When a J0 step fails to halve the
+residual, its steps are dropped and the exact Newton above runs from the
+start.
 
 family_dimension counts null(J) at a solution from J0's blocks too:
 two bounds on J's singular values across the cut (_certified_dimension),
@@ -58,7 +59,7 @@ with the values-only SVD of J only where they prove nothing.
 """
 
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import ClassVar
 
 import numpy as np
@@ -73,7 +74,6 @@ from .disc import Disc, DiscParams, disc_through
 from .errors import (
     DimensionAmbiguousError,
     InvalidInputError,
-    InvalidParamsError,
     LiftConstructionError,
     NoConvergenceError,
     TargetInversionError,
@@ -417,30 +417,6 @@ def _svd_steps(J, b):
     return Vt.T @ ((U.T @ R[:K, K]) / S), lambda c: Vt.T @ ((Vt @ (J.T @ c)) / S**2)
 
 
-def _family_columns(system, coeffs):
-    """The closed-form family's tangent (packed size x 4n+3) at the disc
-    that modes 0-2 of coeffs read as; None when they read as no disc."""
-    w = coeffs[1:, 1]
-    if system.cfg.M < 2 or not np.any(w):
-        return None
-    try:
-        params = DiscParams(
-            y0=coeffs[0, 0].imag, v=coeffs[1:, 0], w=w, a=np.vdot(w, coeffs[1:, 2]) / np.vdot(w, w)
-        )
-    except InvalidParamsError:
-        return None
-    tangent = Disc(system.m.base, params, check=False).family_tangent(system.cfg.M)
-    return np.array([system.pack(t) for t in tangent]).T
-
-
-def _family_tangent(system, coeffs):
-    """Orthonormal columns (packed size x 4n+3) spanning the closed-form
-    family's tangent at the disc that modes 0-2 of coeffs read as; None
-    when they read as no disc."""
-    T = _family_columns(system, coeffs)
-    return None if T is None else np.linalg.qr(T)[0]
-
-
 def _pole_zero_blocks(A, u, N, M):
     """J0, the eps = 0 linearization at the pole-0 disc (u*Au + i y, u zeta),
     as real blocks (M + 1, 2n+2, 4n+2), one per Fourier mode p = 0..M.
@@ -494,12 +470,14 @@ class _PoleZero:
     holds is 0.  J0^+ is inv between them: the blocks'
     pseudo-inverses V S^+ U^T, cut as np.linalg.pinv cuts J0, at _RCOND
     times the largest singular value of all; kept holds the values above
-    that cut, and left is S^+ U^T, so |J0^+ y| = |left y|.
+    that cut, and left is S^+ U^T, so |J0^+ y| = |left y|.  tangent is
+    T0, J0's null space: the family tangent at the pole-0 disc, the one
+    source of T0 for the chord's constraint step and family_dimension.
     """
 
     def __init__(self, A, u, N, M):
         n = self.n = u.size
-        self.N, self.M = N, M
+        self.A, self.u, self.N, self.M = A, u, N, M
         self.blocks = _pole_zero_blocks(A, u, N, M)
         U, S, Vt = np.linalg.svd(self.blocks, full_matrices=False)
         keep = S > _RCOND * S.max()
@@ -519,6 +497,33 @@ class _PoleZero:
         self.cols = np.repeat(re, 2, axis=1)
         self.cols[:, 1::2] += np.where(re >= 0, (n + 1) * modes, 0)
         self.size = 2 * (n + 1) * modes
+
+    @cached_property
+    def tangent(self):
+        """T0: orthonormal columns (packed size, 4n+3) spanning the tangent
+        of the closed-form family (y0, v, w, a) at (y0, 0, u, 0), the
+        derivatives of its coefficients along (y0, Re v, Im v, Re w, Im w,
+        Re a, Im a); None for M < 2, where no mode holds the a-directions.
+        They reach modes 0-2 alone: d c[0, 0] = i dy0 + 2 Re(conj(u)^T A
+        dw), d c[1:, 0] = dv, d c[0, 1] = 2 conj(dv)^T A u + 2 (u*Au) da,
+        d c[1:, 1] = dw and d c[1:, 2] = u da."""
+        n, M, A, u = self.n, self.M, self.A, self.u
+        if M < 2:
+            return None
+        unit = np.concatenate([np.eye(n), 1j * np.eye(n)])  # Re, then Im directions
+        e = np.array([1.0, 1j])
+        beta = u.conj() @ A
+        v, w = slice(1, 2 * n + 1), slice(2 * n + 1, 4 * n + 1)
+        T = np.zeros((4 * n + 3, n + 1, M + 1), dtype=complex)
+        T[0, 0, 0] = 1j
+        T[v, 1:, 0] = unit
+        T[v, 0, 1] = 2.0 * (unit.conj() @ (A @ u))
+        T[w, 0, 0] = 2.0 * (unit @ beta).real
+        T[w, 1:, 1] = unit
+        T[-2:, 0, 1] = 2.0 * (beta @ u).real * e
+        T[-2:, 1:, 2] = e[:, None] * u
+        T = T.reshape(4 * n + 3, -1)  # packed as _DiscSystem.pack packs
+        return np.linalg.qr(np.concatenate([T.real, T.imag], axis=1).T)[0]
 
     def rows(self, c):
         """Block rows (M + 1, 2n+2, m) of the residual rows c (rows, m)."""
@@ -555,10 +560,10 @@ def _pole_zero_chord(system, coeffs):
     """Chord solver c -> s of J0, the eps = 0 linearization at the pole-0
     disc that coeffs hold (_PoleZero), or None for another start.
 
-    Its steps lie off J0's null space, the family tangent T0.  The
-    constraint rows C go by a step in T0: s = J0^+ c + T0 y with y =
-    (C T0)^+ (c_C - C J0^+ c), so J0 s is unchanged and the constraint
-    rows hold.
+    Its steps lie off J0's null space, the family tangent T0
+    (_PoleZero.tangent).  The constraint rows C go by a step in T0: s =
+    J0^+ c + T0 y with y = (C T0)^+ (c_C - C J0^+ c), so J0 s is
+    unchanged and the constraint rows hold.
     """
     A = system.m.base.A
     u = coeffs[1:, 1]
@@ -575,7 +580,7 @@ def _pole_zero_chord(system, coeffs):
     C = system.constraint_rows
     if not C.size:
         return solve_j0
-    T0 = _family_tangent(system, coeffs)
+    T0 = j0.tangent
     if T0 is None:
         return None
     correct = np.linalg.pinv(C @ T0, rcond=_RCOND)
@@ -799,9 +804,9 @@ def _certified_dimension(system, coeffs, J):
     on sigma_{K-k} and sigma_{K-k+1} of J, from J0's blocks; None where
     they do not prove that _null_count of J's spectrum returns k.
 
-    J0 is _PoleZero at the pole-0 disc with coeffs' velocity u, and T0 the
-    family tangent there, null(J0) when J0 keeps K - (4n+3) values.  J_sel
-    = J0 + E, the rows of J that J0's blocks hold, has sigma_i(J_sel) <=
+    J0 is _PoleZero at the pole-0 disc with coeffs' velocity u, and T0
+    its tangent (the family's), null(J0) when J0 keeps K - (4n+3) values.
+    J_sel = J0 + E, the rows of J that J0's blocks hold, has sigma_i(J_sel) <=
     sigma_i(J); s, the least kept value, gives |J0^+ y| <= |y| / s.  With
     eta = |J0^+ E|_F < 1, for v off T0, |J v| >= s |J0^+ J_sel v| >= s (1 -
     eta) |v|.  With the constraint rows C (g = sigma_min(C T0), h = |C|_2),
@@ -815,16 +820,9 @@ def _certified_dimension(system, coeffs, J):
     The largest column norm and |J|_F bracket sigma_1, so the tests below
     put _null_count's cut and gap where the bounds say.
     """
-    A = system.m.base.A
-    u = coeffs[1:, 1]
-    pole = np.zeros_like(coeffs)
-    pole[0, 0] = np.vdot(u, A @ u).real
-    pole[1:, 1] = u
-    T0 = _family_tangent(system, pole)
-    if T0 is None:
-        return None
-    j0 = _PoleZero(A, u, system.cfg.N, system.cfg.M)
-    if j0.kept.size != J.shape[1] - T0.shape[1]:
+    j0 = _PoleZero(system.m.base.A, coeffs[1:, 1], system.cfg.N, system.cfg.M)
+    T0 = j0.tangent
+    if T0 is None or j0.kept.size != J.shape[1] - T0.shape[1]:
         return None
     C = system.constraint_rows
     E = j0.subtract(j0.rows(J))

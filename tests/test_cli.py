@@ -179,9 +179,9 @@ class TestExecute:
         }
 
     def test_single_mode_refusal_is_json(self, capsys):
-        # with M = 1 the start gives no closed-form tangent (T0 is None), so
-        # every exact linearization takes the SVD step, whose cut drops J's
-        # zero Im c00 column; the solve refuses with the error JSON, not a crash
+        # unpinned, the solve never reads T0 (None at M = 1); every exact
+        # linearization takes the SVD step, whose cut drops J's zero Im c00
+        # column, and the solve refuses with the error JSON, not a crash
         code, out, err = run_main(capsys, "solve", "--n", "1", "--a", "0", "--w", "1",
                                   "--epsilon", "1e-3", "--term", "0,0,4,0:1.0",
                                   "--grid", "16", "--modes", "1")
@@ -321,6 +321,10 @@ class TestExecute:
         [
             (("disc-make", "--n", "-1"), "--n must be at least 1, got -1"),
             (("solve", "--n", "1", "--modes", "0"), "--modes must be at least 1, got 0"),
+            (("solve", "--n", "1", "--grid", "64"),
+             "--modes 48 (the default) must be below --grid/2 = 32"),
+            (("solve", "--n", "1", "--grid", "64", "--modes", "40"),
+             "--modes 40 must be below --grid/2 = 32"),
             (("solve", "--n", "1", "--grid", "0"),
              "--grid 0: grid size must be a power of two, multiple of 4, >= 8"),
             (("indicatrix", "--n", "1", "--count", "0"), "--count must be at least 1, got 0"),
@@ -328,7 +332,10 @@ class TestExecute:
             (("transport", "--n", "1", "--z", "1+0.5j,1", "--theta", "nan"),
              "--theta must be finite, got nan"),
         ],
-        ids=["n-negative", "modes-0", "grid-0", "count-0", "count-negative", "theta-nan"],
+        ids=[
+            "n-negative", "modes-0", "modes-default-over-grid", "modes-over-grid", "grid-0",
+            "count-0", "count-negative", "theta-nan",
+        ],
     )
     def test_out_of_range_flag_is_a_usage_error(self, capsys, args, detail):
         code, out, err = run_main(capsys, *args)

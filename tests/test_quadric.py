@@ -174,7 +174,7 @@ class TestPerturbation:
             stage = m.with_epsilon(t * m.epsilon)
             fresh = PerturbedHypersurface(base=m.base, epsilon=t * m.epsilon, terms=m.terms)
             assert stage == fresh
-            assert stage._hessian_stack is m._hessian_stack
+            assert stage._derivative_stack(2) is m._derivative_stack(2)
             for name in ("eval_rho_many", "grad_rho_many", "hess_s_many"):
                 assert np.array_equal(getattr(stage, name)(z), getattr(fresh, name)(z))
 
@@ -248,7 +248,8 @@ class TestFrame:
         z = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
         for name in ("eval_rho_many", "grad_rho_many", "hess_s_many"):
             assert np.array_equal(getattr(framed, name)(z), getattr(m, name)(z)), name
-        assert framed.epsilon == m.epsilon and framed._hessian_stack is m._hessian_stack
+        assert framed.epsilon == m.epsilon
+        assert framed._derivative_stack(2) is m._derivative_stack(2)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_framed_derivatives_match_differences(self, rng, n):

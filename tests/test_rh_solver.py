@@ -40,8 +40,6 @@ from statdisc.rh_solver import (
     _disc_through_solution,
     _DiscSystem,
     _endpoint,
-    _family_columns,
-    _family_tangent,
     _invert_velocity,
     _null_count,
     _pole_zero_blocks,
@@ -566,33 +564,52 @@ class TestLinearization:
         ref = np.linalg.lstsq(J, rhs, rcond=_RCOND)[0]
         assert np.linalg.norm(solve_chord(rhs) - ref) <= 1e-5 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("signature", ["definite", "indefinite"])
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_family_tangent_matches_differences(self, n):
-        q, _ = _model(n, 0.0)
-        p = DiscParams(y0=0.1, v=0.3 * np.ones(n), w=np.linspace(1.0, 0.5, n) + 0.2j, a=0.4 - 0.3j)
-        T = Disc(q, p).family_tangent(10)
-        # the real parameters (y0, Re v, Im v, Re w, Im w, Re a, Im a)
-        real = np.concatenate([[p.y0], p.v.real, p.v.imag, p.w.real, p.w.imag, [p.a.real, p.a.imag]])
+    def test_family_tangent_matches_differences(self, n, signature):
+        # T0 spans the central differences of the closed form's coefficients
+        # along (y0, Re v, Im v, Re w, Im w, Re a, Im a) at the pole-0 disc
+        # (y0, 0, u, 0), and J0 leaves it unchanged
+        N, M = 32, 10
+        q, c = _pole_zero_case(n, signature, M)
+        u = c[1:, 1]
+        T0 = _PoleZero(q.A, u, N, M).tangent
+        assert T0.shape == (2 * (n + 1) * (M + 1), 4 * n + 3)
+        assert np.abs(T0.T @ T0 - np.eye(4 * n + 3)).max() <= 1e-12
+        system = _DiscSystem(q, SolveConfig(N=N, M=M))
 
         def coefficients(t):
             vw = t[1:-2].reshape(2, 2, n)
             v, w = vw[:, 0] + 1j * vw[:, 1]
             params = DiscParams(y0=t[0], v=v, w=w, a=t[-2] + 1j * t[-1])
-            return Disc(q, params, check=False).coefficients(10)
+            return Disc(q, params, check=False).coefficients(M)
 
+        real = np.concatenate([[0.3], np.zeros(2 * n), u.real, u.imag, [0.0, 0.0]])
         h = 1e-6
-        for k, e in enumerate(np.eye(real.size)):
-            ref = (coefficients(real + h * e) - coefficients(real - h * e)) / (2 * h)
-            assert np.abs(T[k] - ref).max() <= 1e-8 * np.abs(T).max()
+        for e in np.eye(real.size):
+            ref = system.pack(coefficients(real + h * e) - coefficients(real - h * e)) / (2 * h)
+            assert np.linalg.norm(ref - T0 @ (T0.T @ ref)) <= 1e-8 * np.linalg.norm(ref)
+        J0 = _scatter_blocks(_pole_zero_blocks(q.A, u, N, M), n, N, M)
+        assert np.linalg.norm(J0 @ T0) <= 1e-14 * np.linalg.norm(J0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_family_tangent_needs_mode_two(self, n):
+        # the a-directions reach mode 2: no T0 at M = 1, all 4n + 3 at M = 2
+        q, c = _pole_zero_case(n, "definite", 2)
+        assert _PoleZero(q.A, c[1:, 1], 16, 1).tangent is None
+        T0 = _PoleZero(q.A, c[1:, 1], 16, 2).tangent
+        assert T0.shape == (2 * (n + 1) * 3, 4 * n + 3)
+        assert np.abs(T0.T @ T0 - np.eye(4 * n + 3)).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
     def test_family_tangent_spans_the_family(self, n, pinned):
         # orthonormal, 4n + 3 columns, and null for the lifted equations at
-        # eps = 0 on the closed form; the 2n + 2 pin rows have full rank on
+        # eps = 0 on the pole-0 disc; the 2n + 2 pin rows have full rank on
         # it, as J0's constraint step (C T0)^+ needs, leaving 2n + 1 free
-        system, c = _resolved_setup(n, 0.0, pinned)
-        T0 = _family_tangent(system, c)
+        q, c = _pole_zero_case(n, "definite", 32)
+        system = _DiscSystem(q, SolveConfig(N=128, M=32), pin_rows(c[:, 0]) if pinned else None)
+        T0 = _PoleZero(q.A, c[1:, 1], 128, 32).tangent
         assert T0.shape == (system.size, 4 * n + 3)
         assert np.abs(T0.T @ T0 - np.eye(T0.shape[1])).max() <= 1e-12
         J = system.jacobian(system.pack(c))
@@ -806,7 +823,7 @@ class TestPoleZeroChord:
         J0 = _scatter_blocks(_pole_zero_blocks(q.A, c[1:, 1], N, M), n, N, M)
         assert np.abs(J0 - J).max() <= 1e-13 * np.abs(J).max()
         # the family's tangent is null for J0
-        T0 = np.linalg.qr(_family_columns(system, c))[0]
+        T0 = j0.tangent
         assert np.linalg.norm(J0 @ T0) <= 1e-15 * np.linalg.norm(J0)
 
     @pytest.mark.parametrize("grid", [(128, 24), (16, 7)], ids=lambda g: f"{g[0]}-{g[1]}")
@@ -857,7 +874,7 @@ class TestPoleZeroChord:
         sol = solve_glued_disc(m.in_frame(frame.phi), g0, cfg)
         assert sol.residual_sup < cfg.tol and calls["jacobian"] == 0
         system = _DiscSystem(m, cfg)
-        T0 = np.linalg.qr(_family_columns(system, g0))[0]
+        T0 = _PoleZero(m.base.A, g0[1:, 1], cfg.N, cfg.M).tangent
         dx = system.pack(sol.coeffs) - system.pack(g0)
         assert np.linalg.norm(T0.T @ dx) <= 1e-12 * np.linalg.norm(dx)
 
