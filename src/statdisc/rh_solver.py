@@ -55,7 +55,12 @@ start.
 
 family_dimension counts null(J) at a solution from J0's blocks too:
 two bounds on J's singular values across the cut (_certified_dimension),
-with the values-only SVD of J only where they prove nothing.
+in three tiers.  The sample tier assembles no dense J: Weyl's inequality
+with a bound on |J - J0|_2 from sup norms of the boundary functions J
+reads (_sample_bound), and J applied to the family's tangent by
+J-vector products (_DiscSystem.product).  Where it proves nothing, the
+eta tier reads |J0^+ E|_F off the dense J, and where that proves
+nothing, the values-only SVD of J counts.
 """
 
 from dataclasses import dataclass, field, replace
@@ -120,10 +125,27 @@ def _as_perturbed(m):
 
 
 def _boundary_samples(coeffs, N):
-    """Samples (n+1, N) on the circle grid of truncated holomorphic coefficients."""
-    spec = np.zeros((coeffs.shape[0], N), dtype=complex)
-    spec[:, : coeffs.shape[1]] = coeffs
-    return np.fft.ifft(spec * N, axis=1)
+    """Samples (..., n+1, N) on the circle grid of truncated holomorphic
+    coefficients (..., n+1, M+1)."""
+    spec = np.zeros(coeffs.shape[:-1] + (N,), dtype=complex)
+    spec[..., : coeffs.shape[-1]] = coeffs
+    return np.fft.ifft(spec * N, axis=-1)
+
+
+@dataclass(frozen=True)
+class _BoundaryFunctions:
+    """The functions on the circle grid that J reads at a point, each
+    (..., N): grad = (d rho / d z) o h (n+1, N); ratio_p and ratio_q
+    (n+1, N), d phi / phi per unit of dh_j and of conj(dh_j); lift_p and
+    lift_q (n, n+1, N), zeta lam d grad_i (i < n) per the same units;
+    and lift_g = zeta lam grad_i (n, N)."""
+
+    grad: np.ndarray
+    ratio_p: np.ndarray
+    ratio_q: np.ndarray
+    lift_p: np.ndarray
+    lift_q: np.ndarray
+    lift_g: np.ndarray
 
 
 class _DiscSystem:
@@ -196,6 +218,49 @@ class _DiscSystem:
             Q += 0.25 * self.m.epsilon * (xx + yy + 1j * (xy - yx))
         return P, Q
 
+    def boundary_functions(self, x):
+        """The boundary functions at x that J reads (_BoundaryFunctions),
+        from the regular lift's grad, lam and phi and grad_derivatives'
+        P and Q."""
+        n = self.n
+        h = _boundary_samples(self.unpack(x), self.cfg.N)
+        lift = construct_regular_lift(self.m, h)
+        grad, lam, phi = lift.grad.T, lift.lam, lift.phi
+        P, Q = self.grad_derivatives(h)
+        zl = self.zeta * lam
+        return _BoundaryFunctions(
+            grad=grad,
+            ratio_p=self.zeta * P[n] / phi,
+            ratio_q=self.zeta * Q[n] / phi,
+            lift_p=zl * P[:n],
+            lift_q=zl * Q[:n],
+            lift_g=zl * grad[:n],
+        )
+
+    def _lifted(self, f, ratio, dp, dq):
+        """Negative modes (m, n N/2) of the lifted components, for m
+        directions that move d phi / phi by ratio (m, N) and zeta lam
+        d grad_i by dp + dq (m, n, N)."""
+        N = self.cfg.N
+        dlog = -hilbert_transform(ratio.imag) - ratio.real
+        dlift = dlog[:, None] * f.lift_g + dp + dq
+        return (np.fft.fft(dlift, axis=-1)[..., N // 2 :] / N).reshape(ratio.shape[0], -1)
+
+    def product(self, f, V):
+        """J V for packed columns V (size, m), constraint rows included,
+        from the boundary functions f at x: the column formula of
+        jacobian applied to V's samples (a Jacobian-vector product,
+        Kelley 2003)."""
+        dh = _boundary_samples(self.unpack(V.T), self.cfg.N)  # (m, n+1, N)
+        dhc = dh.conj()
+        rho = 2.0 * np.einsum("jk,mjk->mk", f.grad, dh).real
+        ratio = np.einsum("jk,mjk->mk", f.ratio_p, dh) + np.einsum("jk,mjk->mk", f.ratio_q, dhc)
+        dp = np.einsum("ijk,mjk->mik", f.lift_p, dh)
+        dq = np.einsum("ijk,mjk->mik", f.lift_q, dhc)
+        neg = self._lifted(f, ratio, dp, dq)
+        C = (self.constraint_rows @ V).T
+        return np.concatenate([rho, neg.real, neg.imag, C], axis=1).T
+
     def jacobian(self, x):
         """Exact derivative of residual at x, assembled in column blocks.
 
@@ -208,15 +273,8 @@ class _DiscSystem:
         constraint rows are the constant constraint_rows.
         """
         N, n, half = self.cfg.N, self.n, self.cfg.N // 2
-        h = _boundary_samples(self.unpack(x), self.cfg.N)
-        lift = construct_regular_lift(self.m, h)
-        grad, lam, phi = lift.grad.T, lift.lam, lift.phi
-        P, Q = self.grad_derivatives(h)
-        zl = self.zeta * lam
-        # d phi / phi and zeta lam d grad_i (i < n) per unit of dh_j and of conj(dh_j)
-        ratio_p, ratio_q = self.zeta * P[n] / phi, self.zeta * Q[n] / phi
-        lift_p, lift_q = zl * P[:n], zl * Q[:n]
-        lift_g = zl * grad[:n]
+        f = self.boundary_functions(x)
+        grad, ratio_p, ratio_q, lift_p, lift_q = f.grad, f.ratio_p, f.ratio_q, f.lift_p, f.lift_q
         J = np.empty((N + n * N + self.constraint_rows.shape[0], x.size), order="F")
         J[N + n * N :] = self.constraint_rows
         JT = J.T  # a column of J is a row of J.T, contiguous in Fortran order
@@ -230,13 +288,9 @@ class _DiscSystem:
                     dh = unit * zk
                     dhc = dh.conj()
                     ratio = ratio_p[j] * dh + ratio_q[j] * dhc
-                    dlog = -hilbert_transform(ratio.imag) - ratio.real
-                    dlift = (
-                        dlog[:, None] * lift_g
-                        + lift_p[:, j] * dh[:, None]
-                        + lift_q[:, j] * dhc[:, None]
+                    neg = self._lifted(
+                        f, ratio, lift_p[:, j] * dh[:, None], lift_q[:, j] * dhc[:, None]
                     )
-                    neg = (np.fft.fft(dlift, axis=-1)[..., half:] / N).reshape(mode.size, -1)
                     # pack lists a component's modes contiguously
                     c = slice(offset + lo, offset + lo + mode.size)
                     JT[c, :N] = 2.0 * (grad[j] * dh).real
@@ -525,6 +579,32 @@ class _PoleZero:
         T = T.reshape(4 * n + 3, -1)  # packed as _DiscSystem.pack packs
         return np.linalg.qr(np.concatenate([T.real, T.imag], axis=1).T)[0]
 
+    @cached_property
+    def functions(self):
+        """The boundary functions that J0 reads (_BoundaryFunctions) on
+        the N-grid, in closed form: those of the pole-0 disc at eps = 0,
+        with the constants of _pole_zero_blocks (phi = -beta_n, lam =
+        1 / |beta_n|, P = 0, Q[1:, 1:] = -A^T)."""
+        n, N, A = self.n, self.N, self.A
+        zeta = circle_nodes(N)
+        beta = self.u.conj() @ A
+        lam = 1.0 / abs(beta[-1])
+        grad = np.empty((n + 1, N), dtype=complex)
+        grad[0] = 0.5
+        grad[1:] = -beta[:, None] * zeta.conj()
+        ratio_q = np.zeros((n + 1, N), dtype=complex)
+        ratio_q[1:] = A[:, -1, None] / beta[-1] * zeta
+        lift_q = np.zeros((n, n + 1, N), dtype=complex)
+        lift_q[1:, 1:] = -lam * A.T[:-1, :, None] * zeta
+        return _BoundaryFunctions(
+            grad=grad,
+            ratio_p=np.zeros((n + 1, N), dtype=complex),
+            ratio_q=ratio_q,
+            lift_p=np.zeros((n, n + 1, N), dtype=complex),
+            lift_q=lift_q,
+            lift_g=lam * zeta * grad[:n],
+        )
+
     def rows(self, c):
         """Block rows (M + 1, 2n+2, m) of the residual rows c (rows, m)."""
         n, N, M, half = self.n, self.N, self.M, self.N // 2
@@ -769,15 +849,19 @@ def _continue(m, coeffs, cfg, constraint):
         last = None
 
 
-def _system_at(m, sol, cfg):
-    """System at sol in its frame and its exact Jacobian, stacking a pinned
-    sol's pin rows under the residual's; cfg may change N (off the solve
-    grid), not M."""
+def _frame_system(m, sol, cfg):
+    """The system at sol in its frame, stacking a pinned sol's pin rows
+    under the residual's; cfg may change N (off the solve grid), not M."""
     cfg = cfg or sol.config
     if cfg.M != sol.config.M:
         raise InvalidInputError(f"solution has M={sol.config.M}, configuration M={cfg.M}")
     surface = _as_perturbed(m).in_frame(sol.frame.phi)
-    system = _DiscSystem(surface, cfg, constraint=sol.frame.constraint(sol.pin_center))
+    return _DiscSystem(surface, cfg, constraint=sol.frame.constraint(sol.pin_center))
+
+
+def _system_at(m, sol, cfg):
+    """_frame_system at sol and its exact Jacobian there."""
+    system = _frame_system(m, sol, cfg)
     return system, system.jacobian(system.pack(sol.coeffs))
 
 
@@ -799,54 +883,102 @@ def _null_count(sv):
     return null
 
 
-def _certified_dimension(system, coeffs, J):
-    """family_dimension's count k and its bounds (kept_lower, null_upper)
-    on sigma_{K-k} and sigma_{K-k+1} of J, from J0's blocks; None where
-    they do not prove that _null_count of J's spectrum returns k.
+def _node_norms(v):
+    """The l2 norm over the leading axes at each node of samples (..., N)."""
+    return np.linalg.norm(v.reshape(-1, v.shape[-1]), axis=0)
 
-    J0 is _PoleZero at the pole-0 disc with coeffs' velocity u, and T0
-    its tangent (the family's), null(J0) when J0 keeps K - (4n+3) values.
-    J_sel = J0 + E, the rows of J that J0's blocks hold, has sigma_i(J_sel) <=
-    sigma_i(J); s, the least kept value, gives |J0^+ y| <= |y| / s.  With
-    eta = |J0^+ E|_F < 1, for v off T0, |J v| >= s |J0^+ J_sel v| >= s (1 -
-    eta) |v|.  With the constraint rows C (g = sigma_min(C T0), h = |C|_2),
+
+def _sample_bound(f, f0, N):
+    """B = sqrt(N a^2 + b^2) >= |J - J0|_2, from the boundary functions f
+    that J reads at a point and f0 that J0 reads (_PoleZero.functions),
+    on the N-grid; D below is f less f0, and each max runs over the nodes.
+
+    A unit direction's samples dh have |dh|_grid = sqrt(N) (Parseval).
+    J - J0 moves the rho rows by 2 Re(D grad . dh), so by at most
+    a sqrt(N) with a = 2 max|D grad|.  It moves the lifted rows by the
+    FFT / N (norm 1 / sqrt(N)) of D(d log lam lift_g + lift_p dh +
+    lift_q conj(dh)), where d log lam = -T(Im ratio) - Re ratio is at
+    most sqrt(2) |ratio| (the Hilbert transform T has norm <= 1) and
+    D(d log lam lift_g) = d log lam D lift_g + D(d log lam) lift_g0; so
+    by at most b = sqrt(2) max|D lift_g| max(|ratio_p| + |ratio_q|) +
+    sqrt(2) max|lift_g0| max(|D ratio_p| + |D ratio_q|) +
+    max(|D lift_p|_F + |D lift_q|_F).
+    """
+
+    def dev(name):
+        return _node_norms(getattr(f, name) - getattr(f0, name))
+
+    a = 2.0 * dev("grad").max()
+    b = (
+        np.sqrt(2.0) * dev("lift_g").max() * (_node_norms(f.ratio_p) + _node_norms(f.ratio_q)).max()
+        + np.sqrt(2.0) * _node_norms(f0.lift_g).max() * (dev("ratio_p") + dev("ratio_q")).max()
+        + (dev("lift_p") + dev("lift_q")).max()
+    )
+    return np.sqrt(N * a**2 + b**2)
+
+
+def _certified_dimension(system, j0, x, J=None):
+    """family_dimension's count k and its bounds (kept_lower, null_upper)
+    on sigma_{K-k} and sigma_{K-k+1} of J at x, from j0, J0's blocks at
+    the pole-0 disc of x's velocity (_PoleZero); None where they do not
+    prove that _null_count of J's spectrum returns k.  Without J it reads
+    no dense J (the sample tier); with J it is the eta tier.
+
+    T0 is j0's tangent (the family's), null(J0) when J0 keeps K - (4n+3)
+    values, and s the least kept value, so |J0 v| >= s |v| off T0.  The
+    sample tier takes B >= |J - J0|_2 (_sample_bound): for v off T0,
+    |J v| >= (s - B) |v| (Weyl).  The eta tier takes J_sel = J0 + E, the
+    rows of J that J0's blocks hold, with sigma_i(J_sel) <= sigma_i(J)
+    and |J0^+ y| <= |y| / s: with eta = |J0^+ E|_F, for v off T0, |J v| >=
+    s |J0^+ J_sel v| >= s (1 - eta) |v|.  Write eta = B / s in the sample
+    tier.  With the constraint rows C (g = sigma_min(C T0), h = |C|_2),
     on {T0 a + w: a in row(C T0), w off T0}, |J v| >= max(s (|w| - eta),
     g |a| - h |w|), least where the two meet on |a|^2 + |w|^2 = 1.  By
     Courant-Fischer either is a kept_lower <= sigma_{K-k}, with k = 4n+3 -
     rank(C T0) (G. W. Stewart and J. Sun, Matrix Perturbation Theory,
-    1990).  J0's chord from T0, T <- T - J0^+ J_sel T, restricted to
-    null(C T), spans k directions with null_upper = |J T|_2 >=
-    sigma_{K-k+1}; it runs while null_upper shrinks by _CHORD_CONTRACTION.
-    The largest column norm and |J|_F bracket sigma_1, so the tests below
-    put _null_count's cut and gap where the bounds say.
+    1990).  J0's chord from T0, T <- T - J0^+ J T (J0^+ reads the rows
+    its blocks hold), restricted to null(C T), spans k directions with
+    null_upper = |J T|_2 >= sigma_{K-k+1}; it runs while null_upper
+    shrinks by _CHORD_CONTRACTION.  The sample tier takes J T from
+    J-vector products (_DiscSystem.product), and brackets sigma_1 within
+    B of [J0; C]'s, between the largest kept value and its hypot with h;
+    the eta tier brackets it by the largest column norm and |J|_F.  The
+    tests below put _null_count's cut and gap where the bounds say.
     """
-    j0 = _PoleZero(system.m.base.A, coeffs[1:, 1], system.cfg.N, system.cfg.M)
     T0 = j0.tangent
-    if T0 is None or j0.kept.size != J.shape[1] - T0.shape[1]:
+    if T0 is None or j0.kept.size != x.size - T0.shape[1]:
         return None
     C = system.constraint_rows
-    E = j0.subtract(j0.rows(J))
+    h = np.sqrt(np.linalg.eigvalsh(C @ C.T)[-1]) if C.size else 0.0
     s = j0.kept.min()
-    eta = np.linalg.norm(j0.left @ E)
+    if J is None:
+        f = system.boundary_functions(x)
+        B = _sample_bound(f, j0.functions, system.cfg.N)
+        eta, top = B / s, j0.kept.max()
+        sigma_1 = (top - B, np.hypot(top, h) + B)
+        apply = partial(system.product, f)
+    else:
+        eta = np.linalg.norm(j0.left @ j0.subtract(j0.rows(J)))
+        col = np.einsum("ij,ij->j", J, J)  # squared column norms
+        sigma_1 = (np.sqrt(col.max()), np.sqrt(col.sum()))
+        apply = partial(np.matmul, J)
     if not eta < 1.0:
         return None
     if C.size:
         g = np.linalg.svd(C @ T0, compute_uv=False)[-1]
-        h = np.sqrt(np.linalg.eigvalsh(C @ C.T)[-1])
         meet = np.arctan2(g, s + h) + np.arcsin(s * eta / np.hypot(s + h, g))
         lower = s * (np.sin(meet) - eta)
     else:
         lower = s * (1.0 - eta)
-    col = np.einsum("ij,ij->j", J, J)  # squared column norms
-    if not lower >= _SV_CUT * np.sqrt(col.sum()):
+    if not lower >= _SV_CUT * sigma_1[1]:
         return None
-    T, JT, upper = T0, J @ T0, np.inf
+    T, JT, upper = T0, apply(T0), np.inf
     while True:
         T = np.linalg.qr(T - j0.solve(JT))[0]  # J0's chord: J0^+ J_sel T = J0^+ (J T)
-        JT = J @ T
+        JT = apply(T)
         null = JT @ np.linalg.svd(C @ T)[2][C.shape[0] :].T if C.size else JT  # J on null(C T)
         last, upper = upper, np.linalg.svd(null, compute_uv=False)[0]
-        if upper < _SV_CUT * np.sqrt(col.max()) and lower >= _GAP_MIN * upper:
+        if upper < _SV_CUT * sigma_1[0] and lower >= _GAP_MIN * upper:
             return {"dim": null.shape[1], "gap": (float(lower), float(upper))}
         if not upper <= _CHORD_CONTRACTION * last:
             return None
@@ -857,12 +989,20 @@ def family_dimension(m, sol, cfg=None):
     _null_count counts J's singular values, and the gap across its cut:
     {"dim": k, "gap": (kept_lower, null_upper)}.
 
-    The count comes from J0's blocks (_certified_dimension), with bounds
-    on sigma_{K-k} and sigma_{K-k+1}; where those bounds prove nothing,
-    from one values-only SVD of J, with the two values themselves.
+    Three tiers answer in turn, bounds on sigma_{K-k} and sigma_{K-k+1}
+    from J0's blocks at the pole-0 disc of sol's velocity, factored once
+    (_certified_dimension): the sample tier, with no dense J; the eta
+    tier, on the dense J; and where neither proves anything, one
+    values-only SVD of J, with the two values themselves.
     """
-    system, J = _system_at(m, sol, cfg)
-    certified = _certified_dimension(system, sol.coeffs, J)
+    system = _frame_system(m, sol, cfg)
+    x = system.pack(sol.coeffs)
+    j0 = _PoleZero(system.m.base.A, sol.coeffs[1:, 1], system.cfg.N, system.cfg.M)
+    certified = _certified_dimension(system, j0, x)
+    if certified is not None:
+        return certified
+    J = system.jacobian(x)
+    certified = _certified_dimension(system, j0, x, J)
     if certified is not None:
         return certified
     sv = np.linalg.svd(J, compute_uv=False)

@@ -34,6 +34,8 @@ def test_tracer_hooks_resolve(tracing):
         tracer.install()
         sol = rh_solver.solve_with_homotopy(m, DiscParams(y0=0.0, v=[0.0], w=[1.0], a=0.0), cfg)
         rh_solver.family_dimension(m, sol, cfg)
+        # family_dimension's sample tier takes no dense J; the tangent basis does
+        rh_solver.family_tangent_basis(m, sol, cfg)
     finally:
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
