@@ -33,7 +33,9 @@ step (the chord or Shamanskii method, C. T. Kelley, Solving Nonlinear
 Equations with Newton's Method, SIAM 2003, 5.4).  max_iter caps the
 linearizations; accepted chord steps at least halve the residual, so
 there are at most log2(r0 / tol) of them.  tol, the step cut _RCOND
-and the damping floor _DAMPING_MIN are constants.
+and the damping floor _DAMPING_MIN are constants.  The certificate of a
+solved disc, lam and the lift defects, reads the lift that the last
+residual built at the returned coefficients; no lift is built again.
 
 solve_with_homotopy solves a closed-form start (DiscParams), the one
 start kind, in its normalized frame (DiscFrame): on the image Phi(M)
@@ -43,9 +45,10 @@ of g (DiscFrame.constraint).  solve_glued_disc is the same Newton on
 whatever surface it is given, from a coefficient array.
 Where its start is that pole-0 disc and misses tol, the first chord
 operator is J0^+, with J0 the eps = 0 linearization there: rotation
-invariant, so block diagonal in Fourier modes, built in closed form and
-factored block by block (_pole_zero_blocks, _pole_zero_chord), with no
-dense Jacobian.  J0 counts as a linearization.  Its steps lie off
+invariant, so block diagonal in Fourier modes, built in closed form with
+M + 1 blocks, at most four of them distinct, each factored once
+(_pole_zero_blocks, _PoleZero, _pole_zero_chord), with no dense
+Jacobian.  J0 counts as a linearization.  Its steps lie off
 null(J0), the tangent T0 of the family (y0, v, w, a) that the paper's
 explicit parametrization gives, built in closed form beside J0's blocks
 (_PoleZero.tangent, T0's one source), so unpinned the solved disc is the
@@ -154,8 +157,9 @@ class _DiscSystem:
     The unknowns are the real and imaginary parts of all (n+1, M+1)
     coefficients.  constraint = (read, target) appends the real equations
     read(coeffs) = target (a pin is such a read, DiscFrame.constraint);
-    the read is real-linear in the coefficients, so its Jacobian rows are
-    read of the unpacked identity, built once.
+    the read is real-linear in the coefficients, so its Jacobian rows
+    are built once (rows).  residual keeps the regular lift it builds as
+    lift.
     """
 
     def __init__(self, m, cfg, constraint=None):
@@ -180,16 +184,22 @@ class _DiscSystem:
 
     def rows(self, read):
         """Jacobian (rows, packed size) of a real-linear read of the
-        coefficients; reads take coefficient arrays stacked on leading axes."""
-        return read(self.unpack(np.eye(self.size))).T
+        coefficients: its reads of the unit coefficients, then of their
+        i-multiples, as pack orders the unknowns; reads take coefficient
+        arrays stacked on leading axes."""
+        unit = np.eye(self.size // 2, dtype=complex).reshape(-1, self.n + 1, self.cfg.M + 1)
+        return np.concatenate([read(unit), read(1j * unit)]).T
 
     # -- residual and its exact linearization ----------------------------
 
     def residual(self, x):
+        """The residual at x; its regular lift stays as self.lift, where
+        the solve's certificate reads the last evaluation's."""
         coeffs = self.unpack(x)
         h = _boundary_samples(coeffs, self.cfg.N)
         rho = self.m.eval_rho_many(h.T)
-        neg = construct_regular_lift(self.m, h).spec[: self.n, self.cfg.N // 2 :].reshape(-1)
+        self.lift = construct_regular_lift(self.m, h)
+        neg = self.lift.spec[: self.n, self.cfg.N // 2 :].reshape(-1)
         parts = [rho, neg.real, neg.imag]
         if self.constraint is not None:
             read, target = self.constraint
@@ -261,8 +271,9 @@ class _DiscSystem:
         C = (self.constraint_rows @ V).T
         return np.concatenate([rho, neg.real, neg.imag, C], axis=1).T
 
-    def jacobian(self, x):
-        """Exact derivative of residual at x, assembled in column blocks.
+    def jacobian(self, x, f=None):
+        """Exact derivative of residual at x, assembled in column blocks
+        from the boundary functions f at x (built here when None).
 
         Along dh the residual moves by d rho = 2 Re(grad rho . dh),
         d log lam = -T(Im(d phi / phi)) - Re(d phi / phi) and
@@ -273,7 +284,7 @@ class _DiscSystem:
         constraint rows are the constant constraint_rows.
         """
         N, n, half = self.cfg.N, self.n, self.cfg.N // 2
-        f = self.boundary_functions(x)
+        f = self.boundary_functions(x) if f is None else f
         grad, ratio_p, ratio_q, lift_p, lift_q = f.grad, f.ratio_p, f.ratio_q, f.lift_p, f.lift_q
         J = np.empty((N + n * N + self.constraint_rows.shape[0], x.size), order="F")
         J[N + n * N :] = self.constraint_rows
@@ -301,12 +312,12 @@ class _DiscSystem:
 
 def _polyval(coeffs, z):
     """sum_k coeffs[..., k] z^k at a point z, or at each of an array of points
-    (a last axis added); powers by repeated multiplication."""
+    (a last axis added); powers by one cumulative product."""
     z = np.asarray(z, dtype=complex)
-    powers = np.ones(z.shape + (coeffs.shape[-1],), dtype=complex)
-    for k in range(1, coeffs.shape[-1]):
-        powers[..., k] = powers[..., k - 1] * z
-    return coeffs @ np.moveaxis(powers, -1, 0)
+    powers = np.empty((coeffs.shape[-1],) + z.shape, dtype=complex)
+    powers[0] = 1.0
+    powers[1:] = z
+    return coeffs @ np.cumprod(powers, axis=0)
 
 
 @dataclass(frozen=True)
@@ -486,6 +497,10 @@ def _pole_zero_blocks(A, u, N, M):
       columns: Re and Im of mode p of component 0, of mode p + 1 of
             components 1..n, and (at p = 1) of their mode 0.
     Every other row of J0 is 0, and a column reaches its block alone.
+    Block p depends on p only at p = 0 (its scale, no sin row), p = 1 (the
+    mode-0 columns, no lifted row of component 0) and p = M (no mode
+    p + 1), so of the M + 1 blocks at most four are distinct: blocks
+    2..M-1 are one matrix.
     """
     n = u.size
     e = np.array([1.0, 1j])
@@ -516,16 +531,19 @@ def _pole_zero_blocks(A, u, N, M):
 
 
 class _PoleZero:
-    """J0 (_pole_zero_blocks) factored block by block, with its maps.
+    """J0 (_pole_zero_blocks) factored by its distinct blocks, with its maps.
 
-    rows takes residual rows (the orthogonal real DFT of the rho rows,
-    then the lifted modes each block holds) to block rows, and scatter
-    block columns to packed unknowns; every row of J0 that no block
-    holds is 0.  J0^+ is inv between them: the blocks'
-    pseudo-inverses V S^+ U^T, cut as np.linalg.pinv cuts J0, at _RCOND
-    times the largest singular value of all; kept holds the values above
-    that cut, and left is S^+ U^T, so |J0^+ y| = |left y|.  tangent is
-    T0, J0's null space: the family tangent at the pole-0 disc, the one
+    J0 has M + 1 blocks, one per mode, and at most four of them distinct;
+    one batched SVD factors each distinct block once, and block[p] maps
+    mode p to its factors.  rows takes residual rows (the orthogonal
+    real DFT of the rho rows, then the lifted modes each block holds) to
+    block rows, and scatter block columns to packed unknowns; every row
+    of J0 that no block holds is 0.  J0^+ is inv between them: the
+    blocks' pseudo-inverses V S^+ U^T, cut as np.linalg.pinv cuts J0, at
+    _RCOND times the largest singular value of all; kept holds the values
+    above that cut, each mode's counted, and left is S^+ U^T, so |J0^+ y|
+    = |left y|; inv and left hold one matrix per mode.  tangent is T0,
+    J0's null space: the family tangent at the pole-0 disc, the one
     source of T0 for the chord's constraint step and family_dimension.
     """
 
@@ -533,12 +551,15 @@ class _PoleZero:
         n = self.n = u.size
         self.A, self.u, self.N, self.M = A, u, N, M
         self.blocks = _pole_zero_blocks(A, u, N, M)
-        U, S, Vt = np.linalg.svd(self.blocks, full_matrices=False)
+        p = np.arange(M + 1)
+        distinct, self.block = np.unique(np.where((p > 1) & (p < M), 2, p), return_inverse=True)
+        U, S, Vt = np.linalg.svd(self.blocks[distinct], full_matrices=False)
         keep = S > _RCOND * S.max()
-        self.kept = S[keep]
+        self.kept = S[self.block][keep[self.block]]
         inverse = np.where(keep, 1.0 / np.where(keep, S, 1.0), 0.0)
-        self.inv = Vt.transpose(0, 2, 1) * inverse[:, None] @ U.transpose(0, 2, 1)
-        self.left = inverse[..., None] * U.transpose(0, 2, 1)  # (M + 1, 2n+2, 2n+2)
+        inv = Vt.transpose(0, 2, 1) * inverse[:, None] @ U.transpose(0, 2, 1)
+        self.inv = inv[self.block]  # (M + 1, 4n+2, 2n+2)
+        self.left = (inverse[..., None] * U.transpose(0, 2, 1))[self.block]  # (M + 1, 2n+2, 2n+2)
         self.weight = np.full((M + 1, 1), np.sqrt(2.0 / N))
         self.weight[0] = 1.0 / np.sqrt(N)
         # packed index of the Re part of each block's complex columns, -1
@@ -758,8 +779,9 @@ def solve_glued_disc(m, coeffs, cfg=None, constraint=None):
         r = r_new
         iters += 1
         history.append(system.sup_norm(r))
-    coeffs = system.unpack(x)
-    lift = construct_regular_lift(m, _boundary_samples(coeffs, cfg.N))
+    # every accepted step's residual is the last one evaluated, so its
+    # lift is that of the returned coefficients
+    lift = system.lift
     defects = lift.defects
     if np.max(defects) > 10.0 * cfg.tol:
         raise NoConvergenceError(
@@ -767,7 +789,7 @@ def solve_glued_disc(m, coeffs, cfg=None, constraint=None):
             residual_history=history,
         )
     return GluedDisc(
-        coeffs=coeffs,
+        coeffs=system.unpack(x),
         lam=lift.lam,
         config=cfg,
         frame=DiscFrame.identity(m.n),
@@ -917,12 +939,13 @@ def _sample_bound(f, f0, N):
     return np.sqrt(N * a**2 + b**2)
 
 
-def _certified_dimension(system, j0, x, J=None):
+def _certified_dimension(system, j0, source):
     """family_dimension's count k and its bounds (kept_lower, null_upper)
-    on sigma_{K-k} and sigma_{K-k+1} of J at x, from j0, J0's blocks at
-    the pole-0 disc of x's velocity (_PoleZero); None where they do not
-    prove that _null_count of J's spectrum returns k.  Without J it reads
-    no dense J (the sample tier); with J it is the eta tier.
+    on sigma_{K-k} and sigma_{K-k+1} of J at a point x, from j0, J0's
+    blocks at the pole-0 disc of x's velocity (_PoleZero); None where
+    they do not prove that _null_count of J's spectrum returns k.  source
+    is the boundary functions at x (_BoundaryFunctions), and then it
+    reads no dense J (the sample tier), or the dense J at x (the eta tier).
 
     T0 is j0's tangent (the family's), null(J0) when J0 keeps K - (4n+3)
     values, and s the least kept value, so |J0 v| >= s |v| off T0.  The
@@ -946,19 +969,20 @@ def _certified_dimension(system, j0, x, J=None):
     tests below put _null_count's cut and gap where the bounds say.
     """
     T0 = j0.tangent
-    if T0 is None or j0.kept.size != x.size - T0.shape[1]:
+    if T0 is None or j0.kept.size != system.size - T0.shape[1]:
         return None
     C = system.constraint_rows
     h = np.sqrt(np.linalg.eigvalsh(C @ C.T)[-1]) if C.size else 0.0
     s = j0.kept.min()
-    if J is None:
-        f = system.boundary_functions(x)
-        B = _sample_bound(f, j0.functions, system.cfg.N)
+    if isinstance(source, _BoundaryFunctions):
+        B = _sample_bound(source, j0.functions, system.cfg.N)
         eta, top = B / s, j0.kept.max()
         sigma_1 = (top - B, np.hypot(top, h) + B)
-        apply = partial(system.product, f)
+        apply = partial(system.product, source)
     else:
-        eta = np.linalg.norm(j0.left @ j0.subtract(j0.rows(J)))
+        J = source
+        # a sum of squares: np.linalg.norm's BLAS dot can start threads
+        eta = np.sqrt(np.square(j0.left @ j0.subtract(j0.rows(J))).sum())
         col = np.einsum("ij,ij->j", J, J)  # squared column norms
         sigma_1 = (np.sqrt(col.max()), np.sqrt(col.sum()))
         apply = partial(np.matmul, J)
@@ -992,17 +1016,19 @@ def family_dimension(m, sol, cfg=None):
     Three tiers answer in turn, bounds on sigma_{K-k} and sigma_{K-k+1}
     from J0's blocks at the pole-0 disc of sol's velocity, factored once
     (_certified_dimension): the sample tier, with no dense J; the eta
-    tier, on the dense J; and where neither proves anything, one
-    values-only SVD of J, with the two values themselves.
+    tier, on the dense J built from the sample tier's boundary functions;
+    and where neither proves anything, one values-only SVD of J, with
+    the two values themselves.
     """
     system = _frame_system(m, sol, cfg)
     x = system.pack(sol.coeffs)
     j0 = _PoleZero(system.m.base.A, sol.coeffs[1:, 1], system.cfg.N, system.cfg.M)
-    certified = _certified_dimension(system, j0, x)
+    f = system.boundary_functions(x)
+    certified = _certified_dimension(system, j0, f)
     if certified is not None:
         return certified
-    J = system.jacobian(x)
-    certified = _certified_dimension(system, j0, x, J)
+    J = system.jacobian(x, f)
+    certified = _certified_dimension(system, j0, J)
     if certified is not None:
         return certified
     sv = np.linalg.svd(J, compute_uv=False)

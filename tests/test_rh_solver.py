@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import sys
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -263,6 +264,52 @@ class TestSolve:
         lift = construct_regular_lift(system.m, _boundary_samples(sol.coeffs, CFG.N))
         assert np.array_equal(sol.lam, lift.lam)
 
+    @pytest.mark.parametrize(
+        "m, start, cfg, pin, path",
+        [
+            pytest.param(QUARTIC, START, CFG, None, "j0-chord", id="j0-chord"),
+            pytest.param(
+                PerturbedHypersurface(
+                    base=Hyperquadric(n=2, A=np.eye(2)),
+                    epsilon=1e-4,
+                    terms={(0, 0, 4, 0, 0, 0): 1.0},
+                ),
+                DiscParams(y0=0.0, v=[0.0, 0.0], w=[1.0, 0.5], a=0.3),
+                SolveConfig(N=128, M=24),
+                np.array([1.0, 0.0, 0.0], dtype=complex),
+                "damped-newton",
+                id="n2-pinned-damped-newton",
+            ),
+            pytest.param(FLAT, STALLING, CFG, None, "no-step", id="eps0-no-step"),
+        ],
+    )
+    def test_certificate_is_the_last_residuals_lift(self, monkeypatch, m, start, cfg, pin, path):
+        # lam and lift_defects come from the lift that the last accepted
+        # residual built, bit for bit a fresh lift at the returned coefficients
+        calls = Counter()
+        monkeypatch.setattr(
+            rh_solver,
+            "construct_regular_lift",
+            counting(calls, "lift", rh_solver.construct_regular_lift),
+        )
+        for name in ("residual", "jacobian"):
+            original = getattr(_DiscSystem, name)
+            monkeypatch.setattr(_DiscSystem, name, counting(calls, name, original))
+        sol = solve_with_homotopy(m, start, cfg, pin_center=pin)
+        assert sol.residual_sup < cfg.tol
+        assert {
+            "j0-chord": sol.linearizations == 1 < sol.iterations,
+            "damped-newton": sol.linearizations >= 2 and calls["jacobian"] > 0,
+            "no-step": sol.iterations == sol.linearizations == 0,
+        }[path]
+        # each lift the solve builds is a residual's or a Jacobian's: none
+        # is built again for the certificate
+        assert calls["lift"] == calls["residual"] + calls["jacobian"]
+        surface = m.in_frame(sol.frame.phi)
+        lift = construct_regular_lift(surface, _boundary_samples(sol.coeffs, cfg.N))
+        assert np.array_equal(sol.lam, lift.lam)
+        assert np.array_equal(sol.lift_defects, lift.defects)
+
     def test_layers_run_through_their_entry_points(self, monkeypatch):
         # A profiler attributes time to the kernel and the Hilbert transform
         # by replacing these two names wherever a statdisc module holds them,
@@ -522,6 +569,24 @@ def _resolved_setup(n, eps, pinned):
 class TestLinearization:
     """The analytic Jacobian against the central-difference oracle, and
     the Newton factorization against lstsq."""
+
+    @pytest.mark.parametrize("framed", [False, True], ids=["identity", "framed"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rows_read_the_unit_coefficients(self, n, framed):
+        # rows reads the units and their i-multiples: the unpacked identity
+        q, _m = _model(n, 0.0)
+        M = 24
+        p = DiscParams(y0=0.1, v=np.zeros(n), w=np.linspace(1.0, 0.5, n) + 0.2j, a=0.3 + 0.1j)
+        frame = DiscFrame.normalized(q, p, M)[0] if framed else DiscFrame.identity(n)
+        system = _DiscSystem(q, SolveConfig(N=64, M=M))
+        pin = Disc(q, p).center()
+        for read in (
+            frame.constraint(pin)[0],
+            partial(_endpoint, frame=frame) if framed else _endpoint,
+            partial(_velocity, frame=frame) if framed else _velocity,
+        ):
+            ref = read(system.unpack(np.eye(system.size))).T
+            assert np.array_equal(system.rows(read), ref)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("eps", [0.0, 1e-4, 1e-3])
@@ -853,6 +918,37 @@ class TestPoleZeroChord:
         ref = np.linalg.pinv(J, rcond=_RCOND)
         assert np.abs(P - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("M", [1, 2, 3, 24, 48])
+    @pytest.mark.parametrize("signature", ["definite", "indefinite"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_distinct_blocks_factor_as_every_block(self, n, signature, M):
+        # blocks 2..M-1 are one matrix; factoring the distinct blocks gives
+        # the factors of a batched SVD of all M + 1, bit for bit
+        N = 128
+        q, c = _pole_zero_case(n, signature, M)
+        u = c[1:, 1]
+        B = _pole_zero_blocks(q.A, u, N, M)
+        for p in range(3, M):
+            assert np.array_equal(B[p], B[2])
+        j0 = _PoleZero(q.A, u, N, M)
+        assert len(np.unique(j0.block)) == min(M + 1, 4)
+        U, S, Vt = np.linalg.svd(B, full_matrices=False)
+        keep = S > _RCOND * S.max()
+        inverse = np.where(keep, 1.0 / np.where(keep, S, 1.0), 0.0)
+        assert np.array_equal(j0.kept, S[keep])
+        Ut, V = U.transpose(0, 2, 1), Vt.transpose(0, 2, 1)
+        assert np.array_equal(j0.inv, V * inverse[:, None] @ Ut)
+        assert np.array_equal(j0.left, inverse[..., None] * Ut)
+        # kept counts every mode's values: J0's null space is T0 alone
+        assert M < 2 or j0.kept.size == 2 * (n + 1) * (M + 1) - (4 * n + 3)
+        # J0^+ on the residual rows is pinv of the dense J0 there, to the
+        # dense pinv's own rounding (up to 1.8e-13 of its largest entry at n = 3)
+        J0 = _scatter_blocks(B, n, N, M)
+        J0[:N] = _real_dft(N).T @ J0[:N]
+        ref = np.linalg.pinv(J0, rcond=_RCOND)
+        P = j0.solve(np.eye(J0.shape[0]))
+        assert np.abs(P - ref).max() <= 1e-12 * np.abs(ref).max()
+
     @pytest.mark.parametrize("signature", ["definite", "indefinite"])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_boundary_functions_are_the_pole_zero_constants(self, n, signature):
@@ -1054,11 +1150,10 @@ SWEEP_CELLS = [
 def _j0_tiers(system, coeffs, J):
     """_certified_dimension's two J0 tiers at coeffs, in family_dimension's
     order: the sample tier's answer, then the eta tier's on the dense J."""
-    x = system.pack(coeffs)
     j0 = _PoleZero(system.m.base.A, coeffs[1:, 1], system.cfg.N, system.cfg.M)
     return {
-        "sample": _certified_dimension(system, j0, x),
-        "eta": _certified_dimension(system, j0, x, J),
+        "sample": _certified_dimension(system, j0, system.boundary_functions(system.pack(coeffs))),
+        "eta": _certified_dimension(system, j0, J),
     }
 
 
@@ -1180,14 +1275,19 @@ class TestCertifiedDimension:
         pin = Disc(m.base, p).center() if pinned else None
         sol = solve_with_homotopy(m, p, cfg, pin_center=pin)
         system, J = _system_at(m, sol, cfg)
-        sample = _j0_tiers(system, sol.coeffs, J)["sample"]
+        tiers = _j0_tiers(system, sol.coeffs, J)
         calls = _count_jacobians(monkeypatch)
-        assert sample is not None and family_dimension(m, sol, cfg) == sample
-        assert calls["jacobian"] == 0
-        # where the sample tier proves nothing, the eta tier reads the dense J
+        functions = _DiscSystem.boundary_functions
+        monkeypatch.setattr(
+            _DiscSystem, "boundary_functions", counting(calls, "functions", functions)
+        )
+        assert tiers["sample"] is not None and family_dimension(m, sol, cfg) == tiers["sample"]
+        assert calls["jacobian"] == 0 and calls["functions"] == 1
+        # where the sample tier proves nothing, the eta tier reads the dense
+        # J, built from the sample tier's boundary functions
         monkeypatch.setattr(rh_solver, "_sample_bound", lambda *_args: np.inf)
-        assert family_dimension(m, sol, cfg) == _j0_tiers(system, sol.coeffs, J)["eta"]
-        assert calls["jacobian"] == 1
+        assert family_dimension(m, sol, cfg) == tiers["eta"]
+        assert calls["jacobian"] == 1 and calls["functions"] == 2
 
     def test_continuation_inputs(self, monkeypatch):
         # every operation of the benchmark's seed 1: the count and the
