@@ -40,17 +40,18 @@ residual built at the returned coefficients; no lift is built again.
 solve_with_homotopy solves a closed-form start (DiscParams), the one
 start kind, in its normalized frame (DiscFrame): on the image Phi(M)
 under an automorphism of the quadric up to scale, from the pole-0 disc,
-which is exact at eps = 0 on every grid; pins and constraints are reads
-of g (DiscFrame.constraint).  solve_glued_disc is the same Newton on
+which is exact at eps = 0 on every grid, by one step to eps and one
+retry through eps / 2; pins and constraints are reads of g
+(DiscFrame.constraint).  solve_glued_disc is the same Newton on
 whatever surface it is given, from a coefficient array.
 Where its start is that pole-0 disc and misses tol, the first chord
 operator is J0^+, with J0 the eps = 0 linearization there: rotation
-invariant, so block diagonal in Fourier modes, built in closed form with
-M + 1 blocks, at most four of them distinct, each factored once
-(_pole_zero_blocks, _PoleZero, _pole_zero_chord), with no dense
-Jacobian.  J0 counts as a linearization.  Its steps lie off
-null(J0), the tangent T0 of the family (y0, v, w, a) that the paper's
-explicit parametrization gives, built in closed form beside J0's blocks
+invariant, so block diagonal in Fourier modes, with M + 1 blocks, of
+which the at most four distinct are built in closed form and factored
+once (_pole_zero_blocks, _PoleZero, _pole_zero_chord), with no dense
+Jacobian.  J0 counts as a linearization.  Its steps lie off null(J0),
+the tangent T0 of the family (y0, v, w, a) that the paper's explicit
+parametrization gives, built in closed form beside J0's blocks
 (_PoleZero.tangent, T0's one source), so unpinned the solved disc is the
 member with T0^T (x - x0) = 0.  When a J0 step fails to halve the
 residual, its steps are dropped and the exact Newton above runs from the
@@ -66,7 +67,8 @@ eta tier reads |J0^+ E|_F off the dense J, and where that proves
 nothing, the values-only SVD of J counts.
 """
 
-from dataclasses import dataclass, field, replace
+from contextlib import suppress
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import ClassVar
 
@@ -427,8 +429,8 @@ class GluedDisc:
     is the positive boundary factor of the regular lift at the solution,
     and residual_sup and lift_defects its certificate, all on the solve
     grid in that frame: there the residual reads c2 times rho of M.
-    diagnostics carries residuals and iteration history.  The reads map
-    back to M.
+    residual_history holds the residual's sup norm at the start and after
+    each accepted step, residual_sup last.  The reads map back to M.
     """
 
     coeffs: np.ndarray
@@ -436,11 +438,17 @@ class GluedDisc:
     config: SolveConfig
     frame: DiscFrame
     pin_center: np.ndarray | None
-    residual_sup: float
     lift_defects: np.ndarray
-    iterations: int
     linearizations: int
-    residual_history: list = field(default_factory=list)
+    residual_history: list
+
+    @property
+    def residual_sup(self):
+        return self.residual_history[-1]
+
+    @property
+    def iterations(self):
+        return len(self.residual_history) - 1
 
     @property
     def h_coeffs(self):
@@ -531,29 +539,29 @@ def _pole_zero_blocks(A, u, N, M):
 
 
 class _PoleZero:
-    """J0 (_pole_zero_blocks) factored by its distinct blocks, with its maps.
+    """J0 (_pole_zero_blocks) by its distinct blocks, with its maps.
 
-    J0 has M + 1 blocks, one per mode, and at most four of them distinct;
-    one batched SVD factors each distinct block once, and block[p] maps
-    mode p to its factors.  rows takes residual rows (the orthogonal
-    real DFT of the rho rows, then the lifted modes each block holds) to
-    block rows, and scatter block columns to packed unknowns; every row
-    of J0 that no block holds is 0.  J0^+ is inv between them: the
-    blocks' pseudo-inverses V S^+ U^T, cut as np.linalg.pinv cuts J0, at
-    _RCOND times the largest singular value of all; kept holds the values
-    above that cut, each mode's counted, and left is S^+ U^T, so |J0^+ y|
-    = |left y|; inv and left hold one matrix per mode.  tangent is T0,
-    J0's null space: the family tangent at the pole-0 disc, the one
+    J0 has M + 1 blocks, one per mode: blocks holds the at most four
+    distinct, J0's blocks at min(M, 3), one batched SVD factors each, and
+    block[p] maps mode p to its own.  rows takes residual rows (the
+    orthogonal real DFT of the rho rows, then the lifted modes each block
+    holds) to block rows, and scatter block columns to packed unknowns;
+    every row of J0 that no block holds is 0.  J0^+ is inv between them:
+    the blocks' pseudo-inverses V S^+ U^T, cut as np.linalg.pinv cuts J0,
+    at _RCOND times the largest singular value of all; kept holds the
+    values above that cut, each mode's counted, and left is S^+ U^T, so
+    |J0^+ y| = |left y|; inv and left hold one matrix per mode.  tangent is
+    T0, J0's null space: the family tangent at the pole-0 disc, the one
     source of T0 for the chord's constraint step and family_dimension.
     """
 
     def __init__(self, A, u, N, M):
         n = self.n = u.size
         self.A, self.u, self.N, self.M = A, u, N, M
-        self.blocks = _pole_zero_blocks(A, u, N, M)
-        p = np.arange(M + 1)
-        distinct, self.block = np.unique(np.where((p > 1) & (p < M), 2, p), return_inverse=True)
-        U, S, Vt = np.linalg.svd(self.blocks[distinct], full_matrices=False)
+        self.blocks = _pole_zero_blocks(A, u, N, min(M, 3))
+        self.block = np.minimum(np.arange(M + 1), 2)
+        self.block[M] = min(M, 3)
+        U, S, Vt = np.linalg.svd(self.blocks, full_matrices=False)
         keep = S > _RCOND * S.max()
         self.kept = S[self.block][keep[self.block]]
         inverse = np.where(keep, 1.0 / np.where(keep, S, 1.0), 0.0)
@@ -653,7 +661,7 @@ class _PoleZero:
         """rows - J0 in place, for block rows over the packed unknowns
         (M + 1, 2n+2, packed size)."""
         p, col = np.nonzero(self.cols >= 0)
-        rows[p, :, self.cols[p, col]] -= self.blocks[p, :, col]
+        rows[p, :, self.cols[p, col]] -= self.blocks[self.block[p], :, col]
         return rows
 
 
@@ -718,7 +726,6 @@ def solve_glued_disc(m, coeffs, cfg=None, constraint=None):
     x = x0 = system.pack(coeffs)
     r = r0 = system.residual(x)
     history = [system.sup_norm(r)]
-    iters = 0
     # the pole-0 disc's start takes J0's chord first (_pole_zero_chord)
     solve_chord = _pole_zero_chord(system, coeffs) if history[-1] >= cfg.tol else None
     pole_zero = solve_chord is not None
@@ -734,20 +741,19 @@ def solve_glued_disc(m, coeffs, cfg=None, constraint=None):
                 sup = np.inf
             if sup <= _CHORD_CONTRACTION * history[-1] or sup < cfg.tol:
                 x, r = x_try, r_try
-                iters += 1
                 history.append(sup)
                 continue
             chord = False
         if linearizations >= cfg.max_iter:
             raise NoConvergenceError(
-                f"no convergence after {linearizations} linearizations and {iters} steps"
-                f" (residual {history[-1]:.3e})",
+                f"no convergence after {linearizations} linearizations and"
+                f" {len(history) - 1} steps (residual {history[-1]:.3e})",
                 residual_history=history,
             )
         if linearizations == pole_zero:
             # the first exact linearization, at the start: J0's chord, if it
             # ran, stalled, and its steps are dropped
-            x, r, iters, history = x0, r0, 0, history[:1]
+            x, r, history = x0, r0, history[:1]
         step, solve_chord = _svd_steps(system.jacobian(x), -r)
         linearizations += 1
         t = 1.0
@@ -777,7 +783,6 @@ def solve_glued_disc(m, coeffs, cfg=None, constraint=None):
         chord = t == 1.0
         x = x + t * step
         r = r_new
-        iters += 1
         history.append(system.sup_norm(r))
     # every accepted step's residual is the last one evaluated, so its
     # lift is that of the returned coefficients
@@ -794,34 +799,28 @@ def solve_glued_disc(m, coeffs, cfg=None, constraint=None):
         config=cfg,
         frame=DiscFrame.identity(m.n),
         pin_center=None,
-        residual_sup=history[-1],
         lift_defects=defects,
-        iterations=iters,
         linearizations=linearizations,
         residual_history=history,
     )
 
 
 def solve_with_homotopy(m, start, cfg=None, pin_center=None, constraint=None):
-    """solve_glued_disc continued in epsilon over up to three schedules.
+    """solve_glued_disc continued in epsilon: one step, and one retry through eps / 2.
 
     start is a closed-form disc (DiscParams) of the base quadric, solved
     in its normalized frame (DiscFrame): on Phi(M), from the centered
     disc with pole 0, which solves eps = 0 exactly at every M.  The pin
     h(0) = pin_center and constraint = (read, target) of h become reads
     of g (DiscFrame.constraint), and the returned disc carries the frame,
-    so its reads map back to M.  Where the frame gives no regular lift,
-    the refusal names the perturbation's size there and the knobs.
+    so its reads map back to M.  A pin at which no disc of the quadric is
+    centered (exists_disc_centered) is refused before any stage.
 
     Continuation needs a start that solves the eps = 0 problem (E. L.
     Allgower and K. Georg, Introduction to Numerical Continuation
-    Methods, 1990); the framed start does by construction.  At eps = 0
-    the one stage is solve_glued_disc from it.  The schedules are [1],
-    [1/2, 1] and [1/4, 1/2, 3/4, 1] times eps (up to 7 stages), each
-    started afresh from the start's coefficients.  Smaller steps rescue
-    some solves whose discretization floor at eps sits near tol.  When
-    every schedule fails, the last one's error is re-raised with the
-    knobs.
+    Methods, 1990); the framed start does by construction, so _continue
+    takes one step to eps and, where that stalls, retries through eps / 2.
+    A refusal names its cause and the knob (_refusal).
     """
     if not isinstance(start, DiscParams):
         raise InvalidInputError(
@@ -829,46 +828,74 @@ def solve_with_homotopy(m, start, cfg=None, pin_center=None, constraint=None):
         )
     m = _as_perturbed(m)
     cfg = cfg or SolveConfig()
+    centered = None if pin_center is None else exists_disc_centered(m.base, pin_center)
+    if centered is not None and not centered.exists:
+        pin = ", ".join(f"{z:.6g}" for z in np.asarray(pin_center, dtype=complex))
+        sign = ">" if centered.case == "positive-definite" else "<"
+        raise InvalidInputError(
+            f"no stationary disc is centered at the pin ({pin}): A is {centered.case}, so a"
+            f" center needs r {sign} 0, and r reads {m.base.eval_r(pin_center):.6g} there;"
+            " choose another center (--p0)"
+        )
     frame, coeffs = DiscFrame.normalized(m.base, start, cfg.M)
     surface = m.in_frame(frame.phi)
     try:
         sol = _continue(surface, coeffs, cfg, frame.constraint(pin_center, constraint))
+    except NoConvergenceError as err:
+        detail = _refusal(err, surface, start, frame, coeffs, cfg)
+        raise NoConvergenceError(detail, residual_history=err.residual_history)
     except LiftConstructionError as err:
-        refusal = str(err)
-    else:
-        return replace(sol, frame=frame, pin_center=pin_center)
-    g = _boundary_samples(coeffs, cfg.N).T
-    size = np.abs(surface.eval_rho_many(g) - m.base.eval_r_many(g)).max()
-    raise LiftConstructionError(
-        f"{refusal}; in the normalized frame of the pole |a| = {abs(start.a):.3g} the"
-        f" perturbation eps*c^2*sup|s o Phi^-1 o g| reads {size:.3e} (eps = {m.epsilon:.3g},"
-        f" c^2 = {frame.phi.c2:.3g}): lower eps or |a|"
-    )
+        raise LiftConstructionError(_refusal(err, surface, start, frame, coeffs, cfg))
+    return replace(sol, frame=frame, pin_center=pin_center)
 
 
 def _continue(m, coeffs, cfg, constraint):
-    """solve_with_homotopy's schedules on m from coeffs, which solve eps = 0."""
-    if m.epsilon == 0.0:
-        return solve_glued_disc(m, coeffs, cfg, constraint)
-    for schedule in ([1.0], [0.5, 1.0], [0.25, 0.5, 0.75, 1.0]):
-        cur = coeffs
-        try:
-            for t in schedule:
-                sol = solve_glued_disc(m.with_epsilon(t * m.epsilon), cur, cfg, constraint)
-                cur = sol.coeffs
-            return sol
-        except NoConvergenceError as err:
-            # without its traceback, which holds this frame and would close a cycle
-            last = err.with_traceback(None)
-    last = NoConvergenceError(
-        f"{last}; every schedule stalls above tol at eps = {m.epsilon:.3g} on the"
-        f" N={cfg.N}, M={cfg.M} grid: raise M (and N), or lower eps",
-        residual_history=last.residual_history,
-    )
+    """solve_glued_disc on m from coeffs, which solve eps = 0: one step to
+    eps and, where that stalls, a retry from coeffs through eps / 2."""
+    if m.epsilon != 0.0:
+        with suppress(NoConvergenceError):
+            return solve_glued_disc(m, coeffs, cfg, constraint)
+        coeffs = solve_glued_disc(m.with_epsilon(0.5 * m.epsilon), coeffs, cfg, constraint).coeffs
+    return solve_glued_disc(m, coeffs, cfg, constraint)
+
+
+def _refusal(err, surface, start, frame, coeffs, cfg):
+    """The message of err, a refused solve's error on Phi(M), with its cause and knob.
+
+    The framed start coeffs is the pole-0 disc (u*Au, u zeta) whatever a
+    is, and its lift divides by phi = -(conj(u)^T A)_n: where it misses
+    tol at eps = 0, the knob is the coordinate order.  Otherwise no
+    regular lift is the frame's domain limit (the knobs eps and |a|), and
+    a stall at eps > 0 the discretization floor (N, M and eps).
+    """
+    system = _DiscSystem(surface.base, cfg)  # Phi(M) at eps = 0
     try:
-        raise last
-    finally:
-        last = None
+        miss = system.sup_norm(system.residual(system.pack(coeffs)))
+    except LiftConstructionError:
+        miss = np.inf
+    if miss >= cfg.tol:
+        beta = coeffs[1:, 1].conj() @ surface.base.A
+        reached = "no regular lift" if miss == np.inf else f"residual {miss:.3e}"
+        return (
+            f"{err}; the framed start misses tol at eps = 0 ({reached}): its lift divides by"
+            f" (conj(u)^T A)_n, and |(conj(u)^T A)_n| / |conj(u)^T A| reads"
+            f" {abs(beta[-1]) / np.linalg.norm(beta):.3e} for u = w/|w|: order the"
+            " coordinates so that the last one carries more of conj(u)^T A"
+        )
+    if isinstance(err, LiftConstructionError):
+        g = _boundary_samples(coeffs, cfg.N).T
+        size = np.abs(surface.eval_rho_many(g) - surface.base.eval_r_many(g)).max()
+        return (
+            f"{err}; in the normalized frame of the pole |a| = {abs(start.a):.3g} the"
+            f" perturbation eps*c^2*sup|s o Phi^-1 o g| reads {size:.3e}"
+            f" (eps = {surface.epsilon:.3g}, c^2 = {frame.phi.c2:.3g}): lower eps or |a|"
+        )
+    if surface.epsilon == 0.0:
+        return str(err)
+    return (
+        f"{err}; every schedule stalls above tol at eps = {surface.epsilon:.3g} on the"
+        f" N={cfg.N}, M={cfg.M} grid: raise M (and N), or lower eps"
+    )
 
 
 def _frame_system(m, sol, cfg):
@@ -988,12 +1015,10 @@ def _certified_dimension(system, j0, source):
         apply = partial(np.matmul, J)
     if not eta < 1.0:
         return None
-    if C.size:
-        g = np.linalg.svd(C @ T0, compute_uv=False)[-1]
-        meet = np.arctan2(g, s + h) + np.arcsin(s * eta / np.hypot(s + h, g))
-        lower = s * (np.sin(meet) - eta)
-    else:
-        lower = s * (1.0 - eta)
+    # with no C, g = inf and h = 0: the least of the two is at a = 0, s (1 - eta)
+    g = np.linalg.svd(C @ T0, compute_uv=False)[-1] if C.size else np.inf
+    meet = np.arctan2(g, s + h) + np.arcsin(s * eta / np.hypot(s + h, g))
+    lower = s * (np.sin(meet) - eta)
     if not lower >= _SV_CUT * sigma_1[1]:
         return None
     T, JT, upper = T0, apply(T0), np.inf

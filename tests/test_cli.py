@@ -92,7 +92,7 @@ class TestExecute:
     def test_no_convergence_reports_residual_history(self):
         # the perturbation's own truncation floor on the (64, 16) grid sits
         # above tol; the closed-form start solves eps = 0 in its frame, so
-        # every schedule runs and stalls
+        # the step and its retry through eps / 2 run and stall
         code, _, err = run_cli(
             "solve", "--n", "1", "--a", "0.9", "--w", "1", "--epsilon", "1e-3",
             "--term", "0,0,4,0:1.0", "--grid", "64", "--modes", "16",
@@ -143,6 +143,44 @@ class TestExecute:
             " pole |a| = 0.95 the perturbation eps*c^2*sup|s o Phi^-1 o g| reads 1.521e+00"
             " (eps = 0.001, c^2 = 0.00951): lower eps or |a|",
         }
+
+    @pytest.mark.parametrize("args", [
+        ("solve", "--n", "1", "--pin-center", "--p0", "0"),
+        ("family-dim", "--n", "1", "--pin-center", "--p0", "-1", "--epsilon", "1e-3",
+         "--term", "0,0,4,0:1"),
+    ], ids=["solve", "family-dim"])
+    def test_inadmissible_pin_refused_before_any_stage(self, monkeypatch, capsys, args):
+        # A = I has no disc centered at (p0, 0) for Re p0 <= 0: the refusal
+        # names the center and --p0, not the solver's knobs
+        from statdisc import rh_solver
+
+        calls = []
+        solve = rh_solver.solve_glued_disc
+        monkeypatch.setattr(rh_solver, "solve_glued_disc",
+                            lambda *a, **k: calls.append(1) or solve(*a, **k))
+        code, out, err = run_main(capsys, *args, "--grid", "64", "--modes", "16")
+        assert (code, out, calls) == (1, "", [])
+        detail = json.loads(err)
+        assert detail["error"] == "InvalidInputError"
+        pin = f"no stationary disc is centered at the pin ({args[5]}+0j, 0+0j)"
+        assert detail["detail"].startswith(pin)
+        assert detail["detail"].endswith("; choose another center (--p0)")
+
+    def test_start_refusal_names_the_normalizing_component(self, capsys):
+        # A = I at eps = 0: the framed start's lift divides by u_n, u = w/|w|;
+        # w = (1, 0) has no lift, w = (1, 1e-6) rounds above tol, and both
+        # closed-form discs are valid
+        knob = "order the coordinates so that the last one carries more of conj(u)^T A"
+        for w, error, ratio in (("1,0", "LiftConstructionError", "0.000e+00"),
+                                ("1,1e-6", "NoConvergenceError", "1.000e-06")):
+            code, out, err = run_main(capsys, "solve", "--n", "2", "--w", w)
+            assert (code, out) == (1, ""), w
+            detail = json.loads(err)
+            assert detail["error"] == error
+            assert "the framed start misses tol at eps = 0" in detail["detail"]
+            assert detail["detail"].endswith(f"reads {ratio} for u = w/|w|: {knob}")
+        code, out, _ = run_main(capsys, "solve", "--n", "2", "--w", "1,1e-5")
+        assert code == 0 and json.loads(out)["residual_sup"] < 1e-11
 
     def test_dimension_error_reports_singular_values(self, monkeypatch, capsys):
         def ambiguous(_cfg):
@@ -504,6 +542,21 @@ class TestSubcommands:
             "b", "c_at_1", "lift_defect", "permutation", "projectivized_components"
         }
         assert data["lift_defect"] < 1e-12 and data["projectivized_components"] == 3
+
+    def test_disc_make_reports_the_gluing_residual_alone(self, capsys):
+        # the closed-form disc with w = (1, 0) is valid, but the lift that
+        # verify builds divides by its zero normalizing component
+        code, out, err = run_main(capsys, "disc-make", "--n", "2", "--w", "1,0")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["max_residual"] < 1e-15
+        # where the lift exists, max_residual is verify's, bit for bit
+        from statdisc import DiscParams, Hyperquadric, make_disc, verify_gluing
+
+        q = Hyperquadric(n=2, A=np.eye(2))
+        d = make_disc(q, DiscParams(y0=0.0, v=np.zeros(2), w=[1.0, 0.5], a=0.3))
+        code, out, _ = run_main(capsys, "disc-make", "--n", "2", "--w", "1,0.5", "--a", "0.3")
+        assert code == 0
+        assert json.loads(out)["max_residual"] == verify_gluing(q, d.boundary(256)).max_residual
 
     def test_lift_and_disc_make_csv(self, capsys):
         for sub in ("lift", "disc-make"):

@@ -63,7 +63,7 @@ START = DiscParams(y0=0.1, v=[0.0], w=[1.0], a=0.25 + 0.1j)
 # normalized frame, where the start is exact at eps = 0, removes that floor
 STALLING = DiscParams(y0=0.1, v=[0.0], w=[1.0], a=0.6)
 # START stalls at 1.58e-9 at every eps of this quartic at CFG: the
-# homotopy runs all three schedules, all seven stages
+# homotopy runs its step and its retry, three stages
 RETRYING = PerturbedHypersurface(base=SPHERE, epsilon=0.09, terms={(0, 0, 4, 0): 1.0})
 
 
@@ -359,24 +359,26 @@ class TestSolve:
             gc.enable()
 
     def test_failed_homotopy_leaves_no_reference_cycles(self):
-        # n = 2, |a| = 0.95 at (128, 24): refused, each schedule stalling
-        # before its last stage
+        # n = 2, |a| = 0.95 at (128, 24): refused, the step and the retry's
+        # eps / 2 stage stalling
         m, p = _sweep_model(2, 0.95, 1e-3)
         self._assert_no_reference_cycles(m, p, SolveConfig(N=128, M=24))
 
     def test_retried_homotopy_leaves_no_reference_cycles(self):
-        self._assert_no_reference_cycles(RETRYING, START, CFG)  # all seven stages
+        # the step and the retry, three stages; the refusal holds the last
+        # stage's error, and its traceback, as its context
+        self._assert_no_reference_cycles(RETRYING, START, CFG)
 
     def test_homotopy_stages_share_derivative_stacks(self, monkeypatch):
-        # all three schedules, the four-stage one included, run and stall;
-        # a fresh RETRYING, so that no stacks are cached yet
+        # the step and the retry through eps / 2 run and stall, and no
+        # further stage; a fresh RETRYING, so that no stacks are cached yet
         m = PerturbedHypersurface(base=SPHERE, epsilon=0.09, terms={(0, 0, 4, 0): 1.0})
         calls = Counter()
         original = _kernels.stack_derivatives
         monkeypatch.setattr(_kernels, "stack_derivatives", counting(calls, "stack", original))
         stages = _record_stages(monkeypatch)
         _stalled_homotopy(m)
-        assert stages == [t * m.epsilon for t in (1.0, 0.5, 1.0, 0.25, 0.5, 0.75, 1.0)]
+        assert stages == [t * m.epsilon for t in (1.0, 0.5, 1.0)]
         assert calls["stack"] <= 2
 
     def test_retry_schedule_rescues_a_stalled_first_schedule(self, monkeypatch):
@@ -386,14 +388,14 @@ class TestSolve:
         cfg = SolveConfig(N=256, M=48)
         frame, g0 = DiscFrame.normalized(m.base, p, cfg.M)
         with pytest.raises(NoConvergenceError):
-            solve_glued_disc(m.in_frame(frame.phi), g0, cfg)  # schedule 1 alone
+            solve_glued_disc(m.in_frame(frame.phi), g0, cfg)  # the step alone
         stages = _record_stages(monkeypatch)
         sol = solve_with_homotopy(m, p, cfg)
         assert stages == [t * m.epsilon for t in (1.0, 0.5, 1.0)]
         assert sol.residual_sup < cfg.tol and np.max(sol.lift_defects) <= 10 * cfg.tol
 
     def test_exhausted_schedules_name_the_knobs(self):
-        # START stalls at every eps of RETRYING at CFG, so all three schedules run
+        # START stalls at every eps of RETRYING at CFG, so the step and its retry run
         msg, hist = _stalled_homotopy(RETRYING)
         assert msg.startswith(("damping stalled", "no convergence"))
         assert msg.endswith(
@@ -406,6 +408,61 @@ class TestSolve:
         assert solve_with_homotopy(RETRYING, START, fine).residual_sup < fine.tol
         lower = RETRYING.with_epsilon(0.07)
         assert solve_with_homotopy(lower, START, CFG).residual_sup < CFG.tol
+
+    def test_inadmissible_pin_is_refused_before_any_stage(self, monkeypatch):
+        # the sphere's discs are centered where r > 0, so at no (p0, 0) with
+        # Re p0 <= 0; without the check the pinned solve stalls or fails
+        calls = _count_solves(monkeypatch)
+        with pytest.raises(InvalidInputError) as info:
+            solve_with_homotopy(QUARTIC, START, CFG, pin_center=_center_pin(1, 0.0))
+        assert str(info.value) == (
+            "no stationary disc is centered at the pin (0+0j, 0+0j): A is positive-definite,"
+            " so a center needs r > 0, and r reads 0 there; choose another center (--p0)"
+        )
+        with pytest.raises(InvalidInputError, match=r"\(-1\+0j, 0\+0j\).* r reads -1 there;"):
+            solve_with_homotopy(QUARTIC.with_epsilon(0.0), START, CFG, pin_center=[-1.0, 0.0])
+        assert calls["solve"] == 0
+        # an indefinite A has discs centered at every point, so the pin at
+        # the origin, where r = 0, is solved
+        q = Hyperquadric(n=2, A=np.diag([1.0, -1.0]))
+        m = PerturbedHypersurface(base=q, epsilon=1e-3, terms={(0, 0, 4, 0, 0, 0): 1.0})
+        cfg = SolveConfig(N=64, M=16)
+        start = DiscParams(y0=0.0, v=np.zeros(2), w=[1.0, 0.5], a=0.0)
+        sol = solve_with_homotopy(m, start, cfg, pin_center=np.zeros(3, dtype=complex))
+        assert sol.residual_sup < cfg.tol and calls["solve"] == 1
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    def test_start_that_misses_tol_names_its_normalizing_component(self, eps):
+        # A = I: the framed start (u*Au, u zeta), u = w/|w|, has phi = -conj(u_2),
+        # which its lift divides by, whatever a and eps
+        m = PerturbedHypersurface(
+            base=Hyperquadric(n=2, A=np.eye(2)), epsilon=eps, terms={(0, 0, 4, 0, 0, 0): 1.0}
+        )
+        cfg = SolveConfig(N=64, M=16)
+        knob = (
+            " for u = w/|w|: order the coordinates so that the last one carries more of"
+            " conj(u)^T A"
+        )
+        start = DiscParams(y0=0.0, v=np.zeros(2), w=[1.0, 0.0], a=0.3)
+        with pytest.raises(LiftConstructionError) as info:
+            solve_with_homotopy(m, start, cfg)
+        # not the frame's domain limit, which names eps and |a|
+        assert str(info.value) == (
+            "lift normalization component vanishes; the framed start misses tol at eps = 0"
+            " (no regular lift): its lift divides by (conj(u)^T A)_n, and"
+            " |(conj(u)^T A)_n| / |conj(u)^T A| reads 0.000e+00" + knob
+        )
+        if eps == 0.0:
+            # a valid closed-form disc whose start rounds above tol
+            start = dataclasses.replace(start, w=[1.0, 1e-6])
+            msg, hist = _stalled_homotopy(m, start, cfg)
+            assert msg.startswith(f"damping stalled at residual {hist[-1]:.3e}; ")
+            assert f"misses tol at eps = 0 (residual {hist[0]:.3e})" in msg
+            assert msg.endswith("reads 1.000e-06" + knob)
+        # the start's rounding floor, about 5e-17 over the component, is at
+        # tol from 1e-5; at 1e-4 the start meets tol
+        sol = solve_with_homotopy(m, dataclasses.replace(start, w=[1.0, 1e-4]), cfg)
+        assert sol.residual_sup < cfg.tol
 
     @pytest.mark.parametrize(
         "m, start, cfg, pin, answers",
@@ -931,7 +988,9 @@ class TestPoleZeroChord:
         for p in range(3, M):
             assert np.array_equal(B[p], B[2])
         j0 = _PoleZero(q.A, u, N, M)
-        assert len(np.unique(j0.block)) == min(M + 1, 4)
+        # j0 keeps the distinct blocks alone, and block maps every mode to its own
+        assert len(j0.blocks) == len(np.unique(j0.block)) == min(M + 1, 4)
+        assert np.array_equal(j0.blocks[j0.block], B)
         U, S, Vt = np.linalg.svd(B, full_matrices=False)
         keep = S > _RCOND * S.max()
         inverse = np.where(keep, 1.0 / np.where(keep, S, 1.0), 0.0)
@@ -1545,7 +1604,7 @@ class TestTransport:
     @pytest.mark.parametrize("target", [0.0, 1j, -1.0], ids=["zero", "imaginary", "negative"])
     def test_inadmissible_target_center_refused_before_any_solve(self, monkeypatch, target):
         # Re p0 = 0 would divide by zero in the velocity chart; Re p0 < 0
-        # has no disc on the sphere, so every schedule would fail
+        # has no disc on the sphere, so the continuation would fail
         calls = Counter()
         monkeypatch.setattr(
             rh_solver, "solve_glued_disc", counting(calls, "solve", rh_solver.solve_glued_disc)
@@ -1553,6 +1612,13 @@ class TestTransport:
         z = np.array([2.0, np.sqrt(2.0)], dtype=complex)
         with pytest.raises(InvalidInputError, match="^target center fails the admissibility"):
             transport_jet(QUARTIC, QUARTIC, 1.0, np.eye(2), z, p0_target=target, cfg=CFG)
+        assert calls["solve"] == 0
+
+    def test_misshapen_jet_refused_before_any_solve(self, monkeypatch):
+        calls = _count_solves(monkeypatch)
+        z = np.array([2.0, np.sqrt(2.0)], dtype=complex)
+        with pytest.raises(InvalidInputError, match=r"^dF must be \(n\+1\) x \(n\+1\)$"):
+            transport_jet(QUARTIC, QUARTIC, 1.0, np.eye(3), z, cfg=CFG)
         assert calls["solve"] == 0
 
     def test_off_indicatrix_velocity_rejected(self):
