@@ -12,7 +12,8 @@ of it, so no float ``pow`` runs.  With coeffs (T, K) one call evaluates
 K polynomials over one shared set of monomials.  ``derive_poly`` is the
 one differentiation rule for the array form; ``stack_derivatives`` lays
 several derivatives of one polynomial side by side in that (T, K) form,
-so a gradient or a Hessian is a single ``poly_eval``.
+so a gradient or a Hessian is a single ``poly_eval``, and a value with
+its gradient one call over their stacked monomials.
 """
 
 import numpy as np
@@ -22,7 +23,10 @@ def poly_eval(x, powers, coeffs):
     """Evaluate sum_t c_t * prod_d x_d^p_td at each row of x.
 
     x: (P, D) float64, powers: (T, D) int64, coeffs: (T,) or (T, K)
-    float64.  Returns (P,) or (P, K): column k uses coeffs[:, k].
+    float64.  Returns (P,) or (P, K): column k uses coeffs[:, k].  coeffs
+    may also be a list of such arrays whose row counts split powers into
+    consecutive blocks; then the values come back as a list, one per
+    block, each as poly_eval over that block alone gives it.
     """
     xt = x.T
     D, P = xt.shape
@@ -33,7 +37,13 @@ def poly_eval(x, powers, coeffs):
     mono = table[0, powers[:, 0]]  # (T, P); fancy indexing copies
     for d in range(1, D):
         mono *= table[d, powers[:, d]]
-    return mono.T @ coeffs
+    if not isinstance(coeffs, list):
+        return mono.T @ coeffs
+    out, start = [], 0
+    for c in coeffs:
+        out.append(mono[start : start + c.shape[0]].T @ c)
+        start += c.shape[0]
+    return out
 
 
 def poly_grad(x, powers, coeffs):

@@ -140,15 +140,20 @@ def construct_regular_lift(m, h_samples):
     if h.ndim != 2 or h.shape[0] != m.n + 1:
         raise InvalidInputError(f"expected (n+1, N) samples, got {h.shape}")
     N = validate_grid(h.shape[1])
-    zeta = circle_nodes(N)
-    grad = m.grad_rho_many(h.T)
+    return _regular_lift(m, m.grad_rho_many(h.T), circle_nodes(N))
+
+
+def _regular_lift(m, grad, zeta):
+    """construct_regular_lift from grad, (d rho / d z) o h as (N, n+1),
+    and zeta, the N-grid's circle_nodes, for a caller that holds both."""
     phi = zeta * grad[:, m.n]
-    scale = np.abs(phi).max()
-    if scale == 0.0 or np.abs(phi).min() < 1e-12 * scale:
+    size = np.abs(phi)
+    scale = size.max()
+    if scale == 0.0 or size.min() < 1e-12 * scale:
         raise LiftConstructionError("lift normalization component vanishes")
     ang = np.unwrap(np.angle(phi))
     if abs(ang[-1] + np.angle(phi[0] / phi[-1]) - ang[0]) > 1e-6:
         raise LiftConstructionError("normalization component winds around 0")
-    lam = np.exp(-hilbert_transform(ang) - np.log(np.abs(phi)))
-    spec = np.fft.fft(zeta * lam * grad.T, axis=1) / N
+    lam = np.exp(-hilbert_transform(ang) - np.log(size))
+    spec = np.fft.fft(zeta * lam * grad.T, axis=1) / zeta.size
     return RegularLift(grad=grad, lam=lam, phi=phi, spec=spec)

@@ -14,7 +14,6 @@ d/dz = (d/dx - i d/dy) / 2, so grad r(z) = (1/2, -conj(z_a)^T A).
 
 import copy
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -155,7 +154,7 @@ def z_to_real_coords(z):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Frame:
     """A complex-affine map Phi of C^(n+1) with r o Phi = c2 r, held by
     its inverse Phi^-1(y) = L y + t.
@@ -197,9 +196,10 @@ class Frame:
         """Phi at each row of z, shape (..., n+1)."""
         return np.linalg.solve(self.L, (np.asarray(z) - self.t).T).T
 
-    @cached_property
+    @property
     def real_L(self):
-        """L as a real matrix on the coordinates (Re y0, Im y0, Re y1, ...)."""
+        """L as a real matrix on the coordinates (Re y0, Im y0, Re y1, ...);
+        not cached, so a kept disc's frame holds L and t alone."""
         R = np.empty((2 * self.L.shape[0],) * 2)
         R[0::2, 0::2] = R[1::2, 1::2] = self.L.real
         R[1::2, 0::2] = self.L.imag
@@ -251,7 +251,8 @@ class PerturbedHypersurface:
         coeffs.flags.writeable = False
         object.__setattr__(self, "_powers", powers)
         object.__setattr__(self, "_coeffs", coeffs)
-        # derivative stacks by order; with_epsilon and in_frame copies share the dict
+        # derivative stacks by order, and (0, 1) for _value_and_gradient;
+        # with_epsilon and in_frame copies share the dict
         object.__setattr__(self, "_stacks", {})
 
     @property
@@ -301,10 +302,25 @@ class PerturbedHypersurface:
             return base
         x, weight = self._s_coords(z)
         g = _kernels.poly_eval(x, *self._derivative_stack(1))
+        return base + self._holomorphic_grad(weight, g)
+
+    def rho_and_grad_many(self, z):
+        """eval_rho_many and grad_rho_many at the rows of z, bit for bit,
+        from one set of coordinates and one polynomial sweep over s's
+        monomials stacked on its gradient's (_value_and_gradient)."""
+        base, base_grad = self.base.eval_r_many(z), self.base.grad_r_many(z)
+        if self._is_pure_quadric():
+            return base, base_grad
+        x, weight = self._s_coords(z)
+        s, g = _kernels.poly_eval(x, *self._value_and_gradient())
+        return base + weight * s, base_grad + self._holomorphic_grad(weight, g)
+
+    def _holomorphic_grad(self, weight, g):
+        """weight times d s / d z from the real gradient g (P, 2n+2) of s."""
         # d/dz_j = (d/dx_j - i d/dy_j) / 2 applied to the real polynomial;
         # Phi^-1 is complex-affine, so a frame multiplies it by L
         grad = weight * 0.5 * (g[:, 0::2] - 1j * g[:, 1::2])
-        return base + (grad if self.frame is None else grad @ self.frame.L)
+        return grad if self.frame is None else grad @ self.frame.L
 
     def hess_s_many(self, z):
         """Real Hessian of s (without eps) at each row of z: (P, 2n+2, 2n+2);
@@ -333,6 +349,15 @@ class PerturbedHypersurface:
             betas = [np.bincount(c, minlength=d) for c in combos]
             self._stacks[order] = _kernels.stack_derivatives(self._powers, self._coeffs, betas)
         return self._stacks[order]
+
+    def _value_and_gradient(self):
+        """s's powers stacked over its gradient's (_derivative_stack(1)),
+        with each block's coefficients, for one poly_eval of both; built
+        once for self and its copies."""
+        if (0, 1) not in self._stacks:
+            powers, coeffs = self._derivative_stack(1)
+            self._stacks[0, 1] = np.concatenate([self._powers, powers]), [self._coeffs, coeffs]
+        return self._stacks[0, 1]
 
     def to_json(self):
         obj = self.base.to_json()

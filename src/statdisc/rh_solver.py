@@ -33,9 +33,12 @@ step (the chord or Shamanskii method, C. T. Kelley, Solving Nonlinear
 Equations with Newton's Method, SIAM 2003, 5.4).  max_iter caps the
 linearizations; accepted chord steps at least halve the residual, so
 there are at most log2(r0 / tol) of them.  tol, the step cut _RCOND
-and the damping floor _DAMPING_MIN are constants.  The certificate of a
-solved disc, lam and the lift defects, reads the lift that the last
-residual built at the returned coefficients; no lift is built again.
+and the damping floor _DAMPING_MIN are constants.  Each residual takes
+rho and its gradient, which the lift reads, from one polynomial sweep.
+The certificate of a solved disc, lam and the lift defects, reads the
+lift that the last residual built at the returned coefficients; no lift
+is built again.  A residual below tol whose lift is refused is no stall:
+its error names the defect's component, and it is not retried.
 
 solve_with_homotopy solves a closed-form start (DiscParams), the one
 start kind, in its normalized frame (DiscFrame): on the image Phi(M)
@@ -57,24 +60,28 @@ member with T0^T (x - x0) = 0.  When a J0 step fails to halve the
 residual, its steps are dropped and the exact Newton above runs from the
 start.
 
-family_dimension counts null(J) at a solution from J0's blocks too:
-two bounds on J's singular values across the cut (_certified_dimension),
-in three tiers.  The sample tier assembles no dense J: Weyl's inequality
-with a bound on |J - J0|_2 from sup norms of the boundary functions J
-reads (_sample_bound), and J applied to the family's tangent by
-J-vector products (_DiscSystem.product).  Where it proves nothing, the
-eta tier reads |J0^+ E|_F off the dense J, and where that proves
-nothing, the values-only SVD of J counts.
+family_dimension counts null(J) at a solution from J0's blocks too,
+J0 at the framed start's direction (DiscFrame.u) that the solve's chord
+factored: the solve hands its last system, with the lift of the
+returned disc and that J0, to family_dimension, which reads it once
+(GluedDisc._solved) and builds the same objects where it has none.  It
+takes two bounds on J's singular values across the cut
+(_certified_dimension), in three tiers.  The sample tier assembles no
+dense J: Weyl's inequality with a bound on |J - J0|_2 from sup norms of
+the boundary functions J reads (_sample_bound), and J applied to the
+family's tangent by J-vector products (_DiscSystem.product).  Where it
+proves nothing, the eta tier reads |J0^+ E|_F off the dense J, and where
+that proves nothing, the values-only SVD of J counts.
 """
 
-from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, partial
 from typing import ClassVar
 
 import numpy as np
 
 from .boundary_analysis import (
+    _regular_lift,
     circle_nodes,
     construct_regular_lift,
     hilbert_transform,
@@ -161,7 +168,7 @@ class _DiscSystem:
     read(coeffs) = target (a pin is such a read, DiscFrame.constraint);
     the read is real-linear in the coefficients, so its Jacobian rows
     are built once (rows).  residual keeps the regular lift it builds as
-    lift.
+    lift, and a solve from the pole-0 disc keeps J0 (_PoleZero) as j0.
     """
 
     def __init__(self, m, cfg, constraint=None):
@@ -173,6 +180,7 @@ class _DiscSystem:
         self.size = 2 * (self.n + 1) * (cfg.M + 1)  # packed unknowns
         rows = np.empty((0, self.size)) if constraint is None else self.rows(constraint[0])
         self.constraint_rows = np.ascontiguousarray(rows)
+        self.lift = self.j0 = None
 
     # -- coefficient packing -------------------------------------------
 
@@ -196,11 +204,12 @@ class _DiscSystem:
 
     def residual(self, x):
         """The residual at x; its regular lift stays as self.lift, where
-        the solve's certificate reads the last evaluation's."""
+        the solve's certificate reads the last evaluation's.  rho and its
+        gradient, which the lift reads, come from one polynomial sweep."""
         coeffs = self.unpack(x)
         h = _boundary_samples(coeffs, self.cfg.N)
-        rho = self.m.eval_rho_many(h.T)
-        self.lift = construct_regular_lift(self.m, h)
+        rho, grad = self.m.rho_and_grad_many(h.T)
+        self.lift = _regular_lift(self.m, grad, self.zeta)
         neg = self.lift.spec[: self.n, self.cfg.N // 2 :].reshape(-1)
         parts = [rho, neg.real, neg.imag]
         if self.constraint is not None:
@@ -230,13 +239,14 @@ class _DiscSystem:
             Q += 0.25 * self.m.epsilon * (xx + yy + 1j * (xy - yx))
         return P, Q
 
-    def boundary_functions(self, x):
+    def boundary_functions(self, x, lift=None):
         """The boundary functions at x that J reads (_BoundaryFunctions),
         from the regular lift's grad, lam and phi and grad_derivatives'
-        P and Q."""
+        P and Q; lift is the regular lift at x, built here when None."""
         n = self.n
         h = _boundary_samples(self.unpack(x), self.cfg.N)
-        lift = construct_regular_lift(self.m, h)
+        if lift is None:
+            lift = construct_regular_lift(self.m, h)
         grad, lam, phi = lift.grad.T, lift.lam, lift.phi
         P, Q = self.grad_derivatives(h)
         zl = self.zeta * lam
@@ -322,7 +332,7 @@ def _polyval(coeffs, z):
     return coeffs @ np.cumprod(powers, axis=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiscFrame:
     """The normalized frame of a solve: the disc on M is
     h = Phi^-1 o g o psi^-1, with g the solved disc on Phi(M) and
@@ -333,15 +343,19 @@ class DiscFrame:
     g(0) and the dilation D with c = 1 / |w'| (w' = w / (1 - |a|^2)) make
     Phi = D o F take h o psi to the centered disc (uAu, u zeta), u = w/|w|.
     That start has degree 1, so it solves eps = 0 exactly at every M
-    (Lempert 1981; Chern-Moser 1974).
+    (Lempert 1981; Chern-Moser 1974).  u records that start's direction,
+    its coefficients' mode 1, where J0 linearizes for the solve's chord
+    and family_dimension's certificate alike (_PoleZero).
     """
 
     a: complex
     phi: Frame
+    u: np.ndarray | None = None
 
     @classmethod
     def identity(cls, n):
-        """The frame of a bare solve: a = 0 and Phi the identity, so h = g."""
+        """The frame of a bare solve: a = 0 and Phi the identity, so h = g,
+        with no start direction recorded."""
         eye = np.eye(n + 1, dtype=complex)
         return cls(a=0.0, phi=Frame(L=eye, t=np.zeros(n + 1, dtype=complex), c2=1.0))
 
@@ -356,7 +370,8 @@ class DiscFrame:
         c = 1.0 / np.linalg.norm(w1)
         phi = Frame.heisenberg(q, b, tau).then(Frame.dilation(q.n, c))
         unit = DiscParams(y0=0.0, v=np.zeros(q.n), w=c * w1, a=0.0)
-        return cls(a=a, phi=phi), Disc(q, unit, check=False).coefficients(M)
+        coeffs = Disc(q, unit, check=False).coefficients(M)
+        return cls(a=a, phi=phi, u=coeffs[1:, 1].copy()), coeffs
 
     def _point(self, zeta):
         """psi^-1(zeta) = (zeta - conj(a)) / (1 - a zeta)."""
@@ -419,7 +434,7 @@ class DiscFrame:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class GluedDisc:
     """Converged disc on a perturbed hypersurface.
 
@@ -431,6 +446,15 @@ class GluedDisc:
     grid in that frame: there the residual reads c2 times rho of M.
     residual_history holds the residual's sup norm at the start and after
     each accepted step, residual_sup last.  The reads map back to M.
+
+    _solved, outside equality, repr and every copy, is the hand-over of
+    the solve: (m, system), the surface it was given and its last framed
+    _DiscSystem, whose lift is this disc's and whose j0 is J0 at the
+    frame's u.  family_dimension reads it once and clears it.  A bare
+    solve_glued_disc names no surface (None), so none is read there: it
+    leaves its system for solve_with_homotopy, which calls it once per
+    stage.  Until it is read or the disc dropped, a kept disc holds that
+    system (at n = 2, N = 256, M = 48, about 85 KB free, 125 KB pinned).
     """
 
     coeffs: np.ndarray
@@ -441,6 +465,13 @@ class GluedDisc:
     lift_defects: np.ndarray
     linearizations: int
     residual_history: list
+    _solved: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        """Pickle and copy state without the hand-over, whose reads are closures."""
+        state = {f.name: getattr(self, f.name) for f in fields(self)}
+        state["_solved"] = None
+        return None, state
 
     @property
     def residual_sup(self):
@@ -667,7 +698,8 @@ class _PoleZero:
 
 def _pole_zero_chord(system, coeffs):
     """Chord solver c -> s of J0, the eps = 0 linearization at the pole-0
-    disc that coeffs hold (_PoleZero), or None for another start.
+    disc that coeffs hold (_PoleZero, kept as system.j0), or None for
+    another start.
 
     Its steps lie off J0's null space, the family tangent T0
     (_PoleZero.tangent).  The constraint rows C go by a step in T0: s =
@@ -679,9 +711,9 @@ def _pole_zero_chord(system, coeffs):
     rest = coeffs.copy()
     rest[0, 0] = rest[1:, 1] = 0.0
     quad = np.vdot(u, A @ u).real
-    if np.any(rest) or not np.isclose(coeffs[0, 0].real, quad, rtol=1e-13, atol=0.0):
+    if np.any(rest) or not abs(coeffs[0, 0].real - quad) <= 1e-13 * abs(quad):
         return None
-    j0 = _PoleZero(A, u, system.cfg.N, system.cfg.M)
+    j0 = system.j0 = _PoleZero(A, u, system.cfg.N, system.cfg.M)
 
     def solve_j0(c):
         return j0.solve(c[:, None])[:, 0]
@@ -789,11 +821,15 @@ def solve_glued_disc(m, coeffs, cfg=None, constraint=None):
     lift = system.lift
     defects = lift.defects
     if np.max(defects) > 10.0 * cfg.tol:
+        # the residual converged: name the component and its weight
+        j = int(np.argmax(defects))
+        share = np.linalg.norm(lift.spec[j]) / np.linalg.norm(lift.spec)
         raise NoConvergenceError(
-            f"stationarity defect {np.max(defects):.3e} above tolerance",
+            f"stationarity defect {defects[j]:.3e} above tolerance in component {j} of the"
+            f" lift, which carries {share:.3e} of its l2 norm",
             residual_history=history,
         )
-    return GluedDisc(
+    sol = GluedDisc(
         coeffs=system.unpack(x),
         lam=lift.lam,
         config=cfg,
@@ -803,6 +839,8 @@ def solve_glued_disc(m, coeffs, cfg=None, constraint=None):
         linearizations=linearizations,
         residual_history=history,
     )
+    sol._solved = (None, system)
+    return sol
 
 
 def solve_with_homotopy(m, start, cfg=None, pin_center=None, constraint=None):
@@ -814,7 +852,9 @@ def solve_with_homotopy(m, start, cfg=None, pin_center=None, constraint=None):
     h(0) = pin_center and constraint = (read, target) of h become reads
     of g (DiscFrame.constraint), and the returned disc carries the frame,
     so its reads map back to M.  A pin at which no disc of the quadric is
-    centered (exists_disc_centered) is refused before any stage.
+    centered (exists_disc_centered) is refused before any stage.  Without
+    a constraint the disc hands its last system, lift and J0 to
+    family_dimension (GluedDisc._solved).
 
     Continuation needs a start that solves the eps = 0 problem (E. L.
     Allgower and K. Georg, Introduction to Numerical Continuation
@@ -826,7 +866,7 @@ def solve_with_homotopy(m, start, cfg=None, pin_center=None, constraint=None):
         raise InvalidInputError(
             f"solve_with_homotopy takes a DiscParams start, got {type(start).__name__}"
         )
-    m = _as_perturbed(m)
+    given, m = m, _as_perturbed(m)
     cfg = cfg or SolveConfig()
     centered = None if pin_center is None else exists_disc_centered(m.base, pin_center)
     if centered is not None and not centered.exists:
@@ -846,15 +886,23 @@ def solve_with_homotopy(m, start, cfg=None, pin_center=None, constraint=None):
         raise NoConvergenceError(detail, residual_history=err.residual_history)
     except LiftConstructionError as err:
         raise LiftConstructionError(_refusal(err, surface, start, frame, coeffs, cfg))
-    return replace(sol, frame=frame, pin_center=pin_center)
+    out = replace(sol, frame=frame, pin_center=pin_center)
+    if constraint is None:
+        out._solved = (given, sol._solved[1])
+    return out
 
 
 def _continue(m, coeffs, cfg, constraint):
     """solve_glued_disc on m from coeffs, which solve eps = 0: one step to
-    eps and, where that stalls, a retry from coeffs through eps / 2."""
+    eps and, where that stalls, a retry from coeffs through eps / 2.  A
+    step whose residual converged but whose lift is refused is no stall,
+    and is not retried."""
     if m.epsilon != 0.0:
-        with suppress(NoConvergenceError):
+        try:
             return solve_glued_disc(m, coeffs, cfg, constraint)
+        except NoConvergenceError as err:
+            if err.residual_history[-1] < cfg.tol:
+                raise
         coeffs = solve_glued_disc(m.with_epsilon(0.5 * m.epsilon), coeffs, cfg, constraint).coeffs
     return solve_glued_disc(m, coeffs, cfg, constraint)
 
@@ -865,8 +913,10 @@ def _refusal(err, surface, start, frame, coeffs, cfg):
     The framed start coeffs is the pole-0 disc (u*Au, u zeta) whatever a
     is, and its lift divides by phi = -(conj(u)^T A)_n: where it misses
     tol at eps = 0, the knob is the coordinate order.  Otherwise no
-    regular lift is the frame's domain limit (the knobs eps and |a|), and
-    a stall at eps > 0 the discretization floor (N, M and eps).
+    regular lift is the frame's domain limit (the knobs eps and |a|), a
+    residual below tol with a refused lift is the lift's defect (err names
+    its component and that component's share of the lift), and a stall at
+    eps > 0 the discretization floor (N, M and eps).
     """
     system = _DiscSystem(surface.base, cfg)  # Phi(M) at eps = 0
     try:
@@ -889,6 +939,12 @@ def _refusal(err, surface, start, frame, coeffs, cfg):
             f"{err}; in the normalized frame of the pole |a| = {abs(start.a):.3g} the"
             f" perturbation eps*c^2*sup|s o Phi^-1 o g| reads {size:.3e}"
             f" (eps = {surface.epsilon:.3g}, c^2 = {frame.phi.c2:.3g}): lower eps or |a|"
+        )
+    reached = err.residual_history[-1]
+    if reached < cfg.tol:
+        return (
+            f"{err}; the residual converged to {reached:.3e}, below tol, so no stall was"
+            " retried: the lift's defect, not the grid, refuses the disc"
         )
     if surface.epsilon == 0.0:
         return str(err)
@@ -969,10 +1025,11 @@ def _sample_bound(f, f0, N):
 def _certified_dimension(system, j0, source):
     """family_dimension's count k and its bounds (kept_lower, null_upper)
     on sigma_{K-k} and sigma_{K-k+1} of J at a point x, from j0, J0's
-    blocks at the pole-0 disc of x's velocity (_PoleZero); None where
-    they do not prove that _null_count of J's spectrum returns k.  source
-    is the boundary functions at x (_BoundaryFunctions), and then it
-    reads no dense J (the sample tier), or the dense J at x (the eta tier).
+    blocks at a pole-0 disc (_PoleZero; family_dimension's is the framed
+    start's); None where they do not prove that _null_count of J's
+    spectrum returns k.  source is the boundary functions at x
+    (_BoundaryFunctions), and then it reads no dense J (the sample tier),
+    or the dense J at x (the eta tier).
 
     T0 is j0's tangent (the family's), null(J0) when J0 keeps K - (4n+3)
     values, and s the least kept value, so |J0 v| >= s |v| off T0.  The
@@ -1039,16 +1096,29 @@ def family_dimension(m, sol, cfg=None):
     {"dim": k, "gap": (kept_lower, null_upper)}.
 
     Three tiers answer in turn, bounds on sigma_{K-k} and sigma_{K-k+1}
-    from J0's blocks at the pole-0 disc of sol's velocity, factored once
-    (_certified_dimension): the sample tier, with no dense J; the eta
-    tier, on the dense J built from the sample tier's boundary functions;
-    and where neither proves anything, one values-only SVD of J, with
-    the two values themselves.
+    from J0's blocks at the pole-0 disc of the framed start's direction
+    u (DiscFrame.u; the solution's velocity for a bare solve), factored
+    once (_certified_dimension): the sample tier, with no dense J; the
+    eta tier, on the dense J built from the sample tier's boundary
+    functions; and where neither proves anything, one values-only SVD of
+    J, with the two values themselves.
+
+    The solve's hand-over (GluedDisc._solved), read once and cleared,
+    gives the system, its lift at sol and its J0 where m is the surface
+    the solve was given and cfg is None or the solve's; otherwise they are
+    built here.  Both routes hold the same values, so the answer is the
+    same to the bit.
     """
-    system = _frame_system(m, sol, cfg)
+    given, system = sol._solved or (None, None)
+    sol._solved = None  # a kept disc keeps no system
+    if given is not m or (cfg is not None and cfg != sol.config):
+        system = _frame_system(m, sol, cfg)
     x = system.pack(sol.coeffs)
-    j0 = _PoleZero(system.m.base.A, sol.coeffs[1:, 1], system.cfg.N, system.cfg.M)
-    f = system.boundary_functions(x)
+    f = system.boundary_functions(x, system.lift)
+    j0 = system.j0
+    if j0 is None:
+        u = sol.coeffs[1:, 1] if sol.frame.u is None else sol.frame.u
+        j0 = _PoleZero(system.m.base.A, u, system.cfg.N, system.cfg.M)
     certified = _certified_dimension(system, j0, f)
     if certified is not None:
         return certified

@@ -182,6 +182,21 @@ class TestExecute:
         code, out, _ = run_main(capsys, "solve", "--n", "2", "--w", "1,1e-5")
         assert code == 0 and json.loads(out)["residual_sup"] < 1e-11
 
+    def test_converged_solve_refused_on_its_lift_names_the_defect(self, capsys):
+        # the residual converges; the lift's component 1 is rounding (w = (0, 1),
+        # A = I), so its relative defect is refused: no grid knob is named
+        code, out, err = run_main(
+            capsys, "solve", "--n", "2", "--w", "0,1", "--a", "0.3", "--epsilon", "1e-3",
+            "--term", "0,0,0,0,4,0:1.0",
+        )
+        assert (code, out) == (1, "")
+        detail = json.loads(err)
+        assert detail["error"] == "NoConvergenceError"
+        text = detail["detail"]
+        assert text.startswith("stationarity defect 1.000e+00 above tolerance in component 1")
+        assert "no stall was retried: the lift's defect, not the grid, refuses the disc" in text
+        assert "raise M" not in text and detail["residual_history"][-1] < 1e-11
+
     def test_dimension_error_reports_singular_values(self, monkeypatch, capsys):
         def ambiguous(_cfg):
             raise DimensionAmbiguousError(

@@ -68,6 +68,19 @@ def test_matches_naive_reference(rng, terms, nvars):
         assert np.all(np.abs(got[:, k] - ref) <= 1e-12 * scale)
 
 
+@pytest.mark.parametrize("terms,nvars", [(0, 4), (12, 6), (40, 8)])
+def test_blocks_are_evaluated_as_alone(rng, terms, nvars):
+    # a value and its gradient over their stacked monomials: each block's
+    # values are those of poly_eval over that block alone, bit for bit
+    x = rng.normal(size=(32, nvars))
+    powers, coeffs = random_poly(rng, terms, nvars)
+    eye = np.eye(nvars, dtype=np.int64)
+    gp, gc = _kernels.stack_derivatives(powers, coeffs, eye)
+    value, grad = _kernels.poly_eval(x, np.concatenate([powers, gp]), [coeffs, gc])
+    assert np.array_equal(value, _kernels.poly_eval(x, powers, coeffs))
+    assert np.array_equal(grad, _kernels.poly_eval(x, gp, gc))
+
+
 def test_gradient_matches_finite_differences(rng):
     x = rng.normal(size=(8, 4))
     powers = np.array([[2, 1, 0, 0], [0, 0, 3, 1], [1, 1, 1, 1]], dtype=np.int64)

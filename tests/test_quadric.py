@@ -251,6 +251,17 @@ class TestFrame:
         assert framed.epsilon == m.epsilon
         assert framed._derivative_stack(2) is m._derivative_stack(2)
 
+    @pytest.mark.parametrize("framed", [False, True], ids=["bare", "framed"])
+    def test_rho_and_grad_in_one_sweep_are_bitwise(self, rng, framed):
+        # the residual's one sweep gives eval_rho_many and grad_rho_many
+        q = random_hermitian_quadric(rng, 2)
+        m = random_sextic(rng, q)
+        m = m.in_frame(random_frame(rng, q)) if framed else m
+        z = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
+        rho, grad = m.rho_and_grad_many(z)
+        assert np.array_equal(rho, m.eval_rho_many(z))
+        assert np.array_equal(grad, m.grad_rho_many(z))
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_framed_derivatives_match_differences(self, rng, n):
         q = random_hermitian_quadric(rng, n)

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import pickle
 import sys
 from collections import Counter
 from functools import partial
@@ -132,6 +133,13 @@ def _count_solves(monkeypatch):
         rh_solver, "solve_glued_disc", counting(calls, "solve", rh_solver.solve_glued_disc)
     )
     return calls
+
+
+def _count_lifts(monkeypatch, calls):
+    """Count in calls["lift"] every regular lift rh_solver builds from now
+    on: a residual's (_regular_lift) and any other (construct_regular_lift)."""
+    for name in ("_regular_lift", "construct_regular_lift"):
+        monkeypatch.setattr(rh_solver, name, counting(calls, "lift", getattr(rh_solver, name)))
 
 
 def _count_jacobians(monkeypatch):
@@ -287,11 +295,7 @@ class TestSolve:
         # lam and lift_defects come from the lift that the last accepted
         # residual built, bit for bit a fresh lift at the returned coefficients
         calls = Counter()
-        monkeypatch.setattr(
-            rh_solver,
-            "construct_regular_lift",
-            counting(calls, "lift", rh_solver.construct_regular_lift),
-        )
+        _count_lifts(monkeypatch, calls)
         for name in ("residual", "jacobian"):
             original = getattr(_DiscSystem, name)
             monkeypatch.setattr(_DiscSystem, name, counting(calls, name, original))
@@ -408,6 +412,29 @@ class TestSolve:
         assert solve_with_homotopy(RETRYING, START, fine).residual_sup < fine.tol
         lower = RETRYING.with_epsilon(0.07)
         assert solve_with_homotopy(lower, START, CFG).residual_sup < CFG.tol
+
+    def test_converged_solve_refused_on_its_lift_names_the_defect(self, monkeypatch):
+        # w = (0, 1) with A = I: the lift's component 1 is rounding, and its
+        # defect, relative to itself, reads 1 though the residual converged;
+        # that is no stall, so the step to eps is not retried through eps / 2
+        q = Hyperquadric(n=2, A=np.eye(2))
+        m = PerturbedHypersurface(base=q, epsilon=1e-3, terms={(0, 0, 0, 0, 4, 0): 1.0})
+        p = DiscParams(y0=0.0, v=np.zeros(2), w=[0.0, 1.0], a=0.3)
+        stages = _record_stages(monkeypatch)
+        with pytest.raises(NoConvergenceError) as info:
+            solve_with_homotopy(m, p)
+        assert stages == [m.epsilon]
+        msg = str(info.value)
+        assert msg.startswith(
+            "stationarity defect 1.000e+00 above tolerance in component 1 of the lift,"
+            " which carries "
+        )
+        assert float(msg.split("carries ")[1].split()[0]) < 1e-20  # of the lift's l2 norm
+        assert msg.endswith(
+            "below tol, so no stall was retried: the lift's defect, not the grid, refuses the disc"
+        )
+        assert "raise M" not in msg
+        assert info.value.residual_history[-1] < SolveConfig.tol
 
     def test_inadmissible_pin_is_refused_before_any_stage(self, monkeypatch):
         # the sphere's discs are centered where r > 0, so at no (p0, 0) with
@@ -1206,24 +1233,27 @@ SWEEP_CELLS = [
 ]
 
 
-def _j0_tiers(system, coeffs, J):
-    """_certified_dimension's two J0 tiers at coeffs, in family_dimension's
-    order: the sample tier's answer, then the eta tier's on the dense J."""
-    j0 = _PoleZero(system.m.base.A, coeffs[1:, 1], system.cfg.N, system.cfg.M)
+def _j0_tiers(system, sol, J):
+    """_certified_dimension's two J0 tiers at sol, with J0 at the framed
+    start's direction as family_dimension takes it, in its order: the
+    sample tier's answer, then the eta tier's on the dense J."""
+    j0 = _PoleZero(system.m.base.A, sol.frame.u, system.cfg.N, system.cfg.M)
+    f = system.boundary_functions(system.pack(sol.coeffs))
     return {
-        "sample": _certified_dimension(system, j0, system.boundary_functions(system.pack(coeffs))),
+        "sample": _certified_dimension(system, j0, f),
         "eta": _certified_dimension(system, j0, J),
     }
 
 
-def _dense_deviation(system, coeffs, J):
-    """|J - J0|_2 from the dense matrices, and _sample_bound's B for it."""
+def _dense_deviation(system, sol, J):
+    """|J - J0|_2 from the dense matrices, J0 at the framed start's
+    direction, and _sample_bound's B for it."""
     n, N, M = system.n, system.cfg.N, system.cfg.M
-    A, u = system.m.base.A, coeffs[1:, 1]
+    A, u = system.m.base.A, sol.frame.u
     J0 = _scatter_blocks(_pole_zero_blocks(A, u, N, M), n, N, M)  # rho rows after _real_dft
     lifted = J[: N + n * N].copy()
     lifted[:N] = _real_dft(N) @ lifted[:N]
-    f = system.boundary_functions(system.pack(coeffs))
+    f = system.boundary_functions(system.pack(sol.coeffs))
     return np.linalg.norm(lifted - J0, 2), _sample_bound(f, _PoleZero(A, u, N, M).functions, N)
 
 
@@ -1252,7 +1282,7 @@ class TestCertifiedDimension:
         answers, None where a tier proves nothing."""
         fd = family_dimension(m, sol, cfg)
         system, J = _system_at(m, sol, cfg)
-        tiers = _j0_tiers(system, sol.coeffs, J)
+        tiers = _j0_tiers(system, sol, J)
         assert fd == next((c for c in tiers.values() if c is not None), fd)
         sv = np.linalg.svd(J, compute_uv=False)
         k = _null_count(sv)
@@ -1264,7 +1294,7 @@ class TestCertifiedDimension:
             kept_lower, null_upper = answer["gap"]
             assert answer["dim"] == k
             assert kept_lower <= sv[-k - 1] + ulp and null_upper >= sv[-k] - ulp
-        deviation, bound = _dense_deviation(system, sol.coeffs, J)
+        deviation, bound = _dense_deviation(system, sol, J)
         assert bound >= deviation - ulp
         return tiers
 
@@ -1306,9 +1336,9 @@ class TestCertifiedDimension:
         cfg = SolveConfig(N=256, M=48)
         sol = solve_with_homotopy(m, p, cfg)
         system, J = _system_at(m, sol, cfg)
-        j0 = _PoleZero(q.A, sol.coeffs[1:, 1], cfg.N, cfg.M)
+        j0 = _PoleZero(q.A, sol.frame.u, cfg.N, cfg.M)
         assert np.linalg.norm(j0.inv @ j0.subtract(j0.rows(J))) > 1.0
-        assert _j0_tiers(system, sol.coeffs, J) == {"sample": None, "eta": None}
+        assert _j0_tiers(system, sol, J) == {"sample": None, "eta": None}
         sv = np.linalg.svd(J, compute_uv=False)
         assert family_dimension(m, sol, cfg) == {"dim": 7, "gap": (sv[-8], sv[-7])}
 
@@ -1334,7 +1364,7 @@ class TestCertifiedDimension:
         pin = Disc(m.base, p).center() if pinned else None
         sol = solve_with_homotopy(m, p, cfg, pin_center=pin)
         system, J = _system_at(m, sol, cfg)
-        tiers = _j0_tiers(system, sol.coeffs, J)
+        tiers = _j0_tiers(system, sol, J)
         calls = _count_jacobians(monkeypatch)
         functions = _DiscSystem.boundary_functions
         monkeypatch.setattr(
@@ -1366,6 +1396,102 @@ class TestCertifiedDimension:
                 assert calls["jacobian"] == 0
         # 23 of 24 in numpy 2.4; 237 of 264 over seeds 1-10 and 7919
         assert answered >= 20
+
+
+class TestHandOver:
+    """solve_with_homotopy hands its last system, lift and J0 to
+    family_dimension (GluedDisc._solved), which reads it once."""
+
+    @staticmethod
+    def _solve(n, eps, pinned, cfg=SolveConfig(N=128, M=24)):
+        m, p = _sweep_model(n, 0.5, eps)
+        pin = Disc(m.base, p).center() if pinned else None
+        return m, cfg, solve_with_homotopy(m, p, cfg, pin_center=pin)
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        """Counter of lifts, J0s, polynomial sweeps and residuals from now on."""
+        calls = Counter()
+        _count_lifts(monkeypatch, calls)
+        monkeypatch.setattr(rh_solver, "_PoleZero", counting(calls, "j0", _PoleZero))
+        monkeypatch.setattr(_kernels, "poly_eval", counting(calls, "sweep", _kernels.poly_eval))
+        monkeypatch.setattr(
+            _DiscSystem, "residual", counting(calls, "residual", _DiscSystem.residual)
+        )
+        return calls
+
+    @staticmethod
+    def _bits(fd):
+        return fd["dim"], np.array(fd["gap"]).tobytes()
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-3])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+    def test_first_call_equals_the_rebuilt_ones(self, monkeypatch, n, eps, pinned):
+        m, cfg, sol = self._solve(n, eps, pinned)
+        assert sol._solved is not None
+        copy = dataclasses.replace(sol)  # a copy carries no hand-over
+        assert copy._solved is None and copy == sol and repr(copy) == repr(sol)
+        calls = self._count_builds(monkeypatch)
+        first = family_dimension(m, sol, cfg)
+        assert sol._solved is None
+        # the hand-over built nothing again: the lift and J0 are the solve's
+        assert calls["lift"] == calls["j0"] == calls["residual"] == 0
+        again = family_dimension(m, sol, cfg)
+        assert calls["lift"] == calls["j0"] == 1
+        assert self._bits(first) == self._bits(again) == self._bits(family_dimension(m, copy, cfg))
+        assert first["dim"] == (2 * n + 1 if pinned else 4 * n + 3)
+
+    def test_pickles_without_the_hand_over(self):
+        # the pinned hand-over holds the pin read, a closure
+        m, cfg, sol = self._solve(2, 1e-4, True)
+        back = pickle.loads(pickle.dumps(sol))
+        assert back._solved is None and sol._solved is not None
+        assert np.array_equal(back.coeffs, sol.coeffs) and back.frame.u is not None
+        rebuilt, handed = family_dimension(m, back, cfg), family_dimension(m, sol, cfg)
+        assert self._bits(rebuilt) == self._bits(handed)
+
+    def test_transport_constraint_hands_nothing_over(self):
+        z = np.array([2.0, np.sqrt(2.0)], dtype=complex)
+        params = disc_through(QUARTIC.base, 1.0, z)
+        constraint = (_endpoint, _endpoint(z[:, None]))
+        sol = solve_with_homotopy(
+            QUARTIC, params, CFG, pin_center=_center_pin(1, 1.0), constraint=constraint
+        )
+        assert sol.residual_sup < CFG.tol and sol._solved is None
+
+    @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+    def test_another_grid_or_surface_rebuilds(self, monkeypatch, pinned):
+        m, cfg, sol = self._solve(2, 1e-4, pinned)
+        fine = SolveConfig(N=2 * cfg.N, M=cfg.M)
+        equal = PerturbedHypersurface(base=m.base, epsilon=m.epsilon, terms=m.terms)
+        for other_m, other_cfg in ((m, fine), (equal, cfg)):
+            solved = dataclasses.replace(sol)
+            solved._solved = sol._solved
+            calls = self._count_builds(monkeypatch)
+            fd = family_dimension(other_m, solved, other_cfg)
+            assert calls["lift"] == calls["j0"] == 1 and solved._solved is None
+            rebuilt = family_dimension(other_m, dataclasses.replace(sol), other_cfg)
+            assert self._bits(fd) == self._bits(rebuilt)
+            monkeypatch.undo()
+        assert sol._solved is not None
+
+    @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+    def test_one_lift_one_j0_and_one_sweep_per_evaluation(self, monkeypatch, pinned):
+        # one operation of the continuation benchmark's kind: J0's chord
+        # solves it, and the certificate answers from the solve's objects
+        m, p = _sweep_model(2, 0.5, 1e-4)
+        cfg = SolveConfig(N=128, M=24)
+        pin = Disc(m.base, p).center() if pinned else None
+        calls = self._count_builds(monkeypatch)
+        sol = solve_with_homotopy(m, p, cfg, pin_center=pin)
+        assert sol.linearizations == 1 and calls["residual"] == sol.iterations + 1
+        solved = dict(calls)
+        # a lift and a polynomial sweep per residual; J0 once
+        assert solved["lift"] == solved["sweep"] == solved["residual"] and solved["j0"] == 1
+        family_dimension(m, sol, cfg)
+        # the certificate's one sweep is the Hessian of s
+        assert dict(calls) == dict(solved, sweep=solved["sweep"] + 1)
 
 
 class TestCenterMaps:
