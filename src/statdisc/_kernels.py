@@ -11,9 +11,9 @@ multiplication once per call and forms each monomial by gathering rows
 of it, so no float ``pow`` runs.  With coeffs (T, K) one call evaluates
 K polynomials over one shared set of monomials.  ``derive_poly`` is the
 one differentiation rule for the array form; ``stack_derivatives`` lays
-several derivatives of one polynomial side by side in that (T, K) form,
-so a gradient or a Hessian is a single ``poly_eval``, and a value with
-its gradient one call over their stacked monomials.
+several derivatives of one polynomial side by side in that (T, K) form
+(the zeroth derivative is the polynomial itself), so a value with its
+gradient, or a Hessian, is a single ``poly_eval``.
 """
 
 import numpy as np
@@ -23,10 +23,7 @@ def poly_eval(x, powers, coeffs):
     """Evaluate sum_t c_t * prod_d x_d^p_td at each row of x.
 
     x: (P, D) float64, powers: (T, D) int64, coeffs: (T,) or (T, K)
-    float64.  Returns (P,) or (P, K): column k uses coeffs[:, k].  coeffs
-    may also be a list of such arrays whose row counts split powers into
-    consecutive blocks; then the values come back as a list, one per
-    block, each as poly_eval over that block alone gives it.
+    float64.  Returns (P,) or (P, K): column k uses coeffs[:, k].
     """
     xt = x.T
     D, P = xt.shape
@@ -37,13 +34,7 @@ def poly_eval(x, powers, coeffs):
     mono = table[0, powers[:, 0]]  # (T, P); fancy indexing copies
     for d in range(1, D):
         mono *= table[d, powers[:, d]]
-    if not isinstance(coeffs, list):
-        return mono.T @ coeffs
-    out, start = [], 0
-    for c in coeffs:
-        out.append(mono[start : start + c.shape[0]].T @ c)
-        start += c.shape[0]
-    return out
+    return mono.T @ coeffs
 
 
 def poly_grad(x, powers, coeffs):

@@ -95,12 +95,7 @@ class Hyperquadric:
 
     def definiteness(self):
         """"positive-definite", "negative-definite" or "indefinite"."""
-        w, _ = np.linalg.eigh(self.A)
-        if w[0] > 0:
-            return "positive-definite"
-        if w[-1] < 0:
-            return "negative-definite"
-        return "indefinite"
+        return _definiteness(np.linalg.eigvalsh(self.A))
 
     # -- serialization ------------------------------------------------
 
@@ -251,8 +246,9 @@ class PerturbedHypersurface:
         coeffs.flags.writeable = False
         object.__setattr__(self, "_powers", powers)
         object.__setattr__(self, "_coeffs", coeffs)
-        # derivative stacks by order, and (0, 1) for _value_and_gradient;
-        # with_epsilon and in_frame copies share the dict
+        # derivative stacks by tuple of orders, (0, 1) for rho and its
+        # gradient and (2,) for the Hessian; with_epsilon and in_frame
+        # copies share the dict
         object.__setattr__(self, "_stacks", {})
 
     @property
@@ -278,9 +274,6 @@ class PerturbedHypersurface:
         object.__setattr__(out, "frame", frame if self.frame is None else self.frame.then(frame))
         return out
 
-    def _is_pure_quadric(self):
-        return self.epsilon == 0.0 or self._coeffs.size == 0
-
     def _s_coords(self, z):
         """Real coordinates at which s is evaluated for the rows of z, and
         the weight of s in rho: eps, or eps c2 in a frame."""
@@ -289,38 +282,26 @@ class PerturbedHypersurface:
         return z_to_real_coords(self.frame.inverse(z)), self.epsilon * self.frame.c2
 
     def eval_rho_many(self, z):
-        base = self.base.eval_r_many(z)
-        if self._is_pure_quadric():
-            return base
-        x, weight = self._s_coords(z)
-        s = _kernels.poly_eval(x, self._powers, self._coeffs)
-        return base + weight * s
+        """rho at each row of z: rho_and_grad_many's value, bit for bit."""
+        return self.rho_and_grad_many(z)[0]
 
     def grad_rho_many(self, z):
-        base = self.base.grad_r_many(z)
-        if self._is_pure_quadric():
-            return base
-        x, weight = self._s_coords(z)
-        g = _kernels.poly_eval(x, *self._derivative_stack(1))
-        return base + self._holomorphic_grad(weight, g)
+        """d rho / d z at each row of z: rho_and_grad_many's gradient, bit for bit."""
+        return self.rho_and_grad_many(z)[1]
 
     def rho_and_grad_many(self, z):
-        """eval_rho_many and grad_rho_many at the rows of z, bit for bit,
-        from one set of coordinates and one polynomial sweep over s's
-        monomials stacked on its gradient's (_value_and_gradient)."""
-        base, base_grad = self.base.eval_r_many(z), self.base.grad_r_many(z)
-        if self._is_pure_quadric():
-            return base, base_grad
+        """rho and d rho / d z at the rows of z, from one set of
+        coordinates and one polynomial sweep of s's value and real
+        gradient over their shared monomials (_derivative_stack(0, 1))."""
+        rho, grad = self.base.eval_r_many(z), self.base.grad_r_many(z)
+        if self.epsilon == 0.0 or self._coeffs.size == 0:
+            return rho, grad
         x, weight = self._s_coords(z)
-        s, g = _kernels.poly_eval(x, *self._value_and_gradient())
-        return base + weight * s, base_grad + self._holomorphic_grad(weight, g)
-
-    def _holomorphic_grad(self, weight, g):
-        """weight times d s / d z from the real gradient g (P, 2n+2) of s."""
+        sg = _kernels.poly_eval(x, *self._derivative_stack(0, 1))
         # d/dz_j = (d/dx_j - i d/dy_j) / 2 applied to the real polynomial;
         # Phi^-1 is complex-affine, so a frame multiplies it by L
-        grad = weight * 0.5 * (g[:, 0::2] - 1j * g[:, 1::2])
-        return grad if self.frame is None else grad @ self.frame.L
+        ds = weight * 0.5 * (sg[:, 1::2] - 1j * sg[:, 2::2])
+        return rho + weight * sg[:, 0], grad + (ds if self.frame is None else ds @ self.frame.L)
 
     def hess_s_many(self, z):
         """Real Hessian of s (without eps) at each row of z: (P, 2n+2, 2n+2);
@@ -336,28 +317,17 @@ class PerturbedHypersurface:
         R = self.frame.real_L
         return self.frame.c2 * (R.T @ out @ R)
 
-    def _derivative_stack(self, order):
-        """All derivatives of s of one order, one column per multi-index,
-        built once for self and its copies.
-
-        Columns follow itertools.combinations_with_replacement over the
-        real coordinates, which for order 2 is np.triu_indices order.
-        """
-        if order not in self._stacks:
+    def _derivative_stack(self, *orders):
+        """All derivatives of s of the given orders over their shared
+        monomials, built once for self and its copies: one column per
+        multi-index, each order by itertools.combinations_with_replacement
+        over the real coordinates (order 2 in np.triu_indices order)."""
+        if orders not in self._stacks:
             d = 2 * (self.n + 1)
-            combos = combinations_with_replacement(range(d), order)
+            combos = [c for k in orders for c in combinations_with_replacement(range(d), k)]
             betas = [np.bincount(c, minlength=d) for c in combos]
-            self._stacks[order] = _kernels.stack_derivatives(self._powers, self._coeffs, betas)
-        return self._stacks[order]
-
-    def _value_and_gradient(self):
-        """s's powers stacked over its gradient's (_derivative_stack(1)),
-        with each block's coefficients, for one poly_eval of both; built
-        once for self and its copies."""
-        if (0, 1) not in self._stacks:
-            powers, coeffs = self._derivative_stack(1)
-            self._stacks[0, 1] = np.concatenate([self._powers, powers]), [self._coeffs, coeffs]
-        return self._stacks[0, 1]
+            self._stacks[orders] = _kernels.stack_derivatives(self._powers, self._coeffs, betas)
+        return self._stacks[orders]
 
     def to_json(self):
         obj = self.base.to_json()
@@ -383,14 +353,26 @@ def satisfies_condition_star(q, p0):
     Requires the point off Q (Re p0 != 0) and, for definite forms, the
     sign of Re p0 matching the definiteness.
     """
-    p0 = complex(p0)
-    kind = q.definiteness()
-    if p0.real == 0.0:
+    return _condition_star(q.definiteness(), complex(p0).real)
+
+
+def _definiteness(w):
+    """The definiteness of a Hermitian form from its ascending eigenvalues w."""
+    if w[0] > 0:
+        return "positive-definite"
+    if w[-1] < 0:
+        return "negative-definite"
+    return "indefinite"
+
+
+def _condition_star(kind, x0):
+    """satisfies_condition_star's rule at Re p0 = x0, for a form of this kind."""
+    if x0 == 0.0:
         return False
     if kind == "positive-definite":
-        return p0.real > 0
+        return x0 > 0
     if kind == "negative-definite":
-        return p0.real < 0
+        return x0 < 0
     return True
 
 
@@ -417,10 +399,9 @@ def exists_disc_centered(q, p):
     """
     p = _as_complex_vector(p, q.n + 1)
     x0 = q.eval_r(p)
-    kind = q.definiteness()
-    w_eig, v_eig = np.linalg.eigh(q.A)
-    is_center_form = bool(np.all(p[1:] == 0))
-    cond = satisfies_condition_star(q, p[0]) if is_center_form else None
+    w_eig, v_eig = np.linalg.eigh(q.A)  # the one eigendecomposition of A
+    kind = _definiteness(w_eig)
+    cond = _condition_star(kind, float(p[0].real)) if np.all(p[1:] == 0) else None
 
     if kind == "positive-definite":
         if x0 <= 0:

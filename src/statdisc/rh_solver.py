@@ -63,15 +63,16 @@ start.
 family_dimension counts null(J) at a solution from J0's blocks too,
 J0 at the framed start's direction (DiscFrame.u) that the solve's chord
 factored: the solve hands its last system, with the lift of the
-returned disc and that J0, to family_dimension, which reads it once
-(GluedDisc._solved) and builds the same objects where it has none.  It
-takes two bounds on J's singular values across the cut
-(_certified_dimension), in three tiers.  The sample tier assembles no
-dense J: Weyl's inequality with a bound on |J - J0|_2 from sup norms of
-the boundary functions J reads (_sample_bound), and J applied to the
-family's tangent by J-vector products (_DiscSystem.product).  Where it
-proves nothing, the eta tier reads |J0^+ E|_F off the dense J, and where
-that proves nothing, the values-only SVD of J counts.
+returned disc and that J0, to family_dimension and family_tangent_basis
+(_solved_system), which read it once (GluedDisc._solved) and build the
+same objects where it has none.  family_dimension takes two bounds on
+J's singular values across the cut (_certified_dimension), in three
+tiers.  The sample tier assembles no dense J: Weyl's inequality with a
+bound on |J - J0|_2 from sup norms of the boundary functions J reads
+(_sample_bound), and J applied to the family's tangent by J-vector
+products (_DiscSystem.product).  Where it proves nothing, the eta tier
+reads |J0^+ E|_F through J0's solve of the dense J, and where that
+proves nothing, the values-only SVD of J counts.
 """
 
 from dataclasses import dataclass, field, fields, replace
@@ -450,11 +451,12 @@ class GluedDisc:
     _solved, outside equality, repr and every copy, is the hand-over of
     the solve: (m, system), the surface it was given and its last framed
     _DiscSystem, whose lift is this disc's and whose j0 is J0 at the
-    frame's u.  family_dimension reads it once and clears it.  A bare
-    solve_glued_disc names no surface (None), so none is read there: it
-    leaves its system for solve_with_homotopy, which calls it once per
-    stage.  Until it is read or the disc dropped, a kept disc holds that
-    system (at n = 2, N = 256, M = 48, about 85 KB free, 125 KB pinned).
+    frame's u.  family_dimension or family_tangent_basis reads it once and
+    clears it (_solved_system).  A bare solve_glued_disc names no surface
+    (None), so none is read there: it leaves its system for
+    solve_with_homotopy, which calls it once per stage.  Until it is read
+    or the disc dropped, a kept disc holds that system (at n = 2, N = 256,
+    M = 48, about 60-75 KB free, 90-115 KB pinned).
     """
 
     coeffs: np.ndarray
@@ -572,33 +574,32 @@ def _pole_zero_blocks(A, u, N, M):
 class _PoleZero:
     """J0 (_pole_zero_blocks) by its distinct blocks, with its maps.
 
-    J0 has M + 1 blocks, one per mode: blocks holds the at most four
-    distinct, J0's blocks at min(M, 3), one batched SVD factors each, and
+    J0 has M + 1 blocks, one per mode, of which the at most four
+    distinct, J0's blocks at min(M, 3), are factored by one batched SVD;
     block[p] maps mode p to its own.  rows takes residual rows (the
     orthogonal real DFT of the rho rows, then the lifted modes each block
     holds) to block rows, and scatter block columns to packed unknowns;
-    every row of J0 that no block holds is 0.  J0^+ is inv between them:
-    the blocks' pseudo-inverses V S^+ U^T, cut as np.linalg.pinv cuts J0,
-    at _RCOND times the largest singular value of all; kept holds the
-    values above that cut, each mode's counted, and left is S^+ U^T, so
-    |J0^+ y| = |left y|; inv and left hold one matrix per mode.  tangent is
-    T0, J0's null space: the family tangent at the pole-0 disc, the one
-    source of T0 for the chord's constraint step and family_dimension.
+    every row of J0 that no block holds is 0.  J0^+ is inv between them
+    (solve): the blocks' pseudo-inverses V S^+ U^T, one matrix per mode,
+    cut as np.linalg.pinv cuts J0, at _RCOND times the largest singular
+    value of all; kept holds the values above that cut, each mode's
+    counted.  solve is J0's one inverse, for the chord and the
+    certificate alike.  tangent is T0, J0's null space: the family
+    tangent at the pole-0 disc, the one source of T0 for the chord's
+    constraint step and family_dimension.
     """
 
     def __init__(self, A, u, N, M):
         n = self.n = u.size
         self.A, self.u, self.N, self.M = A, u, N, M
-        self.blocks = _pole_zero_blocks(A, u, N, min(M, 3))
         self.block = np.minimum(np.arange(M + 1), 2)
         self.block[M] = min(M, 3)
-        U, S, Vt = np.linalg.svd(self.blocks, full_matrices=False)
+        U, S, Vt = np.linalg.svd(_pole_zero_blocks(A, u, N, min(M, 3)), full_matrices=False)
         keep = S > _RCOND * S.max()
         self.kept = S[self.block][keep[self.block]]
         inverse = np.where(keep, 1.0 / np.where(keep, S, 1.0), 0.0)
         inv = Vt.transpose(0, 2, 1) * inverse[:, None] @ U.transpose(0, 2, 1)
         self.inv = inv[self.block]  # (M + 1, 4n+2, 2n+2)
-        self.left = (inverse[..., None] * U.transpose(0, 2, 1))[self.block]  # (M + 1, 2n+2, 2n+2)
         self.weight = np.full((M + 1, 1), np.sqrt(2.0 / N))
         self.weight[0] = 1.0 / np.sqrt(N)
         # packed index of the Re part of each block's complex columns, -1
@@ -687,13 +688,6 @@ class _PoleZero:
     def solve(self, c):
         """J0^+ c for residual rows c (rows, m)."""
         return self.scatter(self.inv @ self.rows(c))
-
-    def subtract(self, rows):
-        """rows - J0 in place, for block rows over the packed unknowns
-        (M + 1, 2n+2, packed size)."""
-        p, col = np.nonzero(self.cols >= 0)
-        rows[p, :, self.cols[p, col]] -= self.blocks[self.block[p], :, col]
-        return rows
 
 
 def _pole_zero_chord(system, coeffs):
@@ -964,10 +958,16 @@ def _frame_system(m, sol, cfg):
     return _DiscSystem(surface, cfg, constraint=sol.frame.constraint(sol.pin_center))
 
 
-def _system_at(m, sol, cfg):
-    """_frame_system at sol and its exact Jacobian there."""
-    system = _frame_system(m, sol, cfg)
-    return system, system.jacobian(system.pack(sol.coeffs))
+def _solved_system(m, sol, cfg):
+    """The system at sol in its frame: the solve's hand-over
+    (GluedDisc._solved), with its lift at sol and its J0, read once and
+    cleared, where m is the surface the solve was given and cfg is None or
+    the solve's; otherwise _frame_system, with neither."""
+    given, system = sol._solved or (None, None)
+    sol._solved = None  # a kept disc keeps no system
+    if given is not m or (cfg is not None and cfg != sol.config):
+        system = _frame_system(m, sol, cfg)
+    return system
 
 
 def _null_count(sv):
@@ -1037,10 +1037,12 @@ def _certified_dimension(system, j0, source):
     |J v| >= (s - B) |v| (Weyl).  The eta tier takes J_sel = J0 + E, the
     rows of J that J0's blocks hold, with sigma_i(J_sel) <= sigma_i(J)
     and |J0^+ y| <= |y| / s: with eta = |J0^+ E|_F, for v off T0, |J v| >=
-    s |J0^+ J_sel v| >= s (1 - eta) |v|.  Write eta = B / s in the sample
-    tier.  With the constraint rows C (g = sigma_min(C T0), h = |C|_2),
-    on {T0 a + w: a in row(C T0), w off T0}, |J v| >= max(s (|w| - eta),
-    g |a| - h |w|), least where the two meet on |a|^2 + |w|^2 = 1.  By
+    s |J0^+ J_sel v| >= s (1 - eta) |v|; J0^+ J_sel = J0^+ J, and J0^+ J0 =
+    I - T0 T0^T projects off null(J0) = T0, so eta = |J0^+ J - (I - T0
+    T0^T)|_F, from J0's one solve.  Write eta = B / s in the sample tier.
+    With the constraint rows C (g = sigma_min(C T0), h = |C|_2), on {T0 a
+    + w: a in row(C T0), w off T0}, |J v| >= max(s (|w| - eta), g |a| - h
+    |w|), least where the two meet on |a|^2 + |w|^2 = 1.  By
     Courant-Fischer either is a kept_lower <= sigma_{K-k}, with k = 4n+3 -
     rank(C T0) (G. W. Stewart and J. Sun, Matrix Perturbation Theory,
     1990).  J0's chord from T0, T <- T - J0^+ J T (J0^+ reads the rows
@@ -1065,8 +1067,9 @@ def _certified_dimension(system, j0, source):
         apply = partial(system.product, source)
     else:
         J = source
-        # a sum of squares: np.linalg.norm's BLAS dot can start threads
-        eta = np.sqrt(np.square(j0.left @ j0.subtract(j0.rows(J))).sum())
+        # J0^+ E = J0^+ J - (I - T0 T0^T); a sum of squares, as
+        # np.linalg.norm's BLAS dot can start threads
+        eta = np.sqrt(np.square(j0.solve(J) - np.eye(system.size) + T0 @ T0.T).sum())
         col = np.einsum("ij,ij->j", J, J)  # squared column norms
         sigma_1 = (np.sqrt(col.max()), np.sqrt(col.sum()))
         apply = partial(np.matmul, J)
@@ -1103,16 +1106,12 @@ def family_dimension(m, sol, cfg=None):
     functions; and where neither proves anything, one values-only SVD of
     J, with the two values themselves.
 
-    The solve's hand-over (GluedDisc._solved), read once and cleared,
-    gives the system, its lift at sol and its J0 where m is the surface
-    the solve was given and cfg is None or the solve's; otherwise they are
-    built here.  Both routes hold the same values, so the answer is the
-    same to the bit.
+    The system, its lift at sol and its J0 come from the solve's
+    hand-over where it applies, and are built here otherwise
+    (_solved_system); both routes hold the same values, so the answer is
+    the same to the bit.
     """
-    given, system = sol._solved or (None, None)
-    sol._solved = None  # a kept disc keeps no system
-    if given is not m or (cfg is not None and cfg != sol.config):
-        system = _frame_system(m, sol, cfg)
+    system = _solved_system(m, sol, cfg)
     x = system.pack(sol.coeffs)
     f = system.boundary_functions(x, system.lift)
     j0 = system.j0
@@ -1132,9 +1131,13 @@ def family_dimension(m, sol, cfg=None):
 
 
 def family_tangent_basis(m, sol, cfg=None):
-    """Orthonormal null-space basis of the linearization at sol, of the
-    dimension that family_dimension counts, and the system at sol."""
-    system, J = _system_at(m, sol, cfg)
+    """Orthonormal null-space basis of the linearization J at sol, of the
+    dimension that family_dimension counts, and the system at sol, which
+    with its lift comes from the solve's hand-over as family_dimension's
+    does (_solved_system)."""
+    system = _solved_system(m, sol, cfg)
+    x = system.pack(sol.coeffs)
+    J = system.jacobian(x, system.boundary_functions(x, system.lift))
     _U, S, Vt = np.linalg.svd(np.linalg.qr(J, mode="r"))  # J's S and V, Q never formed
     return Vt[-_null_count(S) :].T, system
 

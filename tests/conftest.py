@@ -54,6 +54,15 @@ def lift_zero_modulus(q, params):
     return abs(np.conj(params.a) - wA / vA) if vA != 0 else np.inf
 
 
+def system_at(m, sol, cfg):
+    """The system at sol in its frame, built afresh, and its exact
+    Jacobian there: the dense reference for family_dimension's counts."""
+    from statdisc.rh_solver import _frame_system
+
+    system = _frame_system(m, sol, cfg)
+    return system, system.jacobian(system.pack(sol.coeffs))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

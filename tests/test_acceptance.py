@@ -33,9 +33,8 @@ from statdisc import (
     verify_reduction_chain,
 )
 from statdisc.errors import LiftConstructionError, NotReachableError
-from statdisc.rh_solver import _system_at
 
-from conftest import lift_zero_modulus, random_disc_params, random_hermitian_quadric
+from conftest import lift_zero_modulus, random_disc_params, random_hermitian_quadric, system_at
 
 SPHERE = Hyperquadric(n=1, A=np.array([[1.0]]))
 
@@ -194,7 +193,7 @@ def test_criterion_7_family_dimension():
 def _assert_gap(m, sol, cfg, fd, cut=1e-6, ratio=1e3):
     """The gap across the cut in the dense spectrum of the Jacobian that
     family_dimension counts, and between its bounds (kept_lower, null_upper)."""
-    sv = np.linalg.svd(_system_at(m, sol, cfg)[1], compute_uv=False)
+    sv = np.linalg.svd(system_at(m, sol, cfg)[1], compute_uv=False)
     top = sv[0]
     kept = sv[sv >= cut * top].min()
     dropped = sv[sv < cut * top].max()

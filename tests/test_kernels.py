@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from statdisc import _kernels
+from statdisc import PerturbedHypersurface, _kernels
+from statdisc.quadric import Frame, z_to_real_coords
+
+from conftest import random_hermitian_quadric
 
 
 def naive_eval(x, powers, coeffs):
@@ -68,17 +71,29 @@ def test_matches_naive_reference(rng, terms, nvars):
         assert np.all(np.abs(got[:, k] - ref) <= 1e-12 * scale)
 
 
-@pytest.mark.parametrize("terms,nvars", [(0, 4), (12, 6), (40, 8)])
-def test_blocks_are_evaluated_as_alone(rng, terms, nvars):
-    # a value and its gradient over their stacked monomials: each block's
-    # values are those of poly_eval over that block alone, bit for bit
-    x = rng.normal(size=(32, nvars))
-    powers, coeffs = random_poly(rng, terms, nvars)
-    eye = np.eye(nvars, dtype=np.int64)
-    gp, gc = _kernels.stack_derivatives(powers, coeffs, eye)
-    value, grad = _kernels.poly_eval(x, np.concatenate([powers, gp]), [coeffs, gc])
-    assert np.array_equal(value, _kernels.poly_eval(x, powers, coeffs))
-    assert np.array_equal(grad, _kernels.poly_eval(x, gp, gc))
+@pytest.mark.parametrize("framed", [False, True], ids=["bare", "framed"])
+def test_rho_and_grad_match_naive_reference(rng, framed):
+    # rho and d rho / d z from one sweep of s's (0, 1) derivative stack
+    # against the term-by-term sums, at Phi^-1 of the points in a frame
+    q = random_hermitian_quadric(rng, 2)
+    powers, coeffs = random_poly(rng, 12, 6)
+    m = PerturbedHypersurface(base=q, epsilon=0.3, terms=dict(zip(map(tuple, powers), coeffs)))
+    powers, coeffs = m._powers, m._coeffs  # the terms as the surface keeps them
+    L, weight = np.eye(3), m.epsilon
+    if framed:
+        frame = Frame.heisenberg(q, rng.normal(size=2) + 0.5j, 0.7).then(Frame.dilation(2, 1.6))
+        m, L, weight = m.in_frame(frame), frame.L, weight * frame.c2
+    z = rng.normal(size=(16, 3)) + 1j * rng.normal(size=(16, 3))
+    x = z_to_real_coords(m.frame.inverse(z) if framed else z)
+    rho, grad = m.rho_and_grad_many(z)
+    ax, ac = np.abs(x), np.abs(coeffs)
+    ref = q.eval_r_many(z) + weight * naive_eval(x, powers, coeffs)
+    scale = np.abs(q.eval_r_many(z)) + abs(weight) * (1.0 + naive_eval(ax, powers, ac))
+    assert np.all(np.abs(rho - ref) <= 1e-12 * scale)
+    g, ag = naive_grad(x, powers, coeffs), 1.0 + naive_grad(ax, powers, ac)
+    ref = q.grad_r_many(z) + weight * 0.5 * (g[:, 0::2] - 1j * g[:, 1::2]) @ L
+    scale = np.abs(q.grad_r_many(z)) + abs(weight) * 0.5 * (ag[:, 0::2] + ag[:, 1::2]) @ np.abs(L)
+    assert np.all(np.abs(grad - ref) <= 1e-12 * scale)
 
 
 def test_gradient_matches_finite_differences(rng):

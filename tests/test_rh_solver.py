@@ -50,10 +50,11 @@ from statdisc.rh_solver import (
     _PoleZero,
     _sample_bound,
     _svd_steps,
-    _system_at,
     _velocity,
     family_tangent_basis,
 )
+
+from conftest import system_at
 
 SPHERE = Hyperquadric(n=1, A=np.array([[1.0]]))
 FLAT = PerturbedHypersurface(base=SPHERE)
@@ -267,7 +268,7 @@ class TestSolve:
         assert sol.residual_sup < 1e-11
         # Newton holds the pin rows to rounding; residual and lift are
         # reported for the returned coefficients, on the grid of its frame
-        system, _J = _system_at(QUARTIC, sol, CFG)
+        system, _J = system_at(QUARTIC, sol, CFG)
         assert sol.residual_sup == system.sup_norm(system.residual(system.pack(sol.coeffs)))
         lift = construct_regular_lift(system.m, _boundary_samples(sol.coeffs, CFG.N))
         assert np.array_equal(sol.lam, lift.lam)
@@ -808,7 +809,7 @@ class TestLinearization:
 def _assert_gaps(m, sol, cfg, fd):
     """A gap of 1e3 across the cut in the dense spectrum of the Jacobian
     that family_dimension counts, and between its bounds."""
-    sv = np.linalg.svd(_system_at(m, sol, cfg)[1], compute_uv=False)
+    sv = np.linalg.svd(system_at(m, sol, cfg)[1], compute_uv=False)
     cut = 1e-6 * sv[0]
     assert sv[sv >= cut].min() >= 1e3 * sv[sv < cut].max()
     kept_lower, null_upper = fd["gap"]
@@ -951,6 +952,15 @@ def _scatter_blocks(B, n, N, M):
     return G
 
 
+def _subtract_blocks(j0, rows):
+    """rows - J0 in place, for block rows over the packed unknowns
+    (M + 1, 2n+2, packed size), with every block of J0 built afresh."""
+    blocks = _pole_zero_blocks(j0.A, j0.u, j0.N, j0.M)
+    p, col = np.nonzero(j0.cols >= 0)
+    rows[p, :, j0.cols[p, col]] -= blocks[p, :, col]
+    return rows
+
+
 def _pole_zero_case(n, signature, M):
     """A Hermitian form with off-diagonal entries (indefinite: the last
     diagonal entry negated; at n = 1 that is negative definite) and its
@@ -981,7 +991,7 @@ class TestPoleZeroChord:
         J = system.jacobian(system.pack(c))
         # _PoleZero's row and column maps take J to the same blocks
         j0 = _PoleZero(q.A, c[1:, 1], N, M)
-        assert np.abs(j0.subtract(j0.rows(J))).max() <= 1e-13 * np.abs(J).max()
+        assert np.abs(_subtract_blocks(j0, j0.rows(J))).max() <= 1e-13 * np.abs(J).max()
         J[:N] = _real_dft(N) @ J[:N]
         J0 = _scatter_blocks(_pole_zero_blocks(q.A, c[1:, 1], N, M), n, N, M)
         assert np.abs(J0 - J).max() <= 1e-13 * np.abs(J).max()
@@ -1015,16 +1025,16 @@ class TestPoleZeroChord:
         for p in range(3, M):
             assert np.array_equal(B[p], B[2])
         j0 = _PoleZero(q.A, u, N, M)
-        # j0 keeps the distinct blocks alone, and block maps every mode to its own
-        assert len(j0.blocks) == len(np.unique(j0.block)) == min(M + 1, 4)
-        assert np.array_equal(j0.blocks[j0.block], B)
+        # j0 factors the distinct blocks alone, and block maps every mode to its own
+        distinct = _pole_zero_blocks(q.A, u, N, min(M, 3))
+        assert len(distinct) == len(np.unique(j0.block)) == min(M + 1, 4)
+        assert np.array_equal(distinct[j0.block], B)
         U, S, Vt = np.linalg.svd(B, full_matrices=False)
         keep = S > _RCOND * S.max()
         inverse = np.where(keep, 1.0 / np.where(keep, S, 1.0), 0.0)
         assert np.array_equal(j0.kept, S[keep])
         Ut, V = U.transpose(0, 2, 1), Vt.transpose(0, 2, 1)
         assert np.array_equal(j0.inv, V * inverse[:, None] @ Ut)
-        assert np.array_equal(j0.left, inverse[..., None] * Ut)
         # kept counts every mode's values: J0's null space is T0 alone
         assert M < 2 or j0.kept.size == 2 * (n + 1) * (M + 1) - (4 * n + 3)
         # J0^+ on the residual rows is pinv of the dense J0 there, to the
@@ -1245,6 +1255,23 @@ def _j0_tiers(system, sol, J):
     }
 
 
+def _eta(j0, J):
+    """|J0^+ E|_F = |J0^+ J - (I - T0 T0^T)|_F, as the eta tier reads it
+    through J0's one solve."""
+    T0 = j0.tangent
+    return np.sqrt(np.square(j0.solve(J) - np.eye(J.shape[1]) + T0 @ T0.T).sum())
+
+
+def _eta_per_mode(j0, J):
+    """|J0^+ E|_F mode by mode, |S^+ U^T (rows(J) - J0)|_F with U S V^T
+    the SVD of each of J0's blocks, cut as _PoleZero cuts them: the
+    reference for _eta."""
+    U, S, _Vt = np.linalg.svd(_pole_zero_blocks(j0.A, j0.u, j0.N, j0.M), full_matrices=False)
+    keep = S > _RCOND * S.max()
+    left = np.where(keep, 1.0 / np.where(keep, S, 1.0), 0.0)[..., None] * U.transpose(0, 2, 1)
+    return np.sqrt(np.square(left @ _subtract_blocks(j0, j0.rows(J))).sum())
+
+
 def _dense_deviation(system, sol, J):
     """|J - J0|_2 from the dense matrices, J0 at the framed start's
     direction, and _sample_bound's B for it."""
@@ -1281,7 +1308,7 @@ class TestCertifiedDimension:
         answer is the first tier's that certifies.  Returns the J0 tiers'
         answers, None where a tier proves nothing."""
         fd = family_dimension(m, sol, cfg)
-        system, J = _system_at(m, sol, cfg)
+        system, J = system_at(m, sol, cfg)
         tiers = _j0_tiers(system, sol, J)
         assert fd == next((c for c in tiers.values() if c is not None), fd)
         sv = np.linalg.svd(J, compute_uv=False)
@@ -1296,6 +1323,10 @@ class TestCertifiedDimension:
             assert kept_lower <= sv[-k - 1] + ulp and null_upper >= sv[-k] - ulp
         deviation, bound = _dense_deviation(system, sol, J)
         assert bound >= deviation - ulp
+        # the eta tier's |J0^+ E|_F through J0's solve is the per-mode one
+        j0 = _PoleZero(system.m.base.A, sol.frame.u, cfg.N, cfg.M)
+        eta = _eta_per_mode(j0, J)
+        assert abs(_eta(j0, J) - eta) <= 1e-12 * max(1.0, eta)
         return tiers
 
     @pytest.mark.parametrize("eps", [0.0, 1e-4, 1e-3])
@@ -1335,9 +1366,9 @@ class TestCertifiedDimension:
         p = DiscParams(y0=0.0, v=[0.0], w=[w], a=0.007174008718983911 - 0.030908222406907004j)
         cfg = SolveConfig(N=256, M=48)
         sol = solve_with_homotopy(m, p, cfg)
-        system, J = _system_at(m, sol, cfg)
+        system, J = system_at(m, sol, cfg)
         j0 = _PoleZero(q.A, sol.frame.u, cfg.N, cfg.M)
-        assert np.linalg.norm(j0.inv @ j0.subtract(j0.rows(J))) > 1.0
+        assert _eta(j0, J) > 1.0
         assert _j0_tiers(system, sol, J) == {"sample": None, "eta": None}
         sv = np.linalg.svd(J, compute_uv=False)
         assert family_dimension(m, sol, cfg) == {"dim": 7, "gap": (sv[-8], sv[-7])}
@@ -1363,7 +1394,7 @@ class TestCertifiedDimension:
         cfg = SolveConfig(N=128, M=24)
         pin = Disc(m.base, p).center() if pinned else None
         sol = solve_with_homotopy(m, p, cfg, pin_center=pin)
-        system, J = _system_at(m, sol, cfg)
+        system, J = system_at(m, sol, cfg)
         tiers = _j0_tiers(system, sol, J)
         calls = _count_jacobians(monkeypatch)
         functions = _DiscSystem.boundary_functions
@@ -1475,6 +1506,21 @@ class TestHandOver:
             assert self._bits(fd) == self._bits(rebuilt)
             monkeypatch.undo()
         assert sol._solved is not None
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-4])
+    def test_tangent_basis_reads_the_hand_over(self, monkeypatch, eps):
+        # the pinned solve of center_map_jacobians: the tangent basis takes
+        # the solve's system and lift, and equals the rebuilt route's
+        m, cfg, sol = self._solve(2, eps, True)
+        copy = dataclasses.replace(sol)  # a copy carries no hand-over
+        calls = self._count_builds(monkeypatch)
+        frame_system = rh_solver._frame_system
+        monkeypatch.setattr(rh_solver, "_frame_system", counting(calls, "frame", frame_system))
+        T, system = family_tangent_basis(m, sol, cfg)
+        assert calls["lift"] == calls["frame"] == 0 and sol._solved is None
+        rebuilt, _system = family_tangent_basis(m, copy, cfg)
+        assert calls["lift"] == calls["frame"] == 1
+        assert np.array_equal(T, rebuilt) and T.shape[1] == 2 * m.n + 1
 
     @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
     def test_one_lift_one_j0_and_one_sweep_per_evaluation(self, monkeypatch, pinned):
