@@ -264,6 +264,8 @@ def _check_options(opt):
     for key, value in counts.items():
         if value < 1:
             raise UsageError(f"--{key} must be at least 1, got {value}")
+    if opt["seed"] < 0:
+        raise UsageError(f"--seed must be at least 0, got {opt['seed']}")
     if not np.isfinite(opt["theta"]):
         raise UsageError(f"--theta must be finite, got {opt['theta']}")
 

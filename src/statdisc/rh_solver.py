@@ -10,17 +10,11 @@ exactly the dimension of the disc family, so Newton steps use the
 minimum-norm least-squares solution; that keeps the tangent space
 observable for the family-dimension diagnostics.
 
-The Jacobian is the exact linearization of that residual.  Along a
-coefficient direction dh, rho moves by 2 Re(grad rho . dh); the gradient
-by the constant quadric block -conj(dz_a)^T A plus eps times the real
-Hessian of s mapped by d/dz = (d/dx - i d/dy) / 2; and log lambda by
--T(Im(d phi / phi)) - Re(d phi / phi) with phi = zeta * d rho / d z_n.
-The lifted components then move by zeta lambda (d log lambda grad_j +
-d grad_j) and go through the same FFT as the residual.  Newton, the
-family dimension and the tangent basis all use this one linearization
-(Newton methods for nonlinear Riemann-Hilbert problems in the sense of
-E. Wegert, Nonlinear Boundary Value Problems for Holomorphic Functions
-and Singular Integral Equations, 1992).
+The Jacobian is the exact linearization of that residual, by one column
+rule (_DiscSystem.columns), which Newton, the family dimension and the
+tangent basis all use (Newton methods for nonlinear Riemann-Hilbert
+problems in the sense of E. Wegert, Nonlinear Boundary Value Problems
+for Holomorphic Functions and Singular Integral Equations, 1992).
 
 Newton takes lstsq's minimum-norm step with _RCOND's cut from
 _svd_steps: the QR of [J | -r] with Q never formed, then the SVD of
@@ -260,45 +254,48 @@ class _DiscSystem:
             lift_g=zl * grad[:n],
         )
 
-    def _lifted(self, f, ratio, dp, dq):
-        """Negative modes (m, n N/2) of the lifted components, for m
-        directions that move d phi / phi by ratio (m, N) and zeta lam
-        d grad_i by dp + dq (m, n, N)."""
+    def columns(self, f, dh, comps=slice(None)):
+        """J's column rule: the residual rows (m, N + n N), constraint
+        rows aside, that m coefficient directions move, from the boundary
+        functions f at x and the directions' samples dh (m, c, N) in the
+        slice comps of c components (the other components do not move).
+
+        Along dh, rho moves by 2 Re(grad . dh); log lam by -T(Im r) - Re r,
+        with r = ratio_p . dh + ratio_q . conj(dh) the move of d phi / phi;
+        and the lifted components zeta lam grad_i by d log lam lift_g +
+        lift_p . dh + lift_q . conj(dh), whose negative modes go through
+        the residual's FFT and are returned Re first, then Im.
+        """
         N = self.cfg.N
+        dhc = dh.conj()
+        rho = 2.0 * (f.grad[comps] * dh).sum(axis=1).real
+        ratio = (f.ratio_p[comps] * dh + f.ratio_q[comps] * dhc).sum(axis=1)
         dlog = -hilbert_transform(ratio.imag) - ratio.real
-        dlift = dlog[:, None] * f.lift_g + dp + dq
-        return (np.fft.fft(dlift, axis=-1)[..., N // 2 :] / N).reshape(ratio.shape[0], -1)
+        dlift = (
+            dlog[:, None] * f.lift_g
+            + (f.lift_p[:, comps] * dh[:, None]).sum(axis=2)
+            + (f.lift_q[:, comps] * dhc[:, None]).sum(axis=2)
+        )
+        neg = (np.fft.fft(dlift, axis=-1)[..., N // 2 :] / N).reshape(dh.shape[0], -1)
+        return np.concatenate([rho, neg.real, neg.imag], axis=1)
 
     def product(self, f, V):
         """J V for packed columns V (size, m), constraint rows included,
-        from the boundary functions f at x: the column formula of
-        jacobian applied to V's samples (a Jacobian-vector product,
-        Kelley 2003)."""
+        from the boundary functions f at x: columns over all n+1
+        components of V's samples (a Jacobian-vector product, Kelley 2003)."""
         dh = _boundary_samples(self.unpack(V.T), self.cfg.N)  # (m, n+1, N)
-        dhc = dh.conj()
-        rho = 2.0 * np.einsum("jk,mjk->mk", f.grad, dh).real
-        ratio = np.einsum("jk,mjk->mk", f.ratio_p, dh) + np.einsum("jk,mjk->mk", f.ratio_q, dhc)
-        dp = np.einsum("ijk,mjk->mik", f.lift_p, dh)
-        dq = np.einsum("ijk,mjk->mik", f.lift_q, dhc)
-        neg = self._lifted(f, ratio, dp, dq)
-        C = (self.constraint_rows @ V).T
-        return np.concatenate([rho, neg.real, neg.imag, C], axis=1).T
+        return np.concatenate([self.columns(f, dh).T, self.constraint_rows @ V])
 
     def jacobian(self, x, f=None):
-        """Exact derivative of residual at x, assembled in column blocks
-        from the boundary functions f at x (built here when None).
-
-        Along dh the residual moves by d rho = 2 Re(grad rho . dh),
-        d log lam = -T(Im(d phi / phi)) - Re(d phi / phi) and
-        d(zeta lam grad_j) = zeta lam (d log lam grad_j + d grad_j).  The
-        column of the coefficient of zeta^k in component j perturbs that
-        component alone, by zeta^k or i zeta^k; a block holds up to
-        _BLOCK modes of one component and one of the two parts.  The
-        constraint rows are the constant constraint_rows.
+        """Exact derivative of residual at x, by columns from the boundary
+        functions f at x (built here when None), with the constant
+        constraint_rows below.  The column of the coefficient of zeta^k in
+        component j moves that component alone, by zeta^k or i zeta^k; a
+        block holds up to _BLOCK modes of one component and one of the two
+        parts.
         """
-        N, n, half = self.cfg.N, self.n, self.cfg.N // 2
+        N, n = self.cfg.N, self.n
         f = self.boundary_functions(x) if f is None else f
-        grad, ratio_p, ratio_q, lift_p, lift_q = f.grad, f.ratio_p, f.ratio_q, f.lift_p, f.lift_q
         J = np.empty((N + n * N + self.constraint_rows.shape[0], x.size), order="F")
         J[N + n * N :] = self.constraint_rows
         JT = J.T  # a column of J is a row of J.T, contiguous in Fortran order
@@ -309,17 +306,9 @@ class _DiscSystem:
                 mode = np.arange(lo, min(lo + _BLOCK, modes))
                 zk = self.zeta[(mode[:, None] * nodes) % N]
                 for offset, unit in ((j * modes, 1.0), ((n + 1 + j) * modes, 1j)):
-                    dh = unit * zk
-                    dhc = dh.conj()
-                    ratio = ratio_p[j] * dh + ratio_q[j] * dhc
-                    neg = self._lifted(
-                        f, ratio, lift_p[:, j] * dh[:, None], lift_q[:, j] * dhc[:, None]
-                    )
                     # pack lists a component's modes contiguously
                     c = slice(offset + lo, offset + lo + mode.size)
-                    JT[c, :N] = 2.0 * (grad[j] * dh).real
-                    JT[c, N : N + n * half] = neg.real
-                    JT[c, N + n * half : N + n * N] = neg.imag
+                    JT[c, : N + n * N] = self.columns(f, unit * zk[:, None], slice(j, j + 1))
         return J
 
 
@@ -1214,13 +1203,12 @@ def center_map_jacobians(m, p0, cfg=None):
     m = _as_perturbed(m)
     q = m.base
     p0 = complex(p0)
-    if not satisfies_condition_star(q, p0):
-        raise InvalidInputError("center fails the admissibility condition")
-    # an admissible center has a witness: both checks read the same signs
     pin = _center_pin(q.n, p0)
-    direction = exists_disc_centered(q, pin).witness
+    centered = exists_disc_centered(q, pin)
+    if not centered.condition_star:
+        raise InvalidInputError("center fails the admissibility condition")
     cfg = cfg or SolveConfig()
-    params0 = _center_disc_params(q, p0, 0.0, direction)
+    params0 = _center_disc_params(q, p0, 0.0, centered.witness)
     sol = solve_with_homotopy(m, params0, cfg, pin_center=pin)
     basis, system = family_tangent_basis(m, sol, cfg)
     Je = system.rows(partial(_endpoint, frame=sol.frame)) @ basis

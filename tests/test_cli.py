@@ -382,12 +382,14 @@ class TestExecute:
              "--grid 0: grid size must be a power of two, multiple of 4, >= 8"),
             (("indicatrix", "--n", "1", "--count", "0"), "--count must be at least 1, got 0"),
             (("indicatrix", "--n", "1", "--count", "-1"), "--count must be at least 1, got -1"),
+            (("indicatrix", "--n", "1", "--count", "2", "--seed", "-1"),
+             "--seed must be at least 0, got -1"),
             (("transport", "--n", "1", "--z", "1+0.5j,1", "--theta", "nan"),
              "--theta must be finite, got nan"),
         ],
         ids=[
             "n-negative", "modes-0", "modes-default-over-grid", "modes-over-grid", "grid-0",
-            "count-0", "count-negative", "theta-nan",
+            "count-0", "count-negative", "seed-negative", "theta-nan",
         ],
     )
     def test_out_of_range_flag_is_a_usage_error(self, capsys, args, detail):

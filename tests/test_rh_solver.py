@@ -700,9 +700,10 @@ class TestLinearization:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("eps", [0.0, 1e-4, 1e-3])
-    @pytest.mark.parametrize("setup", ["free", "pinned"])
+    @pytest.mark.parametrize("setup", ["free", "pinned", "endpoint", "velocity"])
     def test_product_matches_the_jacobian(self, n, eps, setup):
-        # J V from the boundary functions, constraint rows included
+        # J V from the boundary functions, constraint rows included: one
+        # column rule over all components, against the same rule on unit columns
         system, x = _linearization_setup(n, eps, setup)
         V = np.random.default_rng(n).normal(size=(x.size, 4 * n + 3))
         ref = system.jacobian(x) @ V
